@@ -20,7 +20,6 @@ from .algpoly import (
     commutator,
     op_apply,
     op_compose,
-    poly_mul,
     quadratic_roots,
 )
 from .sl2rep import (
@@ -44,7 +43,6 @@ from .heunop import (
     UEACoeffs,
     build_canonical_cleared,
     build_expanded,
-    check_constraint,
     es_condition,
     es_operator,
     es_spectrum,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -21,7 +22,6 @@ __all__ = [
     "Surd",
     "Polynomial",
     "DiffOp",
-    "poly_mul",
     "op_apply",
     "op_compose",
     "commutator",
@@ -124,7 +124,15 @@ class CRat:
                 im_part = _strict_fraction(im_txt)
             return cls(re_part, im_part)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact complex-rational literal: {text!r}") from exc
+            shown = repr(text) if len(text) <= 60 else f"{text[:40]!r}... ({len(text)} chars)"
+            digits = max(map(len, re.findall(r"\d+", s)), default=0)
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < digits:
+                raise ValueError(
+                    f"a {digits}-digit integer exceeds the interpreter's int-digit limit "
+                    f"{limit} (sys.get_int_max_str_digits()): {shown}"
+                ) from exc
+            raise ValueError(f"not an exact complex-rational literal: {shown}") from exc
 
     # -- predicates ---------------------------------------------------
 
@@ -852,11 +860,6 @@ def format_terms(items: Sequence[tuple[CRat, int, int]]) -> str:
 
 
 # -- module operations -----------------------------------------------------
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Exact convolution product of two polynomials."""
-    return p * q
 
 
 def op_apply(L: DiffOp, f: Polynomial) -> Polynomial:

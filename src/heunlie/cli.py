@@ -18,7 +18,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Optional
@@ -485,18 +484,10 @@ def run_sweep(args) -> str:
     axes = _parse_grid(args.grid)
     base = {name: getattr(args, name) for name in _PARAM_NAMES}
     names = [name for name, _ in axes]
-    combos = list(product(*(vals for _, vals in axes)))
-    workers = max(1, int(os.environ.get("HEUNLIE_THREADS", "1")))
-    jobs = [dict(zip(names, combo)) for combo in combos]
-
-    def job(overrides):
-        return _sweep_point(base, args.n, overrides)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, jobs))
-    else:
-        results = [job(j) for j in jobs]
+    results = [
+        _sweep_point(base, args.n, dict(zip(names, combo)))
+        for combo in product(*(vals for _, vals in axes))
+    ]
     return "".join(json.dumps(r) + "\n" for r in results)
 
 

@@ -101,8 +101,8 @@ class WeightExpansion:
         return out
 
     def value_at_zero(self) -> CRat:
-        """Constant term of the reassembled weight: 0 whenever rho > 1."""
-        return self.reassembled().coeff(0)
+        """Constant term of the reassembled weight: h[0][0] if rho = 1, else 0."""
+        return self.h[0][0] if self.rho == 1 else CR_ZERO
 
     def as_dict(self) -> dict:
         return {

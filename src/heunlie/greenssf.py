@@ -2,12 +2,15 @@
 raising-free operator family, the spectral shift values, the
 Hilbert-Schmidt norm, and the trace of the Green integral operator.
 
-The kernel formulas are triple sums over an independent prefactor index
-``m`` in ``1..p`` and the binomial indices ``(k, l)`` of the weight
-expansion, with the ``m``-dependent symbol factor ``eps0`` evaluated at an
-explicit dual-variable point ``s_eval`` (the symbol never loses its dual
-variable on its own; 0 is the reproducible default).  Summation is in
-lexicographic ``(m, k, l)`` order so floating results are bit-reproducible.
+The kernel formulas are printed as triple sums over an independent
+prefactor index ``m`` in ``1..p`` and the binomial indices ``(k, l)`` of the
+weight expansion, with the ``m``-dependent symbol factor ``eps0`` evaluated
+at an explicit dual-variable point ``s_eval`` (the symbol never loses its
+dual variable on its own; 0 is the reproducible default).  The summand
+factors, and the binomial theorem closes the ``(k, l)`` part exactly:
+``sum_{k,l} C(sigma-1,k) C(tau-1,l) a^(-l) = 2^(sigma-1) (1 + 1/a)^(tau-1)``.
+So each kernel sum is that factor times a sum over ascending ``m``, which
+keeps floating results bit-reproducible.
 
 The summation bound is ``p = sigma - rho`` unless overridden: the printed
 bound formally depends on an inner summation index, and this is its largest
@@ -345,27 +348,19 @@ def _p_bound(sigma: int, rho: int, p_override) -> int:
     return p
 
 
-def _plain_binomials(sigma: int, tau: int) -> list[tuple[int, int, CRat]]:
-    """(k, l, C(sigma-1, k) C(tau-1, l)) in lexicographic (k, l) order."""
-    out = []
-    for k in range(sigma):
-        for l in range(tau):
-            out.append((k, l, CRat(math.comb(sigma - 1, k) * math.comb(tau - 1, l))))
-    return out
-
-
 def _kernel_sum(scalars: KernelScalars, s_eval, p: int, with_factorial: bool) -> Scalar:
     rho, sigma, tau = scalars.integer_exponents()
     s_eval = _scalar(s_eval)
+    a = scalars.a
+    # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
+    binomials = CRat(2 ** (sigma - 1)) * (CR_ONE + a) ** (tau - 1) * a ** (1 - tau)
     total: Scalar = CR_ZERO
     for m in range(1, p + 1):
-        sc = symbol_coeffs(m, 0, scalars.n, scalars)
-        eps0 = sc.eps0.eval(s_eval)
+        eps0 = symbol_coeffs(m, 0, scalars.n, scalars).eps0.eval(s_eval)
         sign = CRat(-1 if (m - 1) % 2 else 1)
         fact = CRat(math.factorial(m - 1)) if with_factorial else CR_ONE
-        for k, l, h in _plain_binomials(sigma, tau):
-            total = total + h * scalars.a ** (-l) * sign * eps0 * fact
-    return total
+        total = total + sign * fact * eps0
+    return binomials * total
 
 
 def kp_constant(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = None,

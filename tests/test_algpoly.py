@@ -18,7 +18,6 @@ from heunlie.algpoly import (
     csqrt_exact,
     op_apply,
     op_compose,
-    poly_mul,
     quadratic_roots,
     sqrt_fraction,
 )
@@ -133,10 +132,10 @@ class TestPolynomial:
     def test_product_examples(self):
         z = Polynomial.variable()
         one = Polynomial.one()
-        assert poly_mul(z + one, z - one) == Polynomial([-1, 0, 1])
+        assert (z + one) * (z - one) == Polynomial([-1, 0, 1])
         p = Polynomial([2, 0, 5])
-        assert poly_mul(one, p) == p
-        assert poly_mul(z - one, z - Polynomial([2])) == Polynomial([2, -3, 1])
+        assert one * p == p
+        assert (z - one) * (z - Polynomial([2])) == Polynomial([2, -3, 1])
 
     def test_degree_rules(self):
         assert Polynomial.zero().degree == NEG_INF

@@ -1,4 +1,7 @@
 import json
+import sys
+
+import pytest
 
 from heunlie import cli
 from heunlie.algpoly import DiffOp, Polynomial
@@ -245,13 +248,6 @@ class TestSweep:
         assert "error" in lines[0]
         assert "report" in lines[1] and "report" in lines[2]
 
-    def test_thread_env_preserves_order(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEUNLIE_THREADS", "4")
-        _, out1, _ = run(capsys, "sweep", *BASE, "--n", "1", "--grid", "a=2,3;q=0,1")
-        monkeypatch.setenv("HEUNLIE_THREADS", "1")
-        _, out2, _ = run(capsys, "sweep", *BASE, "--n", "1", "--grid", "a=2,3;q=0,1")
-        assert out1 == out2
-
 
 class TestOutputFile:
     def test_write_to_file(self, tmp_path, capsys):
@@ -283,3 +279,14 @@ class TestLiteralParsing:
                            "--delta", "1", "--epsilon", "1", "--n", "1")
         assert code == 0
         assert json.loads(out)["params"]["a"] == "1+1i"
+
+    def test_oversized_literal_names_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        huge = "7" * (limit + 700) + "/7"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["green", *BASE[2:], "--a=" + huge, "--n", "0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"int-digit limit {limit}" in err
+        assert f"{limit + 700}-digit" in err
+        assert huge not in err and len(err) < 1000

@@ -1,0 +1,149 @@
+"""The closed forms (band flag matrix, factored kernel sums, weight value at
+0) against the loop forms they replace, which stay here as references."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
+from heunlie.distsol import weight_expansion
+from heunlie.greenssf import KernelScalars, green_kernel, kp_constant, symbol_coeffs
+from heunlie.heunop import (
+    HeunParams,
+    OracleMismatch,
+    OverflowColumn,
+    _surd_product,
+    es_operator,
+    qes_matrix,
+)
+from util import reference_kernel_sum, reference_qes_matrix
+
+fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+real_st = st.builds(CRat, fractions_st)
+crat_st = st.one_of(real_st, st.builds(CRat, fractions_st, fractions_st))
+nonzero_st = crat_st.filter(lambda x: not x.is_zero())
+
+
+def _same_matrix_or_overflow(L, N):
+    try:
+        expected = reference_qes_matrix(L, N)
+    except OverflowColumn as ref:
+        with pytest.raises(OverflowColumn) as got:
+            qes_matrix(L, N)
+        assert (got.value.column, got.value.degree, got.value.bound) == (
+            ref.column, ref.degree, ref.bound,
+        )
+        return
+    assert qes_matrix(L, N) == expected
+
+
+@st.composite
+def band_op_st(draw):
+    """Operators of order <= 3 whose p_k have degree <= k + 1, so some keep a
+    degree bound and some overflow it."""
+    order = draw(st.integers(0, 3))
+    terms = []
+    for k in range(order + 1):
+        deg = draw(st.integers(-1, k + 1))
+        terms.append(Polynomial([draw(crat_st) for _ in range(deg + 1)]))
+    return DiffOp(terms)
+
+
+class TestBandMatrix:
+    @given(band_op_st(), st.integers(0, 12))
+    @example(DiffOp.zero(), 0)
+    @example(DiffOp.zero(), 7)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_column_by_column(self, L, N):
+        _same_matrix_or_overflow(L, N)
+
+    @given(
+        st.integers(0, 12),
+        st.integers(0, 12),
+        nonzero_st.filter(lambda a: a != CRat(1)),
+        st.lists(real_st, min_size=6, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raising_free_operators(self, n, N, a, rest):
+        # the raising terms cancel in column n: N = n keeps every column, and
+        # N > n overflows at column n + 1
+        L = es_operator(n, HeunParams(a, *rest))
+        _same_matrix_or_overflow(L, N)
+
+
+@st.composite
+def kernel_case_st(draw):
+    rho = draw(st.integers(1, 3))
+    sigma = draw(st.integers(rho + 1, 8))
+    tau = draw(st.integers(1, 6))
+    a = draw(st.one_of(st.just(CRat(-1)), nonzero_st))
+    scalars = KernelScalars.direct(draw(st.integers(-3, 5)), a, rho, sigma, tau)
+    p_override = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return scalars, p_override
+
+
+def _bound(scalars, p_override):
+    rho, sigma, _ = scalars.integer_exponents()
+    return sigma - rho if p_override is None else p_override
+
+
+class TestFactoredKernelSums:
+    @given(kernel_case_st(), st.one_of(crat_st, st.builds(CRat, st.just(0), fractions_st)))
+    @example((KernelScalars.direct(0, -1, 1, 3, 1), None), CRat(0, 1))
+    @example((KernelScalars.direct(2, -1, 1, 4, 3), 2), CRat(0))
+    @example((KernelScalars.direct(1, CRat(1, 2), 2, 5, 1), 4), CRat(0, -3))
+    @settings(max_examples=120, deadline=None)
+    def test_exact_equality(self, case, s_eval):
+        scalars, p_override = case
+        p = _bound(scalars, p_override)
+        kp = kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)
+        gk = green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override)
+        assert kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
+        assert gk.scalar == reference_kernel_sum(scalars, s_eval, p, with_factorial=True)
+        assert isinstance(kp, CRat) and isinstance(gk.scalar, CRat)
+
+    @given(
+        kernel_case_st(),
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_s_eval_within_relative_tolerance(self, case, s_eval):
+        # The factored sum rounds differently from the triple loop.  Both are
+        # within a few hundred ulps of the sum of the terms' moduli, so the
+        # tolerance is 1e-12 of that scale, which cancellation cannot shrink.
+        scalars, p_override = case
+        p = _bound(scalars, p_override)
+        _, sigma, tau = scalars.integer_exponents()
+        binomial_scale = 2 ** (sigma - 1) * (1 + 1 / abs(complex(scalars.a))) ** (tau - 1)
+        for with_factorial, got in (
+            (False, kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)),
+            (True, green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override).scalar),
+        ):
+            ref = reference_kernel_sum(scalars, s_eval, p, with_factorial)
+            scale = binomial_scale * sum(
+                abs(complex(symbol_coeffs(m, 0, scalars.n, scalars).eps0.eval(s_eval)))
+                * (math.factorial(m - 1) if with_factorial else 1)
+                for m in range(1, p + 1)
+            )
+            assert abs(complex(got) - complex(ref)) <= 1e-12 * scale
+
+
+class TestWeightValueAtZero:
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 7),
+        st.integers(1, 7),
+        nonzero_st.filter(lambda a: a != CRat(1)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reassembled_constant_term(self, rho, sigma, tau, a):
+        w = weight_expansion(rho, sigma, tau, a)
+        assert w.value_at_zero() == w.reassembled().coeff(0)
+
+
+class TestSurdProduct:
+    def test_non_conjugate_pair_trips_the_oracle(self):
+        with pytest.raises(OracleMismatch):
+            _surd_product(Surd(1, 1, 2), Surd(2, 1, 2))

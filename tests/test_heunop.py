@@ -21,7 +21,6 @@ from heunlie.heunop import (
     OverflowColumn,
     build_canonical_cleared,
     build_expanded,
-    check_constraint,
     es_condition,
     es_discrepancies,
     es_operator,
@@ -47,11 +46,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 class TestConstraint:
     def test_satisfied(self):
         p = HeunParams(a=2, q=0, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
-        assert check_constraint(p) == CR_ZERO
+        assert p.constraint_residual == CR_ZERO
 
     def test_residual_one(self):
         p = HeunParams(a=2, q=0, alpha=2, beta=1, gamma=1, delta=1, epsilon=1)
-        assert check_constraint(p) == CR_ONE
+        assert p.constraint_residual == CR_ONE
 
     def test_rho_equals_both_constraint_sides(self):
         rng = random.Random(53)
@@ -277,7 +276,7 @@ class TestVerifyTheorem1:
             n = rng.randint(-3, 4)
             j = Fraction(n, 2)
             rep = verify_theorem1(j, p)
-            assert rep.residual("ab_product_general") == CRat(-2 * j) * check_constraint(p)
+            assert rep.residual("ab_product_general") == CRat(-2 * j) * p.constraint_residual
 
     def test_eq3_row_isolates_middle_coefficient(self):
         rng = random.Random(97)

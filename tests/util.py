@@ -1,9 +1,12 @@
-"""Shared random-draw helpers for the test suite (all draws are seeded)."""
+"""Shared random-draw helpers for the test suite (all draws are seeded), and
+the loop forms that the library's closed forms are checked against."""
 
+import math
 from fractions import Fraction
 
-from heunlie.algpoly import CRat, DiffOp, Polynomial
-from heunlie.heunop import HeunParams
+from heunlie.algpoly import CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
+from heunlie.greenssf import symbol_coeffs
+from heunlie.heunop import HeunParams, OverflowColumn
 
 
 def rand_fraction(rng, span=9, den=5, nonzero=False) -> Fraction:
@@ -67,3 +70,29 @@ def surds_match(pair, expected) -> bool:
     e1, e2 = pair
     x1, x2 = expected
     return (e1 == x1 and e2 == x2) or (e1 == x2 and e2 == x1)
+
+
+def reference_qes_matrix(L, N):
+    """Flag matrix built column by column: apply L to each monomial z^c."""
+    cols = []
+    for c in range(N + 1):
+        img = op_apply(L, Polynomial.monomial(c))
+        if img.degree is not NEG_INF and img.degree > N:
+            raise OverflowColumn(c, int(img.degree), N)
+        cols.append([img.coeff(r) for r in range(N + 1)])
+    return tuple(tuple(cols[c][r] for c in range(N + 1)) for r in range(N + 1))
+
+
+def reference_kernel_sum(scalars, s_eval, p, with_factorial):
+    """Kernel sum as printed: the (m, k, l) triple loop in lexicographic order."""
+    rho, sigma, tau = scalars.integer_exponents()
+    total = CR_ZERO
+    for m in range(1, p + 1):
+        eps0 = symbol_coeffs(m, 0, scalars.n, scalars).eps0.eval(s_eval)
+        sign = CRat(-1 if (m - 1) % 2 else 1)
+        fact = CRat(math.factorial(m - 1)) if with_factorial else CR_ONE
+        for k in range(sigma):
+            for l in range(tau):
+                h = CRat(math.comb(sigma - 1, k) * math.comb(tau - 1, l))
+                total = total + h * scalars.a ** (-l) * sign * eps0 * fact
+    return total
