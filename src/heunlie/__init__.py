@@ -68,6 +68,7 @@ from .distsol import (
     recur_real,
     residual_check,
     weight_expansion,
+    weight_value_at_zero,
 )
 from .greenssf import (
     DegenerateQuadratic,

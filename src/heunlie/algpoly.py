@@ -6,6 +6,8 @@ operation is a pure function, so everything here can be shared freely
 between threads.  Scalars are pairs of ``fractions.Fraction``; mixing a
 float or a Python complex into an operation degrades the result to a
 Python complex (used deliberately by the floating evaluation paths).
+Arithmetic skips zero imaginary parts, so real operands cost what
+``Fraction`` arithmetic costs; values, and report bytes, are unchanged.
 """
 
 from __future__ import annotations
@@ -151,9 +153,14 @@ class CRat:
         """Return other as CRat, or None when the float path must be used."""
         if isinstance(other, CRat):
             return other
-        if isinstance(other, (int, Fraction)):
-            return CRat(other)
+        if isinstance(other, Fraction):
+            return _crat(other, _ZERO)
+        if isinstance(other, int):
+            return _crat(Fraction(other), _ZERO)
         return None
+
+    # A zero imaginary part is skipped rather than multiplied or added: each
+    # branch below gives exactly the value of the four-product formula.
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -161,7 +168,7 @@ class CRat:
             if isinstance(other, (float, complex)):
                 return complex(self) + other
             return NotImplemented
-        return CRat(self.re + o.re, self.im + o.im)
+        return _crat(self.re + o.re, self.im + o.im if o.im else self.im)
 
     __radd__ = __add__
 
@@ -171,7 +178,7 @@ class CRat:
             if isinstance(other, (float, complex)):
                 return complex(self) - other
             return NotImplemented
-        return CRat(self.re - o.re, self.im - o.im)
+        return _crat(self.re - o.re, self.im - o.im if o.im else self.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -179,7 +186,7 @@ class CRat:
             if isinstance(other, (float, complex)):
                 return other - complex(self)
             return NotImplemented
-        return CRat(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -187,7 +194,13 @@ class CRat:
             if isinstance(other, (float, complex)):
                 return complex(self) * other
             return NotImplemented
-        return CRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if not o.im:
+            r = o.re
+            return _crat(self.re * r, self.im * r if self.im else self.im)
+        if not self.im:
+            r = self.re
+            return _crat(r * o.re, r * o.im)
+        return _crat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -197,10 +210,13 @@ class CRat:
             if isinstance(other, (float, complex)):
                 return complex(self) / other
             return NotImplemented
+        if not o.im:
+            r = o.re
+            if not r:
+                raise ZeroDivisionError("division by zero CRat")
+            return _crat(self.re / r, self.im / r if self.im else self.im)
         d = o.re * o.re + o.im * o.im
-        if not d:
-            raise ZeroDivisionError("division by zero CRat")
-        return CRat((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+        return _crat((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -211,7 +227,7 @@ class CRat:
         return o / self
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        return _crat(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -220,8 +236,8 @@ class CRat:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return CRat(1) / self ** (-n)
-        out = CRat(1)
+            return CR_ONE / self ** (-n)
+        out = CR_ONE
         base = self
         while n:
             if n & 1:
@@ -231,7 +247,7 @@ class CRat:
         return out
 
     def conjugate(self) -> "CRat":
-        return CRat(self.re, -self.im)
+        return _crat(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus re**2 + im**2."""
@@ -268,6 +284,20 @@ class CRat:
 
     def __repr__(self) -> str:
         return f"CRat({str(self)!r})"
+
+
+_ZERO = Fraction(0)
+_new_crat = object.__new__
+_set_re = CRat.re.__set__
+_set_im = CRat.im.__set__
+
+
+def _crat(re: Fraction, im: Fraction) -> CRat:
+    """CRat from two Fractions, without the validation of ``CRat.__init__``."""
+    z = _new_crat(CRat)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 CR_ZERO = CRat(0)

@@ -34,6 +34,7 @@ from .distsol import (
     forward_real,
     residual_check,
     weight_expansion,
+    weight_value_at_zero,
 )
 from .greenssf import (
     DegenerateQuadratic,
@@ -71,6 +72,16 @@ from .sl2rep import Spin, UEAExpr, uea_expand
 __all__ = ["main", "RunConfig"]
 
 _PARAM_NAMES = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
+
+#: invalid input: exit 2 from ``main``, an in-stream error row in a sweep
+_INVALID_PARAMETERS = (
+    ValueError,
+    NonIntegerExponents,
+    DegenerateLeading,
+    DegenerateQuadratic,
+    ZeroEigenvalue,
+    ZeroDivisionError,
+)
 
 
 @dataclass
@@ -378,7 +389,7 @@ def payload_green(args, params: HeunParams) -> dict:
     kp = kp_constant(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
     norm = hs_norm_sq(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
     rho, sigma, tau = scalars.integer_exponents()
-    omega0 = weight_expansion(rho, sigma, tau, scalars.a).value_at_zero()
+    omega0 = weight_value_at_zero(rho, sigma, tau, scalars.a)
     coincidence = green_coincidence(
         scalars=scalars, E=args.E, s_eval=args.s_eval, p_override=args.p_override
     )
@@ -476,7 +487,7 @@ def _sweep_point(base: dict, n: int, overrides: dict) -> dict:
         params = HeunParams(**merged)
         payload = payload_analyze(params, n)
         return {"point": point, "report": payload}
-    except Exception as exc:  # per-point failures stay in-stream
+    except _INVALID_PARAMETERS as exc:  # invalid points stay in-stream
         return {"point": point, "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
@@ -535,14 +546,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"heunlie: I/O failure: {exc}", file=sys.stderr)
         return 5
-    except (
-        ValueError,
-        NonIntegerExponents,
-        DegenerateLeading,
-        DegenerateQuadratic,
-        ZeroEigenvalue,
-        ZeroDivisionError,
-    ) as exc:
+    except _INVALID_PARAMETERS as exc:
         print(f"heunlie: invalid parameters: {exc}", file=sys.stderr)
         return 2
 

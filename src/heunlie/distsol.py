@@ -36,6 +36,7 @@ __all__ = [
     "CoeffSequence",
     "falling_factorial",
     "weight_expansion",
+    "weight_value_at_zero",
     "recur_real",
     "recur_imag",
     "forward_real",
@@ -101,8 +102,8 @@ class WeightExpansion:
         return out
 
     def value_at_zero(self) -> CRat:
-        """Constant term of the reassembled weight: h[0][0] if rho = 1, else 0."""
-        return self.h[0][0] if self.rho == 1 else CR_ZERO
+        """Constant term of the reassembled weight; see :func:`weight_value_at_zero`."""
+        return weight_value_at_zero(self.rho, self.sigma, self.tau, self.a)
 
     def as_dict(self) -> dict:
         return {
@@ -124,6 +125,16 @@ def _positive_int(x, name: str) -> int:
     raise NonIntegerExponents(f"{name} must be a positive integer, got {x!r}")
 
 
+def _weight_args(rho, sigma, tau, a) -> tuple[int, int, int, CRat]:
+    rho = _positive_int(rho, "rho")
+    sigma = _positive_int(sigma, "sigma")
+    tau = _positive_int(tau, "tau")
+    a = CRat.from_value(a)
+    if a == CR_ZERO or a == CR_ONE:
+        raise ValueError(f"a must avoid 0 and 1, got {a}")
+    return rho, sigma, tau, a
+
+
 def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
     """Full coefficient table
 
@@ -131,12 +142,7 @@ def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
 
     for ``0 <= m <= sigma-1``, ``0 <= n <= tau-1``.
     """
-    rho = _positive_int(rho, "rho")
-    sigma = _positive_int(sigma, "sigma")
-    tau = _positive_int(tau, "tau")
-    a = CRat.from_value(a)
-    if a == CR_ZERO or a == CR_ONE:
-        raise ValueError(f"a must avoid 0 and 1, got {a}")
+    rho, sigma, tau, a = _weight_args(rho, sigma, tau, a)
     h = []
     for m in range(sigma):
         row = []
@@ -148,6 +154,18 @@ def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
             )
         h.append(tuple(row))
     return WeightExpansion(rho, sigma, tau, a, tuple(h))
+
+
+def weight_value_at_zero(rho, sigma, tau, a) -> CRat:
+    """Constant term ``omega(0)`` of the weight, without building the table:
+    ``h[0][0] = (-1)^(sigma+tau) a^(tau-1)`` when rho = 1, else 0.
+
+    Validates its arguments exactly as :func:`weight_expansion` does.
+    """
+    rho, sigma, tau, a = _weight_args(rho, sigma, tau, a)
+    if rho != 1:
+        return CR_ZERO
+    return CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1)
 
 
 @dataclass(frozen=True)

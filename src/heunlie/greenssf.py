@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
-from .distsol import NonIntegerExponents, weight_expansion
+from .distsol import NonIntegerExponents, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
 __all__ = [
@@ -434,16 +434,14 @@ def green_kernel(n: int = None, p: HeunParams = None, s_eval=CR_ZERO, *,
     )
 
 
-def green_coincidence(n: int = None, p: HeunParams = None, sign: str = "+", E=CR_ONE, *,
+def green_coincidence(n: int = None, p: HeunParams = None, E=CR_ONE, *,
                       scalars: KernelScalars = None, s_eval=CR_ZERO,
                       p_override: int = None) -> Distribution:
     """Coincidence kernel ``G+-(E, w) = (K_p / E) delta(w)``.
 
-    ``sign`` selects only the half-plane bookkeeping: the delta term has even
-    order, so both signs give equal kernels.
+    The delta term has even order, so both half-plane signs give this same
+    kernel.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     E = _scalar(E)
     if _is_zero(E):
         raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
@@ -461,7 +459,7 @@ def hs_norm_sq(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = 
     """
     scalars = _resolve_scalars(n, p, scalars)
     rho, sigma, tau = scalars.integer_exponents()
-    omega0 = weight_expansion(rho, sigma, tau, scalars.a).value_at_zero()
+    omega0 = weight_value_at_zero(rho, sigma, tau, scalars.a)
     kp = kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)
     if isinstance(kp, CRat):
         return kp.abs2() * omega0.abs2()

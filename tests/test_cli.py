@@ -247,6 +247,40 @@ class TestSweep:
         assert len(lines) == 3
         assert "error" in lines[0]
         assert "report" in lines[1] and "report" in lines[2]
+        assert lines[0]["error"]["type"] == "ValueError"
+
+    def test_oracle_mismatch_in_one_point_exits_3(self, capsys, monkeypatch):
+        real = cli.build_expanded
+
+        def corrupt_at_a3(p):
+            return DiffOp([Polynomial.one()]) if p.a == 3 else real(p)
+
+        monkeypatch.setattr(cli, "build_expanded", corrupt_at_a3)
+        code, out, err = run(capsys, "sweep", *BASE, "--n", "1", "--grid", "a=1,2,3,4")
+        assert code == 3
+        assert "oracle mismatch" in err
+        assert out == ""
+
+    def test_unexpected_error_is_not_an_error_row(self, capsys, monkeypatch):
+        def broken(params, n):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "payload_analyze", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            cli.main(["sweep", *BASE, "--n", "1", "--grid", "a=2"])
+
+    @pytest.mark.parametrize("exc_type", cli._INVALID_PARAMETERS)
+    def test_invalid_parameter_family_matches_exit_2(self, capsys, monkeypatch, exc_type):
+        def invalid(params, n):
+            raise exc_type("bad point")
+
+        monkeypatch.setattr(cli, "payload_analyze", invalid)
+        code, out, _ = run(capsys, "sweep", *BASE, "--n", "1", "--grid", "a=2")
+        assert code == 0
+        assert json.loads(out)["error"] == {"type": exc_type.__name__, "message": "bad point"}
+        code, _, err = run(capsys, "analyze", *BASE, "--n", "1")
+        assert code == 2
+        assert "invalid parameters: bad point" in err
 
 
 class TestOutputFile:

@@ -1,14 +1,17 @@
 """The closed forms (band flag matrix, factored kernel sums, weight value at
-0) against the loop forms they replace, which stay here as references."""
+0) and the zero-part fast paths of ``CRat`` arithmetic against the loop and
+textbook forms they replace, which stay here as references."""
 
 import math
+import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
-from heunlie.distsol import weight_expansion
+from heunlie.distsol import weight_expansion, weight_value_at_zero
 from heunlie.greenssf import KernelScalars, green_kernel, kp_constant, symbol_coeffs
 from heunlie.heunop import (
     HeunParams,
@@ -18,7 +21,7 @@ from heunlie.heunop import (
     es_operator,
     qes_matrix,
 )
-from util import reference_kernel_sum, reference_qes_matrix
+from util import reference_crat_op, reference_kernel_sum, reference_qes_matrix
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 real_st = st.builds(CRat, fractions_st)
@@ -130,6 +133,16 @@ class TestFactoredKernelSums:
             assert abs(complex(got) - complex(ref)) <= 1e-12 * scale
 
 
+# valid and invalid weight exponents
+exponent_st = st.one_of(
+    st.integers(-1, 4),
+    st.builds(CRat, st.integers(-1, 4)),
+    st.builds(CRat, fractions_st, fractions_st),
+    st.just(True),
+    st.just(2.0),
+)
+
+
 class TestWeightValueAtZero:
     @given(
         st.integers(1, 4),
@@ -140,7 +153,91 @@ class TestWeightValueAtZero:
     @settings(max_examples=80, deadline=None)
     def test_matches_reassembled_constant_term(self, rho, sigma, tau, a):
         w = weight_expansion(rho, sigma, tau, a)
-        assert w.value_at_zero() == w.reassembled().coeff(0)
+        expected = w.reassembled().coeff(0)
+        assert weight_value_at_zero(rho, sigma, tau, a) == expected
+        assert w.value_at_zero() == expected
+
+    @given(exponent_st, exponent_st, exponent_st, st.one_of(crat_st, st.integers(-1, 2)))
+    @example(0, 0, 0, 0)
+    @example(1, 2, 3, 1)
+    @example(1, 2, 3, CRat(0))
+    @settings(max_examples=150, deadline=None)
+    def test_validates_like_the_table(self, rho, sigma, tau, a):
+        # same checks in the same order: the first bad argument names the error
+        try:
+            weight_expansion(rho, sigma, tau, a)
+        except Exception as ref:
+            with pytest.raises(type(ref)) as got:
+                weight_value_at_zero(rho, sigma, tau, a)
+            assert type(got.value) is type(ref) and str(got.value) == str(ref)
+        else:
+            weight_value_at_zero(rho, sigma, tau, a)
+
+
+# operands with every mix of zero parts, as CRat, Fraction and int
+small_fraction_st = st.one_of(st.just(Fraction(0)), fractions_st)
+exact_operand_st = st.one_of(
+    st.builds(CRat, small_fraction_st),
+    st.builds(CRat, st.just(0), small_fraction_st),
+    st.builds(CRat, small_fraction_st, small_fraction_st),
+    fractions_st,
+    st.integers(-5, 5),
+)
+crat_operand_st = exact_operand_st.filter(lambda x: isinstance(x, CRat))
+BINARY_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _exact_result(got, expected):
+    assert type(got) is CRat
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == expected
+    twin = CRat(*expected)
+    assert got == twin and hash(got) == hash(twin)
+
+
+class TestCRatFastPaths:
+    @given(st.sampled_from(BINARY_OPS), crat_operand_st, exact_operand_st, st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_binary_ops_match_textbook_formulas(self, op, x, y, swap):
+        if swap:
+            x, y = y, x
+        if op is operator.truediv and y == 0:
+            with pytest.raises(ZeroDivisionError, match="^division by zero CRat$"):
+                op(x, y)
+            return
+        _exact_result(op(x, y), reference_crat_op(x, y, op))
+
+    @given(crat_operand_st, st.integers(-4, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_pow_matches_repeated_products(self, x, n):
+        if n < 0 and x.is_zero():
+            with pytest.raises(ZeroDivisionError, match="^division by zero CRat$"):
+                x ** n
+            return
+        _exact_result(x ** n, reference_crat_op(x, n, operator.pow))
+
+    @given(crat_operand_st)
+    @settings(max_examples=100, deadline=None)
+    def test_negation_and_conjugate(self, x):
+        _exact_result(-x, (-x.re, -x.im))
+        _exact_result(x.conjugate(), (x.re, -x.im))
+
+    @pytest.mark.parametrize("zero", [CRat(0), CRat(0, 0), 0, Fraction(0)])
+    @pytest.mark.parametrize("x", [CRat(3, 2), CRat(Fraction(1, 2)), CRat(0, -1), CRat(0)])
+    def test_division_by_zero_message(self, x, zero):
+        with pytest.raises(ZeroDivisionError, match="^division by zero CRat$"):
+            x / zero
+        if isinstance(zero, CRat):
+            with pytest.raises(ZeroDivisionError, match="^division by zero CRat$"):
+                1 / zero
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("x", [CRat(3, 2), CRat(Fraction(-1, 2)), CRat(0, 2)])
+    @pytest.mark.parametrize("y", [1.5, -0.25, 2 + 1j, 0.5j])
+    def test_float_and_complex_operands_degrade_to_complex(self, op, x, y):
+        for got, expected in ((op(x, y), op(complex(x), y)), (op(y, x), op(y, complex(x)))):
+            assert type(got) is complex
+            assert got == expected
 
 
 class TestSurdProduct:

@@ -275,11 +275,6 @@ class TestGreenCoincidence:
         g2 = green_coincidence(scalars=SCAL, E=CRat(2))
         assert g1.coefficient(0) == g2.coefficient(0) * CRat(2)
 
-    def test_sign_irrelevant_for_even_order(self):
-        gp = green_coincidence(scalars=SCAL, E=CRat(3), sign="+")
-        gm = green_coincidence(scalars=SCAL, E=CRat(3), sign="-")
-        assert gp == gm
-
     def test_zero_eigenvalue(self):
         with pytest.raises(ZeroEigenvalue):
             green_coincidence(scalars=SCAL, E=CRat(0))

@@ -2,6 +2,7 @@
 the loop forms that the library's closed forms are checked against."""
 
 import math
+import operator
 from fractions import Fraction
 
 from heunlie.algpoly import CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
@@ -96,3 +97,39 @@ def reference_kernel_sum(scalars, s_eval, p, with_factorial):
                 h = CRat(math.comb(sigma - 1, k) * math.comb(tau - 1, l))
                 total = total + h * scalars.a ** (-l) * sign * eps0 * fact
     return total
+
+
+def _parts(x) -> tuple[Fraction, Fraction]:
+    if isinstance(x, CRat):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _textbook_mul(a, b, c, d):
+    return a * c - b * d, a * d + b * c
+
+
+def _textbook_div(a, b, c, d):
+    den = c * c + d * d
+    return (a * c + b * d) / den, (b * c - a * d) / den
+
+
+def reference_crat_op(x, y, op) -> tuple[Fraction, Fraction]:
+    """``x op y`` on (re, im) pairs by the textbook formulas: four products
+    per product and the squared modulus in every division, whatever parts
+    are zero.  ``op`` is one of ``operator.add/sub/mul/truediv/pow``; for
+    ``pow`` the exponent ``y`` is an int and the power is repeated products."""
+    a, b = _parts(x)
+    if op is operator.pow:
+        re, im = Fraction(1), Fraction(0)
+        for _ in range(abs(y)):
+            re, im = _textbook_mul(re, im, a, b)
+        return _textbook_div(Fraction(1), Fraction(0), re, im) if y < 0 else (re, im)
+    c, d = _parts(y)
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return _textbook_mul(a, b, c, d)
+    return _textbook_div(a, b, c, d)
