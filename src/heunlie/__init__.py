@@ -3,7 +3,7 @@
 Modules:
 
 - :mod:`heunlie.algpoly`  exact scalars, polynomials, differential operators
-- :mod:`heunlie.sl2rep`   spin-j generators, enveloping-algebra words, Moebius utilities
+- :mod:`heunlie.sl2rep`   spin-j generators, enveloping-algebra words
 - :mod:`heunlie.heunop`   operator forms, Frobenius data, solvability, flag spectra
 - :mod:`heunlie.distsol`  weight expansion and the two three-term recurrences
 - :mod:`heunlie.greenssf` delta algebra, Green kernels, spectral shift, norms
@@ -22,17 +22,7 @@ from .algpoly import (
     op_compose,
     quadratic_roots,
 )
-from .sl2rep import (
-    Mat2,
-    PoleError,
-    Spin,
-    UEAExpr,
-    group_action,
-    make_generators,
-    measure_jacobian,
-    mobius_apply,
-    uea_expand,
-)
+from .sl2rep import Spin, UEAExpr, make_generators, uea_expand
 from .heunop import (
     INFINITY,
     DiscrepancyReport,
@@ -57,7 +47,6 @@ from .distsol import (
     NonIntegerExponents,
     RecurrenceSpec,
     WeightExpansion,
-    assemble_distribution,
     closed_form_roots_imag,
     closed_form_roots_real,
     falling_factorial,

@@ -565,14 +565,6 @@ class Polynomial:
             return self.coeffs[k]
         return CR_ZERO
 
-    @property
-    def leading_coefficient(self) -> CRat:
-        return self.coeffs[-1] if self.coeffs else CR_ZERO
-
-    @property
-    def constant_term(self) -> CRat:
-        return self.coeff(0)
-
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other):
@@ -776,9 +768,6 @@ class DiffOp:
 
     def __matmul__(self, other):
         return op_compose(self, other)
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        return op_apply(self, f)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):

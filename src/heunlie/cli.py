@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -60,9 +61,8 @@ from .heunop import (
     expanded_es_coeffs,
     indicial_discrepancies,
     indicial_exponents,
-    is_lower_triangular,
-    is_upper_triangular,
     matrix_diagonal,
+    matrix_spectrum,
     qes_matrix,
     uea_heun_coeffs,
     verify_theorem1,
@@ -136,6 +136,16 @@ def _crat(text: str) -> CRat:
         return CRat.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):  # JSON has no NaN or Infinity
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
@@ -219,7 +229,7 @@ def _add_green_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--s-eval", dest="s_eval", type=_crat, default=CR_ZERO)
     sp.add_argument("--p-override", dest="p_override", type=int, default=None)
     sp.add_argument("--E", type=_crat, default=CRat(1))
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
     for name in ("rho", "sigma", "tau"):
         sp.add_argument(
             f"--{name}",
@@ -246,9 +256,9 @@ def _surd_str_pair(pair_) -> list[str]:
 def payload_analyze(params: HeunParams, n: int) -> dict:
     n = _check_n(n)
     j = Spin.from_n(n).j
-    if build_canonical_cleared(params) != build_expanded(params):
-        raise OracleMismatch("cleared canonical form disagrees with the expanded form")
     L = build_expanded(params)
+    if build_canonical_cleared(params) != L:
+        raise OracleMismatch("cleared canonical form disagrees with the expanded form")
     exponents = {}
     for label, point in (("0", CR_ZERO), ("1", CRat(1)), ("a", params.a), ("inf", INFINITY)):
         exponents[label] = _surd_str_pair(indicial_exponents(L, point))
@@ -274,7 +284,10 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
 
 
 def payload_expand(expr_text: str, j_text: str) -> dict:
-    j = Spin(CRat.parse(j_text).re)
+    j_value = CRat.parse(j_text)
+    if not j_value.is_rational():
+        raise ValueError(f"spin j must be real, got j={j_value}")
+    j = Spin(j_value.re)
     expr = UEAExpr.parse(expr_text)
     op = uea_expand(expr, j)
     return {
@@ -293,14 +306,7 @@ def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
     size = n if N is None else N
     L = build_expanded(params)
     M = qes_matrix(L, size)
-    lower = is_lower_triangular(M)
-    upper = is_upper_triangular(M)
-    if lower or upper:
-        spectrum = [str(v) for v in matrix_diagonal(M)]
-    else:
-        from .heunop import _float_eigenvalues
-
-        spectrum = [_jsonable(v) for v in _float_eigenvalues(M)]
+    lower, upper, spectrum = matrix_spectrum(M)
     return {
         "schema": "heun-spectrum-v1",
         "version": _tool_version(),
@@ -311,7 +317,7 @@ def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
         "triangular_lower": lower,
         "triangular_upper": upper,
         "diagonal": [str(v) for v in matrix_diagonal(M)],
-        "spectrum": spectrum,
+        "spectrum": [_jsonable(v) for v in spectrum],
         "discrepancies": es_discrepancies(n, params).as_list(),
     }
 

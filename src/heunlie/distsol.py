@@ -45,7 +45,6 @@ __all__ = [
     "closed_form_roots_imag",
     "paper_ck",
     "residual_check",
-    "assemble_distribution",
 ]
 
 
@@ -85,13 +84,6 @@ class WeightExpansion:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("WeightExpansion is immutable")
-
-    @property
-    def exponent_offset(self) -> int:
-        return self.rho - 1
-
-    def entry(self, m: int, n: int) -> CRat:
-        return self.h[m][n]
 
     def reassembled(self) -> Polynomial:
         """``sum h[m][n] z^(m+n+rho-1)`` as a polynomial."""
@@ -209,10 +201,10 @@ class RecurrenceSpec:
         }
 
 
-Value = Union[CRat, complex]
+Scalar = Union[CRat, complex]
 
 
-def _coerce_value(x) -> Value:
+def _scalar(x) -> Scalar:
     if isinstance(x, (CRat, complex)):
         return x
     if isinstance(x, float):
@@ -242,7 +234,7 @@ def _imag_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     return A, B, C
 
 
-def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Value:
+def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
     """Solve the real-part recurrence for ``c_k``.
 
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
@@ -253,10 +245,10 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Value:
         raise DegenerateLeading(
             f"ab * (k)_l = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return (B * _coerce_value(c_km1) - A * _coerce_value(c_km2)) / C
+    return (B * _scalar(c_km1) - A * _scalar(c_km2)) / C
 
 
-def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Value:
+def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
     """Solve the imaginary-part recurrence for ``c_k``.
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
@@ -266,7 +258,7 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Value:
         raise DegenerateLeading(
             f"E * (k)_(l-1) = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return (A * _coerce_value(c_km2) - B * _coerce_value(c_km1)) / C
+    return (A * _scalar(c_km2) - B * _scalar(c_km1)) / C
 
 
 @dataclass(frozen=True)
@@ -284,9 +276,7 @@ class CoeffSequence:
     def as_list(self) -> list:
         out = []
         for v in self.values:
-            if isinstance(v, CRat):
-                out.append(str(v))
-            elif isinstance(v, Surd):
+            if isinstance(v, (CRat, Surd)):
                 out.append(str(v))
             else:
                 out.append([v.real, v.imag])
@@ -296,7 +286,7 @@ class CoeffSequence:
 def _forward(spec, c0, c1, K, start, step) -> CoeffSequence:
     if K < 1:
         raise ValueError("truncation K must be at least 1")
-    vals = [_coerce_value(c0), _coerce_value(c1)]
+    vals = [_scalar(c0), _scalar(c1)]
     for k in range(2, K + 1):
         if k < start:
             # recurrence does not determine this band; take the minimal choice
@@ -371,8 +361,8 @@ def paper_ck(A, B, roots_fn: RootsFn, spec: RecurrenceSpec, K: int,
     real branch), so ``start`` can defer the closed form to that range;
     entries below ``start`` are zero.
     """
-    A = _coerce_value(A)
-    B = _coerce_value(B)
+    A = _scalar(A)
+    B = _scalar(B)
     if not _sums_to_one(A, B):
         raise ValueError("closed-form weights must satisfy A + B = 1")
     vals = []
@@ -401,7 +391,7 @@ def _as_surd(x) -> Surd:
     return x if isinstance(x, Surd) else Surd.from_value(x)
 
 
-def residual_check(c: CoeffSequence, spec: RecurrenceSpec, which: str) -> list[tuple[int, Value]]:
+def residual_check(c: CoeffSequence, spec: RecurrenceSpec, which: str) -> list[tuple[int, Scalar]]:
     """Left-hand side of the chosen recurrence on each admissible index.
 
     Admissible means the recurrence's own validity range: ``k >= l`` for the
@@ -425,7 +415,7 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec, which: str) -> list[t
         A, B, C = brackets(spec, k)
         vals = [_residual_ready(c[k - 2]), _residual_ready(c[k - 1]), _residual_ready(c[k])]
         if all(isinstance(v, CRat) for v in vals):
-            res: Value = signs[0] * A * vals[0] + signs[1] * B * vals[1] + signs[2] * C * vals[2]
+            res: Scalar = signs[0] * A * vals[0] + signs[1] * B * vals[1] + signs[2] * C * vals[2]
         else:
             res = (
                 signs[0] * complex(A) * complex(vals[0])
@@ -440,10 +430,3 @@ def _residual_ready(v):
     if isinstance(v, Surd):
         return v.exact_value() if v.is_exact() else complex(v)
     return v
-
-
-def assemble_distribution(c: CoeffSequence):
-    """Package the sequence as ``sum_k c_k delta^(k)`` centered at 0."""
-    from .greenssf import Distribution
-
-    return Distribution([(k, CR_ZERO, _residual_ready(v)) for k, v in enumerate(c.values)])

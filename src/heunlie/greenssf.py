@@ -23,10 +23,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
-from .distsol import NonIntegerExponents, weight_value_at_zero
+from .distsol import NonIntegerExponents, Scalar, _scalar, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
 __all__ = [
@@ -61,17 +61,6 @@ class DegenerateQuadratic(ArithmeticError):
 
 class ZeroEigenvalue(ZeroDivisionError):
     """Coincidence kernels scale by 1/E; E = 0 is not invertible."""
-
-
-Scalar = Union[CRat, complex]
-
-
-def _scalar(x) -> Scalar:
-    if isinstance(x, (CRat, complex)):
-        return x
-    if isinstance(x, float):
-        return complex(x)
-    return CRat.from_value(x)
 
 
 def _is_zero(x: Scalar) -> bool:
@@ -273,20 +262,9 @@ class SymbolCoeffs:
     eps0: Polynomial
     eps1: Polynomial
     eps2: Polynomial
-    m_kl: int
-    l: int
-
-    def as_dict(self) -> dict:
-        return {
-            "m_kl": self.m_kl,
-            "l": self.l,
-            "eps0": [str(c) for c in self.eps0.coeffs],
-            "eps1": [str(c) for c in self.eps1.coeffs],
-            "eps2": [str(c) for c in self.eps2.coeffs],
-        }
 
 
-def symbol_coeffs(m_kl: int, l: int, n: int, scalars: KernelScalars) -> SymbolCoeffs:
+def symbol_coeffs(m_kl: int, n: int, scalars: KernelScalars) -> SymbolCoeffs:
     """Build (eps0, eps1, eps2) as polynomials in the dual variable s:
 
       eps0 = (m-1) [(1+a)(m-2-2is) + rho] + i s sigma + tau (m+1)
@@ -312,7 +290,7 @@ def symbol_coeffs(m_kl: int, l: int, n: int, scalars: KernelScalars) -> SymbolCo
         ]
     )
     eps2 = Polynomial([0, 0, CRat(-2)])
-    return SymbolCoeffs(eps0=eps0, eps1=eps1, eps2=eps2, m_kl=m_kl, l=l)
+    return SymbolCoeffs(eps0=eps0, eps1=eps1, eps2=eps2)
 
 
 def eta_roots(sc: SymbolCoeffs, s) -> tuple[complex, complex]:
@@ -356,7 +334,7 @@ def _kernel_sum(scalars: KernelScalars, s_eval, p: int, with_factorial: bool) ->
     binomials = CRat(2 ** (sigma - 1)) * (CR_ONE + a) ** (tau - 1) * a ** (1 - tau)
     total: Scalar = CR_ZERO
     for m in range(1, p + 1):
-        eps0 = symbol_coeffs(m, 0, scalars.n, scalars).eps0.eval(s_eval)
+        eps0 = symbol_coeffs(m, scalars.n, scalars).eps0.eval(s_eval)
         sign = CRat(-1 if (m - 1) % 2 else 1)
         fact = CRat(math.factorial(m - 1)) if with_factorial else CR_ONE
         total = total + sign * fact * eps0
@@ -392,16 +370,6 @@ class GreenKernel:
     def coincidence(self) -> Distribution:
         """Kernel on the diagonal: the prefactor collapses to its value at 0."""
         return self.delta_part * self.prefactor.eval(CR_ZERO)
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_bound": self.p_bound,
-            "s_eval": _scalar_json(_scalar(self.s_eval)),
-            "prefactor_coeffs": [str(c) for c in self.prefactor.coeffs],
-            "kernel_coeff": _scalar_json(_scalar(self.scalar)),
-            "delta_part": self.delta_part.as_list(),
-        }
 
 
 def _truncated_exponential(p: int) -> Polynomial:

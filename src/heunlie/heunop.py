@@ -56,6 +56,7 @@ __all__ = [
     "is_lower_triangular",
     "is_upper_triangular",
     "matrix_diagonal",
+    "matrix_spectrum",
     "es_spectrum",
     "EIG_RESIDUAL_TOL",
 ]
@@ -339,15 +340,6 @@ class ExpandedCoeffs:
     tau: CRat
     abProduct: CRat
     qShift: CRat
-
-    def as_dict(self) -> dict:
-        return {
-            "rho": str(self.rho),
-            "sigma": str(self.sigma),
-            "tau": str(self.tau),
-            "ab_product": str(self.abProduct),
-            "q_shift": str(self.qShift),
-        }
 
     def assemble(self, a: CRat) -> DiffOp:
         one = CR_ONE
@@ -666,14 +658,22 @@ def _float_eigenvalues(M: Sequence[Sequence[CRat]]) -> list[complex]:
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
-def es_spectrum(n: int, p: HeunParams, N: int) -> list:
-    """Spectrum of the raising-free operator on the degree-N monomial basis.
+def matrix_spectrum(M: Sequence[Sequence[CRat]]) -> tuple[bool, bool, list]:
+    """``(lower, upper, spectrum)``: the two triangularity flags of ``M`` and
+    its spectrum.
 
     Triangular matrices (either orientation) yield their diagonal exactly;
     anything else falls back to floating eigenvalues with a residual bound
     of :data:`EIG_RESIDUAL_TOL`.
     """
-    M = qes_matrix(es_operator(n, p), N)
-    if is_lower_triangular(M) or is_upper_triangular(M):
-        return matrix_diagonal(M)
-    return _float_eigenvalues(M)
+    lower = is_lower_triangular(M)
+    upper = is_upper_triangular(M)
+    if lower or upper:
+        return lower, upper, matrix_diagonal(M)
+    return lower, upper, _float_eigenvalues(M)
+
+
+def es_spectrum(n: int, p: HeunParams, N: int) -> list:
+    """Spectrum of the raising-free operator on the degree-N monomial basis;
+    see :func:`matrix_spectrum`."""
+    return matrix_spectrum(qes_matrix(es_operator(n, p), N))[2]

@@ -1,6 +1,5 @@
-"""Spin-j realization of sl(2) by first-order differential operators, formal
-words in the enveloping algebra, and the Moebius-action utilities used by the
-reports.
+"""Spin-j realization of sl(2) by first-order differential operators and
+formal words in the enveloping algebra.
 
 The three generators at spin j are
 
@@ -17,34 +16,18 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Union
 
-from .algpoly import (
-    CR_ONE,
-    CR_ZERO,
-    CRat,
-    DiffOp,
-    Polynomial,
-    op_compose,
-)
+from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, op_compose
 
 __all__ = [
     "Spin",
     "UEAExpr",
-    "Mat2",
-    "PoleError",
     "make_generators",
     "uea_expand",
-    "mobius_apply",
-    "group_action",
-    "measure_jacobian",
     "LETTERS",
 ]
 
 #: generator letters, in the order (raising, neutral, lowering)
 LETTERS = ("+", "0", "-")
-
-
-class PoleError(ArithmeticError):
-    """A fractional-linear map was evaluated at its pole (image is infinite)."""
 
 
 class Spin:
@@ -136,11 +119,6 @@ class UEAExpr:
                 total = total + coeff
         return total
 
-    def drop_word(self, letters: str) -> "UEAExpr":
-        return UEAExpr(
-            [(c, w) for c, w in self.words if w != letters], self.constant
-        )
-
     def __add__(self, other: "UEAExpr") -> "UEAExpr":
         return UEAExpr(self.words + other.words, self.constant + other.constant)
 
@@ -206,86 +184,3 @@ def uea_expand(expr: UEAExpr, j) -> DiffOp:
     if not expr.constant.is_zero():
         out = out + DiffOp.identity() * expr.constant
     return out
-
-
-class Mat2:
-    """2x2 complex-rational matrix; unimodular (det = 1) unless built via
-    :meth:`general`, which exists for the non-normalized section matrices."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d, *, _check: bool = True):
-        a, b, c, d = (CRat.from_value(x) for x in (a, b, c, d))
-        if _check and a * d - b * c != CR_ONE:
-            raise ValueError(f"matrix determinant is {a * d - b * c}, expected 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Mat2 is immutable")
-
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def general(cls, a, b, c, d) -> "Mat2":
-        """Construct without the determinant check (projective use only)."""
-        return cls(a, b, c, d, _check=False)
-
-    @classmethod
-    def section(cls, z) -> "Mat2":
-        """The section matrix ((1, 1), (-z, 1)) mapping 0 to z under the
-        group action; its determinant is 1 + z, so it is built unchecked."""
-        return cls.general(1, 1, -CRat.from_value(z), 1)
-
-    def det(self) -> CRat:
-        return self.a * self.d - self.b * self.c
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2.general(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Mat2(({self.a}, {self.b}; {self.c}, {self.d}))"
-
-
-def mobius_apply(g: Mat2, zeta) -> CRat:
-    """Fractional-linear image ``(a zeta + b) / (c zeta + d)``."""
-    zeta = CRat.from_value(zeta)
-    den = g.c * zeta + g.d
-    if den.is_zero():
-        raise PoleError(f"Moebius map has a pole at {zeta}")
-    return (g.a * zeta + g.b) / den
-
-
-def group_action(g: Mat2, zeta) -> CRat:
-    """The dual action ``g[zeta] = (d zeta - c) / (-b zeta + a)``."""
-    zeta = CRat.from_value(zeta)
-    den = -g.b * zeta + g.a
-    if den.is_zero():
-        raise PoleError(f"group action has a pole at {zeta}")
-    return (g.d * zeta - g.c) / den
-
-
-def measure_jacobian(g: Mat2, z) -> CRat:
-    """Jacobian ``|c z + d|^-4`` of the planar measure under the Moebius map."""
-    z = CRat.from_value(z)
-    den = g.c * z + g.d
-    if den.is_zero():
-        raise PoleError(f"measure jacobian undefined at the pole {z}")
-    return CRat(Fraction(1) / den.abs2() ** 2)

@@ -282,14 +282,14 @@ def test_criterion_8_green_ssf_suite():
                 assert gk.prefactor.coeff(m - 1) == CR_I ** (m - 1) / CRat(math.factorial(m - 1))
         # eps2(s) = -2 s^2 identically
         for m in range(1, 7):
-            sc = symbol_coeffs(m, 0, 2, scal)
+            sc = symbol_coeffs(m, 2, scal)
             assert sc.eps2 == Polynomial([0, 0, -2])
         # eta roots satisfy their quadratic within 1e-10 relative residual
         rng = random.Random(883)
         checked = 0
         while checked < 100:
             m = rng.randint(1, 6)
-            sc = symbol_coeffs(m, 0, rng.randint(-2, 4), scal)
+            sc = symbol_coeffs(m, rng.randint(-2, 4), scal)
             s = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             try:
                 roots = eta_roots(sc, s)

@@ -136,6 +136,12 @@ class TestExpand:
         payload = json.loads(out)
         assert payload["operator"] == "3/2"
 
+    def test_non_real_spin_exits_2(self, capsys):
+        code, out, err = run(capsys, "expand", "--expr", "3/2", "--j", "1/2+3i")
+        assert code == 2
+        assert out == ""
+        assert "invalid parameters: spin j must be real, got j=1/2+3i" in err
+
 
 class TestDistsolCommand:
     def test_imag_branch_residuals_vanish(self, capsys):
@@ -183,6 +189,22 @@ class TestGreenCommand:
         payload = json.loads(out)
         assert payload["ssf"]["heaviside"] == "0"
         assert payload["ssf"]["value"] == []
+
+    @pytest.mark.parametrize("command", ["green", "ssf"])
+    @pytest.mark.parametrize("value, message", [
+        # JSON has no spelling for these floats, so they are refused at parse time
+        ("nan", "must be a finite number, got 'nan'"),
+        ("inf", "must be a finite number, got 'inf'"),
+        ("-inf", "must be a finite number, got '-inf'"),
+        ("1/2", "invalid float value: '1/2'"),
+    ])
+    def test_bad_lambda_exits_2(self, capsys, command, value, message):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *BASE, "--n", "1", *self.SCALARS, f"--lambda={value}"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --lambda: {message}" in captured.err
 
     def test_spin_path_guard(self, capsys):
         code, _, err = run(capsys, "green", *BASE, "--n", "0")

@@ -126,7 +126,7 @@ class TestFactoredKernelSums:
         ):
             ref = reference_kernel_sum(scalars, s_eval, p, with_factorial)
             scale = binomial_scale * sum(
-                abs(complex(symbol_coeffs(m, 0, scalars.n, scalars).eps0.eval(s_eval)))
+                abs(complex(symbol_coeffs(m, scalars.n, scalars).eps0.eval(s_eval)))
                 * (math.factorial(m - 1) if with_factorial else 1)
                 for m in range(1, p + 1)
             )

@@ -20,7 +20,6 @@ from heunlie.distsol import (
     residual_check,
     weight_expansion,
 )
-from heunlie.greenssf import Distribution, pair
 from util import rand_fraction
 
 
@@ -60,10 +59,10 @@ class TestWeightExpansion:
 
     def test_two_by_two_table(self):
         w = weight_expansion(1, 2, 2, CRat(2))
-        assert w.entry(0, 0) == CRat(2)
-        assert w.entry(0, 1) == CRat(-1)
-        assert w.entry(1, 0) == CRat(-2)
-        assert w.entry(1, 1) == CR_ONE
+        assert w.h[0][0] == CRat(2)
+        assert w.h[0][1] == CRat(-1)
+        assert w.h[1][0] == CRat(-2)
+        assert w.h[1][1] == CR_ONE
         # (z-1)(z-2) = z^2 - 3z + 2
         assert w.reassembled() == Polynomial([2, -3, 1])
 
@@ -317,29 +316,3 @@ class TestPaperCk:
         spec = RecurrenceSpec.make(l=3, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
         with pytest.raises(DegenerateLeading):
             paper_ck(CRat(1), CRat(0), closed_form_roots_real, spec, 6)
-
-
-class TestAssembleDistribution:
-    def test_plain_delta(self):
-        d = CoeffSequence((CRat(1),))
-        from heunlie.distsol import assemble_distribution
-
-        assert assemble_distribution(d) == Distribution.delta(0)
-
-    def test_first_derivative(self):
-        from heunlie.distsol import assemble_distribution
-
-        d = assemble_distribution(CoeffSequence((CRat(0), CRat(1))))
-        assert d == Distribution.delta(1)
-
-    def test_pairing_identity(self):
-        from heunlie.distsol import assemble_distribution
-
-        rng = random.Random(131)
-        values = tuple(CRat(rand_fraction(rng)) for _ in range(6))
-        psi = assemble_distribution(CoeffSequence(values))
-        import math
-
-        for m in range(6):
-            expected = CRat((-1) ** m * math.factorial(m)) * values[m]
-            assert pair(psi, Polynomial.monomial(m)) == expected

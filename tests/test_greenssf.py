@@ -91,24 +91,24 @@ class TestMonomialTimesDelta:
 class TestSymbolCoeffs:
     def test_eps2_is_minus_two_s_squared(self):
         for m in (1, 2, 5):
-            sc = symbol_coeffs(m, 0, 1, SCAL)
+            sc = symbol_coeffs(m, 1, SCAL)
             assert sc.eps2 == Polynomial([0, 0, -2])
             assert sc.eps2.eval(CR_ONE) == CRat(-2)
 
     def test_eps0_at_unit_m_and_zero_s(self):
-        sc = symbol_coeffs(1, 0, SCAL.n, SCAL)
+        sc = symbol_coeffs(1, SCAL.n, SCAL)
         assert sc.eps0.eval(CR_ZERO) == CRat(2) * SCAL.tau
 
     def test_eps1_at_unit_m_and_zero_s(self):
         n = SCAL.n
-        sc = symbol_coeffs(1, 0, n, SCAL)
+        sc = symbol_coeffs(1, n, SCAL)
         expected = CRat(2) * (SCAL.sigma - (CR_ONE + SCAL.a)) + CRat(
             Fraction(n * (n - 1), 2)
         )
         assert sc.eps1.eval(CR_ZERO) == expected
 
     def test_eps0_slope_structure(self):
-        sc = symbol_coeffs(3, 0, 2, SCAL)
+        sc = symbol_coeffs(3, 2, SCAL)
         # d eps0 / ds = i (sigma - 2 (1+a)(m-1))
         assert sc.eps0.coeff(1) == CR_I * (SCAL.sigma - CRat(2) * (CR_ONE + SCAL.a) * CRat(2))
 
@@ -118,7 +118,7 @@ class TestEtaRoots:
         rng = random.Random(149)
         for _ in range(100):
             m = rng.randint(1, 5)
-            sc = symbol_coeffs(m, 0, rng.randint(-2, 3), SCAL)
+            sc = symbol_coeffs(m, rng.randint(-2, 3), SCAL)
             s = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             try:
                 r1, r2 = eta_roots(sc, s)
@@ -132,7 +132,7 @@ class TestEtaRoots:
                 assert abs(e0 * r * r + e1 * r + e2) <= 1e-10 * scale * max(1.0, abs(r)) ** 2
 
     def test_zero_s_has_zero_root(self):
-        sc = symbol_coeffs(2, 0, 1, SCAL)
+        sc = symbol_coeffs(2, 1, SCAL)
         r1, r2 = eta_roots(sc, CR_ZERO)
         assert min(abs(r1), abs(r2)) == pytest.approx(0.0, abs=1e-15)
 
@@ -143,8 +143,6 @@ class TestEtaRoots:
             eps0=Polynomial([2]),
             eps1=Polynomial.zero(),
             eps2=Polynomial([0, 0, -2]),
-            m_kl=1,
-            l=0,
         )
         r1, r2 = eta_roots(sc, 1.0)
         assert r1 == pytest.approx(-r2)
@@ -157,8 +155,6 @@ class TestEtaRoots:
             eps0=Polynomial([0, 1]),  # vanishes at s = 0
             eps1=Polynomial([1]),
             eps2=Polynomial([0, 0, -2]),
-            m_kl=1,
-            l=0,
         )
         with pytest.raises(DegenerateQuadratic):
             eta_roots(sc, 0.0)
@@ -234,7 +230,7 @@ class TestKpConstant:
         kp = kp_constant(scalars=scal, p_override=3)
         total = CR_ZERO
         for m in (1, 2, 3):
-            sc = symbol_coeffs(m, 0, 0, scal)
+            sc = symbol_coeffs(m, 0, scal)
             total = total + CRat((-1) ** (m - 1)) * sc.eps0.eval(CR_ZERO)
         assert kp == total
 
@@ -244,7 +240,7 @@ class TestKpConstant:
         scal = KernelScalars.direct(n=2, a=2, rho=1, sigma=3, tau=2)
         kp = kp_constant(scalars=scal, p_override=1)
         total = CR_ZERO
-        sc = symbol_coeffs(1, 0, 2, scal)
+        sc = symbol_coeffs(1, 2, scal)
         eps0 = sc.eps0.eval(CR_ZERO)
         for k in range(3):
             for l in range(2):
@@ -259,7 +255,7 @@ class TestKpConstant:
         import math
 
         for m in (1, 2):
-            sc = symbol_coeffs(m, 0, SCAL.n, SCAL)
+            sc = symbol_coeffs(m, SCAL.n, SCAL)
             eps0 = -sc.eps0.eval(CR_ZERO)
             for k in range(3):
                 for l in range(2):

@@ -3,18 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from heunlie.algpoly import CR_ONE, CRat, DiffOp, Polynomial, commutator, op_apply
-from heunlie.sl2rep import (
-    Mat2,
-    PoleError,
-    Spin,
-    UEAExpr,
-    group_action,
-    make_generators,
-    measure_jacobian,
-    mobius_apply,
-    uea_expand,
-)
+from heunlie.algpoly import CRat, DiffOp, Polynomial, commutator, op_apply
+from heunlie.sl2rep import Spin, UEAExpr, make_generators, uea_expand
 from util import rand_crat
 
 
@@ -140,104 +130,3 @@ class TestUEAExpr:
         jp, j0, jm = make_generators(j)
         got = uea_expand(UEAExpr([(CRat(1), "+0-")]), j)
         assert got == op_compose(jp, op_compose(j0, jm))
-
-
-class TestMobius:
-    def test_identity(self):
-        g = Mat2.identity()
-        rng = random.Random(31)
-        for _ in range(20):
-            z = rand_crat(rng, complex_ok=True)
-            assert mobius_apply(g, z) == z
-            assert group_action(g, z) == z
-            assert measure_jacobian(g, z) == CR_ONE
-
-    def test_translation(self):
-        g = Mat2(1, 1, 0, 1)
-        assert mobius_apply(g, CRat(0)) == CR_ONE
-
-    def test_section_maps_zero_to_z(self):
-        rng = random.Random(37)
-        for _ in range(20):
-            z = rand_crat(rng, complex_ok=True)
-            if z == CRat(-1):
-                continue
-            s = Mat2.section(z)
-            assert group_action(s, CRat(0)) == z
-            # s(z)[zeta] = (zeta + z) / (1 - zeta)
-            zeta = rand_crat(rng)
-            if zeta == CR_ONE:
-                continue
-            assert group_action(s, zeta) == (zeta + z) / (CR_ONE - zeta)
-
-    def test_upper_triangular_stabilizes_zero(self):
-        rng = random.Random(41)
-        for _ in range(20):
-            a = rand_crat(rng, complex_ok=True)
-            if a.is_zero():
-                continue
-            b = rand_crat(rng, complex_ok=True)
-            g = Mat2(a, b, CRat(0), CR_ONE / a)
-            assert group_action(g, CRat(0)) == CRat(0)
-
-    def test_pole_errors(self):
-        g = Mat2(0, -1, 1, 0)
-        with pytest.raises(PoleError):
-            mobius_apply(g, CRat(0))
-        with pytest.raises(PoleError):
-            group_action(Mat2(0, -1, 1, 0), CRat(0))
-        with pytest.raises(PoleError):
-            measure_jacobian(g, CRat(0))
-
-    def test_group_action_is_homomorphism(self):
-        rng = random.Random(43)
-        done = 0
-        while done < 25:
-            g = _rand_unimodular(rng)
-            h = _rand_unimodular(rng)
-            zeta = rand_crat(rng, complex_ok=True)
-            try:
-                lhs = group_action(g, group_action(h, zeta))
-                rhs = group_action(g @ h, zeta)
-            except PoleError:
-                continue
-            assert lhs == rhs
-            done += 1
-
-    def test_measure_jacobian_values(self):
-        assert measure_jacobian(Mat2(1, 5, 0, 1), CRat(9)) == CR_ONE
-        assert measure_jacobian(Mat2(0, -1, 1, 0), CRat(0, 1)) == CR_ONE
-
-    def test_measure_jacobian_chain_rule(self):
-        rng = random.Random(47)
-        done = 0
-        while done < 25:
-            g = _rand_unimodular(rng)
-            h = _rand_unimodular(rng)
-            z = rand_crat(rng, complex_ok=True)
-            try:
-                inner = mobius_apply(h, z)
-                lhs = measure_jacobian(g @ h, z)
-                rhs = measure_jacobian(g, inner) * measure_jacobian(h, z)
-            except PoleError:
-                continue
-            assert lhs == rhs
-            done += 1
-
-    def test_determinant_check(self):
-        with pytest.raises(ValueError):
-            Mat2(1, 1, -2, 1)
-        m = Mat2.general(1, 1, -2, 1)
-        assert m.det() == CRat(3)
-
-
-def _rand_unimodular(rng) -> Mat2:
-    # a d - b c = 1 with d solved for, avoiding a = 0
-    while True:
-        a = rand_crat(rng, complex_ok=True)
-        if not a.is_zero():
-            break
-    b = rand_crat(rng, complex_ok=True)
-    c = rand_crat(rng, complex_ok=True)
-    d = (CR_ONE + b * c) / a
-    return Mat2(a, b, c, d)

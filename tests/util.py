@@ -89,7 +89,7 @@ def reference_kernel_sum(scalars, s_eval, p, with_factorial):
     rho, sigma, tau = scalars.integer_exponents()
     total = CR_ZERO
     for m in range(1, p + 1):
-        eps0 = symbol_coeffs(m, 0, scalars.n, scalars).eps0.eval(s_eval)
+        eps0 = symbol_coeffs(m, scalars.n, scalars).eps0.eval(s_eval)
         sign = CRat(-1 if (m - 1) % 2 else 1)
         fact = CRat(math.factorial(m - 1)) if with_factorial else CR_ONE
         for k in range(sigma):
