@@ -477,7 +477,8 @@ class Surd:
     def __hash__(self):
         if self.coef.is_zero():
             return hash(self.base)
-        return hash((self.base, self.coef, self.rad))
+        # equal surds can differ in radicand (see __eq__) but not in coef^2 rad
+        return hash((self.base, self.coef * self.coef * self.rad))
 
     def __complex__(self) -> complex:
         if self.coef.is_zero():

@@ -145,6 +145,13 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
     if not math.isfinite(value):  # JSON has no NaN or Infinity
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    # a decimal literal is exactly nonzero iff its mantissa has a nonzero
+    # digit; read off the text, since Fraction(text) would build 10**|exponent|
+    mantissa = text.lower().partition("e")[0]
+    if value == 0 and any(d in mantissa for d in "123456789"):
+        raise argparse.ArgumentTypeError(
+            f"nonzero value underflows to 0 as a float, got {text!r}"
+        )
     return value
 
 

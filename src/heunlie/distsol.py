@@ -18,12 +18,17 @@ exactly zero.  The printed closed forms use per-k roots of the associated
 quadratics; since those roots vary with k they do not satisfy the recurrence
 in general, and :func:`residual_check` measures exactly how far off they are
 instead of repairing the claim.
+
+Each bracket triple ``(A, B, C)`` of a branch and index k is built once per
+:class:`RecurrenceSpec`, from integer falling factorials, and kept on the
+spec: the forward solve, the residual table and the root formulas of one
+report all read the same triples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd
@@ -172,6 +177,9 @@ class RecurrenceSpec:
     ab: CRat
     E: CRat
     a: CRat
+    # (branch, k) -> (A, B, C); filled by _real_brackets/_imag_brackets and
+    # left out of ==, hash and repr, so a used spec equals a fresh one
+    _brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def make(cls, l, rho=0, sigma=0, tau=0, ab=0, E=0, a=2) -> "RecurrenceSpec":
@@ -214,24 +222,30 @@ def _scalar(x) -> Scalar:
 
 def _real_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0."""
-    l = spec.l
-    A = CRat(falling_factorial(k + 2, l + 2)) - spec.a * CRat(falling_factorial(k + 2, l))
-    B = spec.rho * CRat(falling_factorial(k + 1, l + 1)) - spec.tau * CRat(
-        falling_factorial(k + 1, l - 1)
-    )
-    C = spec.ab * CRat(falling_factorial(k, l))
-    return A, B, C
+    key = ("real", k)
+    out = spec._brackets.get(key)
+    if out is None:
+        l, ff = spec.l, falling_factorial
+        out = spec._brackets[key] = (
+            ff(k + 2, l + 2) - spec.a * ff(k + 2, l),
+            spec.rho * ff(k + 1, l + 1) - spec.tau * ff(k + 1, l - 1),
+            spec.ab * ff(k, l),
+        )
+    return out
 
 
 def _imag_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the imaginary recurrence reading -A c_{k-2} + B c_{k-1} + C c_k = 0."""
-    l = spec.l
-    A = (CR_ONE + spec.a) * CRat(falling_factorial(k + 2, l + 1)) - spec.a * CRat(
-        falling_factorial(k + 2, l)
-    )
-    B = CRat(falling_factorial(k + 1, l)) * spec.sigma
-    C = spec.E * CRat(falling_factorial(k, l - 1))
-    return A, B, C
+    key = ("imag", k)
+    out = spec._brackets.get(key)
+    if out is None:
+        l, ff = spec.l, falling_factorial
+        out = spec._brackets[key] = (
+            (CR_ONE + spec.a) * ff(k + 2, l + 1) - spec.a * ff(k + 2, l),
+            spec.sigma * ff(k + 1, l),
+            spec.E * ff(k, l - 1),
+        )
+    return out
 
 
 def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
@@ -410,17 +424,19 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec, which: str) -> list[t
         signs = (-1, 1, 1)
     else:
         raise ValueError(f"branch must be 'real' or 'imag', got {which!r}")
+    vals = [_residual_ready(v) for v in c.values]
     out = []
     for k in range(start, len(c)):
         A, B, C = brackets(spec, k)
-        vals = [_residual_ready(c[k - 2]), _residual_ready(c[k - 1]), _residual_ready(c[k])]
-        if all(isinstance(v, CRat) for v in vals):
-            res: Scalar = signs[0] * A * vals[0] + signs[1] * B * vals[1] + signs[2] * C * vals[2]
+        x, y, z = vals[k - 2], vals[k - 1], vals[k]
+        if isinstance(x, CRat) and isinstance(y, CRat) and isinstance(z, CRat):
+            lead = A * x - B * y
+            res: Scalar = (lead if which == "real" else -lead) + C * z
         else:
             res = (
-                signs[0] * complex(A) * complex(vals[0])
-                + signs[1] * complex(B) * complex(vals[1])
-                + signs[2] * complex(C) * complex(vals[2])
+                signs[0] * complex(A) * complex(x)
+                + signs[1] * complex(B) * complex(y)
+                + signs[2] * complex(C) * complex(z)
             )
         out.append((k, res))
     return out

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie.algpoly import (
@@ -126,6 +126,41 @@ class TestSurd:
         assert csqrt_exact(CRat(0, 2)) == CRat(1, 1)  # sqrt(2i) = 1 + i
         assert csqrt_exact(CRat(3, 4)) == CRat(2, 1)
         assert csqrt_exact(CRat(2)) is None
+
+
+nonzero_crat_st = crat_st.filter(lambda x: not x.is_zero())
+positive_st = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+
+class TestSurdHash:
+    """Equal surds hash equally, also across radicands that differ by a
+    square factor."""
+
+    @given(crat_st, crat_st, crat_st, crat_st, crat_st)
+    @settings(max_examples=200, deadline=None)
+    def test_same_radicand_pairs(self, base, coef, rad, other_base, other_coef):
+        a = Surd(base, coef, rad)
+        for b in (Surd(base, coef, rad), Surd(base, other_coef, rad), Surd(other_base, coef, rad)):
+            if a == b:
+                assert hash(a) == hash(b)
+
+    @given(crat_st, crat_st, crat_st, nonzero_crat_st)
+    @settings(max_examples=300, deadline=None)
+    def test_square_scaled_pairs(self, base, coef, rad, scale):
+        a = Surd(base, coef, rad)
+        b = Surd(base, coef / scale, rad * scale * scale)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert len({a, b}) == (1 if a == b else 2)
+
+    @given(crat_st, crat_st, fractions_st, positive_st)
+    @example(CR_ZERO, CRat(2), Fraction(2), Fraction(1, 2))
+    @example(CRat(1, 1), CRat(0, 3), Fraction(-3), Fraction(2))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_rational_scale_is_equal(self, base, coef, rad, scale):
+        a = Surd(base, coef, rad)
+        b = Surd(base, coef / scale, rad * scale * scale)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 class TestPolynomial:

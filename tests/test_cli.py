@@ -197,6 +197,9 @@ class TestGreenCommand:
         ("inf", "must be a finite number, got 'inf'"),
         ("-inf", "must be a finite number, got '-inf'"),
         ("1/2", "invalid float value: '1/2'"),
+        # exactly nonzero, but 0.0 as a float: the step's sign would be lost
+        ("1e-400", "nonzero value underflows to 0 as a float, got '1e-400'"),
+        ("-1e-400", "nonzero value underflows to 0 as a float, got '-1e-400'"),
     ])
     def test_bad_lambda_exits_2(self, capsys, command, value, message):
         with pytest.raises(SystemExit) as info:
@@ -205,6 +208,13 @@ class TestGreenCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --lambda: {message}" in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-0.0", "0e5"])
+    def test_zero_lambda_is_half_step(self, capsys, value):
+        code, out, _ = run(capsys, "ssf", *BASE, "--n", "1", *self.SCALARS,
+                           f"--lambda={value}")
+        assert code == 0
+        assert json.loads(out)["ssf"]["heaviside"] == "1/2"
 
     def test_spin_path_guard(self, capsys):
         code, _, err = run(capsys, "green", *BASE, "--n", "0")

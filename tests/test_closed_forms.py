@@ -1,7 +1,9 @@
 """The closed forms (band flag matrix, factored kernel sums, weight value at
-0) and the zero-part fast paths of ``CRat`` arithmetic against the loop and
-textbook forms they replace, which stay here as references."""
+0), the zero-part fast paths of ``CRat`` arithmetic and the shared recurrence
+brackets against the loop and textbook forms they replace, which stay here
+as references."""
 
+import dataclasses
 import math
 import operator
 from fractions import Fraction
@@ -10,8 +12,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heunlie import distsol
 from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
-from heunlie.distsol import weight_expansion, weight_value_at_zero
+from heunlie.distsol import (
+    CoeffSequence,
+    DegenerateLeading,
+    RecurrenceSpec,
+    _imag_brackets,
+    _real_brackets,
+    closed_form_roots_imag,
+    closed_form_roots_real,
+    forward_imag,
+    forward_real,
+    paper_ck,
+    residual_check,
+    weight_expansion,
+    weight_value_at_zero,
+)
 from heunlie.greenssf import KernelScalars, green_kernel, kp_constant, symbol_coeffs
 from heunlie.heunop import (
     HeunParams,
@@ -21,7 +38,15 @@ from heunlie.heunop import (
     es_operator,
     qes_matrix,
 )
-from util import reference_crat_op, reference_kernel_sum, reference_qes_matrix
+from util import (
+    reference_crat_op,
+    reference_forward,
+    reference_imag_brackets,
+    reference_kernel_sum,
+    reference_qes_matrix,
+    reference_real_brackets,
+    reference_residuals,
+)
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 real_st = st.builds(CRat, fractions_st)
@@ -244,3 +269,142 @@ class TestSurdProduct:
     def test_non_conjugate_pair_trips_the_oracle(self):
         with pytest.raises(OracleMismatch):
             _surd_product(Surd(1, 1, 2), Surd(2, 1, 2))
+
+
+# zero, real and complex scalars
+scalar_st = st.one_of(st.just(CRat(0)), real_st, st.builds(CRat, fractions_st, fractions_st))
+
+
+@st.composite
+def spec_st(draw, max_l=6, leading=scalar_st):
+    """A recurrence spec; ``leading`` draws ab and E, the scalars of C."""
+    l = draw(st.integers(1, max_l))
+    rho, sigma, tau = draw(scalar_st), draw(scalar_st), draw(scalar_st)
+    return RecurrenceSpec.make(l, rho, sigma, tau, draw(leading), draw(leading), draw(scalar_st))
+
+
+BRANCHES = {
+    "real": (forward_real, _real_brackets, reference_real_brackets, closed_form_roots_real),
+    "imag": (forward_imag, _imag_brackets, reference_imag_brackets, closed_form_roots_imag),
+}
+
+
+def _start(spec, which):
+    return max(2, spec.l) if which == "real" else max(2, spec.l - 1)
+
+
+class TestSharedBrackets:
+    @given(spec_st())
+    @settings(max_examples=80, deadline=None)
+    def test_brackets_match_reference(self, spec):
+        for _, brackets, reference, _ in BRANCHES.values():
+            for k in range(65):
+                got = brackets(spec, k)
+                assert all(type(x) is CRat for x in got)
+                assert got == reference(spec, k)
+                assert brackets(spec, k) is got
+
+    @given(
+        spec_st(max_l=4),
+        st.sampled_from(sorted(BRANCHES)),
+        exact_operand_st,
+        st.one_of(exact_operand_st, st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                                       allow_infinity=False)),
+        st.integers(2, 24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_forward_and_residuals_match_reference(self, spec, which, c0, c1, K):
+        forward = BRANCHES[which][0]
+        try:
+            expected = reference_forward(spec, c0, c1, K, which)
+        except DegenerateLeading:
+            with pytest.raises(DegenerateLeading):
+                forward(spec, c0, c1, K)
+            return
+        seq = forward(spec, c0, c1, K)
+        assert list(seq.values) == expected
+        table = reference_residuals(seq, spec, which)
+        assert residual_check(seq, spec, which) == table
+        assert residual_check(seq, dataclasses.replace(spec), which) == table
+        if all(isinstance(v, CRat) for v in expected):
+            assert all(res == 0 for _, res in table)
+
+    @given(spec_st(max_l=3), st.sampled_from(sorted(BRANCHES)), st.integers(2, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_residuals_match_reference(self, spec, which, K):
+        roots_fn = BRANCHES[which][3]
+        try:
+            seq = paper_ck(CRat(1), CRat(0), roots_fn, spec, K, start=_start(spec, which))
+        except DegenerateLeading:
+            return
+        assert residual_check(seq, spec, which) == reference_residuals(seq, spec, which)
+
+    @given(
+        spec_st(max_l=4, leading=nonzero_st),
+        st.sampled_from(sorted(BRANCHES)),
+        st.integers(0, 10),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mutated_entry_shows_in_three_residuals(self, spec, which, extra, data):
+        forward, _, reference, _ = BRANCHES[which]
+        start = _start(spec, which)
+        K = start + 2 + extra
+        seq = forward(spec, 1, 1, K)
+        k = data.draw(st.integers(start, K - 2))
+        vals = list(seq.values)
+        vals[k] = vals[k] + 1
+        mutated = CoeffSequence(tuple(vals))
+        got = dict(residual_check(mutated, spec, which))
+        assert got == dict(reference_residuals(mutated, spec, which))
+        # c_k enters index k through C, k+1 through B and k+2 through A
+        sign = 1 if which == "real" else -1
+        moved = {
+            k: reference(spec, k)[2],
+            k + 1: -sign * reference(spec, k + 1)[1],
+            k + 2: sign * reference(spec, k + 2)[0],
+        }
+        for j, res in got.items():
+            assert res == moved.get(j, 0)
+            assert bool(res) == bool(moved.get(j, 0))
+
+    @given(spec_st(), st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_filled_memo_is_invisible(self, spec, extra):
+        fresh = dataclasses.replace(spec)
+        K = spec.l + extra
+        for which, (forward, *_) in BRANCHES.items():
+            try:
+                seq = forward(spec, 1, 1, K)
+                residual_check(seq, spec, which)
+            except DegenerateLeading:
+                pass
+        assert spec._brackets and not fresh._brackets
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert repr(spec) == repr(fresh)
+        assert spec.as_dict() == fresh.as_dict()
+
+    @pytest.mark.parametrize("which", sorted(BRANCHES))
+    def test_readers_after_forward_build_nothing(self, monkeypatch, which):
+        forward, _, _, roots_fn = BRANCHES[which]
+        spec = RecurrenceSpec.make(l=3, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
+        start, K = _start(spec, which), 20
+        calls = []
+        falling_factorial = distsol.falling_factorial
+
+        def counted(k, m):
+            calls.append((k, m))
+            return falling_factorial(k, m)
+
+        monkeypatch.setattr(distsol, "falling_factorial", counted)
+        # one triple per index, of five (real) or four (imag) falling factorials
+        per_spec = (5 if which == "real" else 4) * (K - start + 1)
+        residual_check(forward(dataclasses.replace(spec), 1, 0, K), dataclasses.replace(spec), which)
+        assert len(calls) == 2 * per_spec
+        calls.clear()
+        seq = forward(spec, 1, 0, K)
+        assert len(calls) == per_spec
+        residual_check(seq, spec, which)
+        for k in range(start, K + 1):
+            roots_fn(spec, k)
+        assert len(calls) == per_spec

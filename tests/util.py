@@ -6,6 +6,7 @@ import operator
 from fractions import Fraction
 
 from heunlie.algpoly import CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
+from heunlie.distsol import DegenerateLeading, _residual_ready, _scalar, falling_factorial
 from heunlie.greenssf import symbol_coeffs
 from heunlie.heunop import HeunParams, OverflowColumn
 
@@ -133,3 +134,67 @@ def reference_crat_op(x, y, op) -> tuple[Fraction, Fraction]:
     if op is operator.mul:
         return _textbook_mul(a, b, c, d)
     return _textbook_div(a, b, c, d)
+
+
+def reference_real_brackets(spec, k):
+    """Real-branch (A, B, C), each falling factorial built as a ``CRat``."""
+    l = spec.l
+    A = CRat(falling_factorial(k + 2, l + 2)) - spec.a * CRat(falling_factorial(k + 2, l))
+    B = spec.rho * CRat(falling_factorial(k + 1, l + 1)) - spec.tau * CRat(
+        falling_factorial(k + 1, l - 1)
+    )
+    C = spec.ab * CRat(falling_factorial(k, l))
+    return A, B, C
+
+
+def reference_imag_brackets(spec, k):
+    """Imaginary-branch (A, B, C), each falling factorial built as a ``CRat``."""
+    l = spec.l
+    A = (CR_ONE + spec.a) * CRat(falling_factorial(k + 2, l + 1)) - spec.a * CRat(
+        falling_factorial(k + 2, l)
+    )
+    B = CRat(falling_factorial(k + 1, l)) * spec.sigma
+    C = spec.E * CRat(falling_factorial(k, l - 1))
+    return A, B, C
+
+
+def reference_forward(spec, c0, c1, K, which):
+    """Forward solve with the brackets rebuilt at every step."""
+    if which == "real":
+        start, brackets = max(2, spec.l), reference_real_brackets
+    else:
+        start, brackets = max(2, spec.l - 1), reference_imag_brackets
+    vals = [_scalar(c0), _scalar(c1)]
+    for k in range(2, K + 1):
+        if k < start:
+            vals.append(CR_ZERO)
+            continue
+        A, B, C = brackets(spec, k)
+        if C.is_zero():
+            raise DegenerateLeading(f"zero leading bracket at k={k}")
+        x, y = vals[k - 2], vals[k - 1]
+        vals.append((B * y - A * x) / C if which == "real" else (A * x - B * y) / C)
+    return vals
+
+
+def reference_residuals(c, spec, which):
+    """Residual table with the brackets rebuilt and every entry converted at
+    each index, and the signs applied by multiplication."""
+    if which == "real":
+        start, brackets, signs = max(2, spec.l), reference_real_brackets, (1, -1, 1)
+    else:
+        start, brackets, signs = max(2, spec.l - 1), reference_imag_brackets, (-1, 1, 1)
+    out = []
+    for k in range(start, len(c)):
+        A, B, C = brackets(spec, k)
+        vals = [_residual_ready(c[k - 2]), _residual_ready(c[k - 1]), _residual_ready(c[k])]
+        if all(isinstance(v, CRat) for v in vals):
+            res = signs[0] * A * vals[0] + signs[1] * B * vals[1] + signs[2] * C * vals[2]
+        else:
+            res = (
+                signs[0] * complex(A) * complex(vals[0])
+                + signs[1] * complex(B) * complex(vals[1])
+                + signs[2] * complex(C) * complex(vals[2])
+            )
+        out.append((k, res))
+    return out
