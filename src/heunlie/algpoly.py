@@ -265,14 +265,22 @@ class CRat:
         o = self._coerce(other)
         if o is None:
             if isinstance(other, (float, complex)):
-                return complex(self) == complex(other)
+                # exact, as a Fraction compares with a float: a finite float
+                # equals only the one rational it represents
+                z = complex(other)
+                return self.re == z.real and self.im == z.imag
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # the hash of complex(re, im), computed from the parts' exact hashes,
+        # so equal CRat, Fraction, int, float and complex values hash alike
         if not self.im:
             return hash(self.re)
-        return hash((self.re, self.im))
+        # wrap to a signed machine word, as complex's hash does; Python turns
+        # a returned -1 into -2, as complex's hash does too
+        h = (hash(self.re) + _HASH.imag * hash(self.im)) % _HASH_MODULUS
+        return h - _HASH_MODULUS if h >= _HASH_MODULUS // 2 else h
 
     def __str__(self) -> str:
         if not self.im:
@@ -287,6 +295,8 @@ class CRat:
 
 
 _ZERO = Fraction(0)
+_HASH = sys.hash_info
+_HASH_MODULUS = 1 << _HASH.width
 _new_crat = object.__new__
 _set_re = CRat.re.__set__
 _set_im = CRat.im.__set__
@@ -683,6 +693,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as that scalar
+        if len(self.coeffs) <= 1:
+            return hash(self.coeff(0))
         return hash(self.coeffs)
 
     def __str__(self) -> str:

@@ -13,6 +13,7 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,9 +42,10 @@ from .greenssf import (
     DegenerateQuadratic,
     KernelScalars,
     ZeroEigenvalue,
-    green_coincidence,
+    _coincidence_from_kp,
+    _hs_norm_from_kp,
+    _nonzero_eigenvalue,
     green_kernel,
-    hs_norm_sq,
     kp_constant,
     ssf,
     trace_green,
@@ -169,7 +171,10 @@ def _params_from_args(args) -> HeunParams:
     return HeunParams(**{name: getattr(args, name) for name in _PARAM_NAMES})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``heunlie`` parser, built once per process: parsing never mutates
+    it, and every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="heunlie",
         description="Exact operator algebra, solvability detection and kernel "
@@ -399,13 +404,12 @@ def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
 def payload_green(args, params: HeunParams) -> dict:
     scalars = _kernel_scalars(args, params)
     kernel = green_kernel(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
+    # one K_p per report: the norm and the coincidence kernel derive from it
     kp = kp_constant(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
-    norm = hs_norm_sq(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
     rho, sigma, tau = scalars.integer_exponents()
     omega0 = weight_value_at_zero(rho, sigma, tau, scalars.a)
-    coincidence = green_coincidence(
-        scalars=scalars, E=args.E, s_eval=args.s_eval, p_override=args.p_override
-    )
+    norm = _hs_norm_from_kp(kp, omega0)
+    coincidence = _coincidence_from_kp(kp, _nonzero_eigenvalue(args.E))
     shift = ssf(args.lam, coincidence)
     return {
         "schema": "green-v1",

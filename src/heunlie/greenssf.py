@@ -9,8 +9,8 @@ at an explicit dual-variable point ``s_eval`` (the symbol never loses its
 dual variable on its own; 0 is the reproducible default).  The summand
 factors, and the binomial theorem closes the ``(k, l)`` part exactly:
 ``sum_{k,l} C(sigma-1,k) C(tau-1,l) a^(-l) = 2^(sigma-1) (1 + 1/a)^(tau-1)``.
-So each kernel sum is that factor times a sum over ascending ``m``, which
-keeps floating results bit-reproducible.
+So each kernel sum is that factor times a sum over ``m``, which
+``_kernel_sum`` closes from integer moments of the ``m`` weights.
 
 The summation bound is ``p = sigma - rho`` unless overridden: the printed
 bound formally depends on an inner summation index, and this is its largest
@@ -330,15 +330,23 @@ def _kernel_sum(scalars: KernelScalars, s_eval, p: int, with_factorial: bool) ->
     rho, sigma, tau = scalars.integer_exponents()
     s_eval = _scalar(s_eval)
     a = scalars.a
+    one_a = CR_ONE + a
     # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
-    binomials = CRat(2 ** (sigma - 1)) * (CR_ONE + a) ** (tau - 1) * a ** (1 - tau)
-    total: Scalar = CR_ZERO
+    binomials = CRat(2 ** (sigma - 1)) * one_a ** (tau - 1) * a ** (1 - tau)
+    # eps0(m; s) = (1+a)[(m-1)(m-2) - 2is(m-1)] + rho(m-1) + tau(m+1) + is sigma
+    # is linear in (m-1)(m-2), m-1 and 1, so the weighted m-sum needs only the
+    # integer moments S0 = sum w, S1 = sum w (m-1), S2 = sum w (m-1)(m-2) of
+    # w_m = (-1)^(m-1) [(m-1)!]; the tau term's sum w (m+1) is S1 + 2 S0
+    s0 = s1 = s2 = 0
+    w = 1
     for m in range(1, p + 1):
-        eps0 = symbol_coeffs(m, scalars.n, scalars).eps0.eval(s_eval)
-        sign = CRat(-1 if (m - 1) % 2 else 1)
-        fact = CRat(math.factorial(m - 1)) if with_factorial else CR_ONE
-        total = total + sign * fact * eps0
-    return binomials * total
+        s0 += w
+        s1 += w * (m - 1)
+        s2 += w * (m - 1) * (m - 2)
+        w = -w * m if with_factorial else -w
+    constant = one_a * s2 + (rho * s1 + tau * (s1 + 2 * s0))
+    linear = CR_I * (sigma * s0 - one_a * (2 * s1))
+    return binomials * (linear * s_eval + constant)
 
 
 def kp_constant(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = None,
@@ -374,8 +382,14 @@ class GreenKernel:
 
 def _truncated_exponential(p: int) -> Polynomial:
     """``sum_{m=1}^{p} (i w)^(m-1) / (m-1)!``: the degree-(p-1) Taylor
-    truncation of exp(i w)."""
-    return Polynomial([CR_I ** (m - 1) / CRat(math.factorial(m - 1)) for m in range(1, p + 1)])
+    truncation of exp(i w), with ``i^k`` cycled and ``1/k!`` carried."""
+    coeffs = []
+    inv_factorial = Fraction(1)
+    for k in range(p):
+        part = inv_factorial if k % 4 < 2 else -inv_factorial
+        coeffs.append(CRat(part) if k % 2 == 0 else CRat(0, part))
+        inv_factorial /= k + 1
+    return Polynomial(coeffs)
 
 
 def green_kernel(n: int = None, p: HeunParams = None, s_eval=CR_ZERO, *,
@@ -402,6 +416,25 @@ def green_kernel(n: int = None, p: HeunParams = None, s_eval=CR_ZERO, *,
     )
 
 
+def _nonzero_eigenvalue(E) -> Scalar:
+    E = _scalar(E)
+    if _is_zero(E):
+        raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
+    return E
+
+
+def _coincidence_from_kp(kp: Scalar, E: Scalar) -> Distribution:
+    """``(K_p / E) delta(w)`` for an eigenvalue already checked nonzero."""
+    return Distribution.delta(0, 0, kp * (CR_ONE / E if isinstance(E, CRat) else 1.0 / E))
+
+
+def _hs_norm_from_kp(kp: Scalar, omega0: CRat):
+    """``|K_p|^2 |omega(0)|^2``: exact for an exact K_p, else a float."""
+    if isinstance(kp, CRat):
+        return kp.abs2() * omega0.abs2()
+    return abs(kp) ** 2 * float(omega0.abs2())
+
+
 def green_coincidence(n: int = None, p: HeunParams = None, E=CR_ONE, *,
                       scalars: KernelScalars = None, s_eval=CR_ZERO,
                       p_override: int = None) -> Distribution:
@@ -410,11 +443,9 @@ def green_coincidence(n: int = None, p: HeunParams = None, E=CR_ONE, *,
     The delta term has even order, so both half-plane signs give this same
     kernel.
     """
-    E = _scalar(E)
-    if _is_zero(E):
-        raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
+    E = _nonzero_eigenvalue(E)
     kp = kp_constant(n, p, scalars=scalars, s_eval=s_eval, p_override=p_override)
-    return Distribution.delta(0, 0, kp * (CR_ONE / E if isinstance(E, CRat) else 1.0 / E))
+    return _coincidence_from_kp(kp, E)
 
 
 def hs_norm_sq(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = None,
@@ -429,9 +460,7 @@ def hs_norm_sq(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = 
     rho, sigma, tau = scalars.integer_exponents()
     omega0 = weight_value_at_zero(rho, sigma, tau, scalars.a)
     kp = kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)
-    if isinstance(kp, CRat):
-        return kp.abs2() * omega0.abs2()
-    return abs(kp) ** 2 * float(omega0.abs2())
+    return _hs_norm_from_kp(kp, omega0)
 
 
 def heaviside(lam: float) -> Fraction:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -356,3 +357,50 @@ class TestLiteralParsing:
         assert f"int-digit limit {limit}" in err
         assert f"{limit + 700}-digit" in err
         assert huge not in err and len(err) < 1000
+
+
+class TestParserReuse:
+    """One parser serves every call of ``main`` in a process."""
+
+    GREEN = ["green", *BASE, "--n", "1", "--rho", "1", "--sigma", "3", "--tau", "2"]
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(capsys, *self.GREEN)[0] == 0
+        first = len(built)
+        assert first > 0
+        assert run(capsys, "analyze", *BASE, "--n", "1")[0] == 0
+        assert run(capsys, "distsol", *ES1, "--n", "1", "--l", "1", "--K", "4")[0] == 0
+        assert run(capsys, *self.GREEN)[0] == 0
+        assert len(built) == first
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_refusal_leaves_no_trace_in_the_next_call(self, capsys):
+        cli.build_parser.cache_clear()
+        code, alone, _ = run(capsys, *self.GREEN)
+        assert code == 0
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["green", *BASE[2:], *self.GREEN[len(BASE) + 1:]])
+        assert info.value.code == 2
+        assert "the following arguments are required: --a" in capsys.readouterr().err
+        code, after, _ = run(capsys, *self.GREEN)
+        assert code == 0
+        assert after == alone
+
+    def test_flags_do_not_leak_between_calls(self, capsys):
+        distsol = ["distsol", *ES1, "--n", "1", "--l", "1", "--K", "4"]
+        code, out, _ = run(capsys, *distsol, "--c1=1/2")
+        assert code == 0
+        assert json.loads(out)["config"]["flags"]["c1"] == "1/2"
+        code, out, _ = run(capsys, *distsol)
+        assert code == 0
+        assert json.loads(out)["config"]["flags"]["c1"] == "0"

@@ -1,9 +1,10 @@
-"""The closed forms (band flag matrix, factored kernel sums, weight value at
-0), the zero-part fast paths of ``CRat`` arithmetic and the shared recurrence
-brackets against the loop and textbook forms they replace, which stay here
-as references."""
+"""The closed forms (band flag matrix, kernel sums from integer moments,
+weight value at 0), the zero-part fast paths of ``CRat`` arithmetic and the
+shared recurrence brackets against the loop and textbook forms they replace,
+which stay here as references."""
 
 import dataclasses
+import json
 import math
 import operator
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie import distsol
+from heunlie import cli, distsol, greenssf
 from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
 from heunlie.distsol import (
     CoeffSequence,
@@ -29,7 +30,14 @@ from heunlie.distsol import (
     weight_expansion,
     weight_value_at_zero,
 )
-from heunlie.greenssf import KernelScalars, green_kernel, kp_constant, symbol_coeffs
+from heunlie.greenssf import (
+    KernelScalars,
+    green_coincidence,
+    green_kernel,
+    hs_norm_sq,
+    kp_constant,
+    symbol_coeffs,
+)
 from heunlie.heunop import (
     HeunParams,
     OracleMismatch,
@@ -52,6 +60,7 @@ fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 real_st = st.builds(CRat, fractions_st)
 crat_st = st.one_of(real_st, st.builds(CRat, fractions_st, fractions_st))
 nonzero_st = crat_st.filter(lambda x: not x.is_zero())
+nonzero_fraction_st = fractions_st.filter(bool)
 
 
 def _same_matrix_or_overflow(L, N):
@@ -108,7 +117,7 @@ def kernel_case_st(draw):
     tau = draw(st.integers(1, 6))
     a = draw(st.one_of(st.just(CRat(-1)), nonzero_st))
     scalars = KernelScalars.direct(draw(st.integers(-3, 5)), a, rho, sigma, tau)
-    p_override = draw(st.one_of(st.none(), st.integers(1, 6)))
+    p_override = draw(st.one_of(st.none(), st.integers(1, 6), st.integers(7, 40)))
     return scalars, p_override
 
 
@@ -117,11 +126,25 @@ def _bound(scalars, p_override):
     return sigma - rho if p_override is None else p_override
 
 
+# dual points: real, imaginary, and with both parts nonzero
+s_eval_st = st.one_of(
+    crat_st,
+    st.builds(CRat, st.just(0), fractions_st),
+    st.builds(CRat, nonzero_fraction_st, nonzero_fraction_st),
+)
+
+GREEN_ARGV = ["green", "--a=3/2", "--q=0", "--alpha=1", "--beta=1", "--gamma=1",
+              "--delta=1", "--epsilon=1", "--n=1", "--rho=1", "--sigma=5", "--tau=3",
+              "--s-eval=1/2-3i", "--E=-2/3"]
+
+
 class TestFactoredKernelSums:
-    @given(kernel_case_st(), st.one_of(crat_st, st.builds(CRat, st.just(0), fractions_st)))
+    @given(kernel_case_st(), s_eval_st)
     @example((KernelScalars.direct(0, -1, 1, 3, 1), None), CRat(0, 1))
     @example((KernelScalars.direct(2, -1, 1, 4, 3), 2), CRat(0))
     @example((KernelScalars.direct(1, CRat(1, 2), 2, 5, 1), 4), CRat(0, -3))
+    @example((KernelScalars.direct(3, CRat(-5, 2), 3, 8, 6), 40), CRat(Fraction(-7, 4), 5))
+    @example((KernelScalars.direct(1, CRat(1, 3), 1, 2, 1), 40), CRat(Fraction(1, 2), -1))
     @settings(max_examples=120, deadline=None)
     def test_exact_equality(self, case, s_eval):
         scalars, p_override = case
@@ -156,6 +179,39 @@ class TestFactoredKernelSums:
                 for m in range(1, p + 1)
             )
             assert abs(complex(got) - complex(ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("command", ["green", "ssf"])
+    def test_report_builds_kp_once_and_no_symbol(self, monkeypatch, capsys, command):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        kp = counted("kp_constant", greenssf.kp_constant)
+        monkeypatch.setattr(greenssf, "kp_constant", kp)
+        monkeypatch.setattr(cli, "kp_constant", kp)
+        monkeypatch.setattr(greenssf, "symbol_coeffs",
+                            counted("symbol_coeffs", greenssf.symbol_coeffs))
+        argv = [command, *GREEN_ARGV[1:]]
+        assert cli.main(argv) == 0
+        assert calls == ["kp_constant"]
+        report = json.loads(capsys.readouterr().out)
+        # the values derived from that one K_p are the library's own
+        scalars = KernelScalars.direct(1, Fraction(3, 2), 1, 5, 3)
+        kwargs = {"scalars": scalars, "s_eval": CRat(Fraction(1, 2), -3)}
+        assert report["hs_norm_sq"] == str(hs_norm_sq(**kwargs))
+        coincidence = green_coincidence(E=CRat(Fraction(-2, 3)), **kwargs)
+        assert report["ssf"]["value"] == coincidence.as_list()
+
+    def test_zero_eigenvalue_comes_after_the_kernel_checks(self, capsys):
+        argv = [*GREEN_ARGV, "--E=0"]
+        assert cli.main([*argv, "--p-override=0"]) == 2
+        assert "summation bound p = 0 is empty" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        assert "E = 0 is invalid" in capsys.readouterr().err
 
 
 # valid and invalid weight exponents

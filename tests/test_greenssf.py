@@ -23,7 +23,13 @@ from heunlie.greenssf import (
     symbol_coeffs,
     trace_green,
 )
-from util import es_params, rand_crat, rand_fraction, rand_poly
+from util import (
+    es_params,
+    rand_crat,
+    rand_fraction,
+    rand_poly,
+    reference_truncated_exponential,
+)
 
 SCAL = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
 
@@ -162,13 +168,11 @@ class TestEtaRoots:
 
 class TestGreenKernel:
     def test_prefactor_is_truncated_exponential(self):
-        import math
-
-        for p_bound in (1, 2, 5, 8):
+        # the running product against i^(m-1) / (m-1)! built term by term
+        for p_bound in range(1, 41):
             gk = green_kernel(scalars=SCAL, p_override=p_bound)
             assert gk.prefactor.degree == p_bound - 1 or p_bound == 1
-            for m in range(1, p_bound + 1):
-                assert gk.prefactor.coeff(m - 1) == CR_I ** (m - 1) / CRat(math.factorial(m - 1))
+            assert gk.prefactor.coeffs == reference_truncated_exponential(p_bound).coeffs
             assert gk.prefactor.eval(CR_ZERO) == CR_ONE
 
     def test_prefactor_default_bound(self):
@@ -274,6 +278,10 @@ class TestGreenCoincidence:
     def test_zero_eigenvalue(self):
         with pytest.raises(ZeroEigenvalue):
             green_coincidence(scalars=SCAL, E=CRat(0))
+        # the eigenvalue is checked before the kernel sum: an empty bound
+        # does not mask it
+        with pytest.raises(ZeroEigenvalue):
+            green_coincidence(scalars=SCAL, E=CRat(0), p_override=0)
 
     def test_matches_kp_over_E(self):
         kp = kp_constant(scalars=SCAL)

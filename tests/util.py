@@ -5,7 +5,7 @@ import math
 import operator
 from fractions import Fraction
 
-from heunlie.algpoly import CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
+from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
 from heunlie.distsol import DegenerateLeading, _residual_ready, _scalar, falling_factorial
 from heunlie.greenssf import symbol_coeffs
 from heunlie.heunop import HeunParams, OverflowColumn
@@ -98,6 +98,12 @@ def reference_kernel_sum(scalars, s_eval, p, with_factorial):
                 h = CRat(math.comb(sigma - 1, k) * math.comb(tau - 1, l))
                 total = total + h * scalars.a ** (-l) * sign * eps0 * fact
     return total
+
+
+def reference_truncated_exponential(p):
+    """Prefactor coefficients ``i^(m-1) / (m-1)!``, each power and factorial
+    built afresh."""
+    return Polynomial([CR_I ** (m - 1) / CRat(math.factorial(m - 1)) for m in range(1, p + 1)])
 
 
 def _parts(x) -> tuple[Fraction, Fraction]:
