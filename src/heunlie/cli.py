@@ -51,23 +51,17 @@ from .greenssf import (
     trace_green,
 )
 from .heunop import (
-    INFINITY,
     HeunParams,
     OracleMismatch,
     OverflowColumn,
-    build_canonical_cleared,
+    _Analysis,
     build_expanded,
     es_condition,
     es_discrepancies,
-    es_spectrum,
     expanded_es_coeffs,
-    indicial_discrepancies,
-    indicial_exponents,
     matrix_diagonal,
     matrix_spectrum,
     qes_matrix,
-    uea_heun_coeffs,
-    verify_theorem1,
 )
 from .sl2rep import Spin, UEAExpr, uea_expand
 
@@ -267,17 +261,15 @@ def _surd_str_pair(pair_) -> list[str]:
 
 def payload_analyze(params: HeunParams, n: int) -> dict:
     n = _check_n(n)
-    j = Spin.from_n(n).j
-    L = build_expanded(params)
-    if build_canonical_cleared(params) != L:
-        raise OracleMismatch("cleared canonical form disagrees with the expanded form")
-    exponents = {}
-    for label, point in (("0", CR_ZERO), ("1", CRat(1)), ("a", params.a), ("inf", INFINITY)):
-        exponents[label] = _surd_str_pair(indicial_exponents(L, point))
-    rows = verify_theorem1(j, params).as_list()
-    rows += indicial_discrepancies(params).as_list()
-    rows += es_discrepancies(n, params).as_list()
-    spectrum = es_spectrum(n, params, n)
+    # one context per report; reading its stages in this order raises the
+    # same first exception as building each stage afresh
+    ctx = _Analysis(n, params)
+    ctx.check_canonical()
+    exponents = {label: _surd_str_pair(pair) for label, pair in ctx.exponents.items()}
+    rows = ctx.theorem1_rows().as_list()
+    rows += ctx.indicial_rows().as_list()
+    rows += ctx.es_rows().as_list()
+    spectrum = ctx.spectrum
     return {
         "schema": "heun-analysis-v1",
         "version": _tool_version(),
@@ -285,10 +277,10 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
         "params": params.as_dict(),
         "constraint_residual": str(params.constraint_residual),
         "exponents": exponents,
-        "uea_coeffs": uea_heun_coeffs(j, params).as_dict(),
+        "uea_coeffs": ctx.uea_coeffs.as_dict(),
         "discrepancies": rows,
         "es": {
-            "condition_residual": str(es_condition(j, params)),
+            "condition_residual": str(es_condition(ctx.j, params)),
             "matrix_dim": n + 1,
             "spectrum": [_jsonable(v) for v in spectrum],
         },

@@ -70,32 +70,30 @@ def _is_zero(x: Scalar) -> bool:
 class Distribution:
     """Finite sum ``sum_i coeff_i * delta^(order_i)(x - center_i)``.
 
-    Terms sharing a center and order are merged and zero coefficients are
-    pruned, so equality of normalized term tuples is semantic equality.
+    Terms sharing an order and an equal center (of any scalar type) are
+    merged under the first-seen center, and zero coefficients are pruned.
+    Terms are kept sorted by order and the text of their center; equality
+    and hashing ignore that order, so they are semantic.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable = ()):
+        # equal centers share a key whatever their types: hash agrees with ==
         merged: dict = {}
-        order_keys: list = []
         for order, center, coeff in terms:
             if not isinstance(order, int) or order < 0:
                 raise ValueError(f"delta derivative order must be an integer >= 0, got {order!r}")
             center = _scalar(center)
             coeff = _scalar(coeff)
-            key = (order, str(center) if isinstance(center, CRat) else repr(center))
-            if key in merged:
-                old_center, old_coeff = merged[key]
-                merged[key] = (old_center, old_coeff + coeff)
-            else:
-                merged[key] = (center, coeff)
-                order_keys.append(key)
-        kept = []
-        for key in sorted(order_keys, key=lambda k: (k[0], k[1])):
-            center, coeff = merged[key]
-            if not _is_zero(coeff):
-                kept.append((key[0], center, coeff))
+            old = merged.get((order, center))
+            merged[order, center] = (center, coeff) if old is None else (old[0], old[1] + coeff)
+        kept = [
+            (order, center, coeff)
+            for (order, _), (center, coeff) in merged.items()
+            if not _is_zero(coeff)
+        ]
+        kept.sort(key=lambda t: (t[0], str(t[1]) if isinstance(t[1], CRat) else repr(t[1])))
         object.__setattr__(self, "terms", tuple(kept))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -113,11 +111,7 @@ class Distribution:
         return not self.terms
 
     def coefficient(self, order: int, center=0) -> Scalar:
-        center = _scalar(center)
-        for o, c, coeff in self.terms:
-            if o == order and _same_center(c, center):
-                return coeff
-        return CR_ZERO
+        return self._by_key().get((order, _scalar(center)), CR_ZERO)
 
     def __add__(self, other: "Distribution") -> "Distribution":
         if not isinstance(other, Distribution):
@@ -133,13 +127,16 @@ class Distribution:
     def __neg__(self) -> "Distribution":
         return self * CRat(-1)
 
+    def _by_key(self) -> dict:
+        return {(order, center): coeff for order, center, coeff in self.terms}
+
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented
-        return self.terms == other.terms
+        return self._by_key() == other._by_key()
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash(frozenset(self._by_key().items()))
 
     def __str__(self):
         if not self.terms:
@@ -165,12 +162,6 @@ class Distribution:
                 }
             )
         return out
-
-
-def _same_center(x: Scalar, y: Scalar) -> bool:
-    if isinstance(x, CRat) and isinstance(y, CRat):
-        return x == y
-    return complex(x) == complex(y)
 
 
 def _scalar_json(x: Scalar):

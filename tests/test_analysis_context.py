@@ -1,0 +1,271 @@
+"""One analysis per report, and the band-only float path.
+
+``payload_analyze`` reads every stage from one ``heunop._Analysis``: it
+expands each generator word once, takes each indicial pair once and builds
+one flag matrix, and its rows and spectrum equal the public stage functions'.
+``_float_eigenvalues`` converts only the exactly nonzero entries and checks
+all eigenpair residuals at once; it must hand ``np.linalg.eig`` the same array
+as the dense conversion in ``util.reference_float_eigenvalues`` and return the
+same spectrum, bit for bit.
+"""
+
+import random
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from heunlie import cli, heunop, sl2rep
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
+from heunlie.heunop import (
+    INFINITY,
+    HeunParams,
+    OracleMismatch,
+    _Analysis,
+    _float_eigenvalues,
+    build_expanded,
+    es_discrepancies,
+    es_spectrum,
+    indicial_discrepancies,
+    indicial_exponents,
+    verify_theorem1,
+)
+from heunlie.sl2rep import Spin
+from util import rand_crat, rand_params, reference_float_eigenvalues
+
+COUNTED = ("uea_expand", "indicial_exponents", "uea_heun_coeffs", "qes_matrix")
+PER_REPORT = {"uea_expand": 2, "indicial_exponents": 4, "uea_heun_coeffs": 1, "qes_matrix": 1}
+
+BASE = ["--a=2", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3", "--delta=-1/2",
+        "--epsilon=7/5"]
+# alpha = -8 under the parameter constraint: the n = 8 flag matrix is a
+# tridiagonal band, so the spectrum takes the float path
+SPECTRUM_N8 = ["spectrum", "--n=8", "--a=3", "--q=1/2", "--alpha=-8", "--beta=5/4",
+               "--gamma=1/3", "--delta=-1/2", "--epsilon=-67/12"]
+
+
+def _count_calls(monkeypatch, names, log=None) -> dict:
+    """Wrap each named function under every module binding that holds it,
+    and count its calls; ``log`` also records the call order."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(heunop, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            if log is not None:
+                log.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (heunop, cli, sl2rep):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _complex_params(rng) -> HeunParams:
+    while True:
+        a = rand_crat(rng, complex_ok=True)
+        if a not in (CR_ZERO, CR_ONE):
+            break
+    return HeunParams(a, *(rand_crat(rng, complex_ok=True) for _ in range(6)))
+
+
+def _param_sets():
+    rng = random.Random(211)
+    real = [rand_params(rng, constrained=False) for _ in range(2)]
+    return real + [_complex_params(rng) for _ in range(2)]
+
+
+class TestOneAnalysisPerReport:
+    def test_payload_analyze_builds_each_stage_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch, COUNTED)
+        cli.payload_analyze(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1), 64)
+        assert counts == PER_REPORT
+
+    def test_sweep_builds_one_context_per_valid_point(self, monkeypatch, capsys):
+        counts = _count_calls(monkeypatch, COUNTED)
+        # a = 1 is refused before any stage; the two a = 2 points share nothing
+        assert cli.main(["sweep", "--n=8", "--grid=a=1,2,3,2", *BASE]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 4 and '"error"' in rows[0]
+        assert counts == {name: 3 * calls for name, calls in PER_REPORT.items()}
+
+    def test_stages_run_in_report_order(self, monkeypatch):
+        log = []
+        _count_calls(monkeypatch, ("build_expanded", "build_canonical_cleared",
+                                   "extract_expanded_coeffs", "matrix_spectrum", *COUNTED), log)
+        cli.payload_analyze(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1), 3)
+        assert log == [
+            "build_expanded", "build_canonical_cleared", *["indicial_exponents"] * 4,
+            "uea_heun_coeffs", "uea_expand", "extract_expanded_coeffs",  # Theorem 1 rows
+            "uea_expand", "extract_expanded_coeffs",  # raising-free rows
+            "qes_matrix", "matrix_spectrum",
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64])
+    def test_payload_equals_the_stage_functions(self, n):
+        for p in _param_sets():
+            payload = cli.payload_analyze(p, n)
+            rows = verify_theorem1(Spin.from_n(n).j, p).as_list()
+            rows += indicial_discrepancies(p).as_list()
+            rows += es_discrepancies(n, p).as_list()
+            assert payload["discrepancies"] == rows
+            spectrum = [cli._jsonable(v) for v in es_spectrum(n, p, n)]
+            assert payload["es"]["spectrum"] == spectrum
+            L = build_expanded(p)
+            points = {"0": CR_ZERO, "1": CR_ONE, "a": p.a, "inf": INFINITY}
+            assert payload["exponents"] == {
+                label: [str(e) for e in indicial_exponents(L, point)]
+                for label, point in points.items()
+            }
+            assert payload["uea_coeffs"] == heunop.uea_heun_coeffs(Spin.from_n(n).j, p).as_dict()
+
+    def test_each_stage_is_kept(self):
+        ctx = _Analysis(3, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
+        for stage in ("expanded", "exponents", "uea_coeffs", "heun_coeffs", "es_operator",
+                      "es_coeffs", "flag_matrix", "spectrum"):
+            assert getattr(ctx, stage) is getattr(ctx, stage)
+
+    def test_canonical_disagreement_exits_3_before_any_later_stage(self, monkeypatch, capsys):
+        later = ("extract_expanded_coeffs", "matrix_spectrum", *COUNTED)
+        counts = _count_calls(monkeypatch, later)
+        monkeypatch.setattr(heunop, "build_canonical_cleared", lambda p: DiffOp([Polynomial.one()]))
+        assert cli.main(["analyze", "--n=8", *BASE]) == 3
+        err = capsys.readouterr().err
+        assert err == ("heunlie: internal oracle mismatch: cleared canonical form "
+                       "disagrees with the expanded form\n")
+        assert counts == dict.fromkeys(later, 0)
+
+    def test_public_readers_keep_their_refusals(self):
+        p = HeunParams(2, 1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="nonnegative integer, got -1"):
+            es_spectrum(-1, p, 0)
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            es_discrepancies(1.5, p)
+        # the coefficient audit still accepts a negative spin integer
+        assert es_discrepancies(-2, p).residual("es_rho") == CR_ZERO
+
+    def test_indicial_discrepancies_skips_the_canonical_check(self, monkeypatch):
+        counts = _count_calls(monkeypatch, ("build_expanded", "build_canonical_cleared"))
+        indicial_discrepancies(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
+        assert counts == {"build_expanded": 1, "build_canonical_cleared": 0}
+
+    @pytest.mark.parametrize("n", [-3, -1, 0, 5])
+    def test_expanded_es_coeffs_is_one_raising_free_expansion(self, monkeypatch, n):
+        for p in _param_sets():
+            j = Spin.from_n(n).j
+            word = heunop._uea_from_coeffs(heunop.uea_heun_coeffs(j, p), with_plus=False)
+            expected = heunop.extract_expanded_coeffs(sl2rep.uea_expand(word, j), p.a)
+            counts = _count_calls(monkeypatch, ("uea_expand",))
+            assert heunop.expanded_es_coeffs(n, p) == expected
+            assert counts == {"uea_expand": 1}
+            monkeypatch.undo()
+
+
+def _rand_band_entry(rng, zeros):
+    """A random entry: an exact zero of one of several spellings, a tiny
+    rational whose float is -0.0 or +0.0, or an ordinary value."""
+    kind = rng.random()
+    if kind < 0.3:
+        return rng.choice(zeros)
+    if kind < 0.4:
+        tiny = Fraction(rng.choice((-1, 1)), 10 ** 400)
+        return rng.choice((CRat(tiny), CRat(0, tiny), CRat(rand_crat(rng).re, tiny)))
+    return rand_crat(rng, complex_ok=True)
+
+
+def _rand_matrix(rng, size, band):
+    zeros = [CR_ZERO, CRat(0), CRat(Fraction(0), Fraction(0)), -CRat(0), CRat("-0"),
+             CRat(0) * CRat(5)]
+    return tuple(
+        tuple(
+            _rand_band_entry(rng, zeros) if not band or abs(r - c) <= 1 else rng.choice(zeros)
+            for c in range(size)
+        )
+        for r in range(size)
+    )
+
+
+def _bits(values):
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+class _RecordEig:
+    """``np.linalg.eig`` that keeps the arrays it was given, and optionally
+    corrupts the eigenvectors at the given indices."""
+
+    def __init__(self, corrupt=()):
+        self.real = np.linalg.eig
+        self.corrupt = corrupt
+        self.arrays = []
+
+    def __call__(self, arr):
+        self.arrays.append(arr.copy())
+        vals, vecs = self.real(arr)
+        vecs = vecs.copy()
+        for k, weight in self.corrupt:
+            vecs[:, k % len(vals)] += weight * np.arange(1, len(vals) + 1)
+        return vals, vecs
+
+
+class TestBandFloatPath:
+    @pytest.mark.parametrize("band", [True, False])
+    def test_identical_to_dense_conversion(self, band, monkeypatch):
+        rng = random.Random(223 + band)
+        for _ in range(40):
+            M = _rand_matrix(rng, rng.randint(1, 12), band)
+            eig = _RecordEig()
+            monkeypatch.setattr(np.linalg, "eig", eig)
+            try:
+                expected = reference_float_eigenvalues(M)
+            except OracleMismatch:
+                with pytest.raises(OracleMismatch):
+                    _float_eigenvalues(M)
+                continue
+            got = _float_eigenvalues(M)
+            assert _bits(got) == _bits(expected)
+            reference_arr, arr = eig.arrays
+            assert arr.tobytes() == reference_arr.tobytes()
+
+    def test_tiny_negative_entry_stays_negative_zero(self, monkeypatch):
+        tiny = CRat(Fraction(-1, 10 ** 400))
+        M = ((CRat(1), tiny), (CRat(2), CRat(3)))
+        assert complex(tiny).real.hex() == "-0x0.0p+0"
+        eig = _RecordEig()
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        assert _bits(_float_eigenvalues(M)) == _bits(reference_float_eigenvalues(M))
+        arr, reference_arr = eig.arrays
+        assert arr[0, 1].real.hex() == "-0x0.0p+0"
+        assert arr.tobytes() == reference_arr.tobytes()
+
+    @pytest.mark.parametrize("corrupt", [((0, 1.0),), ((4, 1.0),), ((-1, 1.0),),
+                                         ((4, 1.0), (-1, 5.0)), ((-1, 5.0), (0, 1e-3))])
+    def test_corrupt_eigenvector_raises_on_first_failing_pair(self, corrupt, monkeypatch):
+        rng = random.Random(227)
+        M = _rand_matrix(rng, 9, band=True)
+        monkeypatch.setattr(np.linalg, "eig", _RecordEig(corrupt))
+        with pytest.raises(OracleMismatch) as reference:
+            reference_float_eigenvalues(M)
+        with pytest.raises(OracleMismatch) as got:
+            _float_eigenvalues(M)
+        pattern = r"eigenpair residual (\S+) exceeds 1\.0e-10 \* scale"
+        expected_res = float(re.fullmatch(pattern, str(reference.value)).group(1))
+        assert float(re.fullmatch(pattern, str(got.value)).group(1)) == pytest.approx(
+            expected_res, rel=1e-2
+        )
+
+    @pytest.mark.parametrize("index", [0, 4, 8])
+    def test_corrupt_eigenvector_exits_3(self, index, monkeypatch, capsys):
+        assert cli.main(SPECTRUM_N8) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(np.linalg, "eig", _RecordEig(((index, 1.0),)))
+        assert cli.main(SPECTRUM_N8) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"heunlie: internal oracle mismatch: eigenpair residual \S+ exceeds "
+            r"1\.0e-10 \* scale\n",
+            captured.err,
+        )

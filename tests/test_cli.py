@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from heunlie import cli
+from heunlie import cli, heunop
 from heunlie.algpoly import DiffOp, Polynomial
 from heunlie.heunop import HeunParams
 
@@ -62,7 +62,7 @@ class TestAnalyze:
         def corrupt(p):
             return DiffOp([Polynomial.one()])
 
-        monkeypatch.setattr(cli, "build_expanded", corrupt)
+        monkeypatch.setattr(heunop, "build_expanded", corrupt)
         code, _, err = run(capsys, "analyze", *BASE, "--n", "1")
         assert code == 3
         assert "oracle mismatch" in err
@@ -283,12 +283,12 @@ class TestSweep:
         assert lines[0]["error"]["type"] == "ValueError"
 
     def test_oracle_mismatch_in_one_point_exits_3(self, capsys, monkeypatch):
-        real = cli.build_expanded
+        real = heunop.build_expanded
 
         def corrupt_at_a3(p):
             return DiffOp([Polynomial.one()]) if p.a == 3 else real(p)
 
-        monkeypatch.setattr(cli, "build_expanded", corrupt_at_a3)
+        monkeypatch.setattr(heunop, "build_expanded", corrupt_at_a3)
         code, out, err = run(capsys, "sweep", *BASE, "--n", "1", "--grid", "a=1,2,3,4")
         assert code == 3
         assert "oracle mismatch" in err

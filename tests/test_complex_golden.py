@@ -12,20 +12,15 @@ them again, for a change that alters output on purpose, run
 ``PYTHONPATH=src python tests/test_complex_golden.py``.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import pathlib
-import re
 import sys
 
 import pytest
 
-from heunlie import cli
+from util import run_case
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "complex_digests.json"
-VERSION_FIELD = re.compile(r'"version": "[^"]*",\s*|^version: .*\n', re.M)
 
 _UNIT = ["--q=0", "--alpha=1", "--beta=1", "--gamma=1", "--delta=1", "--epsilon=1"]
 
@@ -75,17 +70,6 @@ CASES = {
         "--delta=1", "--epsilon=1", "--n=2", "--grid=a=1,2+i,-1/2i;q=0,i",
     ],
 }
-
-
-def run_case(argv) -> dict:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
-    return {
-        "exit": code,
-        "stdout": hashlib.sha256(VERSION_FIELD.sub("", out.getvalue()).encode()).hexdigest(),
-        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
-    }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

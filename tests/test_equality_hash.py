@@ -105,3 +105,60 @@ class TestEqualValuesHashEqually:
     @settings(max_examples=300, deadline=None)
     def test_distribution(self, a, b):
         assert_consistent(a, b)
+
+
+def dist_representations(z: CRat) -> list:
+    """``z`` as every type a ``Distribution`` center can take."""
+    return [x for x in representations(z) if not isinstance(x, (Surd, Polynomial))]
+
+
+class TestDistributionCenters:
+    def test_equal_centers_of_two_types_merge(self):
+        d = Distribution([(0, CRat(Fraction(1, 2)), 1), (0, 0.5, 1)])
+        assert len(d.terms) == 1
+        assert d.terms[0][1] == CRat(Fraction(1, 2)) and isinstance(d.terms[0][1], CRat)
+        assert d == Distribution.delta(0, Fraction(1, 2), 2)
+        assert str(d) == "(2) delta(z-(1/2))"
+
+    def test_first_seen_center_is_kept(self):
+        d = Distribution([(1, 0.5, 1), (1, CRat(Fraction(1, 2)), 2), (1, Fraction(1, 2), 3)])
+        assert d.terms == ((1, 0.5 + 0j, CRat(6)),)
+        assert isinstance(d.terms[0][1], complex)
+
+    def test_orders_and_unequal_centers_stay_apart(self):
+        third = CRat(Fraction(1, 3))
+        d = Distribution([(0, third, 1), (0, 1 / 3, 1), (1, third, 1), (0, 0.5, 1),
+                          (0, -0.0, 1), (0, 0, 1)])
+        assert [(o, str(c)) for o, c, _ in d.terms] == [
+            (0, "(-0+0j)"), (0, "(0.3333333333333333+0j)"), (0, "(0.5+0j)"), (0, "1/3"), (1, "1/3"),
+        ]
+        assert d.coefficient(0, -0.0) == CRat(2)  # -0.0 and 0 are one center
+
+    def test_coefficient_lookup_is_exact(self):
+        third = CRat(Fraction(1, 3))
+        d = Distribution([(0, third, 1), (0, 1 / 3, 5), (1, 0.5, 7)])
+        assert d.coefficient(0, third) == CRat(1) and d.coefficient(0, Fraction(1, 3)) == CRat(1)
+        assert d.coefficient(0, 1 / 3) == 5
+        assert d.coefficient(1, CRat(Fraction(1, 2))) == 7 and d.coefficient(0, 0.5) == CRat(0)
+
+    def test_cancelling_terms_of_two_types_vanish(self):
+        assert Distribution([(0, CRat(2), 1), (0, 2.0, -1)]).is_zero()
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), crat_st, crat_st), max_size=5),
+        st.data(),
+    )
+    @example([(0, CRat(Fraction(1, 2)), CRat(1)), (0, CRat(-1), CRat(1))], None)
+    @settings(max_examples=200, deadline=None)
+    def test_center_types_and_term_order_do_not_matter(self, terms, data):
+        a = Distribution(terms)
+        if data is None:  # the explicit example: swap both center types by hand
+            b = Distribution([(0, -1 + 0j, 1), (0, 0.5, 1)])
+        else:
+            mixed = [(o, data.draw(st.sampled_from(dist_representations(c))), k)
+                     for o, c, k in terms]
+            b = Distribution(data.draw(st.permutations(mixed)))
+        assert len(a.terms) == len(b.terms)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1

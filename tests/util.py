@@ -1,14 +1,19 @@
 """Shared random-draw helpers for the test suite (all draws are seeded), and
 the loop forms that the library's closed forms are checked against."""
 
+import contextlib
+import hashlib
+import io
 import math
 import operator
+import re
 from fractions import Fraction
 
+from heunlie import cli
 from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
 from heunlie.distsol import DegenerateLeading, _residual_ready, _scalar, falling_factorial
 from heunlie.greenssf import symbol_coeffs
-from heunlie.heunop import HeunParams, OverflowColumn
+from heunlie.heunop import EIG_RESIDUAL_TOL, HeunParams, OracleMismatch, OverflowColumn
 
 
 def rand_fraction(rng, span=9, den=5, nonzero=False) -> Fraction:
@@ -83,6 +88,24 @@ def reference_qes_matrix(L, N):
             raise OverflowColumn(c, int(img.degree), N)
         cols.append([img.coeff(r) for r in range(N + 1)])
     return tuple(tuple(cols[c][r] for c in range(N + 1)) for r in range(N + 1))
+
+
+def reference_float_eigenvalues(M):
+    """Float spectrum with every entry converted, zeros included, and each
+    eigenpair residual checked in its own loop step."""
+    import numpy as np
+
+    arr = np.array([[complex(x) for x in row] for row in M], dtype=complex)
+    vals, vecs = np.linalg.eig(arr)
+    scale = max(1.0, float(np.abs(arr).max()))
+    for k in range(len(vals)):
+        v = vecs[:, k]
+        res = np.linalg.norm(arr @ v - vals[k] * v) / np.linalg.norm(v)
+        if res > EIG_RESIDUAL_TOL * scale:
+            raise OracleMismatch(
+                f"eigenpair residual {res:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * scale"
+            )
+    return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 
 def reference_kernel_sum(scalars, s_eval, p, with_factorial):
@@ -204,3 +227,19 @@ def reference_residuals(c, spec, which):
             )
         out.append((k, res))
     return out
+
+
+VERSION_FIELD = re.compile(r'"version": "[^"]*",\s*|^version: .*\n', re.M)
+
+
+def run_case(argv) -> dict:
+    """Exit code and SHA-256 digests of one ``cli.main`` call's standard
+    output (without the commit-dependent ``version`` field) and error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {
+        "exit": code,
+        "stdout": hashlib.sha256(VERSION_FIELD.sub("", out.getvalue()).encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }
