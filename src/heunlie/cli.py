@@ -36,17 +36,12 @@ from .distsol import (
     forward_real,
     residual_check,
     weight_expansion,
-    weight_value_at_zero,
 )
 from .greenssf import (
     DegenerateQuadratic,
     KernelScalars,
     ZeroEigenvalue,
-    _coincidence_from_kp,
-    _hs_norm_from_kp,
-    _nonzero_eigenvalue,
     green_kernel,
-    kp_constant,
     ssf,
     trace_green,
 )
@@ -358,7 +353,7 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
             seq = forward(spec, c0, c1, K)
             block["sequence"] = seq.as_list()
             block["residuals"] = [
-                {"k": k, "value": _jsonable(_as_plain(v))} for k, v in residual_check(seq, spec, branch)
+                {"k": k, "value": _jsonable(v)} for k, v in residual_check(seq, spec, branch)
             ]
         except DegenerateLeading as exc:
             block["error"] = str(exc)
@@ -375,12 +370,6 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
     return out
 
 
-def _as_plain(v):
-    if isinstance(v, CRat):
-        return v
-    return complex(v)
-
-
 def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
     n = _check_n(args.n)
     overrides = {name: getattr(args, f"scalar_{name}") for name in ("rho", "sigma", "tau")}
@@ -395,14 +384,11 @@ def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
 
 def payload_green(args, params: HeunParams) -> dict:
     scalars = _kernel_scalars(args, params)
-    kernel = green_kernel(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
-    # one K_p per report: the norm and the coincidence kernel derive from it
-    kp = kp_constant(scalars=scalars, s_eval=args.s_eval, p_override=args.p_override)
-    rho, sigma, tau = scalars.integer_exponents()
-    omega0 = weight_value_at_zero(rho, sigma, tau, scalars.a)
-    norm = _hs_norm_from_kp(kp, omega0)
-    coincidence = _coincidence_from_kp(kp, _nonzero_eigenvalue(args.E))
-    shift = ssf(args.lam, coincidence)
+    # one kernel per report; its fields are read in the order kernel checks,
+    # omega(0), E = 0, so the first exception is the one each stage gives
+    kernel = green_kernel(scalars, args.s_eval, p_override=args.p_override)
+    omega0 = kernel.omega_at_0
+    shift = ssf(args.lam, kernel.coincidence(args.E))
     return {
         "schema": "green-v1",
         "version": _tool_version(),
@@ -420,11 +406,11 @@ def payload_green(args, params: HeunParams) -> dict:
         "p_bound": kernel.p_bound,
         "s_eval": _jsonable(args.s_eval),
         "prefactor_coeffs": [str(c) for c in kernel.prefactor.coeffs],
-        "kernel_coeff": _jsonable(_as_plain(kernel.scalar)),
-        "kp": _jsonable(_as_plain(kp)),
+        "kernel_coeff": _jsonable(kernel.scalar),
+        "kp": _jsonable(kernel.kp),
         "omega_at_0": str(omega0),
-        "hs_norm_sq": _jsonable(norm if isinstance(norm, float) else str(norm)),
-        "trace": _jsonable(_as_plain(trace_green(kernel))),
+        "hs_norm_sq": str(kernel.hs_norm_sq()),
+        "trace": _jsonable(trace_green(kernel)),
         "ssf": shift.as_dict(),
     }
 

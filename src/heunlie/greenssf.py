@@ -20,6 +20,7 @@ value.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,11 +49,7 @@ __all__ = [
     "ssf",
     "heaviside",
     "trace_green",
-    "ETA_RESIDUAL_TOL",
 ]
-
-#: relative residual bound for the factorization roots
-ETA_RESIDUAL_TOL = 1e-10
 
 
 class DegenerateQuadratic(ArithmeticError):
@@ -299,28 +296,9 @@ def eta_roots(sc: SymbolCoeffs, s) -> tuple[complex, complex]:
 # -- kernel assembly -----------------------------------------------------------
 
 
-def _resolve_scalars(n, p, scalars) -> KernelScalars:
-    if scalars is not None:
-        return scalars
-    if p is None:
-        raise TypeError("either HeunParams or explicit KernelScalars are required")
-    return KernelScalars.from_heun(n, p)
-
-
-def _p_bound(sigma: int, rho: int, p_override) -> int:
-    p = sigma - rho if p_override is None else int(p_override)
-    if p < 1:
-        raise ValueError(
-            f"summation bound p = {p} is empty; the scalars give sigma - rho = "
-            f"{sigma - rho} (override it to proceed)"
-        )
-    return p
-
-
-def _kernel_sum(scalars: KernelScalars, s_eval, p: int, with_factorial: bool) -> Scalar:
-    rho, sigma, tau = scalars.integer_exponents()
-    s_eval = _scalar(s_eval)
-    a = scalars.a
+def _kernel_sum(exponents: tuple[int, int, int], a: CRat, s_eval: Scalar, p: int,
+                with_factorial: bool) -> Scalar:
+    rho, sigma, tau = exponents
     one_a = CR_ONE + a
     # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
     binomials = CRat(2 ** (sigma - 1)) * one_a ** (tau - 1) * a ** (1 - tau)
@@ -340,35 +318,50 @@ def _kernel_sum(scalars: KernelScalars, s_eval, p: int, with_factorial: bool) ->
     return binomials * (linear * s_eval + constant)
 
 
-def kp_constant(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = None,
-                s_eval=CR_ZERO, p_override: int = None) -> Scalar:
-    """The norm constant
-
-    ``K_p = sum_{m=1}^{p} sum_k sum_l C(sigma-1,k) C(tau-1,l) a^(-l)
-            (-1)^(m-1) eps0(m; s_eval)``.
-    """
-    scalars = _resolve_scalars(n, p, scalars)
-    rho, sigma, tau = scalars.integer_exponents()
-    bound = _p_bound(sigma, rho, p_override)
-    return _kernel_sum(scalars, s_eval, bound, with_factorial=False)
+def _nonzero_eigenvalue(E) -> Scalar:
+    E = _scalar(E)
+    if _is_zero(E):
+        raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
+    return E
 
 
 @dataclass(frozen=True)
 class GreenKernel:
-    """Separated kernel: truncated-exponential prefactor in the second
-    variable times a delta distribution in the first, with the accumulated
-    scalar kept alongside for reporting."""
+    """The kernel data of one ``green``/``ssf`` report.
 
-    prefactor: Polynomial
-    delta_part: Distribution
-    scalar: Scalar
-    n: int
+    The separated kernel is the truncated-exponential prefactor in the
+    second variable times ``scalar * delta`` in the first; ``kp`` is the
+    norm constant over the same bound, from which the Hilbert-Schmidt norm
+    and the coincidence kernel derive.
+    """
+
+    scalars: KernelScalars
     p_bound: int
-    s_eval: Scalar
+    prefactor: Polynomial
+    scalar: Scalar
+    kp: Scalar
 
-    def coincidence(self) -> Distribution:
-        """Kernel on the diagonal: the prefactor collapses to its value at 0."""
-        return self.delta_part * self.prefactor.eval(CR_ZERO)
+    @functools.cached_property
+    def omega_at_0(self) -> CRat:
+        """``omega(0)``, the constant term of the reassembled weight
+        polynomial; it vanishes exactly when ``rho > 1``, and ``a`` in
+        ``{0, 1}`` is refused here."""
+        s = self.scalars
+        return weight_value_at_zero(s.rho, s.sigma, s.tau, s.a)
+
+    def hs_norm_sq(self):
+        """``|K_p|^2 |omega(0)|^2``: exact for an exact K_p, else a float."""
+        kp_sq = self.kp.abs2() if isinstance(self.kp, CRat) else abs(self.kp) ** 2
+        return kp_sq * self.omega_at_0.abs2()
+
+    def coincidence(self, E) -> Distribution:
+        """Coincidence kernel ``G+-(E, w) = (K_p / E) delta(w)``.
+
+        The delta term has even order, so both half-plane signs give this
+        same kernel.
+        """
+        E = _nonzero_eigenvalue(E)
+        return Distribution.delta(0, 0, self.kp * (CR_ONE / E if isinstance(E, CRat) else 1.0 / E))
 
 
 def _truncated_exponential(p: int) -> Polynomial:
@@ -383,75 +376,62 @@ def _truncated_exponential(p: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def green_kernel(n: int = None, p: HeunParams = None, s_eval=CR_ZERO, *,
-                 scalars: KernelScalars = None, p_override: int = None) -> GreenKernel:
+def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
+                 p_override: int = None) -> GreenKernel:
     """Assemble the separated kernel
 
     ``G(z, w) = [sum_{m=1}^{p} (i w)^(m-1)/(m-1)!]
                  * [sum_{m=1}^{p} sum_k sum_l C C a^(-l) (-1)^(m-1)
                     eps0(m; s_eval) (m-1)!] delta(z)``
 
-    with the two ``m`` sums independent, exactly as printed.
+    with the two ``m`` sums independent, exactly as printed, and the norm
+    constant ``K_p``, the same sum without the ``(m-1)!`` weight.
     """
-    scalars = _resolve_scalars(n, p, scalars)
-    rho, sigma, tau = scalars.integer_exponents()
-    bound = _p_bound(sigma, rho, p_override)
-    coeff = _kernel_sum(scalars, s_eval, bound, with_factorial=True)
+    exponents = scalars.integer_exponents()
+    rho, sigma, _ = exponents
+    bound = sigma - rho if p_override is None else int(p_override)
+    if bound < 1:
+        raise ValueError(
+            f"summation bound p = {bound} is empty; the scalars give sigma - rho = "
+            f"{sigma - rho} (override it to proceed)"
+        )
+    s_eval = _scalar(s_eval)
     return GreenKernel(
-        prefactor=_truncated_exponential(bound),
-        delta_part=Distribution.delta(0, 0, coeff),
-        scalar=coeff,
-        n=scalars.n,
+        scalars=scalars,
         p_bound=bound,
-        s_eval=_scalar(s_eval),
+        prefactor=_truncated_exponential(bound),
+        scalar=_kernel_sum(exponents, scalars.a, s_eval, bound, with_factorial=True),
+        kp=_kernel_sum(exponents, scalars.a, s_eval, bound, with_factorial=False),
     )
 
 
-def _nonzero_eigenvalue(E) -> Scalar:
-    E = _scalar(E)
-    if _is_zero(E):
-        raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
-    return E
+def kp_constant(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None) -> Scalar:
+    """The norm constant
+
+    ``K_p = sum_{m=1}^{p} sum_k sum_l C(sigma-1,k) C(tau-1,l) a^(-l)
+            (-1)^(m-1) eps0(m; s_eval)``.
+    """
+    return green_kernel(scalars, s_eval, p_override=p_override).kp
 
 
-def _coincidence_from_kp(kp: Scalar, E: Scalar) -> Distribution:
-    """``(K_p / E) delta(w)`` for an eigenvalue already checked nonzero."""
-    return Distribution.delta(0, 0, kp * (CR_ONE / E if isinstance(E, CRat) else 1.0 / E))
-
-
-def _hs_norm_from_kp(kp: Scalar, omega0: CRat):
-    """``|K_p|^2 |omega(0)|^2``: exact for an exact K_p, else a float."""
-    if isinstance(kp, CRat):
-        return kp.abs2() * omega0.abs2()
-    return abs(kp) ** 2 * float(omega0.abs2())
-
-
-def green_coincidence(n: int = None, p: HeunParams = None, E=CR_ONE, *,
-                      scalars: KernelScalars = None, s_eval=CR_ZERO,
+def green_coincidence(scalars: KernelScalars, E=CR_ONE, *, s_eval=CR_ZERO,
                       p_override: int = None) -> Distribution:
-    """Coincidence kernel ``G+-(E, w) = (K_p / E) delta(w)``.
-
-    The delta term has even order, so both half-plane signs give this same
-    kernel.
-    """
+    """Coincidence kernel ``(K_p / E) delta(w)``; ``E = 0`` is refused
+    before the kernel is assembled."""
     E = _nonzero_eigenvalue(E)
-    kp = kp_constant(n, p, scalars=scalars, s_eval=s_eval, p_override=p_override)
-    return _coincidence_from_kp(kp, E)
+    return green_kernel(scalars, s_eval, p_override=p_override).coincidence(E)
 
 
-def hs_norm_sq(n: int = None, p: HeunParams = None, *, scalars: KernelScalars = None,
-               s_eval=CR_ZERO, p_override: int = None):
-    """Squared Hilbert-Schmidt norm ``|K_p|^2 |omega(0)|^2``.
+def hs_norm_sq(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None):
+    """Squared Hilbert-Schmidt norm ``|K_p|^2 |omega(0)|^2``; ``a`` in
+    ``{0, 1}`` is refused before the summation bound is checked.
 
-    ``omega(0)`` is the constant term of the reassembled weight polynomial,
-    which vanishes exactly when ``rho > 1``; the norm is finite for every
-    valid input and zero iff either factor is zero.
+    The norm is finite for every valid input and zero iff either factor is
+    zero.
     """
-    scalars = _resolve_scalars(n, p, scalars)
     rho, sigma, tau = scalars.integer_exponents()
-    omega0 = weight_value_at_zero(rho, sigma, tau, scalars.a)
-    kp = kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)
-    return _hs_norm_from_kp(kp, omega0)
+    weight_value_at_zero(rho, sigma, tau, scalars.a)  # the a check, before the bound
+    return green_kernel(scalars, s_eval, p_override=p_override).hs_norm_sq()
 
 
 def heaviside(lam: float) -> Fraction:
@@ -491,9 +471,11 @@ def ssf(lam: float, G: Distribution) -> SSFValue:
 
 def trace_green(G) -> Scalar:
     """Trace of the Green integral operator under delta semantics: the
-    pairing of the coincidence kernel with the constant polynomial 1."""
+    pairing of the kernel on the diagonal (or of a given distribution) with
+    the constant polynomial 1."""
     if isinstance(G, GreenKernel):
-        return pair(G.coincidence(), Polynomial.one())
+        # on the diagonal the prefactor collapses to its value at 0
+        G = Distribution.delta(0, 0, G.scalar * G.prefactor.eval(CR_ZERO))
     if isinstance(G, Distribution):
         return pair(G, Polynomial.one())
     raise TypeError(f"expected GreenKernel or Distribution, got {type(G).__name__}")

@@ -50,6 +50,7 @@ __all__ = [
     "verify_theorem1",
     "indicial_discrepancies",
     "es_discrepancies",
+    "expanded_es_coeffs",
     "es_condition",
     "es_operator",
     "qes_matrix",
@@ -509,7 +510,9 @@ def qes_matrix(L: DiffOp, N: int) -> tuple[tuple[CRat, ...], ...]:
     if N < 0:
         raise ValueError("N must be nonnegative")
     nonzero = [[(i, x) for i, x in enumerate(pk.coeffs) if not x.is_zero()] for pk in L.terms]
-    rows = [[CR_ZERO] * (N + 1) for _ in range(N + 1)]
+    # sparse columns until the last one passes: a refused N allocates no
+    # dense (N+1)^2 matrix
+    cols: list[dict[int, CRat]] = []
     for c in range(N + 1):
         col: dict[int, CRat] = {}
         for k, cells in enumerate(nonzero[: c + 1]):  # D^k z^c = 0 for k > c
@@ -519,10 +522,13 @@ def qes_matrix(L: DiffOp, N: int) -> tuple[tuple[CRat, ...], ...]:
         degree = max((r for r, x in col.items() if not x.is_zero()), default=-1)
         if degree > N:
             raise OverflowColumn(c, degree, N)
+        cols.append(col)
+    dense = [[CR_ZERO] * (N + 1) for _ in cols]
+    for column, col in zip(dense, cols):
         for r, x in col.items():
-            if r <= N:
-                rows[r][c] = x
-    return tuple(tuple(row) for row in rows)
+            if r <= N:  # entries past N cancelled to zero
+                column[r] = x
+    return tuple(zip(*dense))
 
 
 def is_lower_triangular(M: Sequence[Sequence[CRat]]) -> bool:

@@ -153,6 +153,7 @@ class TestFactoredKernelSums:
         gk = green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override)
         assert kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
         assert gk.scalar == reference_kernel_sum(scalars, s_eval, p, with_factorial=True)
+        assert gk.kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
         assert isinstance(kp, CRat) and isinstance(gk.scalar, CRat)
 
     @given(
@@ -190,14 +191,15 @@ class TestFactoredKernelSums:
                 return fn(*args, **kwargs)
             return wrapper
 
-        kp = counted("kp_constant", greenssf.kp_constant)
-        monkeypatch.setattr(greenssf, "kp_constant", kp)
-        monkeypatch.setattr(cli, "kp_constant", kp)
-        monkeypatch.setattr(greenssf, "symbol_coeffs",
-                            counted("symbol_coeffs", greenssf.symbol_coeffs))
+        kernel = counted("green_kernel", greenssf.green_kernel)
+        monkeypatch.setattr(greenssf, "green_kernel", kernel)
+        monkeypatch.setattr(cli, "green_kernel", kernel)
+        for name in ("_kernel_sum", "symbol_coeffs"):
+            monkeypatch.setattr(greenssf, name, counted(name, getattr(greenssf, name)))
         argv = [command, *GREEN_ARGV[1:]]
         assert cli.main(argv) == 0
-        assert calls == ["kp_constant"]
+        # one kernel: one weighted sum and one K_p, and no symbol built
+        assert calls == ["green_kernel", "_kernel_sum", "_kernel_sum"]
         report = json.loads(capsys.readouterr().out)
         # the values derived from that one K_p are the library's own
         scalars = KernelScalars.direct(1, Fraction(3, 2), 1, 5, 3)

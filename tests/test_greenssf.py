@@ -209,16 +209,16 @@ class TestGreenKernel:
         p = HeunParams(a=2, q=1, alpha=1, beta=1, gamma=-1, delta=-13, epsilon=-1)
         scal = KernelScalars.from_heun(-1, p)
         assert (scal.rho, scal.sigma, scal.tau) == (CRat(3), CRat(5), CRat(2))
-        gk = green_kernel(-1, p)
+        gk = green_kernel(KernelScalars.from_heun(-1, p))
         assert gk.p_bound == 2
 
     def test_integer_guard(self):
         p = es_params(0)
         with pytest.raises(NonIntegerExponents):
-            green_kernel(0, p)  # rho = 3/2
+            green_kernel(KernelScalars.from_heun(0, p))  # rho = 3/2
         p1 = es_params(1)
         with pytest.raises(NonIntegerExponents):
-            green_kernel(1, p1)  # rho = 0
+            green_kernel(KernelScalars.from_heun(1, p1))  # rho = 0
 
     def test_empty_bound_needs_override(self):
         scal = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
@@ -365,3 +365,54 @@ class TestTrace:
     def test_higher_order_terms_do_not_contribute(self):
         d = Distribution([(0, 0, CRat(4)), (2, 0, CRat(9))])
         assert trace_green(d) == CRat(4)
+
+
+EMPTY_BOUND = ("summation bound p = 0 is empty; the scalars give sigma - rho = 0 "
+               "(override it to proceed)")
+KERNEL_FUNCTIONS = {
+    "green_kernel": lambda scal, E, **kw: green_kernel(scalars=scal, **kw),
+    "kp_constant": lambda scal, E, **kw: kp_constant(scalars=scal, **kw),
+    "hs_norm_sq": lambda scal, E, **kw: hs_norm_sq(scalars=scal, **kw),
+    "green_coincidence": lambda scal, E, **kw: green_coincidence(scalars=scal, E=E, **kw),
+}
+# rho = tau = 2: sigma = 2 leaves the default bound empty, sigma = 4 gives 2
+BOUNDS = {"empty": (2, {}), "default": (4, {}), "overridden": (2, {"p_override": 3})}
+FIRST_EXCEPTIONS = [
+    *[("hs_norm_sq", a, bound, 1, ValueError, f"a must avoid 0 and 1, got {a}")
+      for a in (0, 1) for bound in BOUNDS],
+    *[(fn, 0, bound, 1, ZeroDivisionError, "division by zero CRat")
+      for bound in ("default", "overridden")
+      for fn in ("green_kernel", "kp_constant", "green_coincidence")],
+    *[(fn, a, "empty", 1, ValueError, EMPTY_BOUND)
+      for a in (0, 1) for fn in ("green_kernel", "kp_constant", "green_coincidence")],
+    *[(fn, 1, bound, 1, None, None)
+      for bound in ("default", "overridden")
+      for fn in ("green_kernel", "kp_constant", "green_coincidence")],
+    *[("green_coincidence", a, bound, 0, ZeroEigenvalue,
+       "coincidence kernel scales by 1/E; E = 0 is invalid")
+      for a in (0, 1) for bound in BOUNDS],
+]
+
+
+@pytest.mark.parametrize("fn, a, bound, E, exc, message", FIRST_EXCEPTIONS)
+def test_first_exception(fn, a, bound, E, exc, message):
+    sigma, kwargs = BOUNDS[bound]
+    scal = KernelScalars.direct(n=1, a=a, rho=2, sigma=sigma, tau=2)
+    if exc is None:
+        KERNEL_FUNCTIONS[fn](scal, CRat(E), **kwargs)
+        return
+    with pytest.raises(exc) as info:
+        KERNEL_FUNCTIONS[fn](scal, CRat(E), **kwargs)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fn", list(KERNEL_FUNCTIONS))
+def test_first_exception_non_integer_exponent(fn):
+    # the exponents are checked first, with integer_exponents' own message
+    scal = KernelScalars.direct(n=1, a=1, rho=Fraction(1, 2), sigma=2, tau=2)
+    with pytest.raises(NonIntegerExponents) as info:
+        KERNEL_FUNCTIONS[fn](scal, CRat(1))
+    assert str(info.value) == (
+        "rho = 1/2 is not a positive integer; the weight table and kernel sums are undefined"
+    )

@@ -354,6 +354,23 @@ class TestQESMatrix:
             qes_matrix(build_expanded(p), 3)
         assert exc.value.column == 3
 
+    def test_refused_bound_allocates_no_dense_matrix(self):
+        # the overflow is only found at the last column; a dense 3001^2
+        # matrix of references alone would take 72 MB
+        import tracemalloc
+
+        p = HeunParams(a=2, q=1, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
+        L = build_expanded(p)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowColumn) as exc:
+                qes_matrix(L, 3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.column == 3000
+        assert peak < 8 * 2**20
+
     def test_es_matrix_survives_exactly_on_its_module(self):
         p = es_params(2)
         M = qes_matrix(es_operator(2, p), 2)
