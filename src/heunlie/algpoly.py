@@ -39,7 +39,7 @@ __all__ = [
 #: degree/order of the zero polynomial / zero operator
 NEG_INF = float("-inf")
 
-ExactLike = Union[int, Fraction, "CRat", str]
+ExactLike = Union[int, Fraction]
 ScalarLike = Union[int, float, complex, Fraction, "CRat"]
 
 
@@ -48,8 +48,6 @@ def _fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return _strict_fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
@@ -68,11 +66,6 @@ class CRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re: ExactLike = 0, im: ExactLike = 0):
-        if isinstance(re, str):
-            if im:
-                raise TypeError("pass a single literal or two exact parts, not both")
-            parsed = CRat.parse(re)
-            re, im = parsed.re, parsed.im
         object.__setattr__(self, "re", _fraction(re))
         object.__setattr__(self, "im", _fraction(im))
 

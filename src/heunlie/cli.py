@@ -303,6 +303,8 @@ def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
     n = _check_n(n)
     j = Spin.from_n(n).j
     size = n if N is None else N
+    if not 0 <= size <= 64:
+        raise ValueError(f"N must be in 0..64, got {size}")
     L = build_expanded(params)
     M = qes_matrix(L, size)
     lower, upper, spectrum = matrix_spectrum(M)
@@ -353,7 +355,7 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
             seq = forward(spec, c0, c1, K)
             block["sequence"] = seq.as_list()
             block["residuals"] = [
-                {"k": k, "value": _jsonable(v)} for k, v in residual_check(seq, spec, branch)
+                {"k": k, "value": str(v)} for k, v in residual_check(seq, spec, branch)
             ]
         except DegenerateLeading as exc:
             block["error"] = str(exc)
@@ -404,13 +406,13 @@ def payload_green(args, params: HeunParams) -> dict:
         ).as_dict(),
         "n": scalars.n,
         "p_bound": kernel.p_bound,
-        "s_eval": _jsonable(args.s_eval),
+        "s_eval": str(args.s_eval),
         "prefactor_coeffs": [str(c) for c in kernel.prefactor.coeffs],
-        "kernel_coeff": _jsonable(kernel.scalar),
-        "kp": _jsonable(kernel.kp),
+        "kernel_coeff": str(kernel.scalar),
+        "kp": str(kernel.kp),
         "omega_at_0": str(omega0),
         "hs_norm_sq": str(kernel.hs_norm_sq()),
-        "trace": _jsonable(trace_green(kernel)),
+        "trace": str(trace_green(kernel)),
         "ssf": shift.as_dict(),
     }
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd
 
@@ -209,17 +209,6 @@ class RecurrenceSpec:
         }
 
 
-Scalar = Union[CRat, complex]
-
-
-def _scalar(x) -> Scalar:
-    if isinstance(x, (CRat, complex)):
-        return x
-    if isinstance(x, float):
-        return complex(x)
-    return CRat.from_value(x)
-
-
 def _real_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0."""
     key = ("real", k)
@@ -248,7 +237,7 @@ def _imag_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     return out
 
 
-def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
+def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     """Solve the real-part recurrence for ``c_k``.
 
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
@@ -259,10 +248,10 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
         raise DegenerateLeading(
             f"ab * (k)_l = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return (B * _scalar(c_km1) - A * _scalar(c_km2)) / C
+    return (B * CRat.from_value(c_km1) - A * CRat.from_value(c_km2)) / C
 
 
-def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
+def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     """Solve the imaginary-part recurrence for ``c_k``.
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
@@ -272,7 +261,7 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> Scalar:
         raise DegenerateLeading(
             f"E * (k)_(l-1) = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return (A * _scalar(c_km2) - B * _scalar(c_km1)) / C
+    return (A * CRat.from_value(c_km2) - B * CRat.from_value(c_km1)) / C
 
 
 @dataclass(frozen=True)
@@ -287,20 +276,14 @@ class CoeffSequence:
     def __getitem__(self, k: int):
         return self.values[k]
 
-    def as_list(self) -> list:
-        out = []
-        for v in self.values:
-            if isinstance(v, (CRat, Surd)):
-                out.append(str(v))
-            else:
-                out.append([v.real, v.imag])
-        return out
+    def as_list(self) -> list[str]:
+        return [str(v) for v in self.values]
 
 
 def _forward(spec, c0, c1, K, start, step) -> CoeffSequence:
     if K < 1:
         raise ValueError("truncation K must be at least 1")
-    vals = [_scalar(c0), _scalar(c1)]
+    vals = [CRat.from_value(c0), CRat.from_value(c1)]
     for k in range(2, K + 1):
         if k < start:
             # recurrence does not determine this band; take the minimal choice
@@ -375,9 +358,9 @@ def paper_ck(A, B, roots_fn: RootsFn, spec: RecurrenceSpec, K: int,
     real branch), so ``start`` can defer the closed form to that range;
     entries below ``start`` are zero.
     """
-    A = _scalar(A)
-    B = _scalar(B)
-    if not _sums_to_one(A, B):
+    A = CRat.from_value(A)
+    B = CRat.from_value(B)
+    if A + B != CR_ONE:
         raise ValueError("closed-form weights must satisfy A + B = 1")
     vals = []
     for k in range(K + 1):
@@ -387,30 +370,23 @@ def paper_ck(A, B, roots_fn: RootsFn, spec: RecurrenceSpec, K: int,
         center, spread = roots_fn(spec, k)
         plus = _as_surd(center) + _as_surd(spread)
         minus = _as_surd(center) - _as_surd(spread)
-        if isinstance(A, CRat) and isinstance(B, CRat):
-            term = A * (plus ** k) + B * (minus ** k)
-            vals.append(term.exact_value() if isinstance(term, Surd) and term.is_exact() else term)
-        else:
-            vals.append(A * complex(plus) ** k + B * complex(minus) ** k)
+        term = A * (plus ** k) + B * (minus ** k)
+        vals.append(term.exact_value() if term.is_exact() else term)
     return CoeffSequence(tuple(vals))
-
-
-def _sums_to_one(A, B) -> bool:
-    if isinstance(A, CRat) and isinstance(B, CRat):
-        return A + B == CR_ONE
-    return abs(complex(A) + complex(B) - 1.0) < 1e-12
 
 
 def _as_surd(x) -> Surd:
     return x if isinstance(x, Surd) else Surd.from_value(x)
 
 
-def residual_check(c: CoeffSequence, spec: RecurrenceSpec, which: str) -> list[tuple[int, Scalar]]:
+def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
+                   which: str) -> list[tuple[int, CRat | complex]]:
     """Left-hand side of the chosen recurrence on each admissible index.
 
     Admissible means the recurrence's own validity range: ``k >= l`` for the
     real branch, ``k >= l - 1`` for the imaginary one (and ``k >= 2`` so all
     three entries exist).  Exact zero residuals certify a true solution.
+    A row that reads an irrational :func:`paper_ck` entry is a float complex.
     """
     if len(c) < 3:
         raise ValueError("need at least c_0, c_1, c_2 to evaluate residuals")
@@ -431,7 +407,7 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec, which: str) -> list[t
         x, y, z = vals[k - 2], vals[k - 1], vals[k]
         if isinstance(x, CRat) and isinstance(y, CRat) and isinstance(z, CRat):
             lead = A * x - B * y
-            res: Scalar = (lead if which == "real" else -lead) + C * z
+            res = (lead if which == "real" else -lead) + C * z
         else:
             res = (
                 signs[0] * complex(A) * complex(x)

@@ -15,6 +15,10 @@ So each kernel sum is that factor times a sum over ``m``, which
 The summation bound is ``p = sigma - rho`` unless overridden: the printed
 bound formally depends on an inner summation index, and this is its largest
 value.
+
+Every kernel, distribution and norm value is exact: a float or complex input
+raises ``TypeError``.  Floats appear only in :func:`eta_roots` and in the
+level ``lambda`` of :func:`ssf`, whose step reads only its sign.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
-from .distsol import NonIntegerExponents, Scalar, _scalar, weight_value_at_zero
+from .distsol import NonIntegerExponents, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
 __all__ = [
@@ -60,37 +64,31 @@ class ZeroEigenvalue(ZeroDivisionError):
     """Coincidence kernels scale by 1/E; E = 0 is not invertible."""
 
 
-def _is_zero(x: Scalar) -> bool:
-    return x.is_zero() if isinstance(x, CRat) else x == 0
-
-
 class Distribution:
     """Finite sum ``sum_i coeff_i * delta^(order_i)(x - center_i)``.
 
-    Terms sharing an order and an equal center (of any scalar type) are
-    merged under the first-seen center, and zero coefficients are pruned.
-    Terms are kept sorted by order and the text of their center; equality
-    and hashing ignore that order, so they are semantic.
+    Centers and coefficients are exact (``CRat.from_value``).  Terms sharing
+    an order and a center are merged, zero coefficients are pruned, and the
+    rest are sorted by order and the text of their center.  That is one
+    canonical form per value, so equality and hashing read ``terms`` alone.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable = ()):
-        # equal centers share a key whatever their types: hash agrees with ==
         merged: dict = {}
         for order, center, coeff in terms:
             if not isinstance(order, int) or order < 0:
                 raise ValueError(f"delta derivative order must be an integer >= 0, got {order!r}")
-            center = _scalar(center)
-            coeff = _scalar(coeff)
-            old = merged.get((order, center))
-            merged[order, center] = (center, coeff) if old is None else (old[0], old[1] + coeff)
+            key = (order, CRat.from_value(center))
+            coeff = CRat.from_value(coeff)
+            merged[key] = merged[key] + coeff if key in merged else coeff
         kept = [
             (order, center, coeff)
-            for (order, _), (center, coeff) in merged.items()
-            if not _is_zero(coeff)
+            for (order, center), coeff in merged.items()
+            if not coeff.is_zero()
         ]
-        kept.sort(key=lambda t: (t[0], str(t[1]) if isinstance(t[1], CRat) else repr(t[1])))
+        kept.sort(key=lambda t: (t[0], str(t[1])))
         object.__setattr__(self, "terms", tuple(kept))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -107,8 +105,12 @@ class Distribution:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, order: int, center=0) -> Scalar:
-        return self._by_key().get((order, _scalar(center)), CR_ZERO)
+    def coefficient(self, order: int, center=0) -> CRat:
+        center = CRat.from_value(center)
+        for o, c, coeff in self.terms:
+            if o == order and c == center:
+                return coeff
+        return CR_ZERO
 
     def __add__(self, other: "Distribution") -> "Distribution":
         if not isinstance(other, Distribution):
@@ -116,7 +118,7 @@ class Distribution:
         return Distribution(self.terms + other.terms)
 
     def __mul__(self, scalar) -> "Distribution":
-        scalar = _scalar(scalar)
+        scalar = CRat.from_value(scalar)
         return Distribution([(o, c, coeff * scalar) for o, c, coeff in self.terms])
 
     __rmul__ = __mul__
@@ -124,16 +126,13 @@ class Distribution:
     def __neg__(self) -> "Distribution":
         return self * CRat(-1)
 
-    def _by_key(self) -> dict:
-        return {(order, center): coeff for order, center, coeff in self.terms}
-
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented
-        return self._by_key() == other._by_key()
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self._by_key().items()))
+        return hash(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -141,39 +140,27 @@ class Distribution:
         chunks = []
         for order, center, coeff in self.terms:
             d = "delta" if order == 0 else f"delta^({order})"
-            at = "z" if _is_zero(center) else f"z-({center})"
+            at = "z" if center.is_zero() else f"z-({center})"
             chunks.append(f"({coeff}) {d}({at})")
         return " + ".join(chunks)
 
     def __repr__(self):
         return f"Distribution({str(self)!r})"
 
-    def as_list(self) -> list:
-        out = []
-        for order, center, coeff in self.terms:
-            out.append(
-                {
-                    "order": order,
-                    "center": _scalar_json(center),
-                    "coeff": _scalar_json(coeff),
-                }
-            )
-        return out
+    def as_list(self) -> list[dict]:
+        return [
+            {"order": order, "center": str(center), "coeff": str(coeff)}
+            for order, center, coeff in self.terms
+        ]
 
 
-def _scalar_json(x: Scalar):
-    if isinstance(x, CRat):
-        return str(x)
-    return [x.real, x.imag]
-
-
-def pair(d: Distribution, f: Polynomial) -> Scalar:
+def pair(d: Distribution, f: Polynomial) -> CRat:
     """Distributional pairing: ``sum coeff * (-1)^order * f^(order)(center)``.
 
     This is the oracle every delta identity is checked against; exact when
     both sides are exact.
     """
-    total: Scalar = CR_ZERO
+    total = CR_ZERO
     for order, center, coeff in d.terms:
         sign = CRat(-1 if order % 2 else 1)
         total = total + coeff * sign * f.derivative(order).eval(center)
@@ -283,10 +270,11 @@ def symbol_coeffs(m_kl: int, n: int, scalars: KernelScalars) -> SymbolCoeffs:
 
 def eta_roots(sc: SymbolCoeffs, s) -> tuple[complex, complex]:
     """Roots ``(-eps1 +- sqrt(eps1^2 - 4 eps0 eps2)) / (2 eps0)`` of the
-    symbol quadratic at the evaluation point ``s`` (principal branch)."""
-    e0 = complex(_scalar(sc.eps0.eval(_scalar(s))))
-    e1 = complex(_scalar(sc.eps1.eval(_scalar(s))))
-    e2 = complex(_scalar(sc.eps2.eval(_scalar(s))))
+    symbol quadratic at the evaluation point ``s`` (principal branch), in
+    floating point; ``s`` may be exact or a Python complex."""
+    e0 = complex(sc.eps0.eval(s))
+    e1 = complex(sc.eps1.eval(s))
+    e2 = complex(sc.eps2.eval(s))
     if e0 == 0:
         raise DegenerateQuadratic(f"eps0 vanishes at s = {s}; eta roots undefined")
     root = cmath.sqrt(e1 * e1 - 4 * e0 * e2)
@@ -296,8 +284,8 @@ def eta_roots(sc: SymbolCoeffs, s) -> tuple[complex, complex]:
 # -- kernel assembly -----------------------------------------------------------
 
 
-def _kernel_sum(exponents: tuple[int, int, int], a: CRat, s_eval: Scalar, p: int,
-                with_factorial: bool) -> Scalar:
+def _kernel_sum(exponents: tuple[int, int, int], a: CRat, s_eval: CRat, p: int,
+                with_factorial: bool) -> CRat:
     rho, sigma, tau = exponents
     one_a = CR_ONE + a
     # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
@@ -318,9 +306,9 @@ def _kernel_sum(exponents: tuple[int, int, int], a: CRat, s_eval: Scalar, p: int
     return binomials * (linear * s_eval + constant)
 
 
-def _nonzero_eigenvalue(E) -> Scalar:
-    E = _scalar(E)
-    if _is_zero(E):
+def _nonzero_eigenvalue(E) -> CRat:
+    E = CRat.from_value(E)
+    if E.is_zero():
         raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
     return E
 
@@ -338,8 +326,8 @@ class GreenKernel:
     scalars: KernelScalars
     p_bound: int
     prefactor: Polynomial
-    scalar: Scalar
-    kp: Scalar
+    scalar: CRat
+    kp: CRat
 
     @functools.cached_property
     def omega_at_0(self) -> CRat:
@@ -349,10 +337,9 @@ class GreenKernel:
         s = self.scalars
         return weight_value_at_zero(s.rho, s.sigma, s.tau, s.a)
 
-    def hs_norm_sq(self):
-        """``|K_p|^2 |omega(0)|^2``: exact for an exact K_p, else a float."""
-        kp_sq = self.kp.abs2() if isinstance(self.kp, CRat) else abs(self.kp) ** 2
-        return kp_sq * self.omega_at_0.abs2()
+    def hs_norm_sq(self) -> Fraction:
+        """``|K_p|^2 |omega(0)|^2``, exactly."""
+        return self.kp.abs2() * self.omega_at_0.abs2()
 
     def coincidence(self, E) -> Distribution:
         """Coincidence kernel ``G+-(E, w) = (K_p / E) delta(w)``.
@@ -361,7 +348,7 @@ class GreenKernel:
         same kernel.
         """
         E = _nonzero_eigenvalue(E)
-        return Distribution.delta(0, 0, self.kp * (CR_ONE / E if isinstance(E, CRat) else 1.0 / E))
+        return Distribution.delta(0, 0, self.kp * (CR_ONE / E))
 
 
 def _truncated_exponential(p: int) -> Polynomial:
@@ -395,7 +382,7 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
             f"summation bound p = {bound} is empty; the scalars give sigma - rho = "
             f"{sigma - rho} (override it to proceed)"
         )
-    s_eval = _scalar(s_eval)
+    s_eval = CRat.from_value(s_eval)
     return GreenKernel(
         scalars=scalars,
         p_bound=bound,
@@ -405,7 +392,7 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
     )
 
 
-def kp_constant(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None) -> Scalar:
+def kp_constant(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None) -> CRat:
     """The norm constant
 
     ``K_p = sum_{m=1}^{p} sum_k sum_l C(sigma-1,k) C(tau-1,l) a^(-l)
@@ -422,7 +409,7 @@ def green_coincidence(scalars: KernelScalars, E=CR_ONE, *, s_eval=CR_ZERO,
     return green_kernel(scalars, s_eval, p_override=p_override).coincidence(E)
 
 
-def hs_norm_sq(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None):
+def hs_norm_sq(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None) -> Fraction:
     """Squared Hilbert-Schmidt norm ``|K_p|^2 |omega(0)|^2``; ``a`` in
     ``{0, 1}`` is refused before the summation bound is checked.
 
@@ -469,7 +456,7 @@ def ssf(lam: float, G: Distribution) -> SSFValue:
     return SSFValue(kernel=G, heaviside_arg=float(lam))
 
 
-def trace_green(G) -> Scalar:
+def trace_green(G) -> CRat:
     """Trace of the Green integral operator under delta semantics: the
     pairing of the kernel on the diagonal (or of a given distribution) with
     the constant polynomial 1."""

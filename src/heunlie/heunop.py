@@ -172,17 +172,13 @@ def build_expanded(p: HeunParams) -> DiffOp:
     (see the ``eq3_linear_z_coeff`` discrepancy row for the variant that
     drops the factor ``a``).
     """
-    one = CR_ONE
-    lead = Polynomial([CR_ZERO, p.a, -(one + p.a), one])
-    first = Polynomial(
-        [
-            p.gamma * p.a,
-            -((one + p.a) * p.gamma + p.a * p.delta + p.epsilon),
-            p.gamma + p.delta + p.epsilon,
-        ]
-    )
-    zero = Polynomial([-p.q, p.alpha * p.beta])
-    return DiffOp([zero, first, lead])
+    return ExpandedCoeffs(
+        rho=p.gamma + p.delta + p.epsilon,
+        sigma=-((CR_ONE + p.a) * p.gamma + p.a * p.delta + p.epsilon),
+        tau=p.gamma * p.a,
+        abProduct=p.alpha * p.beta,
+        qShift=p.q,
+    ).assemble(p.a)
 
 
 # -- Frobenius data ---------------------------------------------------------
@@ -337,12 +333,15 @@ class ExpandedCoeffs:
     abProduct: CRat
     qShift: CRat
 
+    @staticmethod
+    def lead(a: CRat) -> Polynomial:
+        """The leading coefficient ``z (z - 1) (z - a)`` of the shape."""
+        return Polynomial([CR_ZERO, a, -(CR_ONE + a), CR_ONE])
+
     def assemble(self, a: CRat) -> DiffOp:
-        one = CR_ONE
-        lead = Polynomial([CR_ZERO, a, -(one + a), one])
         first = Polynomial([self.tau, self.sigma, self.rho])
         zero = Polynomial([-self.qShift, self.abProduct])
-        return DiffOp([zero, first, lead])
+        return DiffOp([zero, first, self.lead(a)])
 
 
 def extract_expanded_coeffs(L: DiffOp, a) -> ExpandedCoeffs:
@@ -351,9 +350,7 @@ def extract_expanded_coeffs(L: DiffOp, a) -> ExpandedCoeffs:
     Raises :class:`OracleMismatch` when the leading coefficient is not
     exactly ``z (z - 1) (z - a)`` or the lower parts exceed their degrees.
     """
-    a = CRat.from_value(a)
-    lead_expect = Polynomial([CR_ZERO, a, -(CR_ONE + a), CR_ONE])
-    if L.coeff(2) != lead_expect or L.order != 2:
+    if L.coeff(2) != ExpandedCoeffs.lead(CRat.from_value(a)) or L.order != 2:
         raise OracleMismatch("operator is not in the expanded normal shape")
     first = L.coeff(1)
     zero = L.coeff(0)

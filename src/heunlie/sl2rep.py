@@ -119,9 +119,6 @@ class UEAExpr:
                 total = total + coeff
         return total
 
-    def __add__(self, other: "UEAExpr") -> "UEAExpr":
-        return UEAExpr(self.words + other.words, self.constant + other.constant)
-
     def __eq__(self, other):
         if not isinstance(other, UEAExpr):
             return NotImplemented

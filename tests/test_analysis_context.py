@@ -177,7 +177,7 @@ def _rand_band_entry(rng, zeros):
 
 
 def _rand_matrix(rng, size, band):
-    zeros = [CR_ZERO, CRat(0), CRat(Fraction(0), Fraction(0)), -CRat(0), CRat("-0"),
+    zeros = [CR_ZERO, CRat(0), CRat(Fraction(0), Fraction(0)), -CRat(0), CRat.parse("-0"),
              CRat(0) * CRat(5)]
     return tuple(
         tuple(

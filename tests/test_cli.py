@@ -99,6 +99,20 @@ class TestSpectrum:
         assert code == 4
         assert "column z^3" in err
 
+    @pytest.mark.parametrize("N", [65, 300, -1])
+    def test_degree_bound_outside_0_to_64_exits_2(self, capsys, N):
+        # alpha = -N preserves degree N, so an unbounded N would build and
+        # render an (N+1)^2 matrix
+        argv = ["spectrum", *ES1[:4], f"--alpha={-abs(N)}", *ES1[6:], "--n", "1", f"--N={N}"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"heunlie: invalid parameters: N must be in 0..64, got {N}\n"
+
+    def test_degree_bound_below_n_still_overflows(self, capsys):
+        code, _, err = run(capsys, "spectrum", *BASE, "--n", "8", "--N=4")
+        assert code == 4
+        assert "column z^4" in err
+
     def test_tridiagonal_case_uses_float_spectrum(self, capsys):
         code, out, _ = run(
             capsys, "spectrum", "--a", "2", "--q", "1", "--alpha", "-2",

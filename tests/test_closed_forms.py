@@ -5,7 +5,6 @@ which stay here as references."""
 
 import dataclasses
 import json
-import math
 import operator
 from fractions import Fraction
 
@@ -36,7 +35,6 @@ from heunlie.greenssf import (
     green_kernel,
     hs_norm_sq,
     kp_constant,
-    symbol_coeffs,
 )
 from heunlie.heunop import (
     HeunParams,
@@ -155,31 +153,6 @@ class TestFactoredKernelSums:
         assert gk.scalar == reference_kernel_sum(scalars, s_eval, p, with_factorial=True)
         assert gk.kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
         assert isinstance(kp, CRat) and isinstance(gk.scalar, CRat)
-
-    @given(
-        kernel_case_st(),
-        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_float_s_eval_within_relative_tolerance(self, case, s_eval):
-        # The factored sum rounds differently from the triple loop.  Both are
-        # within a few hundred ulps of the sum of the terms' moduli, so the
-        # tolerance is 1e-12 of that scale, which cancellation cannot shrink.
-        scalars, p_override = case
-        p = _bound(scalars, p_override)
-        _, sigma, tau = scalars.integer_exponents()
-        binomial_scale = 2 ** (sigma - 1) * (1 + 1 / abs(complex(scalars.a))) ** (tau - 1)
-        for with_factorial, got in (
-            (False, kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)),
-            (True, green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override).scalar),
-        ):
-            ref = reference_kernel_sum(scalars, s_eval, p, with_factorial)
-            scale = binomial_scale * sum(
-                abs(complex(symbol_coeffs(m, scalars.n, scalars).eps0.eval(s_eval)))
-                * (math.factorial(m - 1) if with_factorial else 1)
-                for m in range(1, p + 1)
-            )
-            assert abs(complex(got) - complex(ref)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("command", ["green", "ssf"])
     def test_report_builds_kp_once_and_no_symbol(self, monkeypatch, capsys, command):
@@ -366,8 +339,7 @@ class TestSharedBrackets:
         spec_st(max_l=4),
         st.sampled_from(sorted(BRANCHES)),
         exact_operand_st,
-        st.one_of(exact_operand_st, st.complex_numbers(max_magnitude=4, allow_nan=False,
-                                                       allow_infinity=False)),
+        exact_operand_st,
         st.integers(2, 24),
     )
     @settings(max_examples=150, deadline=None)
@@ -384,8 +356,8 @@ class TestSharedBrackets:
         table = reference_residuals(seq, spec, which)
         assert residual_check(seq, spec, which) == table
         assert residual_check(seq, dataclasses.replace(spec), which) == table
-        if all(isinstance(v, CRat) for v in expected):
-            assert all(res == 0 for _, res in table)
+        assert all(type(v) is CRat for v in expected)
+        assert all(res == 0 for _, res in table)
 
     @given(spec_st(max_l=3), st.sampled_from(sorted(BRANCHES)), st.integers(2, 10))
     @settings(max_examples=60, deadline=None)

@@ -34,6 +34,11 @@ def representations(z: CRat) -> list:
     return out
 
 
+def exact_representations(z: CRat) -> list:
+    """``z`` as every exact type that ``CRat.from_value`` accepts."""
+    return [x for x in representations(z) if isinstance(x, (CRat, Fraction, int))]
+
+
 scalar_st = crat_st.flatmap(lambda z: st.sampled_from(representations(z)))
 surd_st = st.one_of(
     st.builds(Surd, crat_st),
@@ -41,9 +46,8 @@ surd_st = st.one_of(
 )
 poly_st = st.lists(crat_st, max_size=3).map(Polynomial)
 diffop_st = st.lists(poly_st, max_size=3).map(DiffOp)
-# centers and coefficients as exact values or as floats, which Distribution
-# keeps as complex
-dist_scalar_st = scalar_st.filter(lambda x: not isinstance(x, (Surd, Polynomial)))
+# centers and coefficients as any exact type; Distribution keeps them as CRat
+dist_scalar_st = crat_st.flatmap(lambda z: st.sampled_from(exact_representations(z)))
 distribution_st = st.lists(
     st.tuples(st.integers(0, 1), dist_scalar_st, dist_scalar_st), max_size=3
 ).map(Distribution)
@@ -99,50 +103,50 @@ class TestEqualValuesHashEqually:
         assert_consistent(a, b)
 
     @given(distribution_st, distribution_st)
-    @example(Distribution.delta(0, Fraction(1, 2), 2), Distribution.delta(0, 0.5, 2.0))
-    @example(Distribution.delta(1, 0, CRat(-3, 0)), Distribution.delta(1, 0.0, -3))
-    @example(Distribution.delta(0, CRat(-1, 1), 1), Distribution.delta(0, -1 + 1j, 1))
+    @example(Distribution.delta(0, Fraction(1, 2), 2),
+             Distribution.delta(0, CRat(Fraction(1, 2)), CRat(2)))
+    @example(Distribution.delta(1, 0, CRat(-3, 0)), Distribution.delta(1, Fraction(0), -3))
+    @example(Distribution.delta(0, CRat(-1, 1), 1), Distribution.delta(0, CRat(-1, 1), Fraction(1)))
     @settings(max_examples=300, deadline=None)
     def test_distribution(self, a, b):
         assert_consistent(a, b)
 
 
-def dist_representations(z: CRat) -> list:
-    """``z`` as every type a ``Distribution`` center can take."""
-    return [x for x in representations(z) if not isinstance(x, (Surd, Polynomial))]
-
-
 class TestDistributionCenters:
     def test_equal_centers_of_two_types_merge(self):
-        d = Distribution([(0, CRat(Fraction(1, 2)), 1), (0, 0.5, 1)])
+        d = Distribution([(0, CRat(Fraction(1, 2)), 1), (0, Fraction(1, 2), 1)])
         assert len(d.terms) == 1
         assert d.terms[0][1] == CRat(Fraction(1, 2)) and isinstance(d.terms[0][1], CRat)
         assert d == Distribution.delta(0, Fraction(1, 2), 2)
         assert str(d) == "(2) delta(z-(1/2))"
 
-    def test_first_seen_center_is_kept(self):
-        d = Distribution([(1, 0.5, 1), (1, CRat(Fraction(1, 2)), 2), (1, Fraction(1, 2), 3)])
-        assert d.terms == ((1, 0.5 + 0j, CRat(6)),)
-        assert isinstance(d.terms[0][1], complex)
+    def test_centers_and_coefficients_are_kept_as_crat(self):
+        d = Distribution([(1, Fraction(1, 2), 1), (1, CRat(Fraction(1, 2)), 2),
+                          (1, Fraction(1, 2), Fraction(3))])
+        assert d.terms == ((1, CRat(Fraction(1, 2)), CRat(6)),)
+        assert all(type(x) is CRat for _, center, coeff in d.terms for x in (center, coeff))
 
     def test_orders_and_unequal_centers_stay_apart(self):
         third = CRat(Fraction(1, 3))
-        d = Distribution([(0, third, 1), (0, 1 / 3, 1), (1, third, 1), (0, 0.5, 1),
-                          (0, -0.0, 1), (0, 0, 1)])
+        d = Distribution([(0, third, 1), (0, Fraction(1, 3), 1), (1, third, 1),
+                          (0, Fraction(1, 2), 1), (0, CRat(0), 1), (0, 0, 1)])
         assert [(o, str(c)) for o, c, _ in d.terms] == [
-            (0, "(-0+0j)"), (0, "(0.3333333333333333+0j)"), (0, "(0.5+0j)"), (0, "1/3"), (1, "1/3"),
+            (0, "0"), (0, "1/2"), (0, "1/3"), (1, "1/3"),
         ]
-        assert d.coefficient(0, -0.0) == CRat(2)  # -0.0 and 0 are one center
+        assert d.coefficient(0, 0) == CRat(2) and d.coefficient(0, third) == CRat(2)
 
     def test_coefficient_lookup_is_exact(self):
         third = CRat(Fraction(1, 3))
-        d = Distribution([(0, third, 1), (0, 1 / 3, 5), (1, 0.5, 7)])
+        d = Distribution([(0, third, 1), (0, CRat(Fraction(1, 3), 1), 5), (1, Fraction(1, 2), 7)])
         assert d.coefficient(0, third) == CRat(1) and d.coefficient(0, Fraction(1, 3)) == CRat(1)
-        assert d.coefficient(0, 1 / 3) == 5
-        assert d.coefficient(1, CRat(Fraction(1, 2))) == 7 and d.coefficient(0, 0.5) == CRat(0)
+        assert d.coefficient(0, CRat(Fraction(1, 3), 1)) == 5
+        assert d.coefficient(1, CRat(Fraction(1, 2))) == 7 and d.coefficient(0, Fraction(1, 2)) == 0
+        assert d.coefficient(2, third) == 0
 
     def test_cancelling_terms_of_two_types_vanish(self):
-        assert Distribution([(0, CRat(2), 1), (0, 2.0, -1)]).is_zero()
+        assert Distribution([(0, CRat(2), 1), (0, 2, -1)]).is_zero()
+        assert Distribution([(1, Fraction(1, 2), Fraction(1, 3)), (1, CRat(Fraction(1, 2)),
+                                                                   CRat(Fraction(-1, 3)))]).is_zero()
 
     @given(
         st.lists(st.tuples(st.integers(0, 1), crat_st, crat_st), max_size=5),
@@ -153,12 +157,12 @@ class TestDistributionCenters:
     def test_center_types_and_term_order_do_not_matter(self, terms, data):
         a = Distribution(terms)
         if data is None:  # the explicit example: swap both center types by hand
-            b = Distribution([(0, -1 + 0j, 1), (0, 0.5, 1)])
+            b = Distribution([(0, -1, 1), (0, Fraction(1, 2), 1)])
         else:
-            mixed = [(o, data.draw(st.sampled_from(dist_representations(c))), k)
+            mixed = [(o, data.draw(st.sampled_from(exact_representations(c))), k)
                      for o, c, k in terms]
             b = Distribution(data.draw(st.permutations(mixed)))
-        assert len(a.terms) == len(b.terms)
+        assert a.terms == b.terms  # one canonical form
         assert a == b and b == a
         assert hash(a) == hash(b)
         assert len({a, b}) == 1

@@ -1,0 +1,109 @@
+"""The exactness contract: the recurrence and kernel layers take exact
+scalars only, and a report carries floats only under the keys that README
+lists (the floating spectrum and the step level ``lambda``)."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from heunlie import cli
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
+from heunlie.distsol import (
+    RecurrenceSpec,
+    closed_form_roots_real,
+    forward_imag,
+    forward_real,
+    paper_ck,
+    recur_imag,
+    recur_real,
+)
+from heunlie.greenssf import (
+    Distribution,
+    KernelScalars,
+    green_coincidence,
+    green_kernel,
+    hs_norm_sq,
+    kp_constant,
+)
+
+PARAMS = ["--a=3", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3",
+          "--delta=-1/2", "--epsilon=7/5"]
+GREEN = [*PARAMS, "--n=1", "--rho=1", "--sigma=5", "--tau=3", "--s-eval=1/2-3i",
+         "--E=-2/3", "--lambda=-2.5"]
+
+# each command, and whether its report must carry a float at all
+REPORTS = {
+    "analyze": (["analyze", "--n=8", *PARAMS], True),  # the float eigenvalue path
+    "spectrum": (["spectrum", "--n=2", "--a=2", "--q=1", "--alpha=-2", "--beta=-1/2",
+                  "--gamma=1/3", "--delta=1/2", "--epsilon=-7/3"], True),
+    "distsol": (["distsol", "--n=2", "--l=2", "--K=12", "--E=3/2-1/2i", "--c0=1+i",
+                 "--c1=-1/3", *PARAMS], False),
+    "green": (["green", *GREEN], True),
+    "ssf": (["ssf", *GREEN], True),
+    "sweep": (["sweep", "--n=8", "--grid=a=1,2,-1/3", *PARAMS], True),
+}
+
+
+def _leaves(node, keys=()):
+    """``(keys, value)`` for every scalar in a JSON tree; ``keys`` are the
+    dict keys on the path (list positions are left out)."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield from _leaves(val, keys + (key,))
+    elif isinstance(node, list):
+        for val in node:
+            yield from _leaves(val, keys)
+    else:
+        yield keys, node
+
+
+def _float_allowed(keys) -> bool:
+    return (keys[-1:] == ("spectrum",) or keys[-2:] == ("ssf", "lambda")
+            or keys[-3:] == ("config", "flags", "lambda"))
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_floats_only_under_documented_keys(capsys, name):
+    argv, has_float = REPORTS[name]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    docs = [json.loads(line) for line in out.splitlines()] if name == "sweep" else [json.loads(out)]
+    float_keys = {keys for doc in docs for keys, v in _leaves(doc) if isinstance(v, float)}
+    assert [keys for keys in float_keys if not _float_allowed(keys)] == []
+    assert bool(float_keys) == has_float
+
+
+SPEC = RecurrenceSpec.make(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3)
+SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
+
+# (entry point, an exact value it accepts)
+ENTRY_POINTS = {
+    "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
+    "kp_constant s_eval": (lambda x: kp_constant(SCALARS, s_eval=x), CR_ONE),
+    "hs_norm_sq s_eval": (lambda x: hs_norm_sq(SCALARS, s_eval=x), CR_ONE),
+    "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
+    "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
+    "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
+    "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
+    "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
+    "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
+    "Distribution.coefficient center": (lambda x: Distribution.delta(0).coefficient(0, x), 0),
+    "forward_real c0": (lambda x: forward_real(SPEC, x, 0, 4), CR_ONE),
+    "forward_real c1": (lambda x: forward_real(SPEC, 1, x, 4), CR_ONE),
+    "forward_imag c0": (lambda x: forward_imag(SPEC, x, 0, 4), CR_ONE),
+    "forward_imag c1": (lambda x: forward_imag(SPEC, 1, x, 4), CR_ONE),
+    "recur_real c_k-1": (lambda x: recur_real(SPEC, 1, x, 2), CR_ONE),
+    "recur_imag c_k-2": (lambda x: recur_imag(SPEC, x, 1, 2), CR_ONE),
+    "paper_ck A": (lambda x: paper_ck(x, 0, closed_form_roots_real, SPEC, 4, start=1), CR_ONE),
+    "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
+}
+
+
+@pytest.mark.parametrize("inexact", [0.5, 2.0, 0.5j, complex(1, 0)])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_float_or_complex_input_raises_type_error(name, inexact):
+    fn, exact = ENTRY_POINTS[name]
+    fn(exact)
+    with pytest.raises(TypeError, match=f"^cannot coerce {type(inexact).__name__} to CRat exactly$"):
+        fn(inexact)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from heunlie import cli
 from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
-from heunlie.distsol import DegenerateLeading, _residual_ready, _scalar, falling_factorial
+from heunlie.distsol import DegenerateLeading, _residual_ready, falling_factorial
 from heunlie.greenssf import symbol_coeffs
 from heunlie.heunop import EIG_RESIDUAL_TOL, HeunParams, OracleMismatch, OverflowColumn
 
@@ -193,7 +193,7 @@ def reference_forward(spec, c0, c1, K, which):
         start, brackets = max(2, spec.l), reference_real_brackets
     else:
         start, brackets = max(2, spec.l - 1), reference_imag_brackets
-    vals = [_scalar(c0), _scalar(c1)]
+    vals = [CRat.from_value(c0), CRat.from_value(c1)]
     for k in range(2, K + 1):
         if k < start:
             vals.append(CR_ZERO)
