@@ -30,6 +30,7 @@ __all__ = [
     "quadratic_roots",
     "sqrt_fraction",
     "csqrt_exact",
+    "exact_dot",
     "CR_ZERO",
     "CR_ONE",
     "CR_I",
@@ -306,6 +307,73 @@ def _crat(re: Fraction, im: Fraction) -> CRat:
 CR_ZERO = CRat(0)
 CR_ONE = CRat(1)
 CR_I = CRat(0, 1)
+
+
+def _common_sum(pairs) -> tuple[int, int]:
+    """``sum(n / d)`` over integer pairs with ``d > 0``, as an unreduced
+    ``(numerator, denominator)``; zero numerators are skipped."""
+    num, den = 0, 1
+    for n, d in pairs:
+        if not n:
+            continue
+        g = math.gcd(den, d)
+        if g == 1:
+            num, den = num * d + n * den, den * d
+        else:
+            d //= g
+            num, den = num * d + n * (den // g), den * d
+    return num, den
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """``num / den`` in lowest terms (one gcd, which also moves the sign of
+    ``den`` to ``num``), or 0 without a gcd when ``num`` is 0."""
+    return Fraction(num, den) if num else _ZERO
+
+
+def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = None) -> CRat:
+    """Exact ``sum(sign * coef * value) / divisor`` over ``(sign, coef,
+    value)`` triples of a sign ``+1`` or ``-1`` and two ``CRat``.
+
+    Each part is summed over one common denominator, grown by the gcd of the
+    running denominator and each product's denominator, and reduced once at
+    the end.  The operands of a three-term recurrence share most of their
+    denominators' factors, so those gcds are cheap; the one reduction is the
+    only gcd on the full-size numerator, and a part that cancels to 0 needs
+    none.  A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat``
+    division does.
+    """
+    re_parts, im_parts = [], []
+    for sign, coef, value in terms:
+        an, ad = coef.re.as_integer_ratio()
+        bn, bd = coef.im.as_integer_ratio()
+        cn, cd = value.re.as_integer_ratio()
+        dn, dd = value.im.as_integer_ratio()
+        if an:
+            if cn:
+                re_parts.append((sign * an * cn, ad * cd))
+            if dn:
+                im_parts.append((sign * an * dn, ad * dd))
+        if bn:
+            if dn:
+                re_parts.append((-sign * bn * dn, bd * dd))
+            if cn:
+                im_parts.append((sign * bn * cn, bd * cd))
+    nr, dr = _common_sum(re_parts)
+    ni, di = _common_sum(im_parts)
+    if divisor is None:
+        return _crat(_reduced(nr, dr), _reduced(ni, di))
+    pn, pd = divisor.re.as_integer_ratio()
+    qn, qd = divisor.im.as_integer_ratio()
+    if not qn:
+        if not pn:
+            raise ZeroDivisionError("division by zero CRat")
+        return _crat(_reduced(nr * pd, dr * pn), _reduced(ni * pd, di * pn))
+    # (nr/dr + i ni/di) (p - i q) / |divisor|^2
+    mn, md = divisor.abs2().as_integer_ratio()
+    re_n, re_d = _common_sum(((nr * pn, dr * pd), (ni * qn, di * qd)))
+    im_n, im_d = _common_sum(((ni * pn, di * pd), (-nr * qn, dr * qd)))
+    return _crat(_reduced(re_n * md, re_d * mn), _reduced(im_n * md, im_d * mn))
 
 
 def _isqrt_exact(n: int):

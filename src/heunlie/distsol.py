@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd
+from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot
 
 __all__ = [
     "NonIntegerExponents",
@@ -61,8 +61,29 @@ class DegenerateLeading(ArithmeticError):
     """The term that the recurrence is solved for carries a zero factor."""
 
 
+def _exact_int(x, name: str) -> int:
+    """``x`` as an ``int``: an int (not a bool) or an integer-valued exact value.
+
+    A float or complex raises ``TypeError``, as ``CRat.from_value`` does, and
+    so does a bool; a non-integer exact value raises ``ValueError``.
+    """
+    if isinstance(x, bool):
+        raise TypeError(f"{name} must be an exact integer, got bool")
+    if isinstance(x, int):
+        return x
+    z = CRat.from_value(x)
+    if not z.is_integer():
+        raise ValueError(f"{name} must be an integer, got {z}")
+    return int(z.re)
+
+
 def falling_factorial(k: int, m: int) -> int:
-    """``(k)_m = k (k-1) ... (k-m+1)``; the empty product (m=0) is 1."""
+    """``(k)_m = k (k-1) ... (k-m+1)``; the empty product (m=0) is 1.
+
+    ``k`` and ``m`` are ints or integer-valued exact values; a float or a
+    bool raises ``TypeError`` and a non-integer value ``ValueError``.
+    """
+    k, m = _exact_int(k, "k"), _exact_int(m, "m")
     if m < 0:
         raise ValueError(f"falling factorial needs m >= 0, got m={m}")
     out = 1
@@ -184,7 +205,7 @@ class RecurrenceSpec:
     @classmethod
     def make(cls, l, rho=0, sigma=0, tau=0, ab=0, E=0, a=2) -> "RecurrenceSpec":
         return cls(
-            l=int(l),
+            l=_exact_int(l, "l"),
             rho=CRat.from_value(rho),
             sigma=CRat.from_value(sigma),
             tau=CRat.from_value(tau),
@@ -248,7 +269,7 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
         raise DegenerateLeading(
             f"ab * (k)_l = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return (B * CRat.from_value(c_km1) - A * CRat.from_value(c_km2)) / C
+    return exact_dot(((1, B, CRat.from_value(c_km1)), (-1, A, CRat.from_value(c_km2))), C)
 
 
 def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -261,7 +282,7 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
         raise DegenerateLeading(
             f"E * (k)_(l-1) = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return (A * CRat.from_value(c_km2) - B * CRat.from_value(c_km1)) / C
+    return exact_dot(((1, A, CRat.from_value(c_km2)), (-1, B, CRat.from_value(c_km1))), C)
 
 
 @dataclass(frozen=True)
@@ -406,8 +427,7 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
         A, B, C = brackets(spec, k)
         x, y, z = vals[k - 2], vals[k - 1], vals[k]
         if isinstance(x, CRat) and isinstance(y, CRat) and isinstance(z, CRat):
-            lead = A * x - B * y
-            res = (lead if which == "real" else -lead) + C * z
+            res = exact_dot(((signs[0], A, x), (signs[1], B, y), (signs[2], C, z)))
         else:
             res = (
                 signs[0] * complex(A) * complex(x)

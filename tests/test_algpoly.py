@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from heunlie.algpoly import (
     Surd,
     commutator,
     csqrt_exact,
+    exact_dot,
     op_apply,
     op_compose,
     quadratic_roots,
@@ -161,6 +163,63 @@ class TestSurdHash:
         a = Surd(base, coef, rad)
         b = Surd(base, coef / scale, rad * scale * scale)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+# zero, real, imaginary and complex scalars
+part_st = st.one_of(
+    st.just(CR_ZERO),
+    st.builds(CRat, fractions_st),
+    st.builds(CRat, st.just(0), fractions_st),
+    crat_st,
+)
+dot_terms_st = st.lists(st.tuples(st.sampled_from((1, -1)), part_st, part_st), max_size=4)
+divisor_st = st.one_of(
+    st.none(),
+    nonzero_crat_st,
+    st.builds(CRat, fractions_st.filter(lambda f: f < 0)),
+)
+
+
+def fraction_dot(terms, divisor):
+    """The sum as ``Fraction`` operators on (re, im) parts, divided by the
+    divisor through its squared modulus."""
+    re = im = Fraction(0)
+    for sign, coef, value in terms:
+        re += sign * (coef.re * value.re - coef.im * value.im)
+        im += sign * (coef.re * value.im + coef.im * value.re)
+    if divisor is None:
+        return re, im
+    m = divisor.re * divisor.re + divisor.im * divisor.im
+    return ((re * divisor.re + im * divisor.im) / m, (im * divisor.re - re * divisor.im) / m)
+
+
+class TestExactDot:
+    @given(dot_terms_st, divisor_st)
+    @example([(1, CRat(1, 2), CRat(3, -1)), (-1, CRat(Fraction(1, 2)), CRat(0, 3))], CRat(-2))
+    @example([(1, CRat(Fraction(1, 6)), CRat(3)), (1, CRat(Fraction(1, 3)), CRat(Fraction(3, 2)))],
+             CRat(Fraction(-1, 2), 2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_operators(self, terms, divisor):
+        got = exact_dot(terms, divisor)
+        assert type(got) is CRat
+        assert (got.re, got.im) == fraction_dot(terms, divisor)
+        for part in (got.re, got.im):
+            assert type(part) is Fraction
+            assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
+
+    @given(st.lists(st.tuples(part_st, part_st), max_size=3), divisor_st)
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_sum_is_zero(self, pairs, divisor):
+        terms = [(s, c, v) for c, v in pairs for s in (1, -1)]
+        assert exact_dot(terms, divisor) == CR_ZERO
+
+    @given(dot_terms_st)
+    @settings(max_examples=50, deadline=None)
+    def test_zero_divisor_raises_as_crat_division_does(self, terms):
+        with pytest.raises(ZeroDivisionError) as crat_error:
+            CR_ONE / CR_ZERO
+        with pytest.raises(ZeroDivisionError, match=f"^{crat_error.value}$"):
+            exact_dot(terms, CR_ZERO)
 
 
 class TestPolynomial:

@@ -324,6 +324,16 @@ def _start(spec, which):
     return max(2, spec.l) if which == "real" else max(2, spec.l - 1)
 
 
+# K = 300 specs, whose sequences reach denominators of 1000 digits and more
+LONG_REAL_SPEC = RecurrenceSpec.make(
+    1, Fraction(-7, 5), Fraction(5, 3), Fraction(1, 4), Fraction(-3, 11), Fraction(5, 7),
+    Fraction(7, 2),
+)
+LONG_COMPLEX_SPEC = RecurrenceSpec.make(
+    2, CRat(1, -2), Fraction(3, 4), CRat(0, 1), CRat(-1, 1), CRat(Fraction(3, 2), -1), CRat(2, 1)
+)
+
+
 class TestSharedBrackets:
     @given(spec_st())
     @settings(max_examples=80, deadline=None)
@@ -342,6 +352,10 @@ class TestSharedBrackets:
         exact_operand_st,
         st.integers(2, 24),
     )
+    @example(LONG_REAL_SPEC, "real", 1, Fraction(-1, 2), 300)
+    @example(LONG_REAL_SPEC, "imag", CRat(2), 1, 300)
+    @example(LONG_COMPLEX_SPEC, "real", CRat(1, 1), Fraction(1, 3), 300)
+    @example(LONG_COMPLEX_SPEC, "imag", 1, CRat(0, -2), 300)
     @settings(max_examples=150, deadline=None)
     def test_forward_and_residuals_match_reference(self, spec, which, c0, c1, K):
         forward = BRANCHES[which][0]

@@ -3,6 +3,7 @@ scalars only, and a report carries floats only under the keys that README
 lists (the floating spectrum and the step level ``lambda``)."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
 from heunlie.distsol import (
     RecurrenceSpec,
     closed_form_roots_real,
+    falling_factorial,
     forward_imag,
     forward_real,
     paper_ck,
@@ -85,6 +87,9 @@ ENTRY_POINTS = {
     "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
     "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
+    "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x), 2),
+    "falling_factorial k": (lambda x: falling_factorial(x, 2), 5),
+    "falling_factorial m": (lambda x: falling_factorial(5, x), 2),
     "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
     "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
     "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
@@ -107,3 +112,34 @@ def test_float_or_complex_input_raises_type_error(name, inexact):
     fn(exact)
     with pytest.raises(TypeError, match=f"^cannot coerce {type(inexact).__name__} to CRat exactly$"):
         fn(inexact)
+
+
+# integer arguments: (entry point, its result at the int 2)
+INTEGER_ARGUMENTS = {
+    "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x).l, 2),
+    "falling_factorial k": (lambda x: falling_factorial(x, 2), 2),
+    "falling_factorial m": (lambda x: falling_factorial(5, x), 20),
+}
+
+
+@pytest.mark.parametrize("exact", [2, Fraction(4, 2), CRat(2)])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_valued_exact_argument_is_accepted(name, exact):
+    fn, expected = INTEGER_ARGUMENTS[name]
+    got = fn(exact)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_bool_integer_argument_raises_type_error(name):
+    fn, _ = INTEGER_ARGUMENTS[name]
+    with pytest.raises(TypeError, match="must be an exact integer, got bool$"):
+        fn(True)
+
+
+@pytest.mark.parametrize("value", [Fraction(5, 2), CRat(Fraction(3, 2)), CRat(2, 1)])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_non_integer_exact_argument_raises_value_error(name, value):
+    fn, _ = INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(str(value))}$"):
+        fn(value)
