@@ -3,10 +3,9 @@ linear differential operators with polynomial coefficients.
 
 Every value in this module is immutable after construction and every
 operation is a pure function, so everything here can be shared freely
-between threads.  Scalars are pairs of ``fractions.Fraction``; mixing a
-float or a Python complex into an operation degrades the result to a
-Python complex (used deliberately by the floating evaluation paths).
-Arithmetic skips zero imaginary parts, so real operands cost what
+between threads.  Scalars are pairs of ``fractions.Fraction``; arithmetic
+with a float or a Python complex operand raises ``TypeError``.  Arithmetic
+skips zero imaginary parts, so real operands cost what
 ``Fraction`` arithmetic costs; values, and report bytes, are unchanged.
 """
 
@@ -41,7 +40,7 @@ __all__ = [
 NEG_INF = float("-inf")
 
 ExactLike = Union[int, Fraction]
-ScalarLike = Union[int, float, complex, Fraction, "CRat"]
+ScalarLike = Union[int, Fraction, "CRat"]
 
 
 def _fraction(x) -> Fraction:
@@ -144,7 +143,7 @@ class CRat:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other):
-        """Return other as CRat, or None when the float path must be used."""
+        """Return other as CRat, or None when it is not an exact scalar."""
         if isinstance(other, CRat):
             return other
         if isinstance(other, Fraction):
@@ -159,8 +158,6 @@ class CRat:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) + other
             return NotImplemented
         return _crat(self.re + o.re, self.im + o.im if o.im else self.im)
 
@@ -169,24 +166,18 @@ class CRat:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) - other
             return NotImplemented
         return _crat(self.re - o.re, self.im - o.im if o.im else self.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return other - complex(self)
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) * other
             return NotImplemented
         if not o.im:
             r = o.re
@@ -201,8 +192,6 @@ class CRat:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return complex(self) / other
             return NotImplemented
         if not o.im:
             r = o.re
@@ -215,8 +204,6 @@ class CRat:
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, (float, complex)):
-                return other / complex(self)
             return NotImplemented
         return o / self
 
@@ -480,8 +467,6 @@ class Surd:
         return self.rad if not self.coef.is_zero() else other.rad
 
     def __add__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) + other
         o = self._align(other)
         return Surd(self.base + o.base, self.coef + o.coef, self._rad_with(o))
 
@@ -491,16 +476,12 @@ class Surd:
         return Surd(-self.base, -self.coef, self.rad)
 
     def __sub__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) - other
         return self + (-(Surd.from_value(other) if not isinstance(other, Surd) else other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (float, complex)):
-            return complex(self) * other
         o = self._align(other)
         rad = self._rad_with(o)
         base = self.base * o.base + self.coef * o.coef * rad
@@ -700,7 +681,13 @@ class Polynomial:
         return p
 
     def eval(self, x):
-        """Horner evaluation; exact for CRat-like x, complex otherwise."""
+        """Horner evaluation: exact at an exact ``x``, a Python complex at a
+        float or complex ``x``."""
+        if isinstance(x, (float, complex)):
+            z = 0j
+            for c in reversed(self.coeffs):
+                z = z * x + complex(c)
+            return z
         acc: ScalarLike = CR_ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c

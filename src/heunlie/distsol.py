@@ -39,6 +39,7 @@ __all__ = [
     "WeightExpansion",
     "RecurrenceSpec",
     "CoeffSequence",
+    "exact_int",
     "falling_factorial",
     "weight_expansion",
     "weight_value_at_zero",
@@ -61,7 +62,7 @@ class DegenerateLeading(ArithmeticError):
     """The term that the recurrence is solved for carries a zero factor."""
 
 
-def _exact_int(x, name: str) -> int:
+def exact_int(x, name: str) -> int:
     """``x`` as an ``int``: an int (not a bool) or an integer-valued exact value.
 
     A float or complex raises ``TypeError``, as ``CRat.from_value`` does, and
@@ -83,7 +84,7 @@ def falling_factorial(k: int, m: int) -> int:
     ``k`` and ``m`` are ints or integer-valued exact values; a float or a
     bool raises ``TypeError`` and a non-integer value ``ValueError``.
     """
-    k, m = _exact_int(k, "k"), _exact_int(m, "m")
+    k, m = exact_int(k, "k"), exact_int(m, "m")
     if m < 0:
         raise ValueError(f"falling factorial needs m >= 0, got m={m}")
     out = 1
@@ -134,13 +135,16 @@ class WeightExpansion:
 
 
 def _positive_int(x, name: str) -> int:
-    if isinstance(x, CRat):
-        if not x.is_integer():
-            raise NonIntegerExponents(f"{name} must be a positive integer, got {x}")
-        x = int(x.re)
-    if isinstance(x, int) and not isinstance(x, bool) and x >= 1:
-        return x
-    raise NonIntegerExponents(f"{name} must be a positive integer, got {x!r}")
+    """``x`` as a positive ``int`` by the rule of :func:`exact_int`, except
+    that a non-integer or a value below 1 raises :class:`NonIntegerExponents`."""
+    try:
+        v = exact_int(x, name)
+    except ValueError:
+        v = 0
+    if v >= 1:
+        return v
+    shown = x if isinstance(x, CRat) else repr(x)
+    raise NonIntegerExponents(f"{name} must be a positive integer, got {shown}")
 
 
 def _weight_args(rho, sigma, tau, a) -> tuple[int, int, int, CRat]:
@@ -205,7 +209,7 @@ class RecurrenceSpec:
     @classmethod
     def make(cls, l, rho=0, sigma=0, tau=0, ab=0, E=0, a=2) -> "RecurrenceSpec":
         return cls(
-            l=_exact_int(l, "l"),
+            l=exact_int(l, "l"),
             rho=CRat.from_value(rho),
             sigma=CRat.from_value(sigma),
             tau=CRat.from_value(tau),

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
-from .distsol import NonIntegerExponents, weight_value_at_zero
+from .distsol import NonIntegerExponents, exact_int, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
 __all__ = [
@@ -200,7 +200,7 @@ class KernelScalars:
     @classmethod
     def direct(cls, n: int, a, rho, sigma, tau) -> "KernelScalars":
         return cls(
-            n=int(n),
+            n=exact_int(n, "n"),
             a=CRat.from_value(a),
             rho=CRat.from_value(rho),
             sigma=CRat.from_value(sigma),
@@ -376,7 +376,7 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
     """
     exponents = scalars.integer_exponents()
     rho, sigma, _ = exponents
-    bound = sigma - rho if p_override is None else int(p_override)
+    bound = sigma - rho if p_override is None else exact_int(p_override, "p_override")
     if bound < 1:
         raise ValueError(
             f"summation bound p = {bound} is empty; the scalars give sigma - rho = "

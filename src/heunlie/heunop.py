@@ -29,7 +29,7 @@ from .algpoly import (
     Surd,
     quadratic_roots,
 )
-from .sl2rep import Spin, UEAExpr, uea_expand
+from .sl2rep import Spin, UEAExpr, make_generators, uea_expand
 
 __all__ = [
     "HeunParams",
@@ -298,7 +298,7 @@ def uea_heun_coeffs(j, p: HeunParams) -> UEACoeffs:
     )
 
 
-def _uea_from_coeffs(c: UEACoeffs, *, with_plus: bool = True) -> UEAExpr:
+def _uea_from_coeffs(c: UEACoeffs) -> UEAExpr:
     words = [
         (c.cPlusZero, "+0"),
         (c.cPlusZero, "0+"),
@@ -306,10 +306,10 @@ def _uea_from_coeffs(c: UEACoeffs, *, with_plus: bool = True) -> UEAExpr:
         (c.cPlusMinus, "-+"),
         (c.cZeroMinus, "0-"),
         (c.cZeroMinus, "-0"),
+        (c.cPlus, "+"),
+        (c.cZero, "0"),
+        (c.cMinus, "-"),
     ]
-    if with_plus:
-        words.append((c.cPlus, "+"))
-    words.extend([(c.cZero, "0"), (c.cMinus, "-")])
     return UEAExpr(words, c.cConst)
 
 
@@ -465,7 +465,8 @@ def es_condition(j, p: HeunParams) -> CRat:
 
 
 def es_operator(n: int, p: HeunParams) -> DiffOp:
-    """Expand the raising-free combination at spin ``j = n/2``, ``n >= 0``.
+    """The raising-free operator at spin ``j = n/2``, ``n >= 0``: the Heun
+    expansion less its raising word ``cPlus * Jp``.
 
     Built from the generator algebra, never from the published coefficient
     list; the list is audited by :func:`es_discrepancies`.
@@ -599,12 +600,13 @@ class _Analysis:
 
     The stages are the expanded operator (the ``analyze`` report checks it
     once against the cleared canonical form), its indicial pairs at 0, 1, a
-    and infinity, the generator coefficients, the Heun and raising-free
-    expansions, and the raising-free flag matrix at ``N = n`` with its
-    spectrum.  Readers that
-    touch them in the order of the ``analyze`` report raise the same first
-    exception as building each stage afresh would.  A context lives as long
-    as the report that made it.
+    and infinity, the generator coefficients, the one expansion of the
+    nine-word Heun expression, the raising-free operator derived from it by
+    subtracting the raising word ``cPlus * Jp``, and the raising-free flag
+    matrix at ``N = n`` with its spectrum.  Readers that touch them in the
+    order of the ``analyze`` report raise the same first exception as
+    building each stage afresh would.  A context lives as long as the report
+    that made it.
     """
 
     def __init__(self, n: int, p: HeunParams):
@@ -637,13 +639,17 @@ class _Analysis:
         return uea_heun_coeffs(self.j, self.p)
 
     @cached_property
+    def heun_operator(self) -> DiffOp:
+        return uea_expand(_uea_from_coeffs(self.uea_coeffs), self.j)
+
+    @cached_property
     def heun_coeffs(self) -> ExpandedCoeffs:
-        L = uea_expand(_uea_from_coeffs(self.uea_coeffs), self.j)
-        return extract_expanded_coeffs(L, self.p.a)
+        return extract_expanded_coeffs(self.heun_operator, self.p.a)
 
     @cached_property
     def es_operator(self) -> DiffOp:
-        return uea_expand(_uea_from_coeffs(self.uea_coeffs, with_plus=False), self.j)
+        jp = make_generators(self.j)[0]  # the generator uea_expand puts for "+"
+        return self.heun_operator - jp * self.uea_coeffs.cPlus
 
     @cached_property
     def es_coeffs(self) -> ExpandedCoeffs:

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -83,8 +84,10 @@ class TestCRat:
     def test_pow_and_complex_mix(self):
         assert CRat(2) ** 10 == CRat(1024)
         assert CRat(2) ** -2 == CRat(Fraction(1, 4))
-        assert CRat(1, 1) + 0.5 == complex(1.5, 1.0)
-        assert 2.0 * CRat(0, 1) == complex(0, 2.0)
+        with pytest.raises(TypeError):
+            CRat(1, 1) + 0.5
+        with pytest.raises(TypeError):
+            2.0 * CRat(0, 1)
 
 
 class TestSurd:
@@ -105,6 +108,15 @@ class TestSurd:
         assert one_plus * one_minus == CRat(-4)
         assert one_plus + one_minus == CRat(2)
         assert (one_plus ** 2) == Surd(6, 2, 5)
+
+    @pytest.mark.parametrize("y", [1.5, 2 + 1j, 0.5j])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @pytest.mark.parametrize("x", [Surd(1, 1, 5), Surd(Fraction(1, 2))])
+    def test_float_and_complex_operands_raise_type_error(self, x, op, y):
+        with pytest.raises(TypeError):
+            op(x, y)
+        with pytest.raises(TypeError):
+            op(y, x)
 
     def test_cross_radicand_equality(self):
         assert Surd(0, 2, 2) == Surd(0, 1, 8)

@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heunlie import cli, heunop, sl2rep
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
@@ -32,10 +34,10 @@ from heunlie.heunop import (
     verify_theorem1,
 )
 from heunlie.sl2rep import Spin
-from util import rand_crat, rand_params, reference_float_eigenvalues
+from util import es_params, raising_free_expr, rand_crat, rand_params, reference_float_eigenvalues
 
 COUNTED = ("uea_expand", "indicial_exponents", "uea_heun_coeffs", "qes_matrix")
-PER_REPORT = {"uea_expand": 2, "indicial_exponents": 4, "uea_heun_coeffs": 1, "qes_matrix": 1}
+PER_REPORT = {"uea_expand": 1, "indicial_exponents": 4, "uea_heun_coeffs": 1, "qes_matrix": 1}
 
 BASE = ["--a=2", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3", "--delta=-1/2",
         "--epsilon=7/5"]
@@ -100,7 +102,7 @@ class TestOneAnalysisPerReport:
         assert log == [
             "build_expanded", "build_canonical_cleared", *["indicial_exponents"] * 4,
             "uea_heun_coeffs", "uea_expand", "extract_expanded_coeffs",  # Theorem 1 rows
-            "uea_expand", "extract_expanded_coeffs",  # raising-free rows
+            "extract_expanded_coeffs",  # raising-free rows, from the same expansion
             "qes_matrix", "matrix_spectrum",
         ]
 
@@ -124,8 +126,8 @@ class TestOneAnalysisPerReport:
 
     def test_each_stage_is_kept(self):
         ctx = _Analysis(3, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
-        for stage in ("expanded", "exponents", "uea_coeffs", "heun_coeffs", "es_operator",
-                      "es_coeffs", "flag_matrix", "spectrum"):
+        for stage in ("expanded", "exponents", "uea_coeffs", "heun_operator", "heun_coeffs",
+                      "es_operator", "es_coeffs", "flag_matrix", "spectrum"):
             assert getattr(ctx, stage) is getattr(ctx, stage)
 
     def test_canonical_disagreement_exits_3_before_any_later_stage(self, monkeypatch, capsys):
@@ -156,12 +158,37 @@ class TestOneAnalysisPerReport:
     def test_expanded_es_coeffs_is_one_raising_free_expansion(self, monkeypatch, n):
         for p in _param_sets():
             j = Spin.from_n(n).j
-            word = heunop._uea_from_coeffs(heunop.uea_heun_coeffs(j, p), with_plus=False)
-            expected = heunop.extract_expanded_coeffs(sl2rep.uea_expand(word, j), p.a)
+            expected = heunop.extract_expanded_coeffs(
+                sl2rep.uea_expand(raising_free_expr(j, p), j), p.a
+            )
             counts = _count_calls(monkeypatch, ("uea_expand",))
             assert heunop.expanded_es_coeffs(n, p) == expected
             assert counts == {"uea_expand": 1}
             monkeypatch.undo()
+
+
+fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+crat_st = st.one_of(st.builds(CRat, fractions_st), st.builds(CRat, fractions_st, fractions_st))
+params_st = st.builds(
+    HeunParams, crat_st.filter(lambda a: a not in (CR_ZERO, CR_ONE)), *[crat_st] * 6
+)
+
+
+class TestOneExpansion:
+    @given(params_st, st.integers(-7, 64))
+    @example(es_params(64), 64)
+    @example(HeunParams(CRat(1, 2), 0, 0, 0, 0, 0, 0), -7)
+    @settings(max_examples=60, deadline=None)
+    def test_derived_operators_equal_the_word_expansions(self, p, n):
+        # the raising-free operator derived from the one Heun expansion is
+        # the expansion of the eight raising-free words, term for term, and
+        # the Heun coefficients are those of the expanded uea_heun
+        j = Spin.from_n(n).j
+        ctx = _Analysis(n, p)
+        expected = sl2rep.uea_expand(raising_free_expr(j, p), j)
+        assert ctx.es_operator == expected
+        heun = sl2rep.uea_expand(heunop.uea_heun(j, p), j)
+        assert ctx.heun_coeffs == heunop.extract_expanded_coeffs(heun, p.a)
 
 
 def _rand_band_entry(rng, zeros):

@@ -11,6 +11,7 @@ import pytest
 from heunlie import cli
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
 from heunlie.distsol import (
+    NonIntegerExponents,
     RecurrenceSpec,
     closed_form_roots_real,
     falling_factorial,
@@ -19,6 +20,8 @@ from heunlie.distsol import (
     paper_ck,
     recur_imag,
     recur_real,
+    weight_expansion,
+    weight_value_at_zero,
 )
 from heunlie.greenssf import (
     Distribution,
@@ -90,6 +93,17 @@ ENTRY_POINTS = {
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x), 2),
     "falling_factorial k": (lambda x: falling_factorial(x, 2), 5),
     "falling_factorial m": (lambda x: falling_factorial(5, x), 2),
+    "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3), 1),
+    "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x), 2),
+    "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x), 2),
+    "hs_norm_sq p_override": (lambda x: hs_norm_sq(SCALARS, p_override=x), 2),
+    "green_coincidence p_override": (lambda x: green_coincidence(SCALARS, p_override=x), 2),
+    "weight_expansion rho": (lambda x: weight_expansion(x, 2, 2, 3), 2),
+    "weight_expansion sigma": (lambda x: weight_expansion(2, x, 2, 3), 2),
+    "weight_expansion tau": (lambda x: weight_expansion(2, 2, x, 3), 2),
+    "weight_value_at_zero rho": (lambda x: weight_value_at_zero(x, 2, 2, 3), 1),
+    "weight_value_at_zero sigma": (lambda x: weight_value_at_zero(1, x, 2, 3), 2),
+    "weight_value_at_zero tau": (lambda x: weight_value_at_zero(1, 2, x, 3), 2),
     "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
     "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
     "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
@@ -119,20 +133,40 @@ INTEGER_ARGUMENTS = {
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x).l, 2),
     "falling_factorial k": (lambda x: falling_factorial(x, 2), 2),
     "falling_factorial m": (lambda x: falling_factorial(5, x), 20),
+    "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
+    "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
+    "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x),
+                               kp_constant(SCALARS, p_override=2)),
+    "hs_norm_sq p_override": (lambda x: hs_norm_sq(SCALARS, p_override=x),
+                              hs_norm_sq(SCALARS, p_override=2)),
+    "green_coincidence p_override": (lambda x: green_coincidence(SCALARS, p_override=x),
+                                     green_coincidence(SCALARS, p_override=2)),
 }
+
+# weight exponents: the same rule, but a non-integer or a value below 1
+# raises NonIntegerExponents with the message a distsol report prints
+WEIGHT_EXPONENTS = {
+    "weight_expansion rho": (lambda x: weight_expansion(x, 2, 2, 3).rho, 2),
+    "weight_expansion sigma": (lambda x: weight_expansion(2, x, 2, 3).sigma, 2),
+    "weight_expansion tau": (lambda x: weight_expansion(2, 2, x, 3).tau, 2),
+    "weight_value_at_zero rho": (lambda x: weight_value_at_zero(x, 2, 2, 3), CR_ZERO),
+    "weight_value_at_zero sigma": (lambda x: weight_value_at_zero(1, x, 2, 3), CRat(3)),
+    "weight_value_at_zero tau": (lambda x: weight_value_at_zero(1, 2, x, 3), CRat(3)),
+}
+EXACT_INT_RULE = {**INTEGER_ARGUMENTS, **WEIGHT_EXPONENTS}
 
 
 @pytest.mark.parametrize("exact", [2, Fraction(4, 2), CRat(2)])
-@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("name", sorted(EXACT_INT_RULE))
 def test_integer_valued_exact_argument_is_accepted(name, exact):
-    fn, expected = INTEGER_ARGUMENTS[name]
+    fn, expected = EXACT_INT_RULE[name]
     got = fn(exact)
-    assert got == expected and type(got) is int
+    assert got == expected and type(got) is type(expected)
 
 
-@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+@pytest.mark.parametrize("name", sorted(EXACT_INT_RULE))
 def test_bool_integer_argument_raises_type_error(name):
-    fn, _ = INTEGER_ARGUMENTS[name]
+    fn, _ = EXACT_INT_RULE[name]
     with pytest.raises(TypeError, match="must be an exact integer, got bool$"):
         fn(True)
 
@@ -142,4 +176,17 @@ def test_bool_integer_argument_raises_type_error(name):
 def test_non_integer_exact_argument_raises_value_error(name, value):
     fn, _ = INTEGER_ARGUMENTS[name]
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(str(value))}$"):
+        fn(value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (Fraction(5, 2), "Fraction(5, 2)"), (CRat(Fraction(3, 2)), "3/2"), (CRat(2, 1), "2+1i"),
+    (0, "0"), (CRat(0), "0"), (Fraction(-1), "Fraction(-1, 1)"),
+])
+@pytest.mark.parametrize("name", sorted(WEIGHT_EXPONENTS))
+def test_weight_exponent_refusal_keeps_its_message(name, value, shown):
+    fn, _ = WEIGHT_EXPONENTS[name]
+    arg = name.split()[-1]
+    with pytest.raises(NonIntegerExponents,
+                       match=f"^{arg} must be a positive integer, got {re.escape(shown)}$"):
         fn(value)

@@ -13,7 +13,14 @@ from heunlie import cli
 from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
 from heunlie.distsol import DegenerateLeading, _residual_ready, falling_factorial
 from heunlie.greenssf import symbol_coeffs
-from heunlie.heunop import EIG_RESIDUAL_TOL, HeunParams, OracleMismatch, OverflowColumn
+from heunlie.heunop import (
+    EIG_RESIDUAL_TOL,
+    HeunParams,
+    OracleMismatch,
+    OverflowColumn,
+    uea_heun_coeffs,
+)
+from heunlie.sl2rep import UEAExpr
 
 
 def rand_fraction(rng, span=9, den=5, nonzero=False) -> Fraction:
@@ -70,6 +77,26 @@ def es_params(n, a=Fraction(2), q=Fraction(1), gamma=Fraction(1, 3),
     epsilon = alpha + beta + 1 - gamma - delta
     return HeunParams(a=a, q=q, alpha=alpha, beta=beta, gamma=gamma,
                       delta=delta, epsilon=epsilon)
+
+
+def raising_free_expr(j, p) -> UEAExpr:
+    """The raising-free combination at spin j written out word by word: the
+    eight words of the Heun combination other than its raising word
+    ``cPlus * +``, in the Heun combination's order."""
+    c = uea_heun_coeffs(j, p)
+    return UEAExpr(
+        [
+            (c.cPlusZero, "+0"),
+            (c.cPlusZero, "0+"),
+            (c.cPlusMinus, "+-"),
+            (c.cPlusMinus, "-+"),
+            (c.cZeroMinus, "0-"),
+            (c.cZeroMinus, "-0"),
+            (c.cZero, "0"),
+            (c.cMinus, "-"),
+        ],
+        c.cConst,
+    )
 
 
 def surds_match(pair, expected) -> bool:
