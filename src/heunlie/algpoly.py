@@ -60,6 +60,19 @@ def _strict_fraction(s: str) -> Fraction:
     return Fraction(s)
 
 
+def _power(base, n: int, one):
+    """``base ** n`` for an int ``n >= 0`` by square-and-multiply from ``one``;
+    ``base`` is squared only while a higher bit of ``n`` remains."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class CRat:
     """A complex number with exact rational real and imaginary parts."""
 
@@ -217,15 +230,8 @@ class CRat:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return CR_ONE / self ** (-n)
-        out = CR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return CR_ONE / _power(self, -n, CR_ONE)
+        return _power(self, n, CR_ONE)
 
     def conjugate(self) -> "CRat":
         return _crat(self.re, -self.im)
@@ -493,14 +499,7 @@ class Surd:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Surd(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Surd(1))
 
     # -- comparisons / conversions --------------------------------------
 
@@ -657,14 +656,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, Polynomial.one())
 
     @staticmethod
     def _as_poly(other) -> "Polynomial":
@@ -751,16 +743,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        terms = parse_terms(text)
-        out = cls.zero()
-        for coeff, zdeg, dord in terms:
-            if dord:
-                raise ValueError(f"derivative factor not allowed in a polynomial: {text!r}")
-            out = out + cls.monomial(zdeg, coeff)
-        return out
 
 
 class DiffOp:
@@ -849,76 +831,15 @@ class DiffOp:
     def __repr__(self) -> str:
         return f"DiffOp({str(self)!r})"
 
-    @classmethod
-    def parse(cls, text: str) -> "DiffOp":
-        out = cls.zero()
-        for coeff, zdeg, dord in parse_terms(text):
-            out = out + cls.from_term(Polynomial.monomial(zdeg, coeff), dord)
-        return out
+
+# -- term printer ----------------------------------------------------------
 
 
-# -- shared term grammar -------------------------------------------------
-#
-#   expr   := "0" | term (" + " term)*
-#   term   := [coeff] ["z"["^"INT]] ["D"["^"INT]]     (at least one factor)
-#   coeff  := RATIONAL | "(" CRAT ")"
-#
-# Coefficients with an imaginary part or a sign are always parenthesized on
-# output, so " + " is an unambiguous separator.
-
-_TERM_RE = re.compile(
-    r"^(?:\((?P<paren>[^()]+)\)|(?P<plain>-?\d+(?:/\d+)?))?"
-    r"\s*(?:z(?:\^(?P<zdeg>\d+))?)?"
-    r"\s*(?:D(?:\^(?P<dord>\d+))?)?$"
-)
-
-
-def _split_terms(s: str) -> list[str]:
-    """Split on `` + `` outside parentheses (coefficients may contain it)."""
-    chunks = []
-    depth = 0
-    start = 0
-    k = 0
-    while k < len(s):
-        if s[k] == "(":
-            depth += 1
-        elif s[k] == ")":
-            depth -= 1
-        elif depth == 0 and s.startswith(" + ", k):
-            chunks.append(s[start:k])
-            k += 3
-            start = k
-            continue
-        k += 1
-    chunks.append(s[start:])
-    return chunks
-
-
-def parse_terms(text: str) -> list[tuple[CRat, int, int]]:
-    """Parse the term grammar into (coefficient, z-degree, D-order) triples."""
-    s = text.strip()
-    if s == "0" or not s:
-        return []
-    triples = []
-    for chunk in _split_terms(s):
-        chunk = chunk.strip()
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
-            raise ValueError(f"cannot parse operator term {chunk!r}")
-        coeff_txt = m.group("paren") or m.group("plain")
-        has_z = "z" in chunk
-        has_d = "D" in chunk
-        if coeff_txt is None and not has_z and not has_d:
-            raise ValueError(f"empty operator term in {text!r}")
-        coeff = CRat.parse(coeff_txt) if coeff_txt is not None else CR_ONE
-        zdeg = int(m.group("zdeg")) if m.group("zdeg") else (1 if has_z else 0)
-        dord = int(m.group("dord")) if m.group("dord") else (1 if has_d else 0)
-        triples.append((coeff, zdeg, dord))
-    return triples
-
-
+# A coefficient's text has no spaces (``3/2-1/2i``), so " + " only ever joins
+# two terms; a signed or complex coefficient is parenthesized for the reader.
 def format_terms(items: Sequence[tuple[CRat, int, int]]) -> str:
-    """Render (coefficient, z-degree, D-order) triples in the term grammar."""
+    """Render (coefficient, z-degree, D-order) triples as `` + ``-joined
+    terms ``coeff z^a D^k``; no term renders as ``0``."""
     chunks = []
     for c, zdeg, dord in items:
         if c.is_zero():

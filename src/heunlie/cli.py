@@ -40,7 +40,6 @@ from .distsol import (
 from .greenssf import (
     DegenerateQuadratic,
     KernelScalars,
-    ZeroEigenvalue,
     green_kernel,
     ssf,
     trace_green,
@@ -67,10 +66,8 @@ _PARAM_NAMES = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
 #: invalid input: exit 2 from ``main``, an in-stream error row in a sweep
 _INVALID_PARAMETERS = (
     ValueError,
-    NonIntegerExponents,
     DegenerateLeading,
     DegenerateQuadratic,
-    ZeroEigenvalue,
     ZeroDivisionError,
 )
 
@@ -201,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_green_flags(p_gr)
     _add_output_flags(p_gr)
 
-    p_ss = sub.add_parser("ssf", help="spectral shift values on a level grid")
+    p_ss = sub.add_parser("ssf", help="the green-v1 report: spectral shift at one --lambda")
     _add_green_flags(p_ss)
     _add_output_flags(p_ss)
 

@@ -610,6 +610,8 @@ class _Analysis:
     """
 
     def __init__(self, n: int, p: HeunParams):
+        if isinstance(n, bool):
+            raise TypeError("n must be an exact integer, got bool")
         if not isinstance(n, int):
             raise ValueError(f"n must be an integer, got {n!r}")
         self.n = n

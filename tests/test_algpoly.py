@@ -109,6 +109,21 @@ class TestSurd:
         assert one_plus + one_minus == CRat(2)
         assert (one_plus ** 2) == Surd(6, 2, 5)
 
+    @given(crat_st, crat_st, st.sampled_from([2, 5, -3, 4]), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_pow_matches_repeated_products(self, base, coef, rad, n):
+        x = Surd(base, coef, rad)
+        expected = Surd(1)
+        for _ in range(n):
+            expected = expected * x
+        got = x ** n
+        assert (got.base, got.coef, got.rad) == (expected.base, expected.coef, expected.rad)
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_pow_refuses_negative_and_non_int_exponents(self, n):
+        with pytest.raises(TypeError):
+            Surd(1, 1, 5) ** n
+
     @pytest.mark.parametrize("y", [1.5, 2 + 1j, 0.5j])
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
     @pytest.mark.parametrize("x", [Surd(1, 1, 5), Surd(Fraction(1, 2))])
@@ -274,11 +289,18 @@ class TestPolynomial:
         assert p.reversed_through(2) == Polynomial([3, 2, 1])
         assert p.reversed_through(4) == Polynomial([0, 0, 3, 2, 1])
 
-    def test_text_round_trip(self):
-        rng = random.Random(19)
-        for _ in range(100):
-            p = rand_poly(rng, complex_ok=True)
-            assert Polynomial.parse(str(p)) == p
+    @given(poly_st(3), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_pow_matches_repeated_products(self, p, n):
+        expected = Polynomial.one()
+        for _ in range(n):
+            expected = expected * p
+        assert p ** n == expected
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_pow_refuses_negative_and_non_int_exponents(self, n):
+        with pytest.raises(TypeError):
+            Polynomial([1, 1]) ** n
 
     @given(poly_st(), poly_st())
     @settings(max_examples=40, deadline=None)
@@ -336,22 +358,6 @@ class TestDiffOp:
             M = rand_op(rng)
             assert commutator(L, M) + commutator(M, L) == DiffOp.zero()
 
-    def test_text_round_trip(self):
-        rng = random.Random(29)
-        for _ in range(60):
-            L = rand_op(rng)
-            assert DiffOp.parse(str(L)) == L
-        assert DiffOp.parse("0") == DiffOp.zero()
-        assert str(DiffOp.zero()) == "0"
-
-    def test_parse_term_grammar(self):
-        expected = DiffOp.from_term(
-            Polynomial.monomial(2, CRat(Fraction(3, 2), Fraction(1, 2))), 1
-        )
-        assert DiffOp.parse("(3/2+1/2i) z^2 D^1") == expected
-        assert DiffOp.parse("(3/2 + 1/2i) z^2 D^1") == expected  # spaced coefficient
-        assert DiffOp.parse("z D + 1") == DiffOp([Polynomial.one(), Polynomial.variable()])
-
     @given(op_st(), op_st(), poly_st(10))
     @settings(max_examples=40, deadline=None)
     def test_compose_consistent_with_apply(self, L, M, f):
@@ -366,3 +372,57 @@ class TestDiffOp:
             + commutator(C, commutator(A, B))
         )
         assert total == DiffOp.zero()
+
+
+# few, short coefficients, so that values whose text could collide are drawn
+# often: signs, units, i and a fraction
+UNIT_CRATS = [CR_ZERO, CR_ONE, -CR_ONE, CR_I, CRat(Fraction(-1, 2), 1), CRat(Fraction(3, 2))]
+unit_crat_st = st.sampled_from(UNIT_CRATS)
+printed_poly_st = st.one_of(poly_st(), st.lists(unit_crat_st, max_size=3).map(Polynomial))
+printed_op_st = st.one_of(op_st(), st.lists(printed_poly_st, max_size=3).map(DiffOp))
+
+
+class TestPrinter:
+    """The printer is canonical: two polynomials, or two operators, print
+    the same text exactly when they are equal."""
+
+    def test_examples(self):
+        assert str(Polynomial.zero()) == str(DiffOp.zero()) == "0"
+        L = DiffOp([Polynomial.one(), Polynomial([0, -1, CRat(Fraction(3, 2), Fraction(1, 2))])])
+        assert str(L) == "1 + (-1) z D + (3/2+1/2i) z^2 D"
+
+    def test_sums_of_two_terms_print_apart(self):
+        units = [c for c in UNIT_CRATS if c]
+        terms = [DiffOp.from_term(Polynomial.monomial(k, c), d)
+                 for c in units for k in range(4) for d in range(4)]
+        values = {a + b for i, a in enumerate(terms) for b in terms[i:]} | set(terms)
+        assert len({str(v) for v in values}) == len(values)
+        for c in units:
+            for k in range(4):
+                p = Polynomial.monomial(k, c) + Polynomial.one()
+                assert str(p) == str(DiffOp.from_term(p))
+
+    @given(printed_poly_st, printed_poly_st, st.integers(0, 3), st.integers(0, 5),
+           unit_crat_st.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial(self, p, q, pad, k, coef):
+        rebuilt = Polynomial([CRat(c.re, c.im) for c in p.coeffs] + [0] * pad)
+        nudged = p + Polynomial.monomial(k, coef)
+        shifted = Polynomial([0, *p.coeffs])
+        conjugated = Polynomial([c.conjugate() for c in p.coeffs])
+        for y in (q, rebuilt, nudged, shifted, conjugated, -p):
+            assert (str(p) == str(y)) == (p == y)
+
+    @given(printed_op_st, printed_op_st, st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           unit_crat_st.filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_diffop(self, L, M, pad, zdeg, dord, coef):
+        rebuilt = DiffOp(
+            [Polynomial([CRat(c.re, c.im) for c in t.coeffs]) for t in L.terms]
+            + [Polynomial.zero()] * pad
+        )
+        nudged = L + DiffOp.from_term(Polynomial.monomial(zdeg, coef), dord)
+        shifted_d = DiffOp([Polynomial.zero(), *L.terms])
+        shifted_z = DiffOp([Polynomial([0, *t.coeffs]) for t in L.terms])
+        for y in (M, rebuilt, nudged, shifted_d, shifted_z, -L):
+            assert (str(L) == str(y)) == (L == y)

@@ -28,11 +28,14 @@ from heunlie.heunop import (
     _float_eigenvalues,
     build_expanded,
     es_discrepancies,
+    es_operator,
     es_spectrum,
+    expanded_es_coeffs,
     indicial_discrepancies,
     indicial_exponents,
     verify_theorem1,
 )
+from heunlie.greenssf import KernelScalars
 from heunlie.sl2rep import Spin
 from util import es_params, raising_free_expr, rand_crat, rand_params, reference_float_eigenvalues
 
@@ -148,6 +151,18 @@ class TestOneAnalysisPerReport:
             es_discrepancies(1.5, p)
         # the coefficient audit still accepts a negative spin integer
         assert es_discrepancies(-2, p).residual("es_rho") == CR_ZERO
+
+    @pytest.mark.parametrize("reader", [
+        es_operator, expanded_es_coeffs, es_discrepancies, KernelScalars.from_heun,
+    ])
+    def test_bool_spin_integer_raises_type_error(self, reader):
+        p = HeunParams(2, 1, 1, 1, 1, 1, 1)
+        reader(1, p)
+        for flag in (True, False):
+            with pytest.raises(TypeError, match="^n must be an exact integer, got bool$"):
+                reader(flag, p)
+        with pytest.raises(ValueError, match="integer, got 1.5$"):
+            reader(1.5, p)
 
     def test_indicial_discrepancies_skips_the_canonical_check(self, monkeypatch):
         counts = _count_calls(monkeypatch, ("build_expanded", "build_canonical_cleared"))

@@ -6,6 +6,8 @@ import pytest
 
 from heunlie import cli, heunop
 from heunlie.algpoly import DiffOp, Polynomial
+from heunlie.distsol import NonIntegerExponents
+from heunlie.greenssf import ZeroEigenvalue
 from heunlie.heunop import HeunParams
 
 BASE = [
@@ -143,7 +145,7 @@ class TestExpand:
         assert code == 0
         payload = json.loads(out)
         assert payload["operator"] == "3/2 z^2 D + z^3 D^2"
-        assert DiffOp.parse(payload["operator"]).order == 2
+        assert payload["order"] == 2
 
     def test_constant_only(self, capsys):
         code, out, _ = run(capsys, "expand", "--expr", "3/2", "--j", "1/2")
@@ -236,6 +238,18 @@ class TestGreenCommand:
         assert code == 2
         assert "positive integer" in err
 
+    # NonIntegerExponents is a ValueError and ZeroEigenvalue a
+    # ZeroDivisionError, so both exit 2 through their base classes
+    @pytest.mark.parametrize("command", ["green", "ssf"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--rho=1/2", "--sigma=3", "--tau=2"], "rho = 1/2 is not a positive integer"),
+        ([*SCALARS, "--E=0"], "coincidence kernel scales by 1/E; E = 0 is invalid"),
+    ])
+    def test_kernel_refusals_exit_2(self, capsys, command, flags, message):
+        code, out, err = run(capsys, command, *BASE, "--n", "1", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith(f"heunlie: invalid parameters: {message}")
+
     def test_partial_scalar_override_rejected(self, capsys):
         code, _, err = run(capsys, "green", *BASE, "--n", "1", "--rho", "1")
         assert code == 2
@@ -316,7 +330,11 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="bug"):
             cli.main(["sweep", *BASE, "--n", "1", "--grid", "a=2"])
 
-    @pytest.mark.parametrize("exc_type", cli._INVALID_PARAMETERS)
+    # the two subclasses are caught through their bases, ValueError and
+    # ZeroDivisionError, and keep their own names in the error row
+    @pytest.mark.parametrize(
+        "exc_type", [*cli._INVALID_PARAMETERS, NonIntegerExponents, ZeroEigenvalue]
+    )
     def test_invalid_parameter_family_matches_exit_2(self, capsys, monkeypatch, exc_type):
         def invalid(params, n):
             raise exc_type("bad point")

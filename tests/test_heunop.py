@@ -491,9 +491,8 @@ class TestGoldenReport:
         rows += es_discrepancies(n, p).as_list()
         assert rows == recorded["discrepancies"]
 
-    def test_golden_operator_text_parses_back(self):
+    def test_golden_operator_text_is_printed(self):
         path = GOLDEN / "theorem1_n2.json"
         recorded = json.loads(path.read_text())
         p = HeunParams.from_strings(**recorded["params"])
-        op = DiffOp.parse(recorded["es_operator"])
-        assert op == es_operator(recorded["n"], p)
+        assert str(es_operator(recorded["n"], p)) == recorded["es_operator"]

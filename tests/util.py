@@ -36,9 +36,9 @@ def rand_crat(rng, span=9, den=5, complex_ok=False) -> CRat:
     return CRat(re, im)
 
 
-def rand_poly(rng, max_deg=4, complex_ok=False) -> Polynomial:
+def rand_poly(rng, max_deg=4) -> Polynomial:
     deg = rng.randint(0, max_deg)
-    return Polynomial([rand_crat(rng, complex_ok=complex_ok) for _ in range(deg + 1)])
+    return Polynomial([rand_crat(rng) for _ in range(deg + 1)])
 
 
 def rand_op(rng, max_order=2, max_deg=2) -> DiffOp:
