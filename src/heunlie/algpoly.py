@@ -30,6 +30,7 @@ __all__ = [
     "sqrt_fraction",
     "csqrt_exact",
     "exact_dot",
+    "int_combination",
     "CR_ZERO",
     "CR_ONE",
     "CR_I",
@@ -284,14 +285,14 @@ class CRat:
 _ZERO = Fraction(0)
 _HASH = sys.hash_info
 _HASH_MODULUS = 1 << _HASH.width
-_new_crat = object.__new__
+_new = object.__new__
 _set_re = CRat.re.__set__
 _set_im = CRat.im.__set__
 
 
 def _crat(re: Fraction, im: Fraction) -> CRat:
     """CRat from two Fractions, without the validation of ``CRat.__init__``."""
-    z = _new_crat(CRat)
+    z = _new(CRat)
     _set_re(z, re)
     _set_im(z, im)
     return z
@@ -318,23 +319,65 @@ def _common_sum(pairs) -> tuple[int, int]:
     return num, den
 
 
-def _reduced(num: int, den: int) -> Fraction:
-    """``num / den`` in lowest terms (one gcd, which also moves the sign of
-    ``den`` to ``num``), or 0 without a gcd when ``num`` is 0."""
-    return Fraction(num, den) if num else _ZERO
+_set_numerator = Fraction._numerator.__set__
+_set_denominator = Fraction._denominator.__set__
 
 
-def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = None) -> CRat:
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """``num / den`` for coprime ints with ``den > 0``, built in the slots
+    without the gcd that ``Fraction(num, den)`` would repeat (as CPython
+    3.12's ``Fraction._from_coprime_ints`` does)."""
+    f = _new(Fraction)
+    _set_numerator(f, num)
+    _set_denominator(f, den)
+    return f
+
+
+def _reduced(num: int, den: int, support: int | None = None) -> Fraction:
+    """``num / den`` in lowest terms, or 0 without a gcd when ``num`` is 0.
+
+    Without ``support`` this is one gcd, which also moves the sign of
+    ``den`` to ``num``.  With a ``support`` that every prime of ``den``
+    divides, every common factor of ``num`` and ``den`` divides
+    ``g = gcd(num, support)``; it is stripped by gcds with ``g`` and its
+    divisors, never with the full-size ``den``.  A prime of ``den`` missing
+    from ``support`` is not stripped, and the result is then not in lowest
+    terms.
+    """
+    if not num:
+        return _ZERO
+    if support is None:
+        return Fraction(num, den)
+    if den < 0:
+        num, den = -num, -den
+    g = support
+    while True:
+        g = math.gcd(num % g, g)
+        if g != 1:
+            g = math.gcd(den % g, g)
+        if g == 1:
+            return _coprime_fraction(num, den)
+        num //= g
+        den //= g
+
+
+def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = None,
+              *, support: int | None = None) -> CRat:
     """Exact ``sum(sign * coef * value) / divisor`` over ``(sign, coef,
     value)`` triples of a sign ``+1`` or ``-1`` and two ``CRat``.
 
     Each part is summed over one common denominator, grown by the gcd of the
     running denominator and each product's denominator, and reduced once at
     the end.  The operands of a three-term recurrence share most of their
-    denominators' factors, so those gcds are cheap; the one reduction is the
+    denominators' factors, so those gcds are cheap.  The reduction is the
     only gcd on the full-size numerator, and a part that cancels to 0 needs
-    none.  A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat``
-    division does.
+    none.  Given a ``support`` that every prime of the unreduced
+    denominator divides, the reduction takes gcds with ``support`` instead
+    (see :func:`_reduced`).  That precondition is not checked: a
+    ``support`` missing such a prime gives a part that is not in lowest
+    terms, which compares and hashes unequal to the canonical ``Fraction``.
+    A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat`` division
+    does.
     """
     re_parts, im_parts = [], []
     for sign, coef, value in terms:
@@ -355,18 +398,36 @@ def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = No
     nr, dr = _common_sum(re_parts)
     ni, di = _common_sum(im_parts)
     if divisor is None:
-        return _crat(_reduced(nr, dr), _reduced(ni, di))
+        return _crat(_reduced(nr, dr, support), _reduced(ni, di, support))
     pn, pd = divisor.re.as_integer_ratio()
     qn, qd = divisor.im.as_integer_ratio()
     if not qn:
         if not pn:
             raise ZeroDivisionError("division by zero CRat")
-        return _crat(_reduced(nr * pd, dr * pn), _reduced(ni * pd, di * pn))
+        return _crat(_reduced(nr * pd, dr * pn, support),
+                     _reduced(ni * pd, di * pn, support))
     # (nr/dr + i ni/di) (p - i q) / |divisor|^2
     mn, md = divisor.abs2().as_integer_ratio()
     re_n, re_d = _common_sum(((nr * pn, dr * pd), (ni * qn, di * qd)))
     im_n, im_d = _common_sum(((ni * pn, di * pd), (-nr * qn, dr * qd)))
-    return _crat(_reduced(re_n * md, re_d * mn), _reduced(im_n * md, im_d * mn))
+    return _crat(_reduced(re_n * md, re_d * mn, support),
+                 _reduced(im_n * md, im_d * mn, support))
+
+
+def int_combination(u: int, *pairs: tuple[int, CRat]) -> CRat:
+    """``u + sum(v * s)`` over pairs of an int ``v`` and a ``CRat`` ``s``.
+
+    The integer ratio of each part of each ``s`` is read once, and each
+    nonzero part of the result is made as one ``Fraction``.
+    """
+    rn, rd, jn, jd = u, 1, 0, 1
+    for v, s in pairs:
+        n, d = s.re.as_integer_ratio()
+        rn, rd = rn * d + v * n * rd, rd * d
+        n, d = s.im.as_integer_ratio()
+        if n:
+            jn, jd = jn * d + v * n * jd, jd * d
+    return _crat(Fraction(rn, rd) if rn else _ZERO, Fraction(jn, jd) if jn else _ZERO)
 
 
 def _isqrt_exact(n: int):

@@ -20,9 +20,13 @@ in general, and :func:`residual_check` measures exactly how far off they are
 instead of repairing the claim.
 
 Each bracket triple ``(A, B, C)`` of a branch and index k is built once per
-:class:`RecurrenceSpec`, from integer falling factorials, and kept on the
-spec: the forward solve, the residual table and the root formulas of one
-report all read the same triples.
+:class:`RecurrenceSpec` and kept on the spec: the forward solve, the
+residual table and the root formulas of one report all read the same
+triples.  It is built from integer falling factorials (``math.perm``) and
+the integer ratios of the spec's scalars, one ``Fraction`` per nonzero part.
+A forward solve with a real leading bracket carries the primes its
+denominators can have, so each step is reduced to lowest terms without a
+gcd on a full-size operand.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot
+from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot, int_combination
 
 __all__ = [
     "NonIntegerExponents",
@@ -87,10 +91,16 @@ def falling_factorial(k: int, m: int) -> int:
     k, m = exact_int(k, "k"), exact_int(m, "m")
     if m < 0:
         raise ValueError(f"falling factorial needs m >= 0, got m={m}")
-    out = 1
-    for i in range(m):
-        out *= k - i
-    return out
+    return _ff(k, m)
+
+
+def _ff(k: int, m: int) -> int:
+    """``(k)_m`` for ints ``k`` and ``m >= 0``: ``perm(k, m)``, and
+    ``(-1)^m perm(m-k-1, m)`` for ``k < 0``."""
+    if k >= 0:
+        return math.perm(k, m)
+    p = math.perm(m - k - 1, m)
+    return -p if m & 1 else p
 
 
 class WeightExpansion:
@@ -234,30 +244,42 @@ class RecurrenceSpec:
         }
 
 
-def _real_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
-    """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0."""
+def _real_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
+    """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0.
+
+    ``k`` is an int or an integer-valued exact value (see :func:`exact_int`).
+    """
+    if type(k) is not int:
+        k = exact_int(k, "k")
     key = ("real", k)
     out = spec._brackets.get(key)
     if out is None:
-        l, ff = spec.l, falling_factorial
+        l = spec.l
         out = spec._brackets[key] = (
-            ff(k + 2, l + 2) - spec.a * ff(k + 2, l),
-            spec.rho * ff(k + 1, l + 1) - spec.tau * ff(k + 1, l - 1),
-            spec.ab * ff(k, l),
+            int_combination(_ff(k + 2, l + 2), (-_ff(k + 2, l), spec.a)),
+            int_combination(0, (_ff(k + 1, l + 1), spec.rho), (-_ff(k + 1, l - 1), spec.tau)),
+            int_combination(0, (_ff(k, l), spec.ab)),
         )
     return out
 
 
-def _imag_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
-    """(A, B, C) with the imaginary recurrence reading -A c_{k-2} + B c_{k-1} + C c_k = 0."""
+def _imag_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
+    """(A, B, C) with the imaginary recurrence reading -A c_{k-2} + B c_{k-1} + C c_k = 0.
+
+    ``k`` is an int or an integer-valued exact value (see :func:`exact_int`).
+    """
+    if type(k) is not int:
+        k = exact_int(k, "k")
     key = ("imag", k)
     out = spec._brackets.get(key)
     if out is None:
-        l, ff = spec.l, falling_factorial
+        l = spec.l
+        f = _ff(k + 2, l + 1)
+        # (1+a) f - a (k+2)_l = f + (f - (k+2)_l) a
         out = spec._brackets[key] = (
-            (CR_ONE + spec.a) * ff(k + 2, l + 1) - spec.a * ff(k + 2, l),
-            spec.sigma * ff(k + 1, l),
-            spec.E * ff(k, l - 1),
+            int_combination(f, (f - _ff(k + 2, l), spec.a)),
+            int_combination(0, (_ff(k + 1, l), spec.sigma)),
+            int_combination(0, (_ff(k, l - 1), spec.E)),
         )
     return out
 
@@ -268,12 +290,7 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
     for ``ab = 0``.
     """
-    A, B, C = _real_brackets(spec, k)
-    if C.is_zero():
-        raise DegenerateLeading(
-            f"ab * (k)_l = 0 at k={k}, l={spec.l}; c_k is not determined here"
-        )
-    return exact_dot(((1, B, CRat.from_value(c_km1)), (-1, A, CRat.from_value(c_km2))), C)
+    return _real_step(spec, CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
 
 
 def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -281,12 +298,44 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
     """
+    return _imag_step(spec, CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
+
+
+# A step returns c_k and the support of a forward solve grown by its
+# brackets (see _grown); with no support, c_k is reduced by one plain gcd.
+def _real_step(spec, x: CRat, y: CRat, k: int, support: int | None):
+    A, B, C = _real_brackets(spec, k)
+    if C.is_zero():
+        raise DegenerateLeading(
+            f"ab * (k)_l = 0 at k={k}, l={spec.l}; c_k is not determined here"
+        )
+    support = _grown(support, A, B, C)
+    return exact_dot(((1, B, y), (-1, A, x)), C, support=support), support
+
+
+def _imag_step(spec, x: CRat, y: CRat, k: int, support: int | None):
     A, B, C = _imag_brackets(spec, k)
     if C.is_zero():
         raise DegenerateLeading(
             f"E * (k)_(l-1) = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
-    return exact_dot(((1, A, CRat.from_value(c_km2)), (-1, B, CRat.from_value(c_km1))), C)
+    support = _grown(support, A, B, C)
+    return exact_dot(((1, A, x), (-1, B, y)), C, support=support), support
+
+
+def _grown(support: int | None, A: CRat, B: CRat, C: CRat) -> int | None:
+    """``support`` grown by every prime a step with the nonzero leading
+    bracket ``C`` can bring into a denominator: those of the brackets'
+    denominators and of the numerator of ``C``.  A complex ``C`` (complex
+    ``ab`` or ``E``) ends the support: the numerator of ``|C|^2`` would
+    carry squared falling factorials, a support larger than the
+    denominators it covers, so such a solve reduces by plain gcds."""
+    if support is None or C.im:
+        return None
+    n, d = C.re.as_integer_ratio()
+    # one lcm with the large support, after the small ones
+    return math.lcm(support, math.lcm(n, d, A.re.denominator, A.im.denominator,
+                                      B.re.denominator, B.im.denominator))
 
 
 @dataclass(frozen=True)
@@ -309,24 +358,28 @@ def _forward(spec, c0, c1, K, start, step) -> CoeffSequence:
     if K < 1:
         raise ValueError("truncation K must be at least 1")
     vals = [CRat.from_value(c0), CRat.from_value(c1)]
+    # Every prime of a step's denominator divides `support`, by induction: it
+    # divides a denominator of c_0 or c_1, or one that a step adds (_grown).
+    support = math.lcm(*(part.denominator for v in vals for part in (v.re, v.im)))
     for k in range(2, K + 1):
         if k < start:
             # recurrence does not determine this band; take the minimal choice
             vals.append(CR_ZERO)
-        else:
-            vals.append(step(spec, vals[k - 2], vals[k - 1], k))
+            continue
+        c, support = step(spec, vals[k - 2], vals[k - 1], k, support)
+        vals.append(c)
     return CoeffSequence(tuple(vals))
 
 
 def forward_real(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:
     """Forward solve of the real-part recurrence; indices below ``l`` that the
     recurrence cannot determine are filled with zero."""
-    return _forward(spec, c0, c1, K, max(2, spec.l), recur_real)
+    return _forward(spec, c0, c1, K, max(2, spec.l), _real_step)
 
 
 def forward_imag(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:
     """Forward solve of the imaginary-part recurrence (valid from ``l - 1``)."""
-    return _forward(spec, c0, c1, K, max(2, spec.l - 1), recur_imag)
+    return _forward(spec, c0, c1, K, max(2, spec.l - 1), _imag_step)
 
 
 def closed_form_roots_real(spec: RecurrenceSpec, k: int) -> tuple[CRat, Surd]:

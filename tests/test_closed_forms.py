@@ -5,6 +5,7 @@ which stay here as references."""
 
 import dataclasses
 import json
+import math
 import operator
 from fractions import Fraction
 
@@ -333,6 +334,15 @@ LONG_REAL_SPEC = RecurrenceSpec.make(
 LONG_COMPLEX_SPEC = RecurrenceSpec.make(
     2, CRat(1, -2), Fraction(3, 4), CRat(0, 1), CRat(-1, 1), CRat(Fraction(3, 2), -1), CRat(2, 1)
 )
+# large primes where a step's denominator can pick them up: a bracket
+# denominator (a, tau) and the squared moduli |ab|^2 = 994013/9 and
+# |E|^2 = 994013/25, both prime numerators; a complex leading bracket
+# solves without a support, by plain gcds
+LARGE_PRIME_SPEC = RecurrenceSpec.make(
+    3, Fraction(2, 9), CRat(1, Fraction(-1, 2)), Fraction(5, 1000003),
+    CRat(Fraction(997, 3), Fraction(2, 3)), CRat(Fraction(2, 5), Fraction(-997, 5)),
+    CRat(Fraction(1, 999983), 1),
+)
 
 
 class TestSharedBrackets:
@@ -340,7 +350,7 @@ class TestSharedBrackets:
     @settings(max_examples=80, deadline=None)
     def test_brackets_match_reference(self, spec):
         for _, brackets, reference, _ in BRANCHES.values():
-            for k in range(65):
+            for k in range(-8, 65):
                 got = brackets(spec, k)
                 assert all(type(x) is CRat for x in got)
                 assert got == reference(spec, k)
@@ -357,6 +367,10 @@ class TestSharedBrackets:
     @example(LONG_REAL_SPEC, "imag", CRat(2), 1, 300)
     @example(LONG_COMPLEX_SPEC, "real", CRat(1, 1), Fraction(1, 3), 300)
     @example(LONG_COMPLEX_SPEC, "imag", 1, CRat(0, -2), 300)
+    @example(LONG_REAL_SPEC, "real", Fraction(1, 1000003), CRat(0, Fraction(2, 999983)), 300)
+    @example(LONG_COMPLEX_SPEC, "imag", Fraction(1, 1000003), CRat(0, Fraction(2, 999983)), 300)
+    @example(LARGE_PRIME_SPEC, "real", 1, CRat(1, 1), 300)
+    @example(LARGE_PRIME_SPEC, "imag", Fraction(1, 1000003), 1, 300)
     @settings(max_examples=150, deadline=None)
     def test_forward_and_residuals_match_reference(self, spec, which, c0, c1, K):
         forward = BRANCHES[which][0]
@@ -368,6 +382,8 @@ class TestSharedBrackets:
             return
         seq = forward(spec, c0, c1, K)
         assert list(seq.values) == expected
+        for part in (p for v in seq.values for p in (v.re, v.im)):
+            assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
         table = reference_residuals(seq, spec, which)
         assert residual_check(seq, spec, which) == table
         assert residual_check(seq, dataclasses.replace(spec), which) == table
@@ -430,26 +446,83 @@ class TestSharedBrackets:
         assert spec.as_dict() == fresh.as_dict()
 
     @pytest.mark.parametrize("which", sorted(BRANCHES))
+    def test_index_contract(self, monkeypatch, which):
+        _, brackets, _, roots_fn = BRANCHES[which]
+        spec = RecurrenceSpec.make(l=2, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
+        calls = []
+        exact_int = distsol.exact_int
+
+        def counted(x, name):
+            calls.append(x)
+            return exact_int(x, name)
+
+        monkeypatch.setattr(distsol, "exact_int", counted)
+        for exact, k in ((Fraction(4, 2), 2), (CRat(5), 5), (Fraction(-3), -3)):
+            calls.clear()
+            assert brackets(spec, exact) is brackets(spec, k)
+            assert calls == [exact]
+            calls.clear()
+            assert roots_fn(spec, exact) == roots_fn(spec, k)
+            assert calls == [exact]
+        # the memo holds index 2 now, and still a float or bool index is refused
+        for bad in (2.0, True):
+            for fn in (brackets, roots_fn):
+                with pytest.raises(TypeError):
+                    fn(spec, bad)
+
+    @pytest.mark.parametrize("which", sorted(BRANCHES))
+    @pytest.mark.parametrize("spec, carried", [(LONG_REAL_SPEC, True), (LARGE_PRIME_SPEC, False)])
+    def test_support_only_with_a_real_leading_bracket(self, monkeypatch, which, spec, carried):
+        # a real C carries a support through every step; a complex C (complex
+        # ab and E here) carries none, so every step is one plain gcd
+        supports = []
+        dot = distsol.exact_dot
+
+        def recorded(terms, divisor=None, *, support=None):
+            supports.append(support)
+            return dot(terms, divisor, support=support)
+
+        monkeypatch.setattr(distsol, "exact_dot", recorded)
+        forward, _, _, _ = BRANCHES[which]
+        forward(spec, Fraction(1, 3), 1, 40)
+        assert len(supports) == 40 - _start(spec, which) + 1
+        if carried:
+            assert all(type(s) is int and s > 1 for s in supports)
+        else:
+            assert supports == [None] * len(supports)
+        supports.clear()
+        # a step called alone carries none either
+        step = distsol.recur_real if which == "real" else distsol.recur_imag
+        step(spec, 1, Fraction(1, 3), 40)
+        assert supports == [None]
+
+    @pytest.mark.parametrize("which", sorted(BRANCHES))
     def test_readers_after_forward_build_nothing(self, monkeypatch, which):
         forward, _, _, roots_fn = BRANCHES[which]
         spec = RecurrenceSpec.make(l=3, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
         start, K = _start(spec, which), 20
         calls = []
-        falling_factorial = distsol.falling_factorial
+        combination = distsol.int_combination
 
-        def counted(k, m):
-            calls.append((k, m))
-            return falling_factorial(k, m)
+        def counted(*args):
+            calls.append(args)
+            return combination(*args)
 
-        monkeypatch.setattr(distsol, "falling_factorial", counted)
-        # one triple per index, of five (real) or four (imag) falling factorials
-        per_spec = (5 if which == "real" else 4) * (K - start + 1)
+        monkeypatch.setattr(distsol, "int_combination", counted)
+
+        def triples_built():
+            # a triple is built as three bracket combinations, A, B and C
+            assert len(calls) % 3 == 0
+            return len(calls) // 3
+
+        # one triple per admissible index
+        per_spec = K - start + 1
         residual_check(forward(dataclasses.replace(spec), 1, 0, K), dataclasses.replace(spec), which)
-        assert len(calls) == 2 * per_spec
+        assert triples_built() == 2 * per_spec
         calls.clear()
         seq = forward(spec, 1, 0, K)
-        assert len(calls) == per_spec
+        assert triples_built() == per_spec
         residual_check(seq, spec, which)
         for k in range(start, K + 1):
             roots_fn(spec, k)
-        assert len(calls) == per_spec
+        assert triples_built() == per_spec

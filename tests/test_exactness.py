@@ -13,6 +13,7 @@ from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
 from heunlie.distsol import (
     NonIntegerExponents,
     RecurrenceSpec,
+    closed_form_roots_imag,
     closed_form_roots_real,
     falling_factorial,
     forward_imag,
@@ -116,6 +117,8 @@ ENTRY_POINTS = {
     "recur_imag c_k-2": (lambda x: recur_imag(SPEC, x, 1, 2), CR_ONE),
     "paper_ck A": (lambda x: paper_ck(x, 0, closed_form_roots_real, SPEC, 4, start=1), CR_ONE),
     "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
+    "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x), 2),
+    "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x), 2),
 }
 
 
@@ -133,6 +136,10 @@ INTEGER_ARGUMENTS = {
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x).l, 2),
     "falling_factorial k": (lambda x: falling_factorial(x, 2), 2),
     "falling_factorial m": (lambda x: falling_factorial(5, x), 20),
+    "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x),
+                                 closed_form_roots_real(SPEC, 2)),
+    "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x),
+                                 closed_form_roots_imag(SPEC, 2)),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
     "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x),
