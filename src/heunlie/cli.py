@@ -13,14 +13,12 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
-import os
 import re
-import subprocess
 import sys
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Optional
 
@@ -59,9 +57,13 @@ from .heunop import (
 )
 from .sl2rep import Spin, UEAExpr, uea_expand
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
-_PARAM_NAMES = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
+_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(HeunParams))
+
+#: every report's ``version``: the package version alone, so the same
+#: configuration gives the same bytes in any checkout or installed copy
+_TOOL_VERSION = f"heunlie-{__version__}"
 
 #: invalid input: exit 2 from ``main``, an in-stream error row in a sweep
 _INVALID_PARAMETERS = (
@@ -72,22 +74,14 @@ _INVALID_PARAMETERS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: command, exact parameters, and the flag block."""
-
-    command: str
-    params: Optional[HeunParams]
-    n: int
-    flags: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params.as_dict() if self.params is not None else None,
-            "n": self.n,
-            "flags": {k: _jsonable(v) for k, v in sorted(self.flags.items())},
-        }
+def _config(command: str, params: HeunParams, n: int, flags: dict) -> dict:
+    """The resolved invocation: command, exact parameters, and the flag block."""
+    return {
+        "command": command,
+        "params": params.as_dict(),
+        "n": n,
+        "flags": {k: _jsonable(v) for k, v in sorted(flags.items())},
+    }
 
 
 def _jsonable(v):
@@ -96,27 +90,6 @@ def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
     return v
-
-
-_version_cache: Optional[str] = None
-
-
-def _tool_version() -> str:
-    global _version_cache
-    if _version_cache is None:
-        try:
-            out = subprocess.run(
-                ["git", "describe", "--tags", "--always", "--dirty"],
-                cwd=os.path.dirname(os.path.abspath(__file__)),
-                capture_output=True,
-                text=True,
-                timeout=5,
-            )
-            described = out.stdout.strip()
-        except Exception:
-            described = ""
-        _version_cache = f"heunlie-{__version__}" + (f"+{described}" if described else "")
-    return _version_cache
 
 
 def _crat(text: str) -> CRat:
@@ -194,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ds.add_argument("--c1", type=_crat, default=CR_ZERO)
     _add_output_flags(p_ds)
 
-    p_gr = sub.add_parser("green", help="separated kernel, norm constant, trace")
+    # one report under two names; both report config.command "green"
+    p_gr = sub.add_parser(
+        "green", aliases=["ssf"],
+        help="separated kernel, norm constant, trace, spectral shift at one --lambda",
+    )
     _add_green_flags(p_gr)
     _add_output_flags(p_gr)
-
-    p_ss = sub.add_parser("ssf", help="the green-v1 report: spectral shift at one --lambda")
-    _add_green_flags(p_ss)
-    _add_output_flags(p_ss)
 
     p_sw = sub.add_parser("sweep", help="stream one report per grid point")
     _add_param_flags(p_sw)
@@ -212,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sw.add_argument("--out", metavar="FILE", default=None)
 
-    # let exact negative literals (-5/6, -1+2i) pass as option values; the
-    # --name=value spelling works regardless
-    matcher = re.compile(r"^-\d[\d/i+\-.]*$")
+    # let exact negative literals (-5/6, -1+2i) and negative float literals
+    # (-1e-3) pass as option values; the --name=value spelling works regardless
+    matcher = re.compile(r"^-\d[\d/i+\-.eE]*$")
     parser._negative_number_matcher = matcher
     for sp in sub.choices.values():
         sp._negative_number_matcher = matcher
@@ -264,8 +237,8 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
     spectrum = ctx.spectrum
     return {
         "schema": "heun-analysis-v1",
-        "version": _tool_version(),
-        "config": RunConfig("analyze", params, n).as_dict(),
+        "version": _TOOL_VERSION,
+        "config": _config("analyze", params, n, {}),
         "params": params.as_dict(),
         "constraint_residual": str(params.constraint_residual),
         "exponents": exponents,
@@ -288,7 +261,7 @@ def payload_expand(expr_text: str, j_text: str) -> dict:
     op = uea_expand(expr, j)
     return {
         "schema": "uea-expand-v1",
-        "version": _tool_version(),
+        "version": _TOOL_VERSION,
         "expr": str(expr),
         "j": str(j.j),
         "operator": str(op),
@@ -307,8 +280,8 @@ def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
     lower, upper, spectrum = matrix_spectrum(M)
     return {
         "schema": "heun-spectrum-v1",
-        "version": _tool_version(),
-        "config": RunConfig("spectrum", params, n, {"N": size}).as_dict(),
+        "version": _TOOL_VERSION,
+        "config": _config("spectrum", params, n, {"N": size}),
         "es_condition_residual": str(es_condition(j, params)),
         "matrix_dim": size + 1,
         "matrix": [[str(x) for x in row] for row in M],
@@ -338,11 +311,10 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
 
     out: dict[str, Any] = {
         "schema": "distsol-v1",
-        "version": _tool_version(),
-        "config": RunConfig(
-            "distsol", params, n,
-            {"l": l, "E": E, "K": K, "c0": c0, "c1": c1},
-        ).as_dict(),
+        "version": _TOOL_VERSION,
+        "config": _config(
+            "distsol", params, n, {"l": l, "E": E, "K": K, "c0": c0, "c1": c1}
+        ),
         "spec": spec.as_dict(),
         "weight": weight_block,
     }
@@ -390,8 +362,8 @@ def payload_green(args, params: HeunParams) -> dict:
     shift = ssf(args.lam, kernel.coincidence(args.E))
     return {
         "schema": "green-v1",
-        "version": _tool_version(),
-        "config": RunConfig(
+        "version": _TOOL_VERSION,
+        "config": _config(
             "green", params, args.n,
             {
                 "s_eval": args.s_eval,
@@ -400,7 +372,7 @@ def payload_green(args, params: HeunParams) -> dict:
                 "lambda": args.lam,
                 "scalars": scalars.as_dict(),
             },
-        ).as_dict(),
+        ),
         "n": scalars.n,
         "p_bound": kernel.p_bound,
         "s_eval": str(args.s_eval),
@@ -417,18 +389,12 @@ def payload_green(args, params: HeunParams) -> dict:
 # -- rendering ---------------------------------------------------------------
 
 
-def _emit(payload: dict, output: str, out_path: Optional[str]) -> None:
+def _render(payload: dict, output: str) -> str:
     if output == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines: list[str] = []
-        _render_text(payload, lines, 0)
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return json.dumps(payload, indent=2) + "\n"
+    lines: list[str] = []
+    _render_text(payload, lines, 0)
+    return "\n".join(lines) + "\n"
 
 
 def _render_text(node, lines: list[str], depth: int) -> None:
@@ -454,8 +420,8 @@ def _render_text(node, lines: list[str], depth: int) -> None:
 # -- sweep -------------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> list[tuple[str, list[CRat]]]:
-    axes = []
+def _parse_grid(text: str) -> dict[str, list[CRat]]:
+    axes: dict[str, list[CRat]] = {}
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -464,18 +430,19 @@ def _parse_grid(text: str) -> list[tuple[str, list[CRat]]]:
         name = name.strip()
         if name not in _PARAM_NAMES:
             raise ValueError(f"unknown sweep parameter {name!r}")
+        if name in axes:
+            raise ValueError(f"sweep axis {name!r} is given more than once")
         vals = [CRat.parse(v.strip()) for v in values.split(",") if v.strip()]
         if not vals:
             raise ValueError(f"sweep axis {name!r} has no values")
-        axes.append((name, vals))
+        axes[name] = vals
     if not axes:
         raise ValueError("empty sweep grid")
     return axes
 
 
 def _sweep_point(base: dict, n: int, overrides: dict) -> dict:
-    merged = dict(base)
-    merged.update({k: v for k, v in overrides.items()})
+    merged = {**base, **overrides}
     point = {k: str(v) for k, v in merged.items()}
     try:
         params = HeunParams(**merged)
@@ -488,10 +455,9 @@ def _sweep_point(base: dict, n: int, overrides: dict) -> dict:
 def run_sweep(args) -> str:
     axes = _parse_grid(args.grid)
     base = {name: getattr(args, name) for name in _PARAM_NAMES}
-    names = [name for name, _ in axes]
     results = [
-        _sweep_point(base, args.n, dict(zip(names, combo)))
-        for combo in product(*(vals for _, vals in axes))
+        _sweep_point(base, args.n, dict(zip(axes, combo)))
+        for combo in product(*axes.values())
     ]
     return "".join(json.dumps(r) + "\n" for r in results)
 
@@ -499,37 +465,33 @@ def run_sweep(args) -> str:
 # -- entry point ---------------------------------------------------------------
 
 
+def _payload(args) -> dict:
+    if args.command == "expand":
+        return payload_expand(args.expr, args.j)
+    params = _params_from_args(args)
+    if args.command == "analyze":
+        return payload_analyze(params, args.n)
+    if args.command == "spectrum":
+        return payload_spectrum(params, args.n, args.N)
+    if args.command == "distsol":
+        return payload_distsol(params, args.n, args.l, args.E, args.K, args.c0, args.c1)
+    return payload_green(args, params)  # green, or its alias ssf
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "expand":
-            payload = payload_expand(args.expr, args.j)
-            _emit(payload, args.output, args.out)
-            return 0
         if args.command == "sweep":
-            params = _params_from_args(args)  # validates the base point
+            _params_from_args(args)  # validates the base point
             _check_n(args.n)
             text = run_sweep(args)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0
-
-        params = _params_from_args(args)
-        if args.command == "analyze":
-            payload = payload_analyze(params, args.n)
-        elif args.command == "spectrum":
-            payload = payload_spectrum(params, args.n, args.N)
-        elif args.command == "distsol":
-            payload = payload_distsol(params, args.n, args.l, args.E, args.K, args.c0, args.c1)
-        elif args.command in ("green", "ssf"):
-            payload = payload_green(args, params)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
-        _emit(payload, args.output, args.out)
+        else:
+            text = _render(_payload(args), args.output)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
         return 0
     except OracleMismatch as exc:
         print(f"heunlie: internal oracle mismatch: {exc}", file=sys.stderr)

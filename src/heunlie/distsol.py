@@ -103,6 +103,7 @@ def _ff(k: int, m: int) -> int:
     return -p if m & 1 else p
 
 
+@dataclass(frozen=True)
 class WeightExpansion:
     """Binomial expansion table of ``z^(rho-1) (z-1)^(sigma-1) (z-a)^(tau-1)``.
 
@@ -110,17 +111,11 @@ class WeightExpansion:
     reproduces the product form exactly.
     """
 
-    __slots__ = ("rho", "sigma", "tau", "a", "h")
-
-    def __init__(self, rho: int, sigma: int, tau: int, a: CRat, h):
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "h", h)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("WeightExpansion is immutable")
+    rho: int
+    sigma: int
+    tau: int
+    a: CRat
+    h: tuple  # of row tuples
 
     def reassembled(self) -> Polynomial:
         """``sum h[m][n] z^(m+n+rho-1)`` as a polynomial."""

@@ -15,7 +15,7 @@ Sign convention: operators are stored with positive leading coefficient
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -98,6 +98,7 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
+@dataclass(frozen=True)
 class HeunParams:
     """The scalar data (a; q; alpha, beta, gamma, delta, epsilon).
 
@@ -107,41 +108,33 @@ class HeunParams:
     be analyzed.
     """
 
-    __slots__ = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
+    a: CRat
+    q: CRat
+    alpha: CRat
+    beta: CRat
+    gamma: CRat
+    delta: CRat
+    epsilon: CRat
 
-    _FIELDS = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
-
-    def __init__(self, a, q, alpha, beta, gamma, delta, epsilon):
-        vals = [CRat.from_value(v) for v in (a, q, alpha, beta, gamma, delta, epsilon)]
-        if vals[0] == CR_ZERO or vals[0] == CR_ONE:
-            raise ValueError(f"a must avoid 0 and 1, got a={vals[0]}")
-        for name, v in zip(self._FIELDS, vals):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("HeunParams is immutable")
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, CRat.from_value(getattr(self, f.name)))
+        if self.a == CR_ZERO or self.a == CR_ONE:
+            raise ValueError(f"a must avoid 0 and 1, got a={self.a}")
 
     @property
     def constraint_residual(self) -> CRat:
         return self.alpha + self.beta + CR_ONE - self.gamma - self.delta - self.epsilon
 
     def as_dict(self) -> dict:
-        return {name: str(getattr(self, name)) for name in self._FIELDS}
+        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_strings(cls, **kw) -> "HeunParams":
         return cls(**{k: CRat.parse(v) if isinstance(v, str) else v for k, v in kw.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, HeunParams):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, f) for f in self._FIELDS))
-
     def __repr__(self):
-        inner = ", ".join(f"{f}={getattr(self, f)}" for f in self._FIELDS)
+        inner = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return f"HeunParams({inner})"
 
 

@@ -1,9 +1,11 @@
 import argparse
 import json
+import subprocess
 import sys
 
 import pytest
 
+import heunlie
 from heunlie import cli, heunop
 from heunlie.algpoly import DiffOp, Polynomial
 from heunlie.distsol import NonIntegerExponents
@@ -207,6 +209,28 @@ class TestGreenCommand:
         assert payload["ssf"]["heaviside"] == "0"
         assert payload["ssf"]["value"] == []
 
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_ssf_is_green_under_a_second_name(self, capsys, output):
+        flags = [*BASE, "--n", "1", *self.SCALARS, "--E=2/3", "--lambda=1.5",
+                 f"--output={output}"]
+        code, green, err = run(capsys, "green", *flags)
+        assert code == 0 and err == ""
+        assert run(capsys, "ssf", *flags) == (0, green, "")
+        if output == "json":
+            assert json.loads(green)["config"]["command"] == "green"
+
+    # a negative float literal is a value, not an option, in both spellings
+    @pytest.mark.parametrize("value, level", [("-1e-3", -0.001), ("-2E1", -20.0)])
+    def test_negative_float_lambda_in_both_spellings(self, capsys, value, level):
+        flags = [*BASE, "--n", "1", *self.SCALARS]
+        spaced = run(capsys, "ssf", *flags, "--lambda", value)
+        assert spaced == run(capsys, "ssf", *flags, f"--lambda={value}")
+        code, out, _ = spaced
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["flags"]["lambda"] == level
+        assert payload["ssf"]["heaviside"] == "0"
+
     @pytest.mark.parametrize("command", ["green", "ssf"])
     @pytest.mark.parametrize("value, message", [
         # JSON has no spelling for these floats, so they are refused at parse time
@@ -310,6 +334,13 @@ class TestSweep:
         assert "report" in lines[1] and "report" in lines[2]
         assert lines[0]["error"]["type"] == "ValueError"
 
+    # a repeated axis would overwrite the earlier one's values without a word
+    @pytest.mark.parametrize("grid, axis", [("a=3,4;a=5", "a"), ("q=0;a=2;q=1", "q")])
+    def test_repeated_axis_exits_2(self, capsys, grid, axis):
+        code, out, err = run(capsys, "sweep", *BASE, "--n", "1", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"heunlie: invalid parameters: sweep axis {axis!r} is given more than once\n"
+
     def test_oracle_mismatch_in_one_point_exits_3(self, capsys, monkeypatch):
         real = heunop.build_expanded
 
@@ -362,6 +393,54 @@ class TestOutputFile:
                            "--out", "/nonexistent-dir/report.json")
         assert code == 5
         assert "I/O failure" in err
+
+
+class TestReportsStartNoProcess:
+    """A report depends on its inputs alone: no command starts a process, and
+    every report's version is the package version, the same in any copy."""
+
+    VERSION = f"heunlie-{heunlie.__version__}"
+    COMMANDS = {
+        "analyze": ["analyze", *BASE, "--n", "1"],
+        "expand": ["expand", "--expr", "1/2 * +0 + 1/2 * 0+", "--j", "1/2"],
+        "spectrum": ["spectrum", *ES1, "--n", "1"],
+        "distsol": ["distsol", *ES1, "--n", "1", "--l", "1", "--K", "4"],
+        "green": ["green", *BASE, "--n", "1", "--rho", "1", "--sigma", "3", "--tau", "2"],
+        "ssf": ["ssf", *BASE, "--n", "1", "--rho", "1", "--sigma", "3", "--tau", "2"],
+    }
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("a report started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        return calls
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_report_version_is_the_package_version(self, capsys, started, command, output):
+        code, out, err = run(capsys, *self.COMMANDS[command], f"--output={output}")
+        assert (code, err) == (0, "")
+        if output == "json":
+            assert json.loads(out)["version"] == self.VERSION
+        else:
+            assert out.splitlines()[1] == f"version: {self.VERSION}"
+        assert started == []
+
+    def test_sweep_rows_carry_the_package_version(self, capsys, started):
+        code, out, _ = run(capsys, "sweep", *BASE, "--n", "1", "--grid", "a=1,2,3")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert "error" in rows[0]
+        assert [row["report"]["version"] for row in rows[1:]] == [self.VERSION] * 2
+        assert started == []
+
+    def test_cli_holds_no_process_or_os_module(self):
+        assert not {"subprocess", "os"} & set(vars(cli))
 
 
 class TestLiteralParsing:

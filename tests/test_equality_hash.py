@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
+from heunlie.distsol import weight_expansion
 from heunlie.greenssf import Distribution
+from heunlie.heunop import HeunParams
 
 # few values, so that independent draws are often equal; 1/3 has no float
 parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4),
@@ -51,6 +53,11 @@ dist_scalar_st = crat_st.flatmap(lambda z: st.sampled_from(exact_representations
 distribution_st = st.lists(
     st.tuples(st.integers(0, 1), dist_scalar_st, dist_scalar_st), max_size=3
 ).map(Distribution)
+# a avoids 0 and 1; the tables are small, so equal draws are common
+a_st = dist_scalar_st.filter(lambda a: a != 0 and a != 1)
+weight_st = st.builds(weight_expansion, st.integers(1, 2), st.integers(1, 3),
+                      st.integers(1, 3), a_st)
+params_st = st.builds(HeunParams, a_st, *[dist_scalar_st] * 6)
 
 
 def assert_consistent(a, b):
@@ -109,6 +116,19 @@ class TestEqualValuesHashEqually:
     @example(Distribution.delta(0, CRat(-1, 1), 1), Distribution.delta(0, CRat(-1, 1), Fraction(1)))
     @settings(max_examples=300, deadline=None)
     def test_distribution(self, a, b):
+        assert_consistent(a, b)
+
+    @given(weight_st, weight_st)
+    @example(weight_expansion(2, 3, 2, Fraction(-1, 2)), weight_expansion(2, 3, 2, CRat(Fraction(-1, 2))))
+    @example(weight_expansion(1, 2, 3, 2), weight_expansion(1, 2, 3, CRat(2)))
+    @settings(max_examples=300, deadline=None)
+    def test_weight_expansion(self, a, b):
+        assert_consistent(a, b)
+
+    @given(params_st, params_st)
+    @example(HeunParams(2, 0, 1, 1, 1, 1, 1), HeunParams(CRat(2), Fraction(0), 1, 1, 1, 1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_heun_params(self, a, b):
         assert_consistent(a, b)
 
 
