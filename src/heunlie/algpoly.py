@@ -746,44 +746,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def synthetic_division(self, c) -> tuple["Polynomial", CRat]:
-        """Divide by ``(z - c)``: return quotient and remainder."""
-        c = CRat.from_value(c)
-        if self.is_zero():
-            return Polynomial.zero(), CR_ZERO
-        acc = CR_ZERO
-        out = []
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-            out.append(acc)
-        rem = out.pop()
-        return Polynomial(list(reversed(out))), rem
-
-    def valuation_at(self, c) -> int:
-        """Multiplicity of the root ``c`` (0 when p(c) != 0).
-
-        Raises on the zero polynomial, whose valuation is unbounded.
-        """
-        if self.is_zero():
-            raise ValueError("valuation of the zero polynomial is undefined")
-        p, k = self, 0
-        while True:
-            q, rem = p.synthetic_division(c)
-            if not rem.is_zero():
-                return k
-            p, k = q, k + 1
-
-    def reversed_through(self, n: int) -> "Polynomial":
-        """Return ``z^n * p(1/z)`` for ``n >= degree``."""
-        if self.is_zero():
-            return Polynomial.zero()
-        if n < self.degree:
-            raise ValueError("reversal bound below degree")
-        out = [CR_ZERO] * (n + 1)
-        for k, c in enumerate(self.coeffs):
-            out[n - k] = c
-        return Polynomial(out)
-
     # -- comparisons / text ------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -870,9 +832,6 @@ class DiffOp:
         return DiffOp([p * scalar for p in self.terms])
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return op_compose(self, other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):

@@ -318,7 +318,10 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
         "spec": spec.as_dict(),
         "weight": weight_block,
     }
-    for branch, forward in (("real", forward_real), ("imag", forward_imag)):
+    for branch, forward, roots_fn in (
+        ("real", forward_real, closed_form_roots_real),
+        ("imag", forward_imag, closed_form_roots_imag),
+    ):
         block: dict[str, Any] = {}
         try:
             seq = forward(spec, c0, c1, K)
@@ -328,7 +331,6 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
             ]
         except DegenerateLeading as exc:
             block["error"] = str(exc)
-        roots_fn = closed_form_roots_real if branch == "real" else closed_form_roots_imag
         roots = []
         for k in range(2, min(K, 8) + 1):
             try:

@@ -285,7 +285,7 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
     for ``ab = 0``.
     """
-    return _real_step(spec, CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
+    return _step(spec, "real", CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
 
 
 def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -293,29 +293,29 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
     """
-    return _imag_step(spec, CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
+    return _step(spec, "imag", CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
+
+
+# branch -> (bracket builder, signs of the A and B terms (C's is +1), offset
+# of the first determined index below l, leading bracket as DegenerateLeading
+# names it)
+_BRANCHES = {
+    "real": (_real_brackets, (1, -1), 0, "ab * (k)_l"),
+    "imag": (_imag_brackets, (-1, 1), 1, "E * (k)_(l-1)"),
+}
 
 
 # A step returns c_k and the support of a forward solve grown by its
 # brackets (see _grown); with no support, c_k is reduced by one plain gcd.
-def _real_step(spec, x: CRat, y: CRat, k: int, support: int | None):
-    A, B, C = _real_brackets(spec, k)
+def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None):
+    brackets, (sign_a, sign_b), _, leading = _BRANCHES[branch]
+    A, B, C = brackets(spec, k)
     if C.is_zero():
         raise DegenerateLeading(
-            f"ab * (k)_l = 0 at k={k}, l={spec.l}; c_k is not determined here"
+            f"{leading} = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
     support = _grown(support, A, B, C)
-    return exact_dot(((1, B, y), (-1, A, x)), C, support=support), support
-
-
-def _imag_step(spec, x: CRat, y: CRat, k: int, support: int | None):
-    A, B, C = _imag_brackets(spec, k)
-    if C.is_zero():
-        raise DegenerateLeading(
-            f"E * (k)_(l-1) = 0 at k={k}, l={spec.l}; c_k is not determined here"
-        )
-    support = _grown(support, A, B, C)
-    return exact_dot(((1, A, x), (-1, B, y)), C, support=support), support
+    return exact_dot(((-sign_a, A, x), (-sign_b, B, y)), C, support=support), support
 
 
 def _grown(support: int | None, A: CRat, B: CRat, C: CRat) -> int | None:
@@ -349,9 +349,10 @@ class CoeffSequence:
         return [str(v) for v in self.values]
 
 
-def _forward(spec, c0, c1, K, start, step) -> CoeffSequence:
+def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
     if K < 1:
         raise ValueError("truncation K must be at least 1")
+    start = max(2, spec.l - _BRANCHES[branch][2])
     vals = [CRat.from_value(c0), CRat.from_value(c1)]
     # Every prime of a step's denominator divides `support`, by induction: it
     # divides a denominator of c_0 or c_1, or one that a step adds (_grown).
@@ -361,7 +362,7 @@ def _forward(spec, c0, c1, K, start, step) -> CoeffSequence:
             # recurrence does not determine this band; take the minimal choice
             vals.append(CR_ZERO)
             continue
-        c, support = step(spec, vals[k - 2], vals[k - 1], k, support)
+        c, support = _step(spec, branch, vals[k - 2], vals[k - 1], k, support)
         vals.append(c)
     return CoeffSequence(tuple(vals))
 
@@ -369,12 +370,12 @@ def _forward(spec, c0, c1, K, start, step) -> CoeffSequence:
 def forward_real(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:
     """Forward solve of the real-part recurrence; indices below ``l`` that the
     recurrence cannot determine are filled with zero."""
-    return _forward(spec, c0, c1, K, max(2, spec.l), _real_step)
+    return _forward(spec, "real", c0, c1, K)
 
 
 def forward_imag(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:
     """Forward solve of the imaginary-part recurrence (valid from ``l - 1``)."""
-    return _forward(spec, c0, c1, K, max(2, spec.l - 1), _imag_step)
+    return _forward(spec, "imag", c0, c1, K)
 
 
 def closed_form_roots_real(spec: RecurrenceSpec, k: int) -> tuple[CRat, Surd]:
@@ -463,16 +464,11 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
     """
     if len(c) < 3:
         raise ValueError("need at least c_0, c_1, c_2 to evaluate residuals")
-    if which == "real":
-        start = max(2, spec.l)
-        brackets = _real_brackets
-        signs = (1, -1, 1)
-    elif which == "imag":
-        start = max(2, spec.l - 1)
-        brackets = _imag_brackets
-        signs = (-1, 1, 1)
-    else:
+    if which not in ("real", "imag"):
         raise ValueError(f"branch must be 'real' or 'imag', got {which!r}")
+    brackets, (sign_a, sign_b), offset, _ = _BRANCHES[which]
+    start = max(2, spec.l - offset)
+    signs = (sign_a, sign_b, 1)
     vals = [_residual_ready(v) for v in c.values]
     out = []
     for k in range(start, len(c)):

@@ -177,69 +177,59 @@ def build_expanded(p: HeunParams) -> DiffOp:
 # -- Frobenius data ---------------------------------------------------------
 
 
-def _reduced_value(poly: Polynomial, z0: CRat, k: int) -> CRat:
-    """Value at z0 of ``poly / (z - z0)^k``; requires exact divisibility."""
-    if poly.is_zero():
-        return CR_ZERO
-    for _ in range(k):
-        poly, rem = poly.synthetic_division(z0)
-        if not rem.is_zero():
-            raise NotRegularSingular(
-                f"coefficient fails the regular-singularity order condition at {z0}"
-            )
-    return poly.eval(z0)
+def _indicial_roots(t2: Polynomial, t1: Polynomial, t0: Polynomial, where: CRat
+                    ) -> tuple[Surd, Surd]:
+    """Exponent pair from the local coefficients ``t2, t1, t0`` of ``D^2``,
+    ``D`` and ``1`` (in powers of the local variable) at the point ``where``.
 
-
-def _finite_indicial(L: DiffOp, z0: CRat) -> tuple[Surd, Surd]:
-    p2, p1, p0 = L.coeff(2), L.coeff(1), L.coeff(0)
-    if p2.is_zero():
-        raise NotRegularSingular("vanishing leading coefficient")
-    s = p2.valuation_at(z0)
-    if s < 1:
-        raise NotRegularSingular(f"{z0} is an ordinary point (leading coefficient nonzero)")
-    lead = _reduced_value(p2, z0, s)
-    pc = _reduced_value(p1, z0, s - 1) / lead
-    qc = (_reduced_value(p0, z0, s - 2) / lead) if s >= 2 else CR_ZERO
-    # r (r - 1) + pc r + qc = 0
-    return quadratic_roots(CR_ONE, pc - CR_ONE, qc)
-
-
-def _invert_variable(L: DiffOp) -> DiffOp:
-    """Transform under z -> 1/w and clear denominators.
-
-    Each term ``p_k(z) D_z^k`` becomes ``[w^d p_k(1/w)] (-w^2 D_w)^k`` with
-    ``d`` the maximal coefficient degree, so exponents at infinity become the
-    indicial exponents of the result at ``w = 0``.
+    With ``s`` the order of ``t2``, the point is regular singular when
+    ``s >= 1``, ``t1`` has order at least ``s - 1`` and ``t0`` at least
+    ``s - 2``; the exponents solve ``r (r - 1) + pc r + qc = 0``.
     """
-    degs = [int(t.degree) for t in L.terms if not t.is_zero()]
-    if not degs:
-        return DiffOp.zero()
-    d = max(degs)
-    w2 = Polynomial.monomial(2, -1)
-    neg_w2_d = DiffOp.from_term(w2, 0) @ DiffOp.d()
-    out = DiffOp.zero()
-    power = DiffOp.identity()
-    for k, pk in enumerate(L.terms):
-        if k:
-            power = power @ neg_w2_d
-        if pk.is_zero():
-            continue
-        out = out + DiffOp.from_term(pk.reversed_through(d), 0) @ power
-    return out
+    if t2.is_zero():
+        raise NotRegularSingular("vanishing leading coefficient")
+    s = next(i for i, c in enumerate(t2.coeffs) if not c.is_zero())
+    if s < 1:
+        raise NotRegularSingular(f"{where} is an ordinary point (leading coefficient nonzero)")
+    if any(not c.is_zero() for c in (*t1.coeffs[: s - 1], *t0.coeffs[: max(s - 2, 0)])):
+        raise NotRegularSingular(
+            f"coefficient fails the regular-singularity order condition at {where}"
+        )
+    lead = t2.coeffs[s]
+    pc = t1.coeff(s - 1) / lead
+    qc = t0.coeff(s - 2) / lead if s >= 2 else CR_ZERO
+    return quadratic_roots(CR_ONE, pc - CR_ONE, qc)
 
 
 def indicial_exponents(L: DiffOp, point) -> tuple[Surd, Surd]:
     """Frobenius exponent pair of a second-order operator at a regular
     singular point (finite, or :data:`INFINITY`).
 
+    At a finite ``z0`` the local coefficients are ``p_k(z0 + t)``.  At
+    infinity ``z = 1/w`` turns ``D_z`` into ``-w^2 D_w`` and ``D_z^2`` into
+    ``w^4 D_w^2 + 2 w^3 D_w``; with ``r_k = w^d p_k(1/w)``, ``d`` the largest
+    coefficient degree, the cleared operator has the coefficients
+    ``w^4 r_2``, ``2 w^3 r_2 - w^2 r_1`` and ``r_0`` at ``w = 0``.
+
     Roots of the indicial quadratic are exact quadratic surds; rational
     exponents collapse to plain rationals.
     """
     if L.order != 2:
         raise NotRegularSingular("indicial data implemented for second-order operators")
+    p0, p1, p2 = L.terms
     if point is INFINITY:
-        return _finite_indicial(_invert_variable(L), CR_ZERO)
-    return _finite_indicial(L, CRat.from_value(point))
+        d = max(len(p.coeffs) for p in L.terms) - 1
+        r2, r1, r0 = (Polynomial(p.coeff(d - i) for i in range(d + 1)) for p in (p2, p1, p0))
+        w = Polynomial.variable()
+        return _indicial_roots(r2 * w**4, (r2 * w * 2 - r1) * w**2, r0, CR_ZERO)
+    z0 = CRat.from_value(point)
+    local = []
+    for p in (p2, p1, p0):
+        acc: list[CRat] = []
+        for c in reversed(p.coeffs):  # Horner in z = z0 + t: acc <- acc (t + z0) + c
+            acc = [x + z0 * y for x, y in zip([c, *acc], [*acc, CR_ZERO])]
+        local.append(Polynomial(acc))
+    return _indicial_roots(*local, z0)
 
 
 # -- enveloping-algebra side -------------------------------------------------

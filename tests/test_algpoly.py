@@ -378,21 +378,6 @@ class TestPolynomial:
         assert p.eval(CRat(2)) == CRat(17)
         assert p.derivative(3) == Polynomial.zero()
 
-    def test_synthetic_division_and_valuation(self):
-        z = Polynomial.variable()
-        p = (z - Polynomial([3])) ** 2 * (z + Polynomial([1]))
-        q, rem = p.synthetic_division(CRat(3))
-        assert rem == CR_ZERO
-        assert q == (z - Polynomial([3])) * (z + Polynomial([1]))
-        assert p.valuation_at(CRat(3)) == 2
-        assert p.valuation_at(CRat(-1)) == 1
-        assert p.valuation_at(CRat(5)) == 0
-
-    def test_reversal(self):
-        p = Polynomial([1, 2, 3])
-        assert p.reversed_through(2) == Polynomial([3, 2, 1])
-        assert p.reversed_through(4) == Polynomial([0, 0, 3, 2, 1])
-
     @given(poly_st(3), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_pow_matches_repeated_products(self, p, n):

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie import cli, heunop, sl2rep
+import heunlie
+from heunlie import algpoly, cli, heunop, sl2rep
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
 from heunlie.heunop import (
     INFINITY,
@@ -41,6 +42,9 @@ from util import es_params, raising_free_expr, rand_crat, rand_params, reference
 
 COUNTED = ("uea_expand", "indicial_exponents", "uea_heun_coeffs", "qes_matrix")
 PER_REPORT = {"uea_expand": 1, "indicial_exponents": 4, "uea_heun_coeffs": 1, "qes_matrix": 1}
+# the six two-letter words of the Heun combination; the indicial pairs
+# compose no operators
+COMPOSE_PER_REPORT = {"op_compose": 6}
 
 BASE = ["--a=2", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3", "--delta=-1/2",
         "--epsilon=7/5"]
@@ -55,7 +59,7 @@ def _count_calls(monkeypatch, names, log=None) -> dict:
     and count its calls; ``log`` also records the call order."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(heunop, name)
+        original = getattr(heunop, name, None) or getattr(algpoly, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -63,7 +67,7 @@ def _count_calls(monkeypatch, names, log=None) -> dict:
                 log.append(_name)
             return _original(*args, **kwargs)
 
-        for module in (heunop, cli, sl2rep):
+        for module in (algpoly, heunop, cli, sl2rep, heunlie):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
@@ -85,17 +89,18 @@ def _param_sets():
 
 class TestOneAnalysisPerReport:
     def test_payload_analyze_builds_each_stage_once(self, monkeypatch):
-        counts = _count_calls(monkeypatch, COUNTED)
+        counts = _count_calls(monkeypatch, (*COUNTED, *COMPOSE_PER_REPORT))
         cli.payload_analyze(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1), 64)
-        assert counts == PER_REPORT
+        assert counts == {**PER_REPORT, **COMPOSE_PER_REPORT}
 
     def test_sweep_builds_one_context_per_valid_point(self, monkeypatch, capsys):
-        counts = _count_calls(monkeypatch, COUNTED)
+        counts = _count_calls(monkeypatch, (*COUNTED, *COMPOSE_PER_REPORT))
         # a = 1 is refused before any stage; the two a = 2 points share nothing
         assert cli.main(["sweep", "--n=8", "--grid=a=1,2,3,2", *BASE]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 4 and '"error"' in rows[0]
-        assert counts == {name: 3 * calls for name, calls in PER_REPORT.items()}
+        per_point = {**PER_REPORT, **COMPOSE_PER_REPORT}
+        assert counts == {name: 3 * calls for name, calls in per_point.items()}
 
     def test_stages_run_in_report_order(self, monkeypatch):
         log = []

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heunlie.algpoly import (
     CR_ONE,
@@ -38,7 +40,14 @@ from heunlie.heunop import (
     verify_theorem1,
 )
 from heunlie.sl2rep import Spin, uea_expand
-from util import es_params, rand_fraction, rand_params, rand_poly, surds_match
+from util import (
+    es_params,
+    rand_fraction,
+    rand_params,
+    rand_poly,
+    reference_indicial_exponents,
+    surds_match,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -213,6 +222,56 @@ class TestIndicial:
         assert rep.residual("exponent_at_a_first") == p.a
         assert rep.residual("exponent_at_1_second") == CR_ZERO
         assert rep.residual("exponent_at_inf_product") == CR_ZERO
+
+
+fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+crat_st = st.one_of(st.builds(CRat, fractions_st), st.builds(CRat, fractions_st, fractions_st))
+
+
+def poly_st(max_deg):
+    return st.lists(crat_st, max_size=max_deg + 1).map(Polynomial)
+
+
+@st.composite
+def op_and_point_st(draw):
+    """A second-order operator with coefficient degree <= 4 and a finite
+    point; half the time the point is a root of the leading coefficient of
+    multiplicity 1 or 2, and then the lower coefficients may carry the
+    powers of ``z - z0`` that make it regular singular."""
+    z0 = draw(crat_st)
+    p1, p0 = draw(poly_st(4)), draw(poly_st(4))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 2))
+        root = Polynomial([-z0, CR_ONE])
+        p2 = root**m * draw(poly_st(4 - m).filter(lambda p: not p.is_zero()))
+        if draw(st.booleans()):
+            p1 = root ** (m - 1) * draw(poly_st(5 - m))
+            p0 = root ** max(m - 2, 0) * draw(poly_st(4))
+    else:
+        p2 = draw(poly_st(4).filter(lambda p: not p.is_zero()))
+    return DiffOp([p0, p1, p2]), z0
+
+
+def _indicial_outcome(fn, L, point):
+    try:
+        return [str(e) for e in fn(L, point)]
+    except NotRegularSingular as exc:
+        return ("NotRegularSingular", str(exc))
+
+
+class TestIndicialAgainstOperatorTransform:
+    @given(op_and_point_st())
+    @example((DiffOp([Polynomial([-2]), Polynomial.variable(), Polynomial.monomial(2)]), CR_ZERO))
+    @example((build_expanded(es_params(4)), CRat(2)))
+    @settings(max_examples=150, deadline=None)
+    def test_local_lists_match_the_transformed_operator(self, case):
+        # the same two exponent strings in the same order, or the same
+        # refusal, as the route that rebuilds the operator under z -> 1/w
+        L, z0 = case
+        for point in (z0, INFINITY):
+            assert _indicial_outcome(indicial_exponents, L, point) == _indicial_outcome(
+                reference_indicial_exponents, L, point
+            )
 
 
 class TestUEACoefficients:

@@ -10,12 +10,25 @@ import re
 from fractions import Fraction
 
 from heunlie import cli
-from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, NEG_INF, CRat, DiffOp, Polynomial, op_apply
+from heunlie.algpoly import (
+    CR_I,
+    CR_ONE,
+    CR_ZERO,
+    NEG_INF,
+    CRat,
+    DiffOp,
+    Polynomial,
+    op_apply,
+    op_compose,
+    quadratic_roots,
+)
 from heunlie.distsol import DegenerateLeading, _residual_ready, falling_factorial
 from heunlie.greenssf import symbol_coeffs
 from heunlie.heunop import (
     EIG_RESIDUAL_TOL,
+    INFINITY,
     HeunParams,
+    NotRegularSingular,
     OracleMismatch,
     OverflowColumn,
     uea_heun_coeffs,
@@ -104,6 +117,66 @@ def surds_match(pair, expected) -> bool:
     e1, e2 = pair
     x1, x2 = expected
     return (e1 == x1 and e2 == x2) or (e1 == x2 and e2 == x1)
+
+
+def _divided(poly, z0):
+    """Quotient and remainder of ``poly`` by ``z - z0``, by synthetic division."""
+    acc, out = CR_ZERO, []
+    for c in reversed(poly.coeffs):
+        acc = acc * z0 + c
+        out.append(acc)
+    rem = out.pop() if out else CR_ZERO
+    return Polynomial(reversed(out)), rem
+
+
+def _reduced_value(poly, z0, k):
+    """Value at z0 of ``poly / (z - z0)^k``; refuses a nonzero remainder."""
+    if poly.is_zero():
+        return CR_ZERO
+    for _ in range(k):
+        poly, rem = _divided(poly, z0)
+        if not rem.is_zero():
+            raise NotRegularSingular(
+                f"coefficient fails the regular-singularity order condition at {z0}"
+            )
+    return poly.eval(z0)
+
+
+def reference_indicial_exponents(L, point):
+    """Frobenius exponents by the operator transform: at infinity the whole
+    operator is rebuilt under ``z -> 1/w`` with ``op_compose`` (each
+    ``p_k(z) D_z^k`` becomes ``[w^d p_k(1/w)] (-w^2 D_w)^k``), and the order
+    conditions at the point are checked by repeated synthetic division."""
+    if L.order != 2:
+        raise NotRegularSingular("indicial data implemented for second-order operators")
+    if point is INFINITY:
+        d = max(int(p.degree) for p in L.terms if not p.is_zero())
+        neg_w2_d = op_compose(DiffOp.from_term(Polynomial.monomial(2, -1)), DiffOp.d())
+        inverted, power = DiffOp.zero(), DiffOp.identity()
+        for k, pk in enumerate(L.terms):
+            if k:
+                power = op_compose(power, neg_w2_d)
+            if not pk.is_zero():
+                reversed_pk = Polynomial(pk.coeff(d - i) for i in range(d + 1))
+                inverted = inverted + op_compose(DiffOp.from_term(reversed_pk), power)
+        L, z0 = inverted, CR_ZERO
+    else:
+        z0 = CRat.from_value(point)
+    p2, p1, p0 = L.coeff(2), L.coeff(1), L.coeff(0)
+    if p2.is_zero():
+        raise NotRegularSingular("vanishing leading coefficient")
+    s, rest = 0, p2
+    while True:
+        quotient, rem = _divided(rest, z0)
+        if not rem.is_zero():
+            break
+        s, rest = s + 1, quotient
+    if s < 1:
+        raise NotRegularSingular(f"{z0} is an ordinary point (leading coefficient nonzero)")
+    lead = _reduced_value(p2, z0, s)
+    pc = _reduced_value(p1, z0, s - 1) / lead
+    qc = _reduced_value(p0, z0, s - 2) / lead if s >= 2 else CR_ZERO
+    return quadratic_roots(CR_ONE, pc - CR_ONE, qc)
 
 
 def reference_qes_matrix(L, N):
