@@ -3,10 +3,11 @@ linear differential operators with polynomial coefficients.
 
 Every value in this module is immutable after construction and every
 operation is a pure function, so everything here can be shared freely
-between threads.  Scalars are pairs of ``fractions.Fraction``; arithmetic
-with a float or a Python complex operand raises ``TypeError``.  Arithmetic
-skips zero imaginary parts, so real operands cost what
-``Fraction`` arithmetic costs; values, and report bytes, are unchanged.
+between threads.  A scalar ``CRat`` is one Gaussian-integer numerator over
+one positive integer denominator, in lowest terms, so each sum or product
+takes at most one gcd; arithmetic with a float or a Python complex operand
+raises ``TypeError``.  Its ``re`` and ``im`` are the parts as reduced
+``fractions.Fraction``, built when read.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ ExactLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "CRat"]
 
 
-def _fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _ratio(x) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an int or a Fraction, in lowest terms."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
@@ -75,16 +75,41 @@ def _power(base, n: int, one):
 
 
 class CRat:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    The value is ``(re_num + im_num * i) / den`` with ``den > 0`` and
+    ``gcd(re_num, im_num, den) == 1``, read-only as the tuple ``triple``.
+    That form is unique, so two values are equal exactly when their
+    triples are.
+    """
+
+    __slots__ = ("triple",)
 
     def __init__(self, re: ExactLike = 0, im: ExactLike = 0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        a, p = _ratio(re)
+        b, q = _ratio(im)
+        if p != q:
+            # over the lcm of the two reduced denominators, every prime of
+            # the lcm leaves one part's numerator, so the triple is reduced
+            d = math.lcm(p, q)
+            a, b, p = a * (d // p), b * (d // q), d
+        _set_triple(self, (a, b, p))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("CRat is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        """The real part in lowest terms (one gcd; arithmetic reads the
+        integers instead)."""
+        a, _, d = self.triple
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        """The imaginary part in lowest terms."""
+        _, b, d = self.triple
+        return Fraction(b, d)
 
     # -- construction -------------------------------------------------
 
@@ -146,83 +171,62 @@ class CRat:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return self.triple == _ZERO_TRIPLE
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self.triple[1]
 
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        _, b, d = self.triple
+        return not b and d == 1
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
-        """Return other as CRat, or None when it is not an exact scalar."""
-        if isinstance(other, CRat):
-            return other
-        if isinstance(other, Fraction):
-            return _crat(other, _ZERO)
-        if isinstance(other, int):
-            return _crat(Fraction(other), _ZERO)
-        return None
-
-    # A zero imaginary part is skipped rather than multiplied or added: each
-    # branch below gives exactly the value of the four-product formula.
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other.triple if isinstance(other, CRat) else _operand(other)
         if o is None:
             return NotImplemented
-        return _crat(self.re + o.re, self.im + o.im if o.im else self.im)
+        return _sum(*self.triple, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other.triple if isinstance(other, CRat) else _operand(other)
         if o is None:
             return NotImplemented
-        return _crat(self.re - o.re, self.im - o.im if o.im else self.im)
+        c, e, f = o
+        return _sum(*self.triple, -c, -e, f)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o - self
+        a, b, d = self.triple
+        return _sum(*o, -a, -b, d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other.triple if isinstance(other, CRat) else _operand(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            r = o.re
-            return _crat(self.re * r, self.im * r if self.im else self.im)
-        if not self.im:
-            r = self.re
-            return _crat(r * o.re, r * o.im)
-        return _crat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _product(*self.triple, *o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other.triple if isinstance(other, CRat) else _operand(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            r = o.re
-            if not r:
-                raise ZeroDivisionError("division by zero CRat")
-            return _crat(self.re / r, self.im / r if self.im else self.im)
-        d = o.re * o.re + o.im * o.im
-        return _crat((self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d)
+        return _quotient(*self.triple, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(*o, *self.triple)
 
     def __neg__(self):
-        return _crat(-self.re, -self.im)
+        a, b, d = self.triple
+        return _crat(-a, -b, d)
 
     def __pos__(self):
         return self
@@ -235,35 +239,40 @@ class CRat:
         return _power(self, n, CR_ONE)
 
     def conjugate(self) -> "CRat":
-        return _crat(self.re, -self.im)
+        a, b, d = self.triple
+        return _crat(a, -b, d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus re**2 + im**2."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self.triple
+        return Fraction(a * a + b * b, d * d)
 
     # -- conversions / comparisons ------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        a, b, d = self.triple
+        return complex(a / d, b / d)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.triple != _ZERO_TRIPLE
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            if isinstance(other, (float, complex)):
-                # exact, as a Fraction compares with a float: a finite float
-                # equals only the one rational it represents
-                z = complex(other)
-                return self.re == z.real and self.im == z.imag
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, CRat):
+            return self.triple == other.triple
+        if isinstance(other, (int, Fraction)):
+            return self.triple == (other.numerator, 0, other.denominator)
+        if isinstance(other, (float, complex)):
+            # exact, as a Fraction compares with a float: a finite float
+            # equals only the one rational it represents
+            z = complex(other)
+            return self.re == z.real and self.im == z.imag
+        return NotImplemented
 
     def __hash__(self):
         # the hash of complex(re, im), computed from the parts' exact hashes,
         # so equal CRat, Fraction, int, float and complex values hash alike
-        if not self.im:
+        if not self.triple[1]:
             return hash(self.re)
         # wrap to a signed machine word, as complex's hash does; Python turns
         # a returned -1 into -2, as complex's hash does too
@@ -271,31 +280,125 @@ class CRat:
         return h - _HASH_MODULUS if h >= _HASH_MODULUS // 2 else h
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        # each part as its reduced Fraction prints; a real value's triple is
+        # already its reduced ratio
+        a, b, d = self.triple
+        if not b:
+            return str(a) if d == 1 else f"{a}/{d}"
+        re, im = self.re, self.im
+        if not re:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
     def __repr__(self) -> str:
         return f"CRat({str(self)!r})"
 
 
-_ZERO = Fraction(0)
 _HASH = sys.hash_info
 _HASH_MODULUS = 1 << _HASH.width
 _new = object.__new__
-_set_re = CRat.re.__set__
-_set_im = CRat.im.__set__
+_set_triple = CRat.triple.__set__
+_ZERO_TRIPLE = (0, 0, 1)
 
 
-def _crat(re: Fraction, im: Fraction) -> CRat:
-    """CRat from two Fractions, without the validation of ``CRat.__init__``."""
+def _crat(a: int, b: int, d: int) -> CRat:
+    """``CRat`` from a canonical triple, without the validation of
+    ``CRat.__init__``."""
     z = _new(CRat)
-    _set_re(z, re)
-    _set_im(z, im)
+    _set_triple(z, (a, b, d))
     return z
+
+
+def _operand(x):
+    """The canonical triple of an int or a Fraction, else None; callers
+    take a ``CRat`` operand's ``triple`` first."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _reduced(a: int, b: int, d: int, support: int | None = None) -> CRat:
+    """``(a + b i) / d`` for ints with ``d > 0``, in lowest terms.
+
+    A zero value takes no gcd, and any other one gcd without ``support``.
+    With a ``support`` that every prime of ``d`` divides, every common
+    factor of ``a``, ``b`` and ``d`` divides ``g = gcd(a, b, support)``; it
+    is stripped by gcds with ``g`` and its divisors, never with the
+    full-size ``d``.  A prime of ``d`` missing from ``support`` is not
+    stripped, and the result is then not in lowest terms.
+    """
+    if not (a or b):
+        return CR_ZERO
+    if support is None:
+        g = math.gcd(a, b, d)
+        return _crat(a // g, b // g, d // g)
+    g = support
+    while True:
+        g = math.gcd(a % g, b % g, g)
+        if g != 1:
+            g = math.gcd(d % g, g)
+        if g == 1:
+            return _crat(a, b, d)
+        a, b, d = a // g, b // g, d // g
+
+
+# The operations below skip a zero part rather than multiply it; each branch
+# gives the value of the full formula.  _sum and _product take canonical
+# triples, and _quotient any triples with a positive denominator.
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
+    """``(a + b i)/d + (c + e i)/f``.  Over a shared denominator one gcd
+    reduces the sum, none when it is 1; if one denominator is 1 the cross
+    sum is already reduced (a prime of the other leaves that one's
+    numerator untouched)."""
+    if d == f:
+        if d == 1:
+            return _crat(a + c, b + e, 1)
+        a, b = a + c, b + e
+    elif d == 1 or f == 1:
+        return _crat(a * f + c * d, b * f + e * d, d * f)
+    else:
+        a, b, d = a * f + c * d, b * f + e * d, d * f
+    g = math.gcd(a, b, d)
+    return _crat(a // g, b // g, d // g)
+
+
+def _product(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
+    """``(a + b i)/d * (c + e i)/f`` by one gcd, or none for Gaussian
+    integers."""
+    if not b and d == 1:  # an integer factor goes second
+        a, b, d, c, e, f = c, e, f, a, b, d
+    if not e and f == 1:
+        # an integer c: gcd(c a, c b, d) == gcd(c, d), as gcd(a, b, d) == 1
+        if d != 1:
+            g = math.gcd(c, d)
+            if g != 1:
+                c, d = c // g, d // g
+        return _crat(a * c, b * c, d)
+    if not e:
+        a, b = a * c, b * c
+    elif not b:
+        a, b = a * c, a * e
+    else:
+        a, b = a * c - b * e, a * e + b * c
+    d *= f
+    g = math.gcd(a, b, d)
+    return _crat(a // g, b // g, d // g)
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int,
+              support: int | None = None) -> CRat:
+    """``(a + b i)/d / ((c + e i)/f)``: the numerator times ``f (c - e i)``
+    over ``d (c^2 + e^2)``, reduced by :func:`_reduced`."""
+    if not e:
+        if not c:
+            raise ZeroDivisionError("division by zero CRat")
+        if c < 0:
+            c, f = -c, -f
+        return _reduced(a * f, b * f, d * c, support)
+    return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e), support)
 
 
 CR_ZERO = CRat(0)
@@ -303,131 +406,57 @@ CR_ONE = CRat(1)
 CR_I = CRat(0, 1)
 
 
-def _common_sum(pairs) -> tuple[int, int]:
-    """``sum(n / d)`` over integer pairs with ``d > 0``, as an unreduced
-    ``(numerator, denominator)``; zero numerators are skipped."""
-    num, den = 0, 1
-    for n, d in pairs:
-        if not n:
-            continue
-        g = math.gcd(den, d)
-        if g == 1:
-            num, den = num * d + n * den, den * d
-        else:
-            d //= g
-            num, den = num * d + n * (den // g), den * d
-    return num, den
-
-
-_set_numerator = Fraction._numerator.__set__
-_set_denominator = Fraction._denominator.__set__
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """``num / den`` for coprime ints with ``den > 0``, built in the slots
-    without the gcd that ``Fraction(num, den)`` would repeat (as CPython
-    3.12's ``Fraction._from_coprime_ints`` does)."""
-    f = _new(Fraction)
-    _set_numerator(f, num)
-    _set_denominator(f, den)
-    return f
-
-
-def _reduced(num: int, den: int, support: int | None = None) -> Fraction:
-    """``num / den`` in lowest terms, or 0 without a gcd when ``num`` is 0.
-
-    Without ``support`` this is one gcd, which also moves the sign of
-    ``den`` to ``num``.  With a ``support`` that every prime of ``den``
-    divides, every common factor of ``num`` and ``den`` divides
-    ``g = gcd(num, support)``; it is stripped by gcds with ``g`` and its
-    divisors, never with the full-size ``den``.  A prime of ``den`` missing
-    from ``support`` is not stripped, and the result is then not in lowest
-    terms.
-    """
-    if not num:
-        return _ZERO
-    if support is None:
-        return Fraction(num, den)
-    if den < 0:
-        num, den = -num, -den
-    g = support
-    while True:
-        g = math.gcd(num % g, g)
-        if g != 1:
-            g = math.gcd(den % g, g)
-        if g == 1:
-            return _coprime_fraction(num, den)
-        num //= g
-        den //= g
-
-
 def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = None,
               *, support: int | None = None) -> CRat:
     """Exact ``sum(sign * coef * value) / divisor`` over ``(sign, coef,
     value)`` triples of a sign ``+1`` or ``-1`` and two ``CRat``.
 
-    Each part is summed over one common denominator, grown by the gcd of the
-    running denominator and each product's denominator, and reduced once at
-    the end.  The operands of a three-term recurrence share most of their
-    denominators' factors, so those gcds are cheap.  The reduction is the
-    only gcd on the full-size numerator, and a part that cancels to 0 needs
-    none.  Given a ``support`` that every prime of the unreduced
-    denominator divides, the reduction takes gcds with ``support`` instead
-    (see :func:`_reduced`).  That precondition is not checked: a
-    ``support`` missing such a prime gives a part that is not in lowest
-    terms, which compares and hashes unequal to the canonical ``Fraction``.
-    A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat`` division
-    does.
+    The Gaussian-integer products are summed over one common denominator,
+    grown by the gcd of the running denominator and each product's
+    denominator, and reduced once at the end.  The operands of a three-term
+    recurrence share most of their denominators' factors, so those gcds are
+    cheap.  The reduction is the only gcd on the full-size numerator, and a
+    sum that cancels to 0 needs none.  Given a ``support`` that every prime
+    of the unreduced denominator divides, the reduction takes gcds with
+    ``support`` instead (see :func:`_reduced`).  That precondition is not
+    checked: a ``support`` missing such a prime gives a value that is not
+    in lowest terms, which compares and hashes unequal to the canonical
+    one.  A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat``
+    division does.
     """
-    re_parts, im_parts = [], []
+    rn, jn, den = 0, 0, 1
     for sign, coef, value in terms:
-        an, ad = coef.re.as_integer_ratio()
-        bn, bd = coef.im.as_integer_ratio()
-        cn, cd = value.re.as_integer_ratio()
-        dn, dd = value.im.as_integer_ratio()
-        if an:
-            if cn:
-                re_parts.append((sign * an * cn, ad * cd))
-            if dn:
-                im_parts.append((sign * an * dn, ad * dd))
-        if bn:
-            if dn:
-                re_parts.append((-sign * bn * dn, bd * dd))
-            if cn:
-                im_parts.append((sign * bn * cn, bd * cd))
-    nr, dr = _common_sum(re_parts)
-    ni, di = _common_sum(im_parts)
+        a, b, p = coef.triple
+        c, e, q = value.triple
+        if b:
+            x, y = (a * c - b * e, a * e + b * c) if e else (a * c, b * c)
+        else:
+            x, y = a * c, a * e
+        if not (x or y):
+            continue
+        if sign < 0:
+            x, y = -x, -y
+        d = p * q
+        g = math.gcd(den, d)
+        if g == 1:
+            rn, jn, den = rn * d + x * den, jn * d + y * den, den * d
+        else:
+            d //= g
+            s = den // g
+            rn, jn, den = rn * d + x * s, jn * d + y * s, den * d
     if divisor is None:
-        return _crat(_reduced(nr, dr, support), _reduced(ni, di, support))
-    pn, pd = divisor.re.as_integer_ratio()
-    qn, qd = divisor.im.as_integer_ratio()
-    if not qn:
-        if not pn:
-            raise ZeroDivisionError("division by zero CRat")
-        return _crat(_reduced(nr * pd, dr * pn, support),
-                     _reduced(ni * pd, di * pn, support))
-    # (nr/dr + i ni/di) (p - i q) / |divisor|^2
-    mn, md = divisor.abs2().as_integer_ratio()
-    re_n, re_d = _common_sum(((nr * pn, dr * pd), (ni * qn, di * qd)))
-    im_n, im_d = _common_sum(((ni * pn, di * pd), (-nr * qn, dr * qd)))
-    return _crat(_reduced(re_n * md, re_d * mn, support),
-                 _reduced(im_n * md, im_d * mn, support))
+        return _reduced(rn, jn, den, support)
+    return _quotient(rn, jn, den, *divisor.triple, support)
 
 
 def int_combination(u: int, *pairs: tuple[int, CRat]) -> CRat:
-    """``u + sum(v * s)`` over pairs of an int ``v`` and a ``CRat`` ``s``.
-
-    The integer ratio of each part of each ``s`` is read once, and each
-    nonzero part of the result is made as one ``Fraction``.
-    """
-    rn, rd, jn, jd = u, 1, 0, 1
+    """``u + sum(v * s)`` over pairs of an int ``v`` and a ``CRat`` ``s``,
+    summed over the product of the denominators and reduced by one gcd."""
+    rn, jn, den = u, 0, 1
     for v, s in pairs:
-        n, d = s.re.as_integer_ratio()
-        rn, rd = rn * d + v * n * rd, rd * d
-        n, d = s.im.as_integer_ratio()
-        if n:
-            jn, jd = jn * d + v * n * jd, jd * d
-    return _crat(Fraction(rn, rd) if rn else _ZERO, Fraction(jn, jd) if jn else _ZERO)
+        a, b, d = s.triple
+        rn, jn, den = rn * d + v * a * den, jn * d + v * b * den, den * d
+    return _reduced(rn, jn, den)
 
 
 def _isqrt_exact(n: int):

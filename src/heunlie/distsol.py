@@ -23,7 +23,7 @@ Each bracket triple ``(A, B, C)`` of a branch and index k is built once per
 :class:`RecurrenceSpec` and kept on the spec: the forward solve, the
 residual table and the root formulas of one report all read the same
 triples.  It is built from integer falling factorials (``math.perm``) and
-the integer ratios of the spec's scalars, one ``Fraction`` per nonzero part.
+the integer triples of the spec's scalars, reduced by one gcd per bracket.
 A forward solve with a real leading bracket carries the primes its
 denominators can have, so each step is reduced to lowest terms without a
 gcd on a full-size operand.
@@ -325,12 +325,11 @@ def _grown(support: int | None, A: CRat, B: CRat, C: CRat) -> int | None:
     ``ab`` or ``E``) ends the support: the numerator of ``|C|^2`` would
     carry squared falling factorials, a support larger than the
     denominators it covers, so such a solve reduces by plain gcds."""
-    if support is None or C.im:
+    re_num, im_num, den = C.triple
+    if support is None or im_num:
         return None
-    n, d = C.re.as_integer_ratio()
     # one lcm with the large support, after the small ones
-    return math.lcm(support, math.lcm(n, d, A.re.denominator, A.im.denominator,
-                                      B.re.denominator, B.im.denominator))
+    return math.lcm(support, math.lcm(re_num, den, A.triple[2], B.triple[2]))
 
 
 @dataclass(frozen=True)
@@ -356,7 +355,7 @@ def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
     vals = [CRat.from_value(c0), CRat.from_value(c1)]
     # Every prime of a step's denominator divides `support`, by induction: it
     # divides a denominator of c_0 or c_1, or one that a step adds (_grown).
-    support = math.lcm(*(part.denominator for v in vals for part in (v.re, v.im)))
+    support = math.lcm(*(v.triple[2] for v in vals))
     for k in range(2, K + 1):
         if k < start:
             # recurrence does not determine this band; take the minimal choice

@@ -3,6 +3,7 @@ every value type, across the types each one compares equal with."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,56 @@ class TestEqualValuesHashEqually:
     @settings(max_examples=300, deadline=None)
     def test_heun_params(self, a, b):
         assert_consistent(a, b)
+
+
+# dyadic parts, so that each has an exact float twin
+dyadic_st = st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8, 16]))
+
+
+class TestPartsWithDifferentDenominators:
+    """A ``CRat`` holds one denominator for both parts; values whose parts
+    have different ones still equal, and hash as, their twins."""
+
+    @given(dyadic_st, dyadic_st)
+    @example(Fraction(1, 2), Fraction(3, 4))
+    @example(Fraction(-3, 8), Fraction(5))
+    @example(Fraction(7), Fraction(-1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_complex_twin(self, re, im):
+        z = CRat(re, im)
+        twin = complex(float(re), float(im))
+        assert z == twin and twin == z and hash(z) == hash(twin)
+        assert_consistent(z, twin)
+
+    @given(st.fractions(max_denominator=60), st.fractions(max_denominator=60))
+    @example(Fraction(1, 6), Fraction(1, 4))
+    @example(Fraction(3), Fraction(1, 3))
+    @example(Fraction(-1, 2), Fraction(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_real_twins_once_the_imaginary_part_cancels(self, re, im):
+        # the difference is reduced to the real part's own denominator
+        z = CRat(re, im) - CRat(0, im)
+        assert z.triple == (re.numerator, 0, re.denominator)
+        twins = [re, CRat(re)]
+        if is_float_exact(re):
+            twins.append(float(re))
+        if re.denominator == 1:
+            twins.append(int(re))
+        for twin in twins:
+            assert z == twin and twin == z and hash(z) == hash(twin)
+            assert_consistent(z, twin)
+
+    @pytest.mark.parametrize("name", ["re", "im", "triple"])
+    def test_parts_cannot_be_assigned(self, name):
+        z = CRat(Fraction(1, 6), Fraction(1, 4))
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+        assert (z.re, z.im) == (Fraction(1, 6), Fraction(1, 4))
+
+    @pytest.mark.parametrize("args", [(1.5,), (1, 0.5), (0.5j,), (Fraction(1, 2), 1j)])
+    def test_inexact_parts_raise_type_error(self, args):
+        with pytest.raises(TypeError):
+            CRat(*args)
 
 
 class TestDistributionCenters:

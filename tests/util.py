@@ -232,6 +232,8 @@ def reference_truncated_exponential(p):
 def _parts(x) -> tuple[Fraction, Fraction]:
     if isinstance(x, CRat):
         return x.re, x.im
+    if isinstance(x, tuple):  # already an (re, im) pair
+        return x
     return Fraction(x), Fraction(0)
 
 
@@ -247,7 +249,8 @@ def _textbook_div(a, b, c, d):
 def reference_crat_op(x, y, op) -> tuple[Fraction, Fraction]:
     """``x op y`` on (re, im) pairs by the textbook formulas: four products
     per product and the squared modulus in every division, whatever parts
-    are zero.  ``op`` is one of ``operator.add/sub/mul/truediv/pow``; for
+    are zero.  ``x`` and ``y`` are exact scalars or (re, im) pairs of
+    Fractions.  ``op`` is one of ``operator.add/sub/mul/truediv/pow``; for
     ``pow`` the exponent ``y`` is an int and the power is repeated products."""
     a, b = _parts(x)
     if op is operator.pow:
