@@ -95,8 +95,10 @@ class CRat:
             a, b, p = a * (d // p), b * (d // q), d
         _set_triple(self, (a, b, p))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("CRat is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def re(self) -> Fraction:
@@ -318,7 +320,8 @@ def _operand(x):
     return None
 
 
-def _reduced(a: int, b: int, d: int, support: int | None = None) -> CRat:
+def _reduced(a: int, b: int, d: int, support: int | None = None,
+             record: list | None = None) -> CRat:
     """``(a + b i) / d`` for ints with ``d > 0``, in lowest terms.
 
     A zero value takes no gcd, and any other one gcd without ``support``.
@@ -326,21 +329,27 @@ def _reduced(a: int, b: int, d: int, support: int | None = None) -> CRat:
     factor of ``a``, ``b`` and ``d`` divides ``g = gcd(a, b, support)``; it
     is stripped by gcds with ``g`` and its divisors, never with the
     full-size ``d``.  A prime of ``d`` missing from ``support`` is not
-    stripped, and the result is then not in lowest terms.
+    stripped, and the result is then not in lowest terms.  A nonzero value
+    appends the factor it stripped to a list ``record``.
     """
     if not (a or b):
         return CR_ZERO
     if support is None:
         g = math.gcd(a, b, d)
+        if record is not None:
+            record.append(g)
         return _crat(a // g, b // g, d // g)
-    g = support
+    g, stripped = support, 1
     while True:
         g = math.gcd(a % g, b % g, g)
         if g != 1:
             g = math.gcd(d % g, g)
         if g == 1:
+            if record is not None:
+                record.append(stripped)
             return _crat(a, b, d)
         a, b, d = a // g, b // g, d // g
+        stripped *= g
 
 
 # The operations below skip a zero part rather than multiply it; each branch
@@ -389,15 +398,18 @@ def _product(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
 
 
 def _quotient(a: int, b: int, d: int, c: int, e: int, f: int,
-              support: int | None = None) -> CRat:
+              support: int | None = None, record: list | None = None) -> CRat:
     """``(a + b i)/d / ((c + e i)/f)``: the numerator times ``f (c - e i)``
-    over ``d (c^2 + e^2)``, reduced by :func:`_reduced`."""
+    over ``d (c^2 + e^2)``, reduced by :func:`_reduced`.  A real divisor
+    appends ``f`` and ``c``, made ``c > 0``, to a list ``record``."""
     if not e:
         if not c:
             raise ZeroDivisionError("division by zero CRat")
         if c < 0:
             c, f = -c, -f
-        return _reduced(a * f, b * f, d * c, support)
+        if record is not None:
+            record += (f, c)
+        return _reduced(a * f, b * f, d * c, support, record)
     return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e), support)
 
 
@@ -407,7 +419,7 @@ CR_I = CRat(0, 1)
 
 
 def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = None,
-              *, support: int | None = None) -> CRat:
+              *, support: int | None = None, record: list | None = None) -> CRat:
     """Exact ``sum(sign * coef * value) / divisor`` over ``(sign, coef,
     value)`` triples of a sign ``+1`` or ``-1`` and two ``CRat``.
 
@@ -423,6 +435,18 @@ def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = No
     in lowest terms, which compares and hashes unequal to the canonical
     one.  A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat``
     division does.
+
+    Given a list ``record``, with every coefficient and the divisor real,
+    the call appends the small integers that rebuild its result from the
+    values' numerators and denominators.  For each term it appends None if
+    the term's product is zero, and else ``(w, d, m)``: the summed
+    numerator becomes ``S d + w num(value)``, and the summed denominator
+    ``m den(value)``.  A real divisor, written ``n/f`` with ``n > 0``,
+    appends ``f`` and ``n``, which multiply ``S`` and the denominator; a
+    nonzero result appends the factor ``G`` that the reduction stripped
+    from both.
+    These are cofactors the sum computes anyway, so recording adds no gcd
+    and no product of two full-size integers.
     """
     rn, jn, den = 0, 0, 1
     for sign, coef, value in terms:
@@ -433,20 +457,25 @@ def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = No
         else:
             x, y = a * c, a * e
         if not (x or y):
+            if record is not None:
+                record.append(None)
             continue
         if sign < 0:
             x, y = -x, -y
+        # den becomes lcm(den, d) = den * d / g: the sum so far is scaled by
+        # d / g and this term's product by s = den / g
         d = p * q
         g = math.gcd(den, d)
-        if g == 1:
-            rn, jn, den = rn * d + x * den, jn * d + y * den, den * d
-        else:
+        s = den
+        if g != 1:
             d //= g
-            s = den // g
-            rn, jn, den = rn * d + x * s, jn * d + y * s, den * d
+            s //= g
+        rn, jn, den = rn * d + x * s, jn * d + y * s, den * d
+        if record is not None:
+            record.append((sign * a * s, d, p * s))
     if divisor is None:
-        return _reduced(rn, jn, den, support)
-    return _quotient(rn, jn, den, *divisor.triple, support)
+        return _reduced(rn, jn, den, support, record)
+    return _quotient(rn, jn, den, *divisor.triple, support, record)
 
 
 def int_combination(u: int, *pairs: tuple[int, CRat]) -> CRat:
@@ -533,8 +562,10 @@ class Surd:
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", rad)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value=None):
         raise AttributeError("Surd is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_value(cls, x) -> "Surd":
@@ -670,8 +701,10 @@ class Polynomial:
             lst.pop()
         object.__setattr__(self, "coeffs", tuple(lst))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value=None):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     # -- constructors ---------------------------------------------------
 
@@ -808,8 +841,10 @@ class DiffOp:
             lst.pop()
         object.__setattr__(self, "terms", tuple(lst))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value=None):
         raise AttributeError("DiffOp is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls) -> "DiffOp":

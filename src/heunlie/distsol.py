@@ -27,15 +27,25 @@ the integer triples of the spec's scalars, reduced by one gcd per bracket.
 A forward solve with a real leading bracket carries the primes its
 denominators can have, so each step is reduced to lowest terms without a
 gcd on a full-size operand.
+
+CPython turns an int into decimal text in quadratic time, and a report's
+integers run to thousands of digits.  So a forward solve also keeps each
+real step's small integers from :func:`~heunlie.algpoly.exact_dot`, and
+:meth:`CoeffSequence.as_list` prints a large value by replaying its step
+in exact ``decimal`` arithmetic, checked against the int modulo a prime
+(see :func:`_replayed_text`).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot, int_combination
+from .heunop import OracleMismatch
 
 __all__ = [
     "NonIntegerExponents",
@@ -307,7 +317,10 @@ _BRANCHES = {
 
 # A step returns c_k and the support of a forward solve grown by its
 # brackets (see _grown); with no support, c_k is reduced by one plain gcd.
-def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None):
+# Given a list `steps`, it appends exact_dot's record of a real step with a
+# support and a nonzero c_k, and None for any other step.
+def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None,
+          steps: list | None = None):
     brackets, (sign_a, sign_b), _, leading = _BRANCHES[branch]
     A, B, C = brackets(spec, k)
     if C.is_zero():
@@ -315,7 +328,13 @@ def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None):
             f"{leading} = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
     support = _grown(support, A, B, C)
-    return exact_dot(((-sign_a, A, x), (-sign_b, B, y)), C, support=support), support
+    # a support means a real C (see _grown)
+    record = [] if steps is not None and support is not None and not (
+        A.triple[1] or B.triple[1] or x.triple[1] or y.triple[1]) else None
+    c = exact_dot(((-sign_a, A, x), (-sign_b, B, y)), C, support=support, record=record)
+    if steps is not None:
+        steps.append(tuple(record) if record and c else None)
+    return c, support
 
 
 def _grown(support: int | None, A: CRat, B: CRat, C: CRat) -> int | None:
@@ -334,9 +353,16 @@ def _grown(support: int | None, A: CRat, B: CRat, C: CRat) -> int | None:
 
 @dataclass(frozen=True)
 class CoeffSequence:
-    """Finite truncation c_0, ..., c_K of a delta-derivative coefficient series."""
+    """Finite truncation c_0, ..., c_K of a delta-derivative coefficient series.
+
+    A forward solve also keeps, per index, the record that
+    :func:`~heunlie.algpoly.exact_dot` made of a real step, or None.  The
+    records are left out of ``==``, hash and repr, so a solved sequence
+    equals one built from its values.
+    """
 
     values: tuple
+    steps: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.values)
@@ -345,7 +371,98 @@ class CoeffSequence:
         return self.values[k]
 
     def as_list(self) -> list[str]:
-        return [str(v) for v in self.values]
+        """Each value as ``str`` prints it."""
+        if self.steps is None:
+            return [str(v) for v in self.values]
+        return _replayed_text(self.values, self.steps)
+
+
+# A value with an integer of at least this many bits (about 500 digits) is
+# printed from its replay; below that, str() of the int is faster (the
+# crossover measured on CPython 3.11).
+_REPLAY_BITS = 1700
+# the tripwire compares residues modulo this prime (2^61 - 1, a Mersenne
+# prime below the 10^19 word of decimal, so both residues take one O(digits) pass)
+_P = (1 << 61) - 1
+# exact integer arithmetic: a step that would round raises instead
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
+
+
+def _replayed_text(values: tuple, steps: tuple) -> list[str]:
+    """``str`` of each value, a large real one built from its step's integers.
+
+    CPython converts an int to decimal text in quadratic time.  A recorded
+    step instead rebuilds ``N_k`` and ``D_k`` in ``decimal`` from the two
+    values before it, in time linear in their length for the small step
+    integers, and checks each against its int by a residue modulo ``_P``;
+    a mismatch or a division with a remainder raises ``OracleMismatch``.
+    Only the last two replayed values are kept; one that went through
+    ``str`` is read back from its text.  Values with no record (``c_0``,
+    ``c_1``, zeros, complex values) and small ones go through ``str``.
+    """
+    limit = sys.get_int_max_str_digits()
+    out = []
+    prev = (None, None)  # (N, D) in decimal of c_(k-2) and c_(k-1), if replayed
+    with decimal.localcontext(_EXACT):
+        for k, (v, step) in enumerate(zip(values, steps)):
+            a, _, d = v.triple
+            if step is None or max(a.bit_length(), d.bit_length()) < _REPLAY_BITS:
+                out.append(str(v))
+                prev = (prev[1], None)
+                continue
+            u, w, j, m, G = _combination(step)
+            x = prev[0] or _decimal_pair(out[k - 2])
+            y = prev[1] or _decimal_pair(out[k - 1])
+            num = _exact_quotient(u * x[0] + w * y[0], G, k)
+            den = _exact_quotient(m * (y if j else x)[1], G, k)
+            if int(num % _P) % _P != a % _P or int(den % _P) % _P != d % _P:
+                raise OracleMismatch(f"the replayed text of c_{k} disagrees with its value")
+            text = _digits(num, a, limit)
+            out.append(text if d == 1 else f"{text}/{_digits(den, d, limit)}")
+            prev = (prev[1], (num, den))
+    return out
+
+
+def _combination(step: tuple) -> tuple:
+    """``(u, v, j, m, G)`` with ``N_k G = u N_(k-2) + v N_(k-1)`` and
+    ``D_k G = m D_(k-2+j)``, from the record of a step's ``exact_dot``."""
+    first, second, f, n, G = step
+    u = v = 0
+    if first:
+        u, _, m = first
+        j = 0
+    if second:
+        w, d, m = second
+        u, v, j = u * d, w, 1
+    return u * f, v * f, j, m * n, G
+
+
+def _decimal_pair(text: str) -> tuple:
+    """Numerator and denominator of a real value's text, in ``decimal``."""
+    num, _, den = text.partition("/")
+    return decimal.Decimal(num), decimal.Decimal(den or 1)
+
+
+def _exact_quotient(x, G: int, k: int):
+    if G == 1:
+        return x
+    q, r = divmod(x, G)
+    if r:
+        raise OracleMismatch(f"the replay of c_{k} does not divide exactly by {G}")
+    return q
+
+
+def _digits(x, i: int, limit: int) -> str:
+    """The text of the int ``i``, read from its replay ``x``.  Past the
+    interpreter's int-digit limit it is ``str(i)``, which raises CPython's
+    own ``ValueError``."""
+    if limit and x.adjusted() >= limit:
+        return str(i)
+    return str(x)
 
 
 def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
@@ -353,6 +470,7 @@ def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
         raise ValueError("truncation K must be at least 1")
     start = max(2, spec.l - _BRANCHES[branch][2])
     vals = [CRat.from_value(c0), CRat.from_value(c1)]
+    steps = [None] * start
     # Every prime of a step's denominator divides `support`, by induction: it
     # divides a denominator of c_0 or c_1, or one that a step adds (_grown).
     support = math.lcm(*(v.triple[2] for v in vals))
@@ -361,9 +479,9 @@ def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
             # recurrence does not determine this band; take the minimal choice
             vals.append(CR_ZERO)
             continue
-        c, support = _step(spec, branch, vals[k - 2], vals[k - 1], k, support)
+        c, support = _step(spec, branch, vals[k - 2], vals[k - 1], k, support, steps)
         vals.append(c)
-    return CoeffSequence(tuple(vals))
+    return CoeffSequence(tuple(vals), tuple(steps[:K + 1]))
 
 
 def forward_real(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:

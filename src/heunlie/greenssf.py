@@ -91,8 +91,10 @@ class Distribution:
         kept.sort(key=lambda t: (t[0], str(t[1])))
         object.__setattr__(self, "terms", tuple(kept))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value=None):
         raise AttributeError("Distribution is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def delta(cls, order: int = 0, center=0, coeff=1) -> "Distribution":

@@ -43,8 +43,10 @@ class Spin:
             raise ValueError(f"2j must be an integer, got j={j}")
         object.__setattr__(self, "j", j)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value=None):
         raise AttributeError("Spin is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_n(cls, n: int) -> "Spin":
@@ -108,8 +110,10 @@ class UEAExpr:
         object.__setattr__(self, "words", tuple(kept))
         object.__setattr__(self, "constant", const)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value=None):
         raise AttributeError("UEAExpr is immutable")
+
+    __delattr__ = __setattr__
 
     def coefficient(self, letters: str) -> CRat:
         """Sum of coefficients attached to the word ``letters`` as written."""

@@ -478,9 +478,9 @@ class TestSharedBrackets:
         supports = []
         dot = distsol.exact_dot
 
-        def recorded(terms, divisor=None, *, support=None):
+        def recorded(terms, divisor=None, *, support=None, **kwargs):
             supports.append(support)
-            return dot(terms, divisor, support=support)
+            return dot(terms, divisor, support=support, **kwargs)
 
         monkeypatch.setattr(distsol, "exact_dot", recorded)
         forward, _, _, _ = BRANCHES[which]

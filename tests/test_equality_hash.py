@@ -11,6 +11,7 @@ from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
 from heunlie.distsol import weight_expansion
 from heunlie.greenssf import Distribution
 from heunlie.heunop import HeunParams
+from heunlie.sl2rep import Spin, UEAExpr
 
 # few values, so that independent draws are often equal; 1/3 has no float
 parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4),
@@ -237,3 +238,23 @@ class TestDistributionCenters:
         assert a == b and b == a
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: CRat(Fraction(1, 2), 3), "triple"),
+    (lambda: Surd(1, 2, 3), "rad"),
+    (lambda: Polynomial([1, 2]), "coeffs"),
+    (lambda: DiffOp([Polynomial([1])]), "terms"),
+    (lambda: Spin(Fraction(3, 2)), "j"),
+    (lambda: UEAExpr([(1, "+0")], 2), "words"),
+    (lambda: Distribution([(0, 1, 1)]), "terms"),
+], ids=["CRat", "Surd", "Polynomial", "DiffOp", "Spin", "UEAExpr", "Distribution"])
+def test_slots_refuse_assignment_and_deletion_alike(make, name):
+    # a deleted slot would leave a value whose str, == and hash raise
+    value = make()
+    text, h = str(value), hash(value)
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(value, name)
+    assert str(value) == text and hash(value) == h and value == make()
