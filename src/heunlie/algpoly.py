@@ -329,15 +329,14 @@ def _reduced(a: int, b: int, d: int, support: int | None = None,
     factor of ``a``, ``b`` and ``d`` divides ``g = gcd(a, b, support)``; it
     is stripped by gcds with ``g`` and its divisors, never with the
     full-size ``d``.  A prime of ``d`` missing from ``support`` is not
-    stripped, and the result is then not in lowest terms.  A nonzero value
-    appends the factor it stripped to a list ``record``.
+    stripped, and the result is then not in lowest terms.  With a
+    ``support``, a nonzero value appends the factor it stripped to a list
+    ``record``.
     """
     if not (a or b):
         return CR_ZERO
     if support is None:
         g = math.gcd(a, b, d)
-        if record is not None:
-            record.append(g)
         return _crat(a // g, b // g, d // g)
     g, stripped = support, 1
     while True:
@@ -436,15 +435,15 @@ def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = No
     one.  A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat``
     division does.
 
-    Given a list ``record``, with every coefficient and the divisor real,
-    the call appends the small integers that rebuild its result from the
-    values' numerators and denominators.  For each term it appends None if
-    the term's product is zero, and else ``(w, d, m)``: the summed
-    numerator becomes ``S d + w num(value)``, and the summed denominator
-    ``m den(value)``.  A real divisor, written ``n/f`` with ``n > 0``,
-    appends ``f`` and ``n``, which multiply ``S`` and the denominator; a
-    nonzero result appends the factor ``G`` that the reduction stripped
-    from both.
+    Given a list ``record`` and a ``support``, with every coefficient and
+    the divisor real, the call appends the small integers that rebuild its
+    result from the values' numerators and denominators.  For each term it
+    appends None if the term's product is zero, and else ``(w, d, m)``: the
+    summed numerator becomes ``S d + w num(value)``, and the summed
+    denominator ``m den(value)``.  A real divisor, written ``n/f`` with
+    ``n > 0``, appends ``f`` and ``n``, which multiply ``S`` and the
+    denominator; a nonzero result appends the factor ``G`` that the
+    reduction stripped from both.
     These are cofactors the sum computes anyway, so recording adds no gcd
     and no product of two full-size integers.
     """

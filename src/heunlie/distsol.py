@@ -24,9 +24,9 @@ Each bracket triple ``(A, B, C)`` of a branch and index k is built once per
 residual table and the root formulas of one report all read the same
 triples.  It is built from integer falling factorials (``math.perm``) and
 the integer triples of the spec's scalars, reduced by one gcd per bracket.
-A forward solve with a real leading bracket carries the primes its
-denominators can have, so each step is reduced to lowest terms without a
-gcd on a full-size operand.
+Every step, of a forward solve or alone, carries the primes its
+denominators can have, so it is reduced to lowest terms without a gcd on a
+full-size operand.
 
 CPython turns an int into decimal text in quadratic time, and a report's
 integers run to thousands of digits.  So a forward solve also keeps each
@@ -295,7 +295,8 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
     for ``ab = 0``.
     """
-    return _step(spec, "real", CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
+    x, y = CRat.from_value(c_km2), CRat.from_value(c_km1)
+    return _step(spec, "real", x, y, k, math.lcm(x.triple[2], y.triple[2]))[0]
 
 
 def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -303,7 +304,8 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
     """
-    return _step(spec, "imag", CRat.from_value(c_km2), CRat.from_value(c_km1), k, None)[0]
+    x, y = CRat.from_value(c_km2), CRat.from_value(c_km1)
+    return _step(spec, "imag", x, y, k, math.lcm(x.triple[2], y.triple[2]))[0]
 
 
 # branch -> (bracket builder, signs of the A and B terms (C's is +1), offset
@@ -315,11 +317,11 @@ _BRANCHES = {
 }
 
 
-# A step returns c_k and the support of a forward solve grown by its
-# brackets (see _grown); with no support, c_k is reduced by one plain gcd.
-# Given a list `steps`, it appends exact_dot's record of a real step with a
-# support and a nonzero c_k, and None for any other step.
-def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None,
+# A step returns c_k and the support of its solve grown by its brackets
+# (see _grown).  Given a list `steps`, it appends exact_dot's record of a
+# step with a real C and real operands and a nonzero c_k, and None for any
+# other step.
+def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int,
           steps: list | None = None):
     brackets, (sign_a, sign_b), _, leading = _BRANCHES[branch]
     A, B, C = brackets(spec, k)
@@ -328,27 +330,25 @@ def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None,
             f"{leading} = 0 at k={k}, l={spec.l}; c_k is not determined here"
         )
     support = _grown(support, A, B, C)
-    # a support means a real C (see _grown)
-    record = [] if steps is not None and support is not None and not (
-        A.triple[1] or B.triple[1] or x.triple[1] or y.triple[1]) else None
+    record = [] if steps is not None and not (
+        A.triple[1] or B.triple[1] or C.triple[1] or x.triple[1] or y.triple[1]) else None
     c = exact_dot(((-sign_a, A, x), (-sign_b, B, y)), C, support=support, record=record)
     if steps is not None:
         steps.append(tuple(record) if record and c else None)
     return c, support
 
 
-def _grown(support: int | None, A: CRat, B: CRat, C: CRat) -> int | None:
+def _grown(support: int, A: CRat, B: CRat, C: CRat) -> int:
     """``support`` grown by every prime a step with the nonzero leading
-    bracket ``C`` can bring into a denominator: those of the brackets'
-    denominators and of the numerator of ``C``.  A complex ``C`` (complex
-    ``ab`` or ``E``) ends the support: the numerator of ``|C|^2`` would
-    carry squared falling factorials, a support larger than the
-    denominators it covers, so such a solve reduces by plain gcds."""
-    re_num, im_num, den = C.triple
-    if support is None or im_num:
-        return None
+    bracket ``C = (c + e i)/f`` can bring into a denominator: those of the
+    brackets' denominators and of ``c^2 + e^2``.  With ``g = gcd(c, e)``
+    that is ``g^2 ((c/g)^2 + (e/g)^2)``, so ``g`` and the primitive norm
+    cover its primes (for a real ``C``, ``g = |c|`` and the norm is 1)."""
+    c, e, f = C.triple
+    g = math.gcd(c, e)
+    norm = (c // g) ** 2 + (e // g) ** 2
     # one lcm with the large support, after the small ones
-    return math.lcm(support, math.lcm(re_num, den, A.triple[2], B.triple[2]))
+    return math.lcm(support, math.lcm(g, norm, f, A.triple[2], B.triple[2]))
 
 
 @dataclass(frozen=True)

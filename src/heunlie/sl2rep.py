@@ -31,17 +31,18 @@ LETTERS = ("+", "0", "-")
 
 
 class Spin:
-    """Spin parameter j with 2j an integer; j = n/2 covers every case used here."""
+    """Spin parameter j with 2j an integer; j = n/2 covers every case used here.
+    ``j`` goes through ``CRat.from_value``, so a float or complex raises ``TypeError``."""
 
     __slots__ = ("j",)
 
     def __init__(self, j: Union[int, Fraction, "Spin"]):
         if isinstance(j, Spin):
             j = j.j
-        j = Fraction(j)
-        if (2 * j).denominator != 1:
-            raise ValueError(f"2j must be an integer, got j={j}")
-        object.__setattr__(self, "j", j)
+        z = CRat.from_value(j)
+        if z.im or (2 * z.re).denominator != 1:
+            raise ValueError(f"2j must be an integer, got j={z}")
+        object.__setattr__(self, "j", z.re)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Spin is immutable")

@@ -341,6 +341,21 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err == f"heunlie: invalid parameters: sweep axis {axis!r} is given more than once\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        ("x=1", "unknown sweep parameter 'x'"),
+        ("a=", "sweep axis 'a' has no values"),
+        (";", "empty sweep grid"),
+    ])
+    def test_malformed_grid_exits_2(self, capsys, grid, message):
+        code, out, err = run(capsys, "sweep", *BASE, "--n", "1", f"--grid={grid}")
+        assert code == 2 and out == ""
+        assert err == f"heunlie: invalid parameters: {message}\n"
+
+    def test_empty_grid_chunk_is_skipped(self, capsys):
+        code, out, _ = run(capsys, "sweep", *BASE, "--n", "1", "--grid=a=2;;q=0,1")
+        assert code == 0
+        assert run(capsys, "sweep", *BASE, "--n", "1", "--grid=a=2;q=0,1") == (0, out, "")
+
     def test_oracle_mismatch_in_one_point_exits_3(self, capsys, monkeypatch):
         real = heunop.build_expanded
 

@@ -336,12 +336,20 @@ LONG_COMPLEX_SPEC = RecurrenceSpec.make(
 )
 # large primes where a step's denominator can pick them up: a bracket
 # denominator (a, tau) and the squared moduli |ab|^2 = 994013/9 and
-# |E|^2 = 994013/25, both prime numerators; a complex leading bracket
-# solves without a support, by plain gcds
+# |E|^2 = 994013/25, both prime numerators
 LARGE_PRIME_SPEC = RecurrenceSpec.make(
     3, Fraction(2, 9), CRat(1, Fraction(-1, 2)), Fraction(5, 1000003),
     CRat(Fraction(997, 3), Fraction(2, 3)), CRat(Fraction(2, 5), Fraction(-997, 5)),
     CRat(Fraction(1, 999983), 1),
+)
+
+
+# complex ab and E whose Gaussian-integer factors bring primes into a step's
+# denominator through their norms: 5, 8 = 2^2 * 2 (a common factor 2 of the
+# parts), 9 = 3^2 (a pure imaginary) and 169 = 13^2
+norm_st = st.builds(
+    lambda q, z: CRat(q) * z, nonzero_fraction_st,
+    st.sampled_from([CRat(1, 2), CRat(2, 2), CRat(0, 3), CRat(12, 5)]),
 )
 
 
@@ -357,7 +365,7 @@ class TestSharedBrackets:
                 assert brackets(spec, k) is got
 
     @given(
-        spec_st(max_l=4),
+        spec_st(max_l=4, leading=st.one_of(scalar_st, norm_st)),
         st.sampled_from(sorted(BRANCHES)),
         exact_operand_st,
         exact_operand_st,
@@ -371,6 +379,12 @@ class TestSharedBrackets:
     @example(LONG_COMPLEX_SPEC, "imag", Fraction(1, 1000003), CRat(0, Fraction(2, 999983)), 300)
     @example(LARGE_PRIME_SPEC, "real", 1, CRat(1, 1), 300)
     @example(LARGE_PRIME_SPEC, "imag", Fraction(1, 1000003), 1, 300)
+    @example(RecurrenceSpec.make(2, 1, Fraction(1, 2), 3, CRat(12, 5), CRat(2, 2), 5),
+             "real", Fraction(1, 3), CRat(1, 2), 120)
+    @example(RecurrenceSpec.make(2, 1, Fraction(1, 2), 3, CRat(12, 5), CRat(2, 2), 5),
+             "imag", 1, Fraction(-1, 13), 120)
+    @example(RecurrenceSpec.make(1, 2, CRat(0, 1), -1, CRat(Fraction(3, 2), 3), CRat(0, 3), 7),
+             "imag", CRat(0, Fraction(1, 5)), 1, 120)
     @settings(max_examples=150, deadline=None)
     def test_forward_and_residuals_match_reference(self, spec, which, c0, c1, K):
         forward = BRANCHES[which][0]
@@ -471,10 +485,11 @@ class TestSharedBrackets:
                     fn(spec, bad)
 
     @pytest.mark.parametrize("which", sorted(BRANCHES))
-    @pytest.mark.parametrize("spec, carried", [(LONG_REAL_SPEC, True), (LARGE_PRIME_SPEC, False)])
-    def test_support_only_with_a_real_leading_bracket(self, monkeypatch, which, spec, carried):
-        # a real C carries a support through every step; a complex C (complex
-        # ab and E here) carries none, so every step is one plain gcd
+    @pytest.mark.parametrize("spec", [LONG_REAL_SPEC, LARGE_PRIME_SPEC])
+    def test_every_step_carries_a_support(self, monkeypatch, which, spec):
+        # a real C (LONG_REAL_SPEC) and a complex one (complex ab and E in
+        # LARGE_PRIME_SPEC) reduce every step, solved forward or alone,
+        # with an int support
         supports = []
         dot = distsol.exact_dot
 
@@ -486,15 +501,11 @@ class TestSharedBrackets:
         forward, _, _, _ = BRANCHES[which]
         forward(spec, Fraction(1, 3), 1, 40)
         assert len(supports) == 40 - _start(spec, which) + 1
-        if carried:
-            assert all(type(s) is int and s > 1 for s in supports)
-        else:
-            assert supports == [None] * len(supports)
-        supports.clear()
-        # a step called alone carries none either
         step = distsol.recur_real if which == "real" else distsol.recur_imag
         step(spec, 1, Fraction(1, 3), 40)
-        assert supports == [None]
+        step(spec, 1, 1, 40)
+        assert len(supports) == 40 - _start(spec, which) + 3
+        assert all(type(s) is int and s > 1 for s in supports)
 
     @pytest.mark.parametrize("which", sorted(BRANCHES))
     def test_readers_after_forward_build_nothing(self, monkeypatch, which):

@@ -173,6 +173,20 @@ class TestRecurrences:
         with pytest.raises(ValueError):
             RecurrenceSpec.make(l=0, ab=1, E=1)
 
+    @pytest.mark.parametrize("forward", [forward_real, forward_imag])
+    def test_truncation_below_one_is_refused(self, forward):
+        spec = RecurrenceSpec.make(l=1, ab=1, E=1)
+        with pytest.raises(ValueError, match="^truncation K must be at least 1$"):
+            forward(spec, 1, 0, 0)
+
+    def test_residual_check_refusals(self):
+        spec = RecurrenceSpec.make(l=1, ab=1, E=1)
+        with pytest.raises(ValueError, match="^need at least c_0, c_1, c_2 "):
+            residual_check(CoeffSequence((CR_ONE, CR_ZERO)), spec, "real")
+        seq = forward_real(spec, 1, 0, 4)
+        with pytest.raises(ValueError, match="^branch must be 'real' or 'imag', got 'both'$"):
+            residual_check(seq, spec, "both")
+
 
 class TestClosedFormRootsReal:
     def test_roots_solve_quadratic_exactly(self):

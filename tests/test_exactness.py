@@ -32,6 +32,8 @@ from heunlie.greenssf import (
     hs_norm_sq,
     kp_constant,
 )
+from heunlie.heunop import HeunParams, es_condition, uea_heun, verify_theorem1
+from heunlie.sl2rep import UEAExpr, make_generators, uea_expand
 
 PARAMS = ["--a=3", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3",
           "--delta=-1/2", "--epsilon=7/5"]
@@ -81,6 +83,8 @@ def test_report_floats_only_under_documented_keys(capsys, name):
 
 
 SPEC = RecurrenceSpec.make(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3)
+HEUN = HeunParams(3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 3),
+                  Fraction(-1, 2), Fraction(7, 5))
 SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
 
 # (entry point, an exact value it accepts)
@@ -119,6 +123,11 @@ ENTRY_POINTS = {
     "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
     "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x), 2),
     "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x), 2),
+    "make_generators j": (make_generators, Fraction(1, 2)),
+    "uea_expand j": (lambda x: uea_expand(UEAExpr.parse("1 * +-"), x), 1),
+    "uea_heun j": (lambda x: uea_heun(x, HEUN), 1),
+    "verify_theorem1 j": (lambda x: verify_theorem1(x, HEUN), 1),
+    "es_condition j": (lambda x: es_condition(x, HEUN), Fraction(3, 2)),
 }
 
 
