@@ -31,7 +31,6 @@ __all__ = [
     "sqrt_fraction",
     "csqrt_exact",
     "exact_dot",
-    "int_combination",
     "CR_ZERO",
     "CR_ONE",
     "CR_I",
@@ -125,6 +124,14 @@ class CRat:
         if isinstance(x, str):
             return cls.parse(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to CRat exactly")
+
+    @classmethod
+    def from_ints(cls, re_num: int, im_num: int, den: int) -> "CRat":
+        """``(re_num + im_num i) / den`` for ints with ``den > 0``, reduced
+        to lowest terms by one gcd (none for zero)."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        return _reduced(re_num, im_num, den)
 
     @classmethod
     def parse(cls, text: str) -> "CRat":
@@ -475,16 +482,6 @@ def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = No
     if divisor is None:
         return _reduced(rn, jn, den, support, record)
     return _quotient(rn, jn, den, *divisor.triple, support, record)
-
-
-def int_combination(u: int, *pairs: tuple[int, CRat]) -> CRat:
-    """``u + sum(v * s)`` over pairs of an int ``v`` and a ``CRat`` ``s``,
-    summed over the product of the denominators and reduced by one gcd."""
-    rn, jn, den = u, 0, 1
-    for v, s in pairs:
-        a, b, d = s.triple
-        rn, jn, den = rn * d + v * a * den, jn * d + v * b * den, den * d
-    return _reduced(rn, jn, den)
 
 
 def _isqrt_exact(n: int):

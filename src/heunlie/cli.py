@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from itertools import product
+from json.encoder import encode_basestring_ascii as _str_literal
 from typing import Any, Optional
 
 from . import __version__
@@ -393,10 +394,132 @@ def payload_green(args, params: HeunParams) -> dict:
 
 def _render(payload: dict, output: str) -> str:
     if output == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        chunks: list[str] = []
+        _json(payload, "\n", chunks)
+        chunks.append("\n")
+        return "".join(chunks)
     lines: list[str] = []
     _render_text(payload, lines, 0)
     return "\n".join(lines) + "\n"
+
+
+# The bytes of json.dumps(node, indent=2), built by C-level joins.  With an
+# indent, CPython's json runs its pure-Python encoder, one generator step per
+# value; here a list of strings is one join and a list of flat rows one
+# template filled per row, and the report is joined once from its chunks.
+
+#: number text: a string of these characters alone needs no JSON escape
+_NUMBER_TEXT = b"0123456789/-+i"
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _json(node, nl: str, chunks: list[str]) -> None:
+    """Append ``node`` as ``json.dumps(node, indent=2)`` writes it to
+    ``chunks``, where ``nl`` is the newline and indent of its line."""
+    if isinstance(node, dict):
+        if not node:
+            chunks.append("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for k, v in node.items():
+            chunks.append(lead + _key(k) + ": ")
+            _json(v, inner, chunks)
+            lead = "," + inner
+        chunks.append(nl + "}")
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            chunks.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        chunks.append("[" + inner)
+        kinds = set(map(type, node))
+        if kinds == {str}:
+            chunks.append(_strings(node, sep))
+        elif kinds == {dict} and (rows := _rows(node, inner)) is not None:
+            chunks.append(rows)
+        else:
+            for i, v in enumerate(node):
+                if i:
+                    chunks.append(sep)
+                _json(v, inner, chunks)
+        chunks.append(nl + "]")
+    else:
+        chunks.append(_scalar(node))
+
+
+def _is_number_text(strings) -> bool:
+    """Whether the joined strings hold number text alone (one pass, checked
+    on every call: a string is never assumed safe)."""
+    text = "".join(strings)
+    return text.isascii() and not text.encode("ascii").translate(None, _NUMBER_TEXT)
+
+
+def _strings(strings, sep: str) -> str:
+    """String literals joined by ``sep``, escaped unless they are number text."""
+    if _is_number_text(strings):
+        return '"' + ('"' + sep + '"').join(strings) + '"'
+    return sep.join(map(_str_literal, strings))
+
+
+def _rows(rows: list, nl: str) -> str | None:
+    """Dicts that share one key order and hold scalars only, joined by
+    ``,`` and ``nl`` through one row template; None for any other list."""
+    if len(set(map(tuple, rows))) != 1 or not rows[0]:
+        return None
+    inner = nl + "  "
+    fields, columns = [], []
+    for key, column in zip(rows[0], zip(*map(dict.values, rows))):
+        kinds = set(map(type, column))
+        if not kinds <= _SCALAR_TYPES:
+            return None
+        slot = "%s"
+        if kinds == {str}:
+            if _is_number_text(column):
+                slot = '"%s"'
+            else:
+                column = map(_str_literal, column)
+        elif kinds == {int}:
+            column = map(int.__repr__, column)
+        else:
+            column = map(_scalar, column)
+        fields.append(_key(key).replace("%", "%%") + ": " + slot)
+        columns.append(column)
+    template = "{" + inner + ("," + inner).join(fields) + nl + "}"
+    return ("," + nl).join(map(template.__mod__, zip(*columns)))
+
+
+def _scalar(v) -> str:
+    if isinstance(v, str):
+        return _str_literal(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: a str, or an int, float, bool or None
+    as the text of its JSON scalar."""
+    if isinstance(k, str):
+        return _str_literal(k)
+    if isinstance(k, (int, float)) or k is None:
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def _render_text(node, lines: list[str], depth: int) -> None:

@@ -22,8 +22,10 @@ instead of repairing the claim.
 Each bracket triple ``(A, B, C)`` of a branch and index k is built once per
 :class:`RecurrenceSpec` and kept on the spec: the forward solve, the
 residual table and the root formulas of one report all read the same
-triples.  It is built from integer falling factorials (``math.perm``) and
-the integer triples of the spec's scalars, reduced by one gcd per bracket.
+triples.  It is built straight from the integer triples of the spec's
+scalars: one ``math.perm`` per falling-factorial family, the shared factor
+``(k+2-l)(k+1-l)`` (or ``k+2-l``) for the longer factorials of a family,
+and one gcd per bracket (:meth:`~heunlie.algpoly.CRat.from_ints`).
 Every step, of a forward solve or alone, carries the primes its
 denominators can have, so it is reduced to lowest terms without a gcd on a
 full-size operand.
@@ -32,8 +34,9 @@ CPython turns an int into decimal text in quadratic time, and a report's
 integers run to thousands of digits.  So a forward solve also keeps each
 real step's small integers from :func:`~heunlie.algpoly.exact_dot`, and
 :meth:`CoeffSequence.as_list` prints a large value by replaying its step
-in exact ``decimal`` arithmetic, checked against the int modulo a prime
-(see :func:`_replayed_text`).
+in exact ``decimal`` arithmetic, checked against the int modulo a prime,
+one linear pass on each side (see :func:`_replayed_text` and
+:func:`_residue`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot, int_combination
+from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot
 from .heunop import OracleMismatch
 
 __all__ = [
@@ -253,6 +256,9 @@ def _real_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0.
 
     ``k`` is an int or an integer-valued exact value (see :func:`exact_int`).
+    With ``s = (k+2-l)(k+1-l)``, ``(k+2)_(l+2) = s (k+2)_l`` and
+    ``(k+1)_(l+1) = s (k+1)_(l-1)``, so ``A = (k+2)_l (s - a)``,
+    ``B = (k+1)_(l-1) (s rho - tau)`` and ``C = (k)_l ab``.
     """
     if type(k) is not int:
         k = exact_int(k, "k")
@@ -260,10 +266,16 @@ def _real_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
     out = spec._brackets.get(key)
     if out is None:
         l = spec.l
+        s = (k + 2 - l) * (k + 1 - l)
+        p, q, r = _ff(k + 2, l), _ff(k + 1, l - 1), _ff(k, l)
+        a1, a2, ad = spec.a.triple
+        r1, r2, rd = spec.rho.triple
+        t1, t2, td = spec.tau.triple
+        b1, b2, bd = spec.ab.triple
         out = spec._brackets[key] = (
-            int_combination(_ff(k + 2, l + 2), (-_ff(k + 2, l), spec.a)),
-            int_combination(0, (_ff(k + 1, l + 1), spec.rho), (-_ff(k + 1, l - 1), spec.tau)),
-            int_combination(0, (_ff(k, l), spec.ab)),
+            CRat.from_ints(p * (s * ad - a1), -p * a2, ad),
+            CRat.from_ints(q * (s * r1 * td - t1 * rd), q * (s * r2 * td - t2 * rd), rd * td),
+            CRat.from_ints(r * b1, r * b2, bd),
         )
     return out
 
@@ -272,6 +284,9 @@ def _imag_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the imaginary recurrence reading -A c_{k-2} + B c_{k-1} + C c_k = 0.
 
     ``k`` is an int or an integer-valued exact value (see :func:`exact_int`).
+    With ``t = k+2-l``, ``(k+2)_(l+1) = t (k+2)_l``, so
+    ``A = (1+a) (k+2)_(l+1) - a (k+2)_l = (k+2)_l (t + (t-1) a)``,
+    ``B = (k+1)_l sigma`` and ``C = (k)_(l-1) E``.
     """
     if type(k) is not int:
         k = exact_int(k, "k")
@@ -279,12 +294,15 @@ def _imag_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
     out = spec._brackets.get(key)
     if out is None:
         l = spec.l
-        f = _ff(k + 2, l + 1)
-        # (1+a) f - a (k+2)_l = f + (f - (k+2)_l) a
+        t = k + 2 - l
+        p, q, r = _ff(k + 2, l), _ff(k + 1, l), _ff(k, l - 1)
+        a1, a2, ad = spec.a.triple
+        s1, s2, sd = spec.sigma.triple
+        e1, e2, ed = spec.E.triple
         out = spec._brackets[key] = (
-            int_combination(f, (f - _ff(k + 2, l), spec.a)),
-            int_combination(0, (_ff(k + 1, l), spec.sigma)),
-            int_combination(0, (_ff(k, l - 1), spec.E)),
+            CRat.from_ints(p * (t * ad + (t - 1) * a1), p * (t - 1) * a2, ad),
+            CRat.from_ints(q * s1, q * s2, sd),
+            CRat.from_ints(r * e1, r * e2, ed),
         )
     return out
 
@@ -382,7 +400,8 @@ class CoeffSequence:
 # crossover measured on CPython 3.11).
 _REPLAY_BITS = 1700
 # the tripwire compares residues modulo this prime (2^61 - 1, a Mersenne
-# prime below the 10^19 word of decimal, so both residues take one O(digits) pass)
+# prime below the 10^19 word of decimal, so both residues take one linear
+# pass: decimal's remainder by one word, and _residue's folds of the int)
 _P = (1 << 61) - 1
 # exact integer arithmetic: a step that would round raises instead
 _EXACT = decimal.Context(
@@ -419,12 +438,25 @@ def _replayed_text(values: tuple, steps: tuple) -> list[str]:
             y = prev[1] or _decimal_pair(out[k - 1])
             num = _exact_quotient(u * x[0] + w * y[0], G, k)
             den = _exact_quotient(m * (y if j else x)[1], G, k)
-            if int(num % _P) % _P != a % _P or int(den % _P) % _P != d % _P:
+            if int(num % _P) % _P != _residue(a) or int(den % _P) % _P != _residue(d):
                 raise OracleMismatch(f"the replayed text of c_{k} disagrees with its value")
             text = _digits(num, a, limit)
             out.append(text if d == 1 else f"{text}/{_digits(den, d, limit)}")
             prev = (prev[1], (num, den))
     return out
+
+
+def _residue(i: int) -> int:
+    """``i % _P`` in linear time.  As ``2^(61t) = 1`` modulo ``_P``, adding
+    the low ``61t`` bits of ``i`` to the rest keeps the residue.  Each fold
+    halves the length; below 2048 bits CPython's division by ``_P`` is as
+    fast (measured on CPython 3.11)."""
+    n = i.bit_length()
+    while n > 2048:
+        s = 61 * (n // 122)
+        i = (i & ((1 << s) - 1)) + (i >> s)
+        n = i.bit_length()
+    return i % _P
 
 
 def _combination(step: tuple) -> tuple:

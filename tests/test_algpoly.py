@@ -19,7 +19,6 @@ from heunlie.algpoly import (
     commutator,
     csqrt_exact,
     exact_dot,
-    int_combination,
     op_apply,
     op_compose,
     quadratic_roots,
@@ -312,20 +311,6 @@ class TestSupportReduction:
         assert got != Fraction(2, 3) and got != CRat(Fraction(2, 3))
         got = exact_dot([(1, CRat(Fraction(2, 999983)), CRat(999983))], support=1)
         assert got.triple == (2 * 999983, 0, 999983) and got != CRat(2)
-
-
-class TestIntCombination:
-    @given(st.integers(-50, 50), st.lists(st.tuples(st.integers(-50, 50), part_st), max_size=3))
-    @example(0, [])
-    @example(3, [(-3, CR_ONE)])
-    @settings(max_examples=100, deadline=None)
-    def test_matches_crat_operators(self, u, pairs):
-        got = int_combination(u, *pairs)
-        expected = CRat(u)
-        for v, x in pairs:
-            expected = expected + CRat(v) * x
-        assert got == expected and hash(got) == hash(expected)
-        assert type(got.re) is Fraction and type(got.im) is Fraction
 
 
 class TestPartFractions:

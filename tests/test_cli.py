@@ -7,7 +7,7 @@ import pytest
 
 import heunlie
 from heunlie import cli, heunop
-from heunlie.algpoly import DiffOp, Polynomial
+from heunlie.algpoly import CRat, DiffOp, Polynomial
 from heunlie.distsol import NonIntegerExponents
 from heunlie.greenssf import ZeroEigenvalue
 from heunlie.heunop import HeunParams
@@ -530,3 +530,81 @@ class TestParserReuse:
         code, out, _ = run(capsys, *distsol)
         assert code == 0
         assert json.loads(out)["config"]["flags"]["c1"] == "0"
+
+
+REPORTS = TestReportsStartNoProcess.COMMANDS
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    def test_report_is_json_dumps_of_its_payload(self, capsys, monkeypatch, command):
+        payloads = []
+        render = cli._render
+
+        def kept(payload, output):
+            payloads.append(payload)
+            return render(payload, output)
+
+        monkeypatch.setattr(cli, "_render", kept)
+        code, out, err = run(capsys, *REPORTS[command])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+class TestNothingWrittenOnFailure:
+    """A report that fails writes nothing: no stdout, and no ``--out`` file."""
+
+    COMMANDS = {**REPORTS, "sweep": ["sweep", *BASE, "--n", "1", "--grid", "a=2,3"]}
+    INVALID = {
+        "analyze": ["--a=1"],
+        "expand": ["--j=1/2+3i"],
+        "spectrum": ["--N=65"],
+        "distsol": ["--K=1"],
+        "green": ["--tau=2/3"],
+        "ssf": ["--tau=2/3"],
+        "sweep": ["--grid=zz=1"],
+    }
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_invalid_input_exits_2(self, capsys, tmp_path, command, to_file):
+        target = tmp_path / "report"
+        out_flag = [f"--out={target}"] if to_file else []
+        code, out, err = run(capsys, *self.COMMANDS[command], *self.INVALID[command], *out_flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("heunlie: invalid parameters: ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_oracle_mismatch_mid_report_exits_3(self, capsys, monkeypatch, tmp_path,
+                                                command, to_file):
+        # count the values a report prints, then trip the oracle at the middle one
+        printed = CRat.__str__
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return printed(z)
+
+        monkeypatch.setattr(CRat, "__str__", counted)
+        assert run(capsys, *self.COMMANDS[command])[0] == 0
+        middle = len(calls) // 2
+        assert middle > 0
+        calls.clear()
+
+        def tripped(z):
+            calls.append(z)
+            if len(calls) == middle:
+                raise heunop.OracleMismatch("tripped mid-report")
+            return printed(z)
+
+        monkeypatch.setattr(CRat, "__str__", tripped)
+        target = tmp_path / "report"
+        out_flag = [f"--out={target}"] if to_file else []
+        code, out, err = run(capsys, *self.COMMANDS[command], *out_flag)
+        assert code == 3
+        assert out == ""
+        assert err == "heunlie: internal oracle mismatch: tripped mid-report\n"
+        assert not target.exists()

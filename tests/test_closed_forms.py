@@ -23,6 +23,7 @@ from heunlie.distsol import (
     _real_brackets,
     closed_form_roots_imag,
     closed_form_roots_real,
+    falling_factorial,
     forward_imag,
     forward_real,
     paper_ck,
@@ -364,6 +365,32 @@ class TestSharedBrackets:
                 assert got == reference(spec, k)
                 assert brackets(spec, k) is got
 
+    @given(spec_st(), st.integers(-10, 12))
+    @example(RecurrenceSpec.make(1, 0, 0, 0, 0, 0, CRat(0, 1)), -1)
+    @example(RecurrenceSpec.make(6, CRat(0, 2), 3, 0, CRat(0, -1), CRat(1, 1), 2), 3)
+    @example(RecurrenceSpec.make(2, Fraction(1, 3), Fraction(-2, 5), CRat(Fraction(1, 4), 1),
+                                 Fraction(5, 2), CRat(0, Fraction(-1, 3)), Fraction(3, 4)), -4)
+    @settings(max_examples=150, deadline=None)
+    def test_brackets_match_their_docstring_forms(self, spec, k):
+        # the factored forms that _real_brackets and _imag_brackets document,
+        # through CRat operators: one falling factorial per family, and the
+        # shared factors s = (k+2-l)(k+1-l) and t = k+2-l
+        l, ff = spec.l, falling_factorial
+        s, t = (k + 2 - l) * (k + 1 - l), k + 2 - l
+        real = (
+            ff(k + 2, l) * (s - spec.a),
+            ff(k + 1, l - 1) * (s * spec.rho - spec.tau),
+            ff(k, l) * spec.ab,
+        )
+        imag = (
+            ff(k + 2, l) * (t + (t - 1) * spec.a),
+            ff(k + 1, l) * spec.sigma,
+            ff(k, l - 1) * spec.E,
+        )
+        for got, expected in ((_real_brackets(spec, k), real), (_imag_brackets(spec, k), imag)):
+            assert [x.triple for x in got] == [x.triple for x in expected]
+            assert all(x.triple[2] > 0 and math.gcd(*x.triple) == 1 for x in got)
+
     @given(
         spec_st(max_l=4, leading=st.one_of(scalar_st, norm_st)),
         st.sampled_from(sorted(BRANCHES)),
@@ -513,16 +540,16 @@ class TestSharedBrackets:
         spec = RecurrenceSpec.make(l=3, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
         start, K = _start(spec, which), 20
         calls = []
-        combination = distsol.int_combination
+        build = CRat.from_ints
 
-        def counted(*args):
+        def counted(cls, *args):
             calls.append(args)
-            return combination(*args)
+            return build(*args)
 
-        monkeypatch.setattr(distsol, "int_combination", counted)
+        monkeypatch.setattr(CRat, "from_ints", classmethod(counted))
 
         def triples_built():
-            # a triple is built as three bracket combinations, A, B and C
+            # a triple is built as three brackets, A, B and C
             assert len(calls) % 3 == 0
             return len(calls) // 3
 
@@ -532,7 +559,7 @@ class TestSharedBrackets:
         assert triples_built() == 2 * per_spec
         calls.clear()
         seq = forward(spec, 1, 0, K)
-        assert triples_built() == per_spec
+        assert triples_built() == len(spec._brackets) == per_spec
         residual_check(seq, spec, which)
         for k in range(start, K + 1):
             roots_fn(spec, k)

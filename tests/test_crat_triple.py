@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, exact_dot, int_combination
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, exact_dot
 from util import reference_crat_op
 
 
@@ -29,13 +29,6 @@ def pair_dot(terms, divisor):
         x, y = reference_crat_op(coef, value, operator.mul)
         re, im = re + sign * x, im + sign * y
     return (re, im) if divisor is None else reference_crat_op((re, im), divisor, operator.truediv)
-
-
-def pair_combination(u, pairs):
-    re, im = Fraction(u), Fraction(0)
-    for v, s in pairs:
-        re, im = re + v * s.re, im + v * s.im
-    return re, im
 
 
 def assert_canonical(got, expected):
@@ -118,13 +111,21 @@ class TestTripleMatchesFractionPairs:
         assert_canonical(x.conjugate(), (re, -im))
         assert x.abs2() == re * re + im * im and type(x.abs2()) is Fraction
 
-    @given(st.one_of(st.integers(-50, 50), st.integers(-BIG, BIG)),
-           st.lists(st.tuples(st.integers(-BIG, BIG), crat_st), max_size=3))
-    @example(0, [])
-    @example(-2, [(12, SHARED), (-12, SHARED)])
+    @given(st.integers(-BIG, BIG), st.integers(-BIG, BIG),
+           st.one_of(st.integers(1, 50), st.integers(1, BIG)), st.integers(1, 10**6))
+    @example(0, 0, 7, 1)
+    @example(-2, 12, 6, 1)
+    @example(3, 0, 1, 5)
     @settings(max_examples=200, deadline=None)
-    def test_int_combination(self, u, pairs):
-        assert_canonical(int_combination(u, *pairs), pair_combination(u, pairs))
+    def test_from_ints(self, a, b, d, common):
+        # a factor shared by all three integers is reduced away
+        got = CRat.from_ints(a * common, b * common, d * common)
+        assert_canonical(got, (Fraction(a, d), Fraction(b, d)))
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_from_ints_needs_a_positive_denominator(self, d):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            CRat.from_ints(1, 0, d)
 
     @given(dot_terms_st, divisor_st)
     @example([(1, SHARED, SHARED), (-1, SHARED, SHARED)], SHARED)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie import cli, distsol
@@ -91,6 +91,28 @@ def _corrupted(monkeypatch, change):
         return CoeffSequence(seq.values, tuple(steps))
 
     monkeypatch.setattr(distsol, "_forward", forward)
+
+
+P = distsol._P
+# around the fold lengths 61t, where the low part is all ones or the high part is 1
+fold_edge_st = st.builds(lambda t, d, sign: sign * ((1 << 61 * t) + d),
+                         st.integers(1, 800), st.integers(-1, 1), st.sampled_from([1, -1]))
+
+
+@given(st.one_of(
+    st.integers(-(1 << 60_000), 1 << 60_000),
+    st.integers(-(1 << 3000), 1 << 3000).map(lambda i: i * P),
+    fold_edge_st,
+))
+@example(0)
+@example(-1)
+@example(P)
+@example(-P * (1 << 5000))
+@example((1 << 61 * 200) - 1)
+@example(-(1 << 61 * 200) - 1)
+@settings(max_examples=300, deadline=None)
+def test_residue_folds_give_the_remainder(i):
+    assert distsol._residue(i) == i % P
 
 
 def test_a_wrong_step_trips_the_oracle_and_writes_nothing(monkeypatch):
