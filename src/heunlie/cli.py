@@ -19,7 +19,7 @@ import json
 import math
 import re
 import sys
-from itertools import product
+from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _str_literal
 from typing import Any, Optional
 
@@ -406,7 +406,7 @@ def _render(payload: dict, output: str) -> str:
 # The bytes of json.dumps(node, indent=2), built by C-level joins.  With an
 # indent, CPython's json runs its pure-Python encoder, one generator step per
 # value; here a list of strings is one join and a list of flat rows one
-# template filled per row, and the report is joined once from its chunks.
+# join per row, and the report is joined once from its chunks.
 
 #: number text: a string of these characters alone needs no JSON escape
 _NUMBER_TEXT = b"0123456789/-+i"
@@ -465,29 +465,30 @@ def _strings(strings, sep: str) -> str:
 
 def _rows(rows: list, nl: str) -> str | None:
     """Dicts that share one key order and hold scalars only, joined by
-    ``,`` and ``nl`` through one row template; None for any other list."""
+    ``,`` and ``nl``; None for any other list.  Each row is one join of its
+    values between the fixed text of the row, laid out once."""
     if len(set(map(tuple, rows))) != 1 or not rows[0]:
         return None
     inner = nl + "  "
-    fields, columns = [], []
+    parts, lead, quote = [], "{" + inner, ""
     for key, column in zip(rows[0], zip(*map(dict.values, rows))):
         kinds = set(map(type, column))
         if not kinds <= _SCALAR_TYPES:
             return None
-        slot = "%s"
+        quote = ""
         if kinds == {str}:
             if _is_number_text(column):
-                slot = '"%s"'
+                quote = '"'
             else:
                 column = map(_str_literal, column)
         elif kinds == {int}:
             column = map(int.__repr__, column)
         else:
             column = map(_scalar, column)
-        fields.append(_key(key).replace("%", "%%") + ": " + slot)
-        columns.append(column)
-    template = "{" + inner + ("," + inner).join(fields) + nl + "}"
-    return ("," + nl).join(map(template.__mod__, zip(*columns)))
+        parts += (repeat(lead + _key(key) + ": " + quote), column)
+        lead = quote + "," + inner
+    parts.append(repeat(quote + nl + "}"))
+    return ("," + nl).join(map("".join, zip(*parts)))
 
 
 def _scalar(v) -> str:
