@@ -410,6 +410,7 @@ def _render(payload: dict, output: str) -> str:
 
 #: number text: a string of these characters alone needs no JSON escape
 _NUMBER_TEXT = b"0123456789/-+i"
+#: the value types of a flat row
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
 
 
