@@ -3,10 +3,12 @@ linear differential operators with polynomial coefficients.
 
 Every value in this module is immutable after construction and every
 operation is a pure function, so everything here can be shared freely
-between threads.  A scalar ``CRat`` is one Gaussian-integer numerator over
-one positive integer denominator, in lowest terms, so each sum or product
-takes at most one gcd; arithmetic with a float or a Python complex operand
-raises ``TypeError``.  Its ``re`` and ``im`` are the parts as reduced
+between threads.  That rule is written once, in the private slotted base
+``_Immutable``, from which the value types here, in ``sl2rep`` and in
+``greenssf`` derive.  A scalar ``CRat`` is one Gaussian-integer numerator
+over one positive integer denominator, in lowest terms, so each sum or
+product takes at most one gcd; arithmetic with a float or a Python complex
+operand raises ``TypeError``.  Its ``re`` and ``im`` are the parts as reduced
 ``fractions.Fraction``, built when read.
 """
 
@@ -51,13 +53,13 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def _strict_fraction(s: str) -> Fraction:
-    if not _RATIONAL_RE.match(s):
-        raise ValueError(f"not an integer or p/q literal: {s!r}")
-    return Fraction(s)
+# The whole exact literal: an optional real part ``[+-]p[/q]`` that ends the
+# text or meets the imaginary sign, then an optional ``[+-][p[/q]]i``.  Groups:
+# real p and q, the imaginary sign (None without an imaginary part), imaginary
+# p and q.
+_LITERAL_RE = re.compile(
+    r"(?:([+-]?\d+)(?:/(\d+))?(?=[+-]|\Z))?(?:([+-]?)(?:(\d+)(?:/(\d+))?)?i)?"
+)
 
 
 def _power(base, n: int, one):
@@ -73,7 +75,20 @@ def _power(base, n: int, one):
     return out
 
 
-class CRat:
+class _Immutable:
+    """Base of the exact value types: construction sets each slot through
+    ``object.__setattr__`` or the slot descriptor, and any later assignment
+    or deletion raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class CRat(_Immutable):
     """A complex number with exact rational real and imaginary parts.
 
     The value is ``(re_num + im_num * i) / den`` with ``den > 0`` and
@@ -93,11 +108,6 @@ class CRat:
             d = math.lcm(p, q)
             a, b, p = a * (d // p), b * (d // q), d
         _set_triple(self, (a, b, p))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("CRat is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def re(self) -> Fraction:
@@ -137,36 +147,25 @@ class CRat:
     def parse(cls, text: str) -> "CRat":
         """Parse an exact literal such as ``3/2``, ``-2i`` or ``3/2-1/2i``.
 
-        Only integer and ``p/q`` components are accepted; floating point and
-        symbolic inputs are rejected so exactness survives the text boundary.
+        After stripping the ends and dropping spaces, the text is a real
+        part ``[+-]p[/q]``, an imaginary part ``[+-][p[/q]]i`` (a bare ``i``
+        is 1), or both, real first.  Floating point, symbolic input and any
+        other inner whitespace, a line break too, are refused, so exactness
+        survives the text boundary.
         """
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty complex-rational literal")
         try:
-            if not s.endswith("i"):
-                return cls(_strict_fraction(s))
-            body = s[:-1]
-            # last sign that is not the leading sign splits re from im
-            split = -1
-            for k in range(len(body) - 1, 0, -1):
-                if body[k] in "+-" and body[k - 1] not in "+-/":
-                    split = k
-                    break
-            if split < 0:
-                im_txt = body
-                re_part = Fraction(0)
-            else:
-                re_part = _strict_fraction(body[:split])
-                im_txt = body[split:]
-            if im_txt in ("", "+"):
-                im_part = Fraction(1)
-            elif im_txt == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = _strict_fraction(im_txt)
-            return cls(re_part, im_part)
-        except (ValueError, ZeroDivisionError) as exc:
+            m = _LITERAL_RE.fullmatch(s)
+            if m is None:
+                raise ValueError("not an integer, p/q or complex literal")
+            a, p, sign, b, q = m.groups()
+            p, q = int(p or 1), int(q or 1)
+            a = int(a or 0) * q
+            b = 0 if sign is None else int(b or 1) * p
+            return cls.from_ints(a, -b if sign == "-" else b, p * q)
+        except ValueError as exc:
             shown = repr(text) if len(text) <= 60 else f"{text[:40]!r}... ({len(text)} chars)"
             digits = max(map(len, re.findall(r"\d+", s)), default=0)
             limit = sys.get_int_max_str_digits()
@@ -528,7 +527,7 @@ def csqrt_exact(z: CRat):
     return None
 
 
-class Surd:
+class Surd(_Immutable):
     """Exact value ``base + coef * sqrt(rad)`` over the complex rationals.
 
     Construction normalizes: exactly representable roots collapse to the
@@ -557,11 +556,6 @@ class Surd:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "rad", rad)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Surd is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def from_value(cls, x) -> "Surd":
@@ -682,7 +676,7 @@ def quadratic_roots(a, b, c) -> tuple[Surd, Surd]:
     return Surd(center, spread, disc), Surd(center, -spread, disc)
 
 
-class Polynomial:
+class Polynomial(_Immutable):
     """Dense univariate polynomial over CRat, trailing zeros trimmed.
 
     ``degree`` of the zero polynomial is ``NEG_INF`` so that degree
@@ -696,11 +690,6 @@ class Polynomial:
         while lst and lst[-1].is_zero():
             lst.pop()
         object.__setattr__(self, "coeffs", tuple(lst))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Polynomial is immutable")
-
-    __delattr__ = __setattr__
 
     # -- constructors ---------------------------------------------------
 
@@ -826,7 +815,7 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-class DiffOp:
+class DiffOp(_Immutable):
     """Linear differential operator ``sum_k p_k(z) D^k`` with Polynomial p_k."""
 
     __slots__ = ("terms",)
@@ -836,11 +825,6 @@ class DiffOp:
         while lst and lst[-1].is_zero():
             lst.pop()
         object.__setattr__(self, "terms", tuple(lst))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DiffOp is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls) -> "DiffOp":

@@ -9,8 +9,10 @@ at an explicit dual-variable point ``s_eval`` (the symbol never loses its
 dual variable on its own; 0 is the reproducible default).  The summand
 factors, and the binomial theorem closes the ``(k, l)`` part exactly:
 ``sum_{k,l} C(sigma-1,k) C(tau-1,l) a^(-l) = 2^(sigma-1) (1 + 1/a)^(tau-1)``.
-So each kernel sum is that factor times a sum over ``m``, which
-``_kernel_sum`` closes from integer moments of the ``m`` weights.
+So each kernel sum is that factor times a sum over ``m``.  ``_kernel_sums``
+builds the factor once and closes both sums, the ``(m-1)!``-weighted one and
+the norm constant ``K_p``, from integer moments of their ``m`` weights taken
+in one pass over ``m``.
 
 The summation bound is ``p = sigma - rho`` unless overridden: the printed
 bound formally depends on an inner summation index, and this is its largest
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
+from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial, _Immutable
 from .distsol import NonIntegerExponents, exact_int, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
@@ -64,7 +66,7 @@ class ZeroEigenvalue(ZeroDivisionError):
     """Coincidence kernels scale by 1/E; E = 0 is not invertible."""
 
 
-class Distribution:
+class Distribution(_Immutable):
     """Finite sum ``sum_i coeff_i * delta^(order_i)(x - center_i)``.
 
     Centers and coefficients are exact (``CRat.from_value``).  Terms sharing
@@ -90,11 +92,6 @@ class Distribution:
         ]
         kept.sort(key=lambda t: (t[0], str(t[1])))
         object.__setattr__(self, "terms", tuple(kept))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Distribution is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def delta(cls, order: int = 0, center=0, coeff=1) -> "Distribution":
@@ -286,26 +283,32 @@ def eta_roots(sc: SymbolCoeffs, s) -> tuple[complex, complex]:
 # -- kernel assembly -----------------------------------------------------------
 
 
-def _kernel_sum(exponents: tuple[int, int, int], a: CRat, s_eval: CRat, p: int,
-                with_factorial: bool) -> CRat:
+def _kernel_sums(exponents: tuple[int, int, int], a: CRat, s_eval: CRat,
+                 p: int) -> tuple[CRat, CRat]:
+    """The ``(m-1)!``-weighted kernel sum and ``K_p``, in one pass over ``m``."""
     rho, sigma, tau = exponents
     one_a = CR_ONE + a
     # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
     binomials = CRat(2 ** (sigma - 1)) * one_a ** (tau - 1) * a ** (1 - tau)
     # eps0(m; s) = (1+a)[(m-1)(m-2) - 2is(m-1)] + rho(m-1) + tau(m+1) + is sigma
-    # is linear in (m-1)(m-2), m-1 and 1, so the weighted m-sum needs only the
-    # integer moments S0 = sum w, S1 = sum w (m-1), S2 = sum w (m-1)(m-2) of
-    # w_m = (-1)^(m-1) [(m-1)!]; the tau term's sum w (m+1) is S1 + 2 S0
-    s0 = s1 = s2 = 0
-    w = 1
+    # is linear in (m-1)(m-2), m-1 and 1, so a weighted m-sum needs only the
+    # integer moments S0 = sum w, S1 = sum w (m-1), S2 = sum w (m-1)(m-2) of its
+    # weights; the tau term's sum w (m+1) is S1 + 2 S0.  s0..s2 are the moments
+    # of w_m = (-1)^(m-1) (m-1)!, t0..t2 those of v_m = (-1)^(m-1)
+    s0 = s1 = s2 = t0 = t1 = t2 = 0
+    w = v = 1
     for m in range(1, p + 1):
-        s0 += w
-        s1 += w * (m - 1)
-        s2 += w * (m - 1) * (m - 2)
-        w = -w * m if with_factorial else -w
-    constant = one_a * s2 + (rho * s1 + tau * (s1 + 2 * s0))
-    linear = CR_I * (sigma * s0 - one_a * (2 * s1))
-    return binomials * (linear * s_eval + constant)
+        c1, c2 = m - 1, (m - 1) * (m - 2)
+        s0, s1, s2 = s0 + w, s1 + w * c1, s2 + w * c2
+        t0, t1, t2 = t0 + v, t1 + v * c1, t2 + v * c2
+        w, v = -w * m, -v
+
+    def total(s0, s1, s2):
+        constant = one_a * s2 + (rho * s1 + tau * (s1 + 2 * s0))
+        linear = CR_I * (sigma * s0 - one_a * (2 * s1))
+        return binomials * (linear * s_eval + constant)
+
+    return total(s0, s1, s2), total(t0, t1, t2)
 
 
 def _nonzero_eigenvalue(E) -> CRat:
@@ -384,13 +387,13 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
             f"summation bound p = {bound} is empty; the scalars give sigma - rho = "
             f"{sigma - rho} (override it to proceed)"
         )
-    s_eval = CRat.from_value(s_eval)
+    scalar, kp = _kernel_sums(exponents, scalars.a, CRat.from_value(s_eval), bound)
     return GreenKernel(
         scalars=scalars,
         p_bound=bound,
         prefactor=_truncated_exponential(bound),
-        scalar=_kernel_sum(exponents, scalars.a, s_eval, bound, with_factorial=True),
-        kp=_kernel_sum(exponents, scalars.a, s_eval, bound, with_factorial=False),
+        scalar=scalar,
+        kp=kp,
     )
 
 
@@ -463,8 +466,8 @@ def trace_green(G) -> CRat:
     pairing of the kernel on the diagonal (or of a given distribution) with
     the constant polynomial 1."""
     if isinstance(G, GreenKernel):
-        # on the diagonal the prefactor collapses to its value at 0
-        G = Distribution.delta(0, 0, G.scalar * G.prefactor.eval(CR_ZERO))
+        # on the diagonal the prefactor is its constant term, 1 for every p >= 1
+        return G.scalar
     if isinstance(G, Distribution):
         return pair(G, Polynomial.one())
     raise TypeError(f"expected GreenKernel or Distribution, got {type(G).__name__}")

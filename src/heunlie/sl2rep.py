@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Union
 
-from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, op_compose
+from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, _Immutable, op_compose
 
 __all__ = [
     "Spin",
@@ -30,7 +30,7 @@ __all__ = [
 LETTERS = ("+", "0", "-")
 
 
-class Spin:
+class Spin(_Immutable):
     """Spin parameter j with 2j an integer; j = n/2 covers every case used here.
     ``j`` goes through ``CRat.from_value``, so a float or complex raises ``TypeError``."""
 
@@ -43,11 +43,6 @@ class Spin:
         if z.im or (2 * z.re).denominator != 1:
             raise ValueError(f"2j must be an integer, got j={z}")
         object.__setattr__(self, "j", z.re)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Spin is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def from_n(cls, n: int) -> "Spin":
@@ -87,7 +82,7 @@ def make_generators(j) -> tuple[DiffOp, DiffOp, DiffOp]:
     return jp, j0, jm
 
 
-class UEAExpr:
+class UEAExpr(_Immutable):
     """Formal linear combination of words in {Jp, J0, Jm} plus a constant.
 
     Words are stored exactly as written; empty words fold into the constant
@@ -110,11 +105,6 @@ class UEAExpr:
                 kept.append((coeff, letters))
         object.__setattr__(self, "words", tuple(kept))
         object.__setattr__(self, "constant", const)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("UEAExpr is immutable")
-
-    __delattr__ = __setattr__
 
     def coefficient(self, letters: str) -> CRat:
         """Sum of coefficients attached to the word ``letters`` as written."""

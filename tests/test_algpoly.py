@@ -39,6 +39,40 @@ def op_st(max_order=2, max_deg=2):
     return st.lists(poly_st(max_deg), min_size=0, max_size=max_order + 1).map(DiffOp)
 
 
+@st.composite
+def literal_st(draw):
+    """An exact literal built from the grammar's parts, with the real and
+    imaginary ``Fraction`` it denotes: signs, leading zeros, ``p/q``, a bare
+    ``i``, zero parts and spaces around the imaginary sign."""
+
+    def rational():
+        num = draw(st.integers(0, 10**6))
+        text, value = "0" * draw(st.integers(0, 2)) + str(num), Fraction(num)
+        if draw(st.booleans()):
+            den = draw(st.integers(1, 10**6))
+            text += "/" + "0" * draw(st.integers(0, 2)) + str(den)
+            value /= den
+        return text, value
+
+    def signed(signs):
+        sign = draw(st.sampled_from(signs))
+        return sign, -1 if sign == "-" else 1
+
+    has_re, has_im = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    text, re, im = "", Fraction(0), Fraction(0)
+    if has_re:
+        sign, unit = signed(["", "+", "-"])
+        digits, value = rational()
+        text, re = sign + digits, unit * value
+    if has_im:
+        sign, unit = signed(["+", "-"] if has_re else ["", "+", "-"])
+        digits, value = ("", Fraction(1)) if draw(st.booleans()) else rational()
+        space = draw(st.sampled_from(["", " "]))
+        text += f"{space}{sign}{space}{digits}i"
+        im = unit * value
+    return text, re, im
+
+
 class TestCRat:
     @pytest.mark.parametrize(
         "text,re,im",
@@ -59,10 +93,21 @@ class TestCRat:
         v = CRat.parse(text)
         assert v.re == Fraction(re) and v.im == Fraction(im)
 
-    @pytest.mark.parametrize("bad", ["1.5", "pi", "", "1e3", "1+", "i2", "2/0"])
+    # a line break inside a literal is refused like any whitespace but a space
+    @pytest.mark.parametrize("bad", ["1.5", "pi", "", "1e3", "1+", "i2", "2/0",
+                                     "1\n-2i", "1/2\n+3i", "1+3\ni"])
     def test_parse_rejects_inexact(self, bad):
         with pytest.raises(ValueError):
             CRat.parse(bad)
+
+    @given(literal_st())
+    @example(("-0", Fraction(0), Fraction(0)))
+    @example(("007/010-i", Fraction(7, 10), Fraction(-1)))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_grammar_parts(self, case):
+        text, re, im = case
+        v = CRat.parse(text)
+        assert (v.re, v.im) == (re, im)
 
     def test_str_round_trip(self):
         rng = random.Random(7)

@@ -473,6 +473,18 @@ class TestLiteralParsing:
         assert code == 0
         assert json.loads(out)["params"]["a"] == "1+1i"
 
+    # argparse refuses a bad flag value by SystemExit(2); a bad grid value
+    # reaches main's "invalid parameters" exit
+    @pytest.mark.parametrize("value", ["1\n+2i", "1/2\n-3i", "1+3\ni"])
+    def test_line_break_inside_a_literal_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["analyze", *BASE, f"--epsilon={value}", "--n", "1"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out, err = run(capsys, "sweep", *BASE, "--n", "1", f"--grid=a=2,{value}")
+        assert (code, out) == (2, "")
+        assert err == f"heunlie: invalid parameters: not an exact complex-rational literal: {value!r}\n"
+
     def test_oversized_literal_names_the_digit_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
         huge = "7" * (limit + 700) + "/7"

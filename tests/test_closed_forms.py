@@ -169,12 +169,12 @@ class TestFactoredKernelSums:
         kernel = counted("green_kernel", greenssf.green_kernel)
         monkeypatch.setattr(greenssf, "green_kernel", kernel)
         monkeypatch.setattr(cli, "green_kernel", kernel)
-        for name in ("_kernel_sum", "symbol_coeffs"):
+        for name in ("_kernel_sums", "symbol_coeffs"):
             monkeypatch.setattr(greenssf, name, counted(name, getattr(greenssf, name)))
         argv = [command, *GREEN_ARGV[1:]]
         assert cli.main(argv) == 0
-        # one kernel: one weighted sum and one K_p, and no symbol built
-        assert calls == ["green_kernel", "_kernel_sum", "_kernel_sum"]
+        # one kernel: the weighted sum and K_p in one pass, and no symbol built
+        assert calls == ["green_kernel", "_kernel_sums"]
         report = json.loads(capsys.readouterr().out)
         # the values derived from that one K_p are the library's own
         scalars = KernelScalars.direct(1, Fraction(3, 2), 1, 5, 3)

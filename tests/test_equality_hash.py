@@ -1,13 +1,15 @@
 """Equal values hash equally: ``a == b`` implies ``hash(a) == hash(b)`` for
 every value type, across the types each one compares equal with."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
+from heunlie import algpoly, cli, distsol, greenssf, heunop, sl2rep
+from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd, _Immutable
 from heunlie.distsol import weight_expansion
 from heunlie.greenssf import Distribution
 from heunlie.heunop import HeunParams
@@ -258,3 +260,21 @@ def test_slots_refuse_assignment_and_deletion_alike(make, name):
     with pytest.raises(AttributeError, match="is immutable"):
         delattr(value, name)
     assert str(value) == text and hash(value) == h and value == make()
+
+
+def test_one_immutability_rule_and_no_instance_dict():
+    values = [CRat(Fraction(1, 2), 3), Surd(1, 2, 3), Polynomial([1, 2]),
+              DiffOp([Polynomial([1])]), Spin(Fraction(3, 2)), UEAExpr([(1, "+0")], 2),
+              Distribution([(0, 1, 1)])]
+    for value in values:
+        assert isinstance(value, _Immutable)
+        # a base without empty __slots__ would give every value a __dict__
+        assert not hasattr(value, "__dict__"), type(value).__name__
+    # the rule is written once: only the base and frozen dataclasses set it
+    for module in (algpoly, cli, distsol, greenssf, heunop, sl2rep):
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            own = {"__setattr__", "__delattr__"} & set(vars(cls))
+            frozen = dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+            assert not own or cls is _Immutable or frozen, cls.__qualname__
