@@ -49,7 +49,6 @@ from .distsol import (
     WeightExpansion,
     closed_form_roots_imag,
     closed_form_roots_real,
-    falling_factorial,
     forward_imag,
     forward_real,
     paper_ck,

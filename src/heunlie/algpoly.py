@@ -30,7 +30,6 @@ __all__ = [
     "op_compose",
     "commutator",
     "quadratic_roots",
-    "sqrt_fraction",
     "csqrt_exact",
     "exact_dot",
     "CR_ZERO",
@@ -488,43 +487,25 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def sqrt_fraction(q: Fraction):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    rn = _isqrt_exact(q.numerator)
-    if rn is None:
-        return None
-    rd = _isqrt_exact(q.denominator)
-    if rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 def csqrt_exact(z: CRat):
-    """Principal square root of ``z`` when it lies back in Q(i), else None."""
-    z = CRat.from_value(z)
-    if not z.im:
-        if z.re >= 0:
-            r = sqrt_fraction(z.re)
-            return None if r is None else CRat(r)
-        s = sqrt_fraction(-z.re)
-        return None if s is None else CRat(0, s)
-    t = sqrt_fraction(z.abs2())
-    if t is None:
+    """Principal square root of ``z`` when it lies back in Q(i), else None.
+
+    For ``z = (a + b i) / d`` a root times ``d`` squares to the Gaussian
+    integer ``d (a + b i)``, so it is a Gaussian integer ``u + v i`` (Z[i] is
+    integrally closed).  With ``n = |a + b i|``, an integer then,
+    ``u**2 = d (a + n) / 2`` and ``v**2 = d (n - a) / 2``; ``u >= 0`` and
+    ``v`` takes the sign of ``b`` (``v >= 0`` for ``b = 0``), which is the
+    principal branch.
+    """
+    a, b, d = CRat.from_value(z).triple
+    n = _isqrt_exact(a * a + b * b)
+    if n is None or d * (n + a) % 2:
         return None
-    u2 = (z.re + t) / 2
-    u = sqrt_fraction(u2)
-    if u is None or u == 0:
+    u = _isqrt_exact(d * (n + a) // 2)
+    v = _isqrt_exact(d * (n - a) // 2)
+    if u is None or v is None:
         return None
-    v = z.im / (2 * u)
-    cand = CRat(u, v)
-    if cand * cand == z:
-        # principal branch: real part positive, or on the cut im >= 0
-        if u > 0:
-            return cand
-        return -cand
-    return None
+    return CRat.from_ints(u, -v if b < 0 else v, d)
 
 
 class Surd(_Immutable):
@@ -775,10 +756,10 @@ class Polynomial(_Immutable):
     def derivative(self, order: int = 1) -> "Polynomial":
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        p = self
-        for _ in range(order):
-            p = Polynomial([CRat(k) * c for k, c in enumerate(p.coeffs)][1:])
-        return p
+        # c_k z^k differentiates to perm(k, order) c_k z^(k - order)
+        return Polynomial(
+            [c * math.perm(k, order) for k, c in enumerate(self.coeffs[order:], order)]
+        )
 
     def eval(self, x):
         """Horner evaluation: exact at an exact ``x``, a Python complex at a

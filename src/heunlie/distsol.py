@@ -57,7 +57,6 @@ __all__ = [
     "RecurrenceSpec",
     "CoeffSequence",
     "exact_int",
-    "falling_factorial",
     "weight_expansion",
     "weight_value_at_zero",
     "recur_real",
@@ -93,18 +92,6 @@ def exact_int(x, name: str) -> int:
     if not z.is_integer():
         raise ValueError(f"{name} must be an integer, got {z}")
     return int(z.re)
-
-
-def falling_factorial(k: int, m: int) -> int:
-    """``(k)_m = k (k-1) ... (k-m+1)``; the empty product (m=0) is 1.
-
-    ``k`` and ``m`` are ints or integer-valued exact values; a float or a
-    bool raises ``TypeError`` and a non-integer value ``ValueError``.
-    """
-    k, m = exact_int(k, "k"), exact_int(m, "m")
-    if m < 0:
-        raise ValueError(f"falling factorial needs m >= 0, got m={m}")
-    return _ff(k, m)
 
 
 def _ff(k: int, m: int) -> int:

@@ -1,6 +1,7 @@
 """Delta-distribution algebra, the Green-kernel assembly for the
 raising-free operator family, the spectral shift values, the
-Hilbert-Schmidt norm, and the trace of the Green integral operator.
+Hilbert-Schmidt norm, and the trace of the Green integral operator, which
+is the kernel's scalar.
 
 The kernel formulas are printed as triple sums over an independent
 prefactor index ``m`` in ``1..p`` and the binomial indices ``(k, l)`` of the
@@ -103,13 +104,6 @@ class Distribution(_Immutable):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, order: int, center=0) -> CRat:
-        center = CRat.from_value(center)
-        for o, c, coeff in self.terms:
-            if o == order and c == center:
-                return coeff
-        return CR_ZERO
 
     def __add__(self, other: "Distribution") -> "Distribution":
         if not isinstance(other, Distribution):
@@ -461,13 +455,9 @@ def ssf(lam: float, G: Distribution) -> SSFValue:
     return SSFValue(kernel=G, heaviside_arg=float(lam))
 
 
-def trace_green(G) -> CRat:
+def trace_green(G: GreenKernel) -> CRat:
     """Trace of the Green integral operator under delta semantics: the
-    pairing of the kernel on the diagonal (or of a given distribution) with
-    the constant polynomial 1."""
-    if isinstance(G, GreenKernel):
-        # on the diagonal the prefactor is its constant term, 1 for every p >= 1
-        return G.scalar
-    if isinstance(G, Distribution):
-        return pair(G, Polynomial.one())
-    raise TypeError(f"expected GreenKernel or Distribution, got {type(G).__name__}")
+    kernel on the diagonal paired with the constant polynomial 1.  On the
+    diagonal the prefactor is its constant term, 1 for every p >= 1, so the
+    trace is the kernel's scalar."""
+    return G.scalar

@@ -48,7 +48,6 @@ __all__ = [
     "uea_heun_coeffs",
     "extract_expanded_coeffs",
     "verify_theorem1",
-    "indicial_discrepancies",
     "es_discrepancies",
     "expanded_es_coeffs",
     "es_condition",
@@ -131,7 +130,7 @@ class HeunParams:
 
     @classmethod
     def from_strings(cls, **kw) -> "HeunParams":
-        return cls(**{k: CRat.parse(v) if isinstance(v, str) else v for k, v in kw.items()})
+        return cls(**kw)
 
     def __repr__(self):
         inner = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -407,13 +406,6 @@ def verify_theorem1(j, p: HeunParams) -> DiscrepancyReport:
     deliverable, not an error.
     """
     return _Analysis(Spin(j).n, p).theorem1_rows()
-
-
-def indicial_discrepancies(p: HeunParams) -> DiscrepancyReport:
-    """Audit the published exponent list against the Frobenius oracle on the
-    expanded operator.  The published list pairs each finite singular point
-    with the point itself as first exponent; the oracle has 0 there."""
-    return _Analysis(0, p).indicial_rows()  # no indicial stage depends on n
 
 
 def _sorted_exponents(e1: Surd, e2: Surd) -> tuple[Surd, Surd]:
@@ -711,7 +703,10 @@ class _Analysis:
         return r
 
     def indicial_rows(self) -> DiscrepancyReport:
-        """The rows of :func:`indicial_discrepancies`."""
+        """Audit the published exponent list against the Frobenius oracle on
+        the expanded operator.  The published list pairs each finite singular
+        point with the point itself as first exponent; the oracle has 0
+        there.  No row depends on the spin."""
         p = self.p
         r = DiscrepancyReport()
         for label, printed_first, printed_second in (

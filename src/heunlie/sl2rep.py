@@ -67,13 +67,9 @@ class Spin(_Immutable):
         return f"Spin({self.j})"
 
 
-def _as_spin(j) -> Spin:
-    return j if isinstance(j, Spin) else Spin(j)
-
-
 def make_generators(j) -> tuple[DiffOp, DiffOp, DiffOp]:
     """The spin-j triple (Jp, J0, Jm) = (z^2 D - 2jz, z D - j, D)."""
-    j = _as_spin(j).j
+    j = Spin(j).j
     z2 = Polynomial.monomial(2)
     z1 = Polynomial.variable()
     jp = DiffOp.from_term(z2, 1) + DiffOp.from_term(z1 * CRat(-2 * j), 0)
@@ -105,14 +101,6 @@ class UEAExpr(_Immutable):
                 kept.append((coeff, letters))
         object.__setattr__(self, "words", tuple(kept))
         object.__setattr__(self, "constant", const)
-
-    def coefficient(self, letters: str) -> CRat:
-        """Sum of coefficients attached to the word ``letters`` as written."""
-        total = CR_ZERO
-        for coeff, word in self.words:
-            if word == letters:
-                total = total + coeff
-        return total
 
     def __eq__(self, other):
         if not isinstance(other, UEAExpr):

@@ -22,7 +22,6 @@ from heunlie.algpoly import (
     op_apply,
     op_compose,
     quadratic_roots,
-    sqrt_fraction,
 )
 from heunlie.algpoly import _reduced
 from util import rand_crat, rand_op, rand_poly
@@ -195,12 +194,37 @@ class TestSurd:
             for r in quadratic_roots(a, b, c):
                 assert Surd.from_value(a) * r * r + Surd.from_value(b) * r + Surd.from_value(c) == Surd(0)
 
-    def test_sqrt_helpers(self):
-        assert sqrt_fraction(Fraction(49, 9)) == Fraction(7, 3)
-        assert sqrt_fraction(Fraction(2)) is None
+
+# (u + v i) / d over a wide range, so the roots reach past machine words
+gaussian_st = st.builds(CRat.from_ints, st.integers(-10**20, 10**20),
+                        st.integers(-10**20, 10**20), st.integers(1, 10**6))
+
+
+def _principal(z: CRat) -> bool:
+    return z.re > 0 or (z.re == 0 and z.im >= 0)
+
+
+class TestCsqrtExact:
+    def test_examples(self):
         assert csqrt_exact(CRat(0, 2)) == CRat(1, 1)  # sqrt(2i) = 1 + i
         assert csqrt_exact(CRat(3, 4)) == CRat(2, 1)
         assert csqrt_exact(CRat(2)) is None
+        assert csqrt_exact(CRat(-4)) == CRat(0, 2)
+        assert csqrt_exact(CRat(Fraction(-1, 9))) == CRat(0, Fraction(1, 3))
+        assert csqrt_exact(CR_ZERO) == CR_ZERO
+
+    @given(gaussian_st)
+    @settings(max_examples=300, deadline=None)
+    def test_root_of_a_square_is_the_principal_sign(self, w):
+        root = csqrt_exact(w * w)
+        assert root == (w if _principal(w) else -w)
+
+    @given(st.one_of(gaussian_st, gaussian_st.map(lambda w: w * w),
+                     gaussian_st.map(lambda w: -w * w), crat_st))
+    @settings(max_examples=300, deadline=None)
+    def test_root_is_none_or_squares_back(self, z):
+        root = csqrt_exact(z)
+        assert root is None or (root * root == z and _principal(root))
 
 
 nonzero_crat_st = crat_st.filter(lambda x: not x.is_zero())
@@ -406,6 +430,14 @@ class TestPolynomial:
         assert p.derivative() == Polynomial([2, 6])
         assert p.eval(CRat(2)) == CRat(17)
         assert p.derivative(3) == Polynomial.zero()
+
+    @given(poly_st(6), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_derivative_of_order_m_is_m_single_derivatives(self, p, m):
+        expected = p
+        for _ in range(m):
+            expected = expected.derivative()
+        assert p.derivative(m) == expected
 
     @given(poly_st(3), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)

@@ -32,7 +32,6 @@ from heunlie.heunop import (
     es_operator,
     es_spectrum,
     expanded_es_coeffs,
-    indicial_discrepancies,
     indicial_exponents,
     verify_theorem1,
 )
@@ -119,7 +118,7 @@ class TestOneAnalysisPerReport:
         for p in _param_sets():
             payload = cli.payload_analyze(p, n)
             rows = verify_theorem1(Spin.from_n(n).j, p).as_list()
-            rows += indicial_discrepancies(p).as_list()
+            rows += _Analysis(0, p).indicial_rows().as_list()
             rows += es_discrepancies(n, p).as_list()
             assert payload["discrepancies"] == rows
             spectrum = [cli._jsonable(v) for v in es_spectrum(n, p, n)]
@@ -169,9 +168,9 @@ class TestOneAnalysisPerReport:
         with pytest.raises(ValueError, match="integer, got 1.5$"):
             reader(1.5, p)
 
-    def test_indicial_discrepancies_skips_the_canonical_check(self, monkeypatch):
+    def test_indicial_rows_skip_the_canonical_check(self, monkeypatch):
         counts = _count_calls(monkeypatch, ("build_expanded", "build_canonical_cleared"))
-        indicial_discrepancies(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
+        _Analysis(0, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1)).indicial_rows()
         assert counts == {"build_expanded": 1, "build_canonical_cleared": 0}
 
     @pytest.mark.parametrize("n", [-3, -1, 0, 5])

@@ -23,7 +23,6 @@ from heunlie.distsol import (
     _real_brackets,
     closed_form_roots_imag,
     closed_form_roots_real,
-    falling_factorial,
     forward_imag,
     forward_real,
     paper_ck,
@@ -47,6 +46,7 @@ from heunlie.heunop import (
     qes_matrix,
 )
 from util import (
+    falling_factorial,
     reference_crat_op,
     reference_forward,
     reference_imag_brackets,

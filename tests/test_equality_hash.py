@@ -207,15 +207,19 @@ class TestDistributionCenters:
         assert [(o, str(c)) for o, c, _ in d.terms] == [
             (0, "0"), (0, "1/2"), (0, "1/3"), (1, "1/3"),
         ]
-        assert d.coefficient(0, 0) == CRat(2) and d.coefficient(0, third) == CRat(2)
+        assert [coeff for _, _, coeff in d.terms] == [CRat(2), CRat(1), CRat(2), CRat(1)]
 
-    def test_coefficient_lookup_is_exact(self):
+    def test_terms_keep_exact_centers(self):
         third = CRat(Fraction(1, 3))
         d = Distribution([(0, third, 1), (0, CRat(Fraction(1, 3), 1), 5), (1, Fraction(1, 2), 7)])
-        assert d.coefficient(0, third) == CRat(1) and d.coefficient(0, Fraction(1, 3)) == CRat(1)
-        assert d.coefficient(0, CRat(Fraction(1, 3), 1)) == 5
-        assert d.coefficient(1, CRat(Fraction(1, 2))) == 7 and d.coefficient(0, Fraction(1, 2)) == 0
-        assert d.coefficient(2, third) == 0
+        terms = {(o, c): coeff for o, c, coeff in d.terms}
+        assert terms == {
+            (0, third): CRat(1),
+            (0, CRat(Fraction(1, 3), 1)): CRat(5),
+            (1, CRat(Fraction(1, 2))): CRat(7),
+        }
+        # a Fraction center finds the equal CRat center
+        assert terms[(0, Fraction(1, 3))] == 1 and terms[(1, Fraction(1, 2))] == 7
 
     def test_cancelling_terms_of_two_types_vanish(self):
         assert Distribution([(0, CRat(2), 1), (0, 2, -1)]).is_zero()

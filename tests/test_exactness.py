@@ -15,7 +15,6 @@ from heunlie.distsol import (
     RecurrenceSpec,
     closed_form_roots_imag,
     closed_form_roots_real,
-    falling_factorial,
     forward_imag,
     forward_real,
     paper_ck,
@@ -96,8 +95,6 @@ ENTRY_POINTS = {
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
     "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x), 2),
-    "falling_factorial k": (lambda x: falling_factorial(x, 2), 5),
-    "falling_factorial m": (lambda x: falling_factorial(5, x), 2),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3), 1),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x), 2),
     "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x), 2),
@@ -112,7 +109,6 @@ ENTRY_POINTS = {
     "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
     "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
     "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
-    "Distribution.coefficient center": (lambda x: Distribution.delta(0).coefficient(0, x), 0),
     "forward_real c0": (lambda x: forward_real(SPEC, x, 0, 4), CR_ONE),
     "forward_real c1": (lambda x: forward_real(SPEC, 1, x, 4), CR_ONE),
     "forward_imag c0": (lambda x: forward_imag(SPEC, x, 0, 4), CR_ONE),
@@ -143,8 +139,6 @@ def test_float_or_complex_input_raises_type_error(name, inexact):
 # integer arguments: (entry point, its result at the int 2)
 INTEGER_ARGUMENTS = {
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x).l, 2),
-    "falling_factorial k": (lambda x: falling_factorial(x, 2), 2),
-    "falling_factorial m": (lambda x: falling_factorial(5, x), 20),
     "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x),
                                  closed_form_roots_real(SPEC, 2)),
     "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x),

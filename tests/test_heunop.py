@@ -29,7 +29,6 @@ from heunlie.heunop import (
     es_spectrum,
     expanded_es_coeffs,
     extract_expanded_coeffs,
-    indicial_discrepancies,
     indicial_exponents,
     is_lower_triangular,
     is_upper_triangular,
@@ -38,6 +37,7 @@ from heunlie.heunop import (
     uea_heun,
     uea_heun_coeffs,
     verify_theorem1,
+    _Analysis,
 )
 from heunlie.sl2rep import Spin, uea_expand
 from util import (
@@ -215,7 +215,7 @@ class TestIndicial:
         p = HeunParams(a=2, q=1, alpha=Fraction(1, 2), beta=Fraction(1, 3),
                        gamma=Fraction(1, 5), delta=Fraction(1, 7),
                        epsilon=Fraction(1, 2) + Fraction(1, 3) + 1 - Fraction(1, 5) - Fraction(1, 7))
-        rep = indicial_discrepancies(p)
+        rep = _Analysis(0, p).indicial_rows()
         assert rep.residual("exponent_at_0_first") == CR_ZERO
         assert rep.residual("exponent_at_0_second") == CR_ZERO
         assert rep.residual("exponent_at_1_first") == CR_ONE

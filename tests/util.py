@@ -22,7 +22,7 @@ from heunlie.algpoly import (
     op_compose,
     quadratic_roots,
 )
-from heunlie.distsol import DegenerateLeading, _residual_ready, falling_factorial
+from heunlie.distsol import DegenerateLeading, _residual_ready
 from heunlie.greenssf import symbol_coeffs
 from heunlie.heunop import (
     EIG_RESIDUAL_TOL,
@@ -266,6 +266,11 @@ def reference_crat_op(x, y, op) -> tuple[Fraction, Fraction]:
     if op is operator.mul:
         return _textbook_mul(a, b, c, d)
     return _textbook_div(a, b, c, d)
+
+
+def falling_factorial(k, m):
+    """``(k)_m = k (k-1) ... (k-m+1)`` as a plain product, for ``m >= 0``."""
+    return math.prod(range(k, k - m, -1))
 
 
 def reference_real_brackets(spec, k):
