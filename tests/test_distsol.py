@@ -47,6 +47,11 @@ class TestFallingFactorial:
             for m in range(0, 10):
                 assert (_ff(k, m) == 0) == (k < m)
 
+    def test_rejects_negative_order(self):
+        for k in (-2, 0, 3):
+            with pytest.raises(ValueError):
+                _ff(k, -1)
+
 
 class TestWeightExpansion:
     def test_single_entry(self):

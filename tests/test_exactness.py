@@ -95,6 +95,11 @@ ENTRY_POINTS = {
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
     "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x), 2),
+    "RecurrenceSpec rho": (lambda x: RecurrenceSpec.make(l=1, rho=x), CR_ONE),
+    "RecurrenceSpec sigma": (lambda x: RecurrenceSpec.make(l=1, sigma=x), CR_ONE),
+    "RecurrenceSpec tau": (lambda x: RecurrenceSpec.make(l=1, tau=x), CR_ONE),
+    "RecurrenceSpec ab": (lambda x: RecurrenceSpec.make(l=1, ab=x), CR_ONE),
+    "RecurrenceSpec a": (lambda x: RecurrenceSpec.make(l=1, a=x), CR_ONE),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3), 1),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x), 2),
     "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x), 2),
@@ -115,6 +120,8 @@ ENTRY_POINTS = {
     "forward_imag c1": (lambda x: forward_imag(SPEC, 1, x, 4), CR_ONE),
     "recur_real c_k-1": (lambda x: recur_real(SPEC, 1, x, 2), CR_ONE),
     "recur_imag c_k-2": (lambda x: recur_imag(SPEC, x, 1, 2), CR_ONE),
+    "recur_real k": (lambda x: recur_real(SPEC, 1, 1, x), 2),
+    "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), 2),
     "paper_ck A": (lambda x: paper_ck(x, 0, closed_form_roots_real, SPEC, 4, start=1), CR_ONE),
     "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
     "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x), 2),
@@ -143,6 +150,8 @@ INTEGER_ARGUMENTS = {
                                  closed_form_roots_real(SPEC, 2)),
     "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x),
                                  closed_form_roots_imag(SPEC, 2)),
+    "recur_real k": (lambda x: recur_real(SPEC, 1, 1, x), recur_real(SPEC, 1, 1, 2)),
+    "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), recur_imag(SPEC, 1, 1, 2)),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
     "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x),
