@@ -245,10 +245,6 @@ class CRat(_Immutable):
             return CR_ONE / _power(self, -n, CR_ONE)
         return _power(self, n, CR_ONE)
 
-    def conjugate(self) -> "CRat":
-        a, b, d = self.triple
-        return _crat(a, -b, d)
-
     def abs2(self) -> Fraction:
         """Exact squared modulus re**2 + im**2."""
         a, b, d = self.triple

@@ -19,11 +19,12 @@ quadratics; since those roots vary with k they do not satisfy the recurrence
 in general, and :func:`residual_check` measures exactly how far off they are
 instead of repairing the claim.
 
-Each bracket triple ``(A, B, C)`` of a branch and index k is built once per
-:class:`RecurrenceSpec` and kept on the spec: the forward solve, the
-residual table and the root formulas of one report all read the same
-triples.  It is built straight from the integer triples of the spec's
-scalars: one ``math.perm`` per falling-factorial family, the shared factor
+The branches differ only in their row of ``_BRANCHES``.  Each bracket
+triple ``(A, B, C)`` of a branch and index k is built once per spec by
+:func:`_brackets`, which also refuses a zero ``C``: the forward solve, the
+residual table and the root formulas of one report read the same triples.
+A triple is built straight from the integer triples of the spec's scalars:
+one ``math.perm`` per falling-factorial family, the shared factor
 ``(k+2-l)(k+1-l)`` (or ``k+2-l``) for the longer factorials of a family,
 and one gcd per bracket (:meth:`~heunlie.algpoly.CRat.from_ints`).
 Every step, of a forward solve or alone, carries the primes its
@@ -45,9 +46,9 @@ import decimal
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, exact_dot
+from .algpoly import CR_ONE, CR_ZERO, CRat, Surd, exact_dot
 from .heunop import OracleMismatch
 
 __all__ = [
@@ -116,14 +117,6 @@ class WeightExpansion:
     tau: int
     a: CRat
     h: tuple  # of row tuples
-
-    def reassembled(self) -> Polynomial:
-        """``sum h[m][n] z^(m+n+rho-1)`` as a polynomial."""
-        out = Polynomial.zero()
-        for m, row in enumerate(self.h):
-            for n, c in enumerate(row):
-                out = out + Polynomial.monomial(m + n + self.rho - 1, c)
-        return out
 
     def value_at_zero(self) -> CRat:
         """Constant term of the reassembled weight; see :func:`weight_value_at_zero`."""
@@ -207,8 +200,8 @@ class RecurrenceSpec:
     ab: CRat
     E: CRat
     a: CRat
-    # (branch, k) -> (A, B, C); filled by _real_brackets/_imag_brackets and
-    # left out of ==, hash and repr, so a used spec equals a fresh one
+    # (branch, k) -> (A, B, C); filled by _brackets and left out of ==,
+    # hash and repr, so a used spec equals a fresh one
     _brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
@@ -239,58 +232,74 @@ class RecurrenceSpec:
         }
 
 
-def _real_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
+def _real_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0.
 
-    ``k`` is an int or an integer-valued exact value (see :func:`exact_int`).
     With ``s = (k+2-l)(k+1-l)``, ``(k+2)_(l+2) = s (k+2)_l`` and
     ``(k+1)_(l+1) = s (k+1)_(l-1)``, so ``A = (k+2)_l (s - a)``,
     ``B = (k+1)_(l-1) (s rho - tau)`` and ``C = (k)_l ab``.
     """
-    if type(k) is not int:
-        k = exact_int(k, "k")
-    key = ("real", k)
-    out = spec._brackets.get(key)
-    if out is None:
-        l = spec.l
-        s = (k + 2 - l) * (k + 1 - l)
-        p, q, r = _ff(k + 2, l), _ff(k + 1, l - 1), _ff(k, l)
-        a1, a2, ad = spec.a.triple
-        r1, r2, rd = spec.rho.triple
-        t1, t2, td = spec.tau.triple
-        b1, b2, bd = spec.ab.triple
-        out = spec._brackets[key] = (
-            CRat.from_ints(p * (s * ad - a1), -p * a2, ad),
-            CRat.from_ints(q * (s * r1 * td - t1 * rd), q * (s * r2 * td - t2 * rd), rd * td),
-            CRat.from_ints(r * b1, r * b2, bd),
-        )
-    return out
+    l = spec.l
+    s = (k + 2 - l) * (k + 1 - l)
+    p, q, r = _ff(k + 2, l), _ff(k + 1, l - 1), _ff(k, l)
+    a1, a2, ad = spec.a.triple
+    r1, r2, rd = spec.rho.triple
+    t1, t2, td = spec.tau.triple
+    b1, b2, bd = spec.ab.triple
+    return (
+        CRat.from_ints(p * (s * ad - a1), -p * a2, ad),
+        CRat.from_ints(q * (s * r1 * td - t1 * rd), q * (s * r2 * td - t2 * rd), rd * td),
+        CRat.from_ints(r * b1, r * b2, bd),
+    )
 
 
-def _imag_brackets(spec: RecurrenceSpec, k) -> tuple[CRat, CRat, CRat]:
+def _imag_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
     """(A, B, C) with the imaginary recurrence reading -A c_{k-2} + B c_{k-1} + C c_k = 0.
 
-    ``k`` is an int or an integer-valued exact value (see :func:`exact_int`).
     With ``t = k+2-l``, ``(k+2)_(l+1) = t (k+2)_l``, so
     ``A = (1+a) (k+2)_(l+1) - a (k+2)_l = (k+2)_l (t + (t-1) a)``,
     ``B = (k+1)_l sigma`` and ``C = (k)_(l-1) E``.
     """
+    l = spec.l
+    t = k + 2 - l
+    p, q, r = _ff(k + 2, l), _ff(k + 1, l), _ff(k, l - 1)
+    a1, a2, ad = spec.a.triple
+    s1, s2, sd = spec.sigma.triple
+    e1, e2, ed = spec.E.triple
+    return (
+        CRat.from_ints(p * (t * ad + (t - 1) * a1), p * (t - 1) * a2, ad),
+        CRat.from_ints(q * s1, q * s2, sd),
+        CRat.from_ints(r * e1, r * e2, ed),
+    )
+
+
+class _Branch(NamedTuple):
+    brackets: Callable  # (spec, int k) -> (A, B, C)
+    signs: tuple  # of the A and B terms; C's is +1
+    offset: int  # of the first determined index below l
+    leading: str  # the bracket C, as DegenerateLeading names it
+    roots: tuple  # (f, g) of the printed roots f B/C +- g/C sqrt(B^2 - 4CA)
+
+
+# the imaginary discriminant is as printed: that quadratic's constant term
+# is -A, so the conventional one would be B^2 + 4CA
+_BRANCHES = {
+    "real": _Branch(_real_brackets, (1, -1), 0, "ab * (k)_l", (CR_ONE / 2,) * 2),
+    "imag": _Branch(_imag_brackets, (-1, 1), 1, "E * (k)_(l-1)", (CRat(-1), CR_ONE)),
+}
+
+
+def _brackets(spec: RecurrenceSpec, branch: str, k, why: str = "") -> tuple[CRat, CRat, CRat]:
+    """(A, B, C) of ``branch`` at the index ``k``, an int or an integer-valued
+    exact value (see :func:`exact_int`), built once per spec.  A zero ``C``
+    raises :class:`DegenerateLeading`, its text ending in ``why``."""
     if type(k) is not int:
         k = exact_int(k, "k")
-    key = ("imag", k)
-    out = spec._brackets.get(key)
+    out = spec._brackets.get((branch, k))
     if out is None:
-        l = spec.l
-        t = k + 2 - l
-        p, q, r = _ff(k + 2, l), _ff(k + 1, l), _ff(k, l - 1)
-        a1, a2, ad = spec.a.triple
-        s1, s2, sd = spec.sigma.triple
-        e1, e2, ed = spec.E.triple
-        out = spec._brackets[key] = (
-            CRat.from_ints(p * (t * ad + (t - 1) * a1), p * (t - 1) * a2, ad),
-            CRat.from_ints(q * s1, q * s2, sd),
-            CRat.from_ints(r * e1, r * e2, ed),
-        )
+        out = spec._brackets[branch, k] = _BRANCHES[branch].brackets(spec, k)
+    if out[2].is_zero():
+        raise DegenerateLeading(f"{_BRANCHES[branch].leading} = 0 at k={k}, l={spec.l}{why}")
     return out
 
 
@@ -300,8 +309,7 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
     for ``ab = 0``.
     """
-    x, y = CRat.from_value(c_km2), CRat.from_value(c_km1)
-    return _step(spec, "real", x, y, k, math.lcm(x.triple[2], y.triple[2]))[0]
+    return _step(spec, "real", CRat.from_value(c_km2), CRat.from_value(c_km1), k)[0]
 
 
 def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -309,32 +317,18 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
     """
-    x, y = CRat.from_value(c_km2), CRat.from_value(c_km1)
-    return _step(spec, "imag", x, y, k, math.lcm(x.triple[2], y.triple[2]))[0]
-
-
-# branch -> (bracket builder, signs of the A and B terms (C's is +1), offset
-# of the first determined index below l, leading bracket as DegenerateLeading
-# names it)
-_BRANCHES = {
-    "real": (_real_brackets, (1, -1), 0, "ab * (k)_l"),
-    "imag": (_imag_brackets, (-1, 1), 1, "E * (k)_(l-1)"),
-}
+    return _step(spec, "imag", CRat.from_value(c_km2), CRat.from_value(c_km1), k)[0]
 
 
 # A step returns c_k and the support of its solve grown by its brackets
-# (see _grown).  Given a list `steps`, it appends exact_dot's record of a
-# step with a real C and real operands and a nonzero c_k, and None for any
-# other step.
-def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int,
+# (see _grown); a step alone starts from its operands' denominators.  Given
+# a list `steps`, it appends exact_dot's record of a step with a real C and
+# real operands and a nonzero c_k, and None for any other step.
+def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None = None,
           steps: list | None = None):
-    brackets, (sign_a, sign_b), _, leading = _BRANCHES[branch]
-    A, B, C = brackets(spec, k)
-    if C.is_zero():
-        raise DegenerateLeading(
-            f"{leading} = 0 at k={k}, l={spec.l}; c_k is not determined here"
-        )
-    support = _grown(support, A, B, C)
+    A, B, C = _brackets(spec, branch, k, "; c_k is not determined here")
+    sign_a, sign_b = _BRANCHES[branch].signs
+    support = _grown(support or math.lcm(x.triple[2], y.triple[2]), A, B, C)
     record = [] if steps is not None and not (
         A.triple[1] or B.triple[1] or C.triple[1] or x.triple[1] or y.triple[1]) else None
     c = exact_dot(((-sign_a, A, x), (-sign_b, B, y)), C, support=support, record=record)
@@ -487,7 +481,7 @@ def _digits(x, i: int, limit: int) -> str:
 def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
     if K < 1:
         raise ValueError("truncation K must be at least 1")
-    start = max(2, spec.l - _BRANCHES[branch][2])
+    start = max(2, spec.l - _BRANCHES[branch].offset)
     vals = [CRat.from_value(c0), CRat.from_value(c1)]
     steps = [None] * start
     # Every prime of a step's denominator divides `support`, by induction: it
@@ -514,6 +508,12 @@ def forward_imag(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence
     return _forward(spec, "imag", c0, c1, K)
 
 
+def _roots(spec: RecurrenceSpec, branch: str, k) -> tuple[CRat, Surd]:
+    A, B, C = _brackets(spec, branch, k)
+    f, g = _BRANCHES[branch].roots
+    return f * B / C, Surd(0, g / C, B * B - CRat(4) * C * A)
+
+
 def closed_form_roots_real(spec: RecurrenceSpec, k: int) -> tuple[CRat, Surd]:
     """The printed root parts (center, half-spread) of the quadratic
 
@@ -523,13 +523,7 @@ def closed_form_roots_real(spec: RecurrenceSpec, k: int) -> tuple[CRat, Surd]:
     ``center +- spread`` are its exact roots (the spread is an exact surd,
     principal branch when evaluated numerically).
     """
-    A, B, C = _real_brackets(spec, k)
-    if C.is_zero():
-        raise DegenerateLeading(f"ab * (k)_l = 0 at k={k}, l={spec.l}")
-    center = B / (CRat(2) * C)
-    disc = B * B - CRat(4) * C * A
-    spread = Surd(0, CR_ONE / (CRat(2) * C), disc)
-    return center, spread
+    return _roots(spec, "real", k)
 
 
 def closed_form_roots_imag(spec: RecurrenceSpec, k: int) -> tuple[CRat, Surd]:
@@ -542,15 +536,7 @@ def closed_form_roots_imag(spec: RecurrenceSpec, k: int) -> tuple[CRat, Surd]:
     implemented exactly as printed and the substitution residual is left to
     :func:`residual_check`-style auditing in the callers.
     """
-    A, B, C = _imag_brackets(spec, k)
-    if C.is_zero():
-        raise DegenerateLeading(f"E * (k)_(l-1) = 0 at k={k}, l={spec.l}")
-    center = -B / C
-    # discriminant exactly as printed; the quadratic's constant term is -A,
-    # so the conventional discriminant would be B^2 + 4*C*A instead
-    disc = B * B - CRat(4) * C * A
-    spread = Surd(0, CR_ONE / C, disc)
-    return center, spread
+    return _roots(spec, "imag", k)
 
 
 RootsFn = Callable[[RecurrenceSpec, int], tuple]
@@ -597,18 +583,18 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
     real branch, ``k >= l - 1`` for the imaginary one (and ``k >= 2`` so all
     three entries exist).  Exact zero residuals certify a true solution.
     A row that reads an irrational :func:`paper_ck` entry is a float complex.
+    A zero leading bracket raises :class:`DegenerateLeading`.
     """
     if len(c) < 3:
         raise ValueError("need at least c_0, c_1, c_2 to evaluate residuals")
     if which not in ("real", "imag"):
         raise ValueError(f"branch must be 'real' or 'imag', got {which!r}")
-    brackets, (sign_a, sign_b), offset, _ = _BRANCHES[which]
-    start = max(2, spec.l - offset)
-    signs = (sign_a, sign_b, 1)
+    start = max(2, spec.l - _BRANCHES[which].offset)
+    signs = (*_BRANCHES[which].signs, 1)
     vals = [_residual_ready(v) for v in c.values]
     out = []
     for k in range(start, len(c)):
-        A, B, C = brackets(spec, k)
+        A, B, C = _brackets(spec, which, k)
         x, y, z = vals[k - 2], vals[k - 1], vals[k]
         if isinstance(x, CRat) and isinstance(y, CRat) and isinstance(z, CRat):
             res = exact_dot(((signs[0], A, x), (signs[1], B, y), (signs[2], C, z)))

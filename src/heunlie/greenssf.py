@@ -102,9 +102,6 @@ class Distribution(_Immutable):
     def zero(cls) -> "Distribution":
         return cls(())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "Distribution") -> "Distribution":
         if not isinstance(other, Distribution):
             return NotImplemented

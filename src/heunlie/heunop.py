@@ -384,9 +384,6 @@ class DiscrepancyReport:
     def __iter__(self):
         return iter(self.rows)
 
-    def __len__(self):
-        return len(self.rows)
-
     def residual(self, name: str) -> CRat:
         for row in self.rows:
             if row.name == name:
@@ -523,6 +520,10 @@ def matrix_diagonal(M: Sequence[Sequence[CRat]]) -> list[CRat]:
 
 
 def _float_eigenvalues(M: Sequence[Sequence[CRat]]) -> list[complex]:
+    """The eigenvalues of ``M`` in floats, sorted.  An entry beyond the float
+    range raises ``ValueError``, and an eigenpair whose residual on ``M``
+    over its largest entry modulus (at least 1) exceeds
+    :data:`EIG_RESIDUAL_TOL` raises :class:`OracleMismatch`."""
     import numpy as np
 
     # convert only the exactly nonzero entries: a flag matrix at N = n is a
@@ -532,16 +533,21 @@ def _float_eigenvalues(M: Sequence[Sequence[CRat]]) -> list[complex]:
     for r, row in enumerate(M):
         for c, x in enumerate(row):
             if x is not CR_ZERO and x:
-                arr[r, c] = complex(x)
+                try:
+                    arr[r, c] = complex(x)
+                except OverflowError:
+                    msg = f"matrix entry ({r}, {c}) exceeds the float range"
+                    raise ValueError(msg) from None
     vals, vecs = np.linalg.eig(arr)
     scale = max(1.0, float(np.abs(arr).max()))
-    # column k of ``arr @ vecs - vecs * vals`` is the residual of eigenpair k
-    res = np.linalg.norm(arr @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
-    failing = np.flatnonzero(res > EIG_RESIDUAL_TOL * scale)
+    # column k of ``(arr @ vecs - vecs * vals) / scale`` is the residual of
+    # eigenpair k over the scale, finite as arr is scaled first; NaN fails
+    res = np.linalg.norm((arr / scale) @ vecs - vecs * (vals / scale), axis=0)
+    res /= np.linalg.norm(vecs, axis=0)
+    failing = np.flatnonzero(~(res <= EIG_RESIDUAL_TOL))
     if failing.size:
-        raise OracleMismatch(
-            f"eigenpair residual {res[failing[0]]:.3e} exceeds {EIG_RESIDUAL_TOL:.1e} * scale"
-        )
+        raise OracleMismatch(f"eigenpair residual {res[failing[0]] * scale:.3e} "
+                             f"exceeds {EIG_RESIDUAL_TOL:.1e} * scale")
     return sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
 
 

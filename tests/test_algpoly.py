@@ -559,7 +559,7 @@ class TestPrinter:
         rebuilt = Polynomial([CRat(c.re, c.im) for c in p.coeffs] + [0] * pad)
         nudged = p + Polynomial.monomial(k, coef)
         shifted = Polynomial([0, *p.coeffs])
-        conjugated = Polynomial([c.conjugate() for c in p.coeffs])
+        conjugated = Polynomial([CRat.from_ints(a, -b, d) for a, b, d in (c.triple for c in p.coeffs)])
         for y in (q, rebuilt, nudged, shifted, conjugated, -p):
             assert (str(p) == str(y)) == (p == y)
 

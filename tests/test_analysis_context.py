@@ -286,6 +286,22 @@ class TestBandFloatPath:
         assert arr[0, 1].real.hex() == "-0x0.0p+0"
         assert arr.tobytes() == reference_arr.tobytes()
 
+    def test_large_entries_keep_a_finite_residual(self):
+        big = CRat(10 ** 200)
+        M = ((big, big), (CR_ONE, big))
+        assert all(np.isfinite(z) for z in _float_eigenvalues(M))
+
+    def test_entry_beyond_float_range_is_invalid_input(self):
+        M = ((CR_ONE, CRat(10 ** 400)), (CR_ONE, CR_ONE))
+        with pytest.raises(ValueError, match=r"^matrix entry \(0, 1\) exceeds the float range$"):
+            _float_eigenvalues(M)
+
+    def test_nan_residual_trips(self, monkeypatch):
+        real = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda arr: (real(arr)[0] * np.nan, real(arr)[1]))
+        with pytest.raises(OracleMismatch, match=r"^eigenpair residual nan exceeds"):
+            _float_eigenvalues(((CR_ONE, CRat(2)), (CRat(3), CRat(4))))
+
     @pytest.mark.parametrize("corrupt", [((0, 1.0),), ((4, 1.0),), ((-1, 1.0),),
                                          ((4, 1.0), (-1, 5.0)), ((-1, 5.0), (0, 1e-3))])
     def test_corrupt_eigenvector_raises_on_first_failing_pair(self, corrupt, monkeypatch):

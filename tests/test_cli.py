@@ -394,6 +394,42 @@ class TestSweep:
         assert "invalid parameters: bad point" in err
 
 
+# a flag-matrix entry of about 10^200 (where the eigenpair residual once
+# overflowed to inf and tripped exit 3), and one past the float range
+BIG, HUGE = str(10 ** 100), str(10 ** 400)
+UNIT = ["--q=1", "--alpha=1", "--beta=1", "--delta=1", "--epsilon=1"]
+BEYOND = "matrix entry (0, 0) exceeds the float range"
+
+
+class TestFloatRange:
+    def test_large_entries_analyze(self, capsys):
+        code, out, err = run(capsys, "analyze", "--n=4", f"--a={BIG}", f"--gamma={BIG}", *UNIT)
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["es"]["spectrum"]) == 5
+
+    def test_large_entries_spectrum(self, capsys):
+        # the constraint alpha + beta + 1 = gamma + delta + epsilon holds
+        code, out, err = run(capsys, "spectrum", "--n=4", f"--a={BIG}", f"--gamma={BIG}",
+                             "--q=1", "--alpha=-4", "--beta=1", "--delta=1",
+                             f"--epsilon={-3 - 10 ** 100}")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert not payload["triangular_lower"] and not payload["triangular_upper"]
+        assert len(payload["spectrum"]) == 5
+
+    def test_entry_beyond_float_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "analyze", "--n=4", f"--a={HUGE}", "--gamma=1", *UNIT)
+        assert (code, out, err) == (2, "", f"heunlie: invalid parameters: {BEYOND}\n")
+
+    def test_sweep_keeps_every_point(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--n=4", "--a=2", f"--gamma={BIG}", *UNIT,
+                           f"--grid=a=2,{BIG},{HUGE}")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert ["report" in row for row in rows] == [True, True, False]
+        assert rows[2]["error"] == {"type": "ValueError", "message": BEYOND}
+
+
 class TestOutputFile:
     def test_write_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

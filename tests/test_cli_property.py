@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 from heunlie import cli
 
 PARAMS = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
-VALID = ("0", "1", "2", "-1", "3", "3/2", "-2/3", "5/4", "1/3", "-1/2", "2+i", "1-1/2i", "-3i")
+VALID = ("0", "1", "2", "-1", "3", "3/2", "-2/3", "5/4", "1/3", "-1/2", "2+i", "1-1/2i", "-3i",
+         # flag-matrix entries near and past the float range
+         "1" + "0" * 90, "-7/1" + "0" * 90, "1" + "0" * 400, "3" + "0" * 200 + "i")
+BIG, HUGE = str(10 ** 100), str(10 ** 400)
+UNIT = ["--q=1", "--alpha=1", "--beta=1", "--delta=1", "--epsilon=1"]
 INVALID = ("1.5", "x", "", "1/0", "2e3", "3//2", "i1", "nan")
 literal_st = st.sampled_from(VALID)
 small_int_st = st.integers(-1, 8)
@@ -110,6 +114,11 @@ ES_BASE = ["--a=2", "--q=1", "--alpha=-1", "--beta=0", "--gamma=1/3", "--delta=1
 @example(["distsol", *ES_BASE, "--n=1", "--l=2", "--K=12", "--c1=2/3"])
 @example(["green", *ES_BASE, "--n=1", "--rho=1", "--sigma=2", "--tau=2"])
 @example(["sweep", *ES_BASE, "--n=2", "--grid=a=1,2;q=0,1/2"])
+@example(["analyze", "--n=4", f"--a={BIG}", f"--gamma={BIG}", *UNIT])
+@example(["spectrum", "--n=4", f"--a={BIG}", f"--gamma={BIG}", "--q=1", "--alpha=-4", "--beta=1",
+          "--delta=1", f"--epsilon={-3 - 10 ** 100}"])
+@example(["analyze", "--n=4", f"--a={HUGE}", "--gamma=1", *UNIT])
+@example(["sweep", "--n=4", "--a=2", f"--gamma={BIG}", *UNIT, f"--grid=a=2,{BIG},{HUGE}"])
 @settings(max_examples=300, deadline=None)
 def test_every_command_line_ends_with_a_documented_exit(argv):
     code, out = run_main(argv)

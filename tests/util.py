@@ -273,6 +273,15 @@ def falling_factorial(k, m):
     return math.prod(range(k, k - m, -1))
 
 
+def reference_reassembled(w):
+    """A weight table summed back as ``sum h[m][n] z^(m+n+rho-1)``."""
+    out = Polynomial.zero()
+    for m, row in enumerate(w.h):
+        for n, c in enumerate(row):
+            out = out + Polynomial.monomial(m + n + w.rho - 1, c)
+    return out
+
+
 def reference_real_brackets(spec, k):
     """Real-branch (A, B, C), each falling factorial built as a ``CRat``."""
     l = spec.l
