@@ -552,7 +552,7 @@ class Surd(_Immutable):
     # -- arithmetic within one radicand --------------------------------
 
     def _align(self, other):
-        other = Surd.from_value(other) if not isinstance(other, Surd) else other
+        other = Surd.from_value(other)
         if self.coef.is_zero() or other.coef.is_zero() or self.rad == other.rad:
             return other
         raise ValueError(f"incompatible radicands {self.rad} and {other.rad}")
@@ -570,7 +570,7 @@ class Surd(_Immutable):
         return Surd(-self.base, -self.coef, self.rad)
 
     def __sub__(self, other):
-        return self + (-(Surd.from_value(other) if not isinstance(other, Surd) else other))
+        return self + (-Surd.from_value(other))
 
     def __rsub__(self, other):
         return (-self) + other

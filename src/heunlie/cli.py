@@ -21,7 +21,7 @@ import re
 import sys
 from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _str_literal
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from . import __version__
 from .algpoly import CR_ZERO, CRat
@@ -406,21 +406,27 @@ def _render(payload: dict, output: str) -> str:
 # The bytes of json.dumps(node, indent=2), built by C-level joins.  With an
 # indent, CPython's json runs its pure-Python encoder, one generator step per
 # value; here a list of strings is one join and a list of flat rows one
-# join per row, and the report is joined once from its chunks.
+# join per row, and the report is joined once from its chunks.  Strings are
+# escaped by encode_basestring_ascii; json's C encoder, built once with
+# json.dumps's defaults, spells every other scalar, every non-string key and
+# every empty container.
 
 #: number text: a string of these characters alone needs no JSON escape
 _NUMBER_TEXT = b"0123456789/-+i"
 #: the value types of a flat row
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
+#: ``_encode(v, 0)`` is the chunk list of ``json.dumps(v)``
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _str_literal, None, ": ", ", ", False, False, True
+)
 
 
 def _json(node, nl: str, chunks: list[str]) -> None:
     """Append ``node`` as ``json.dumps(node, indent=2)`` writes it to
     ``chunks``, where ``nl`` is the newline and indent of its line."""
-    if isinstance(node, dict):
-        if not node:
-            chunks.append("{}")
-            return
+    if isinstance(node, str):
+        chunks.append(_str_literal(node))
+    elif isinstance(node, dict) and node:
         inner = nl + "  "
         lead = "{" + inner
         for k, v in node.items():
@@ -428,16 +434,14 @@ def _json(node, nl: str, chunks: list[str]) -> None:
             _json(v, inner, chunks)
             lead = "," + inner
         chunks.append(nl + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            chunks.append("[]")
-            return
+    elif isinstance(node, (list, tuple)) and node:
         inner = nl + "  "
         sep = "," + inner
         chunks.append("[" + inner)
         kinds = set(map(type, node))
         if kinds == {str}:
-            chunks.append(_strings(node, sep))
+            quote, texts = _column(node, kinds)
+            chunks.append(quote + (quote + sep + quote).join(texts) + quote)
         elif kinds == {dict} and (rows := _rows(node, inner)) is not None:
             chunks.append(rows)
         else:
@@ -447,21 +451,23 @@ def _json(node, nl: str, chunks: list[str]) -> None:
                 _json(v, inner, chunks)
         chunks.append(nl + "]")
     else:
-        chunks.append(_scalar(node))
+        chunks += _encode(node, 0)
 
 
-def _is_number_text(strings) -> bool:
-    """Whether the joined strings hold number text alone (one pass, checked
-    on every call: a string is never assumed safe)."""
-    text = "".join(strings)
-    return text.isascii() and not text.encode("ascii").translate(None, _NUMBER_TEXT)
-
-
-def _strings(strings, sep: str) -> str:
-    """String literals joined by ``sep``, escaped unless they are number text."""
-    if _is_number_text(strings):
-        return '"' + ('"' + sep + '"').join(strings) + '"'
-    return sep.join(map(_str_literal, strings))
+def _column(values, kinds: set) -> tuple[str, Iterable[str]]:
+    """The JSON texts of scalars of the types ``kinds``, and the quote that
+    goes on both sides of each.  Strings that hold number text alone (one
+    pass, checked on every call: a string is never assumed safe) go bare
+    between quotes, other strings are escaped, ints are their repr, and
+    json's encoder spells any other column."""
+    if kinds == {str}:
+        text = "".join(values)
+        if text.isascii() and not text.encode("ascii").translate(None, _NUMBER_TEXT):
+            return '"', values
+        return "", map(_str_literal, values)
+    if kinds == {int}:
+        return "", map(int.__repr__, values)
+    return "", ("".join(_encode(v, 0)) for v in values)
 
 
 def _rows(rows: list, nl: str) -> str | None:
@@ -476,52 +482,19 @@ def _rows(rows: list, nl: str) -> str | None:
         kinds = set(map(type, column))
         if not kinds <= _SCALAR_TYPES:
             return None
-        quote = ""
-        if kinds == {str}:
-            if _is_number_text(column):
-                quote = '"'
-            else:
-                column = map(_str_literal, column)
-        elif kinds == {int}:
-            column = map(int.__repr__, column)
-        else:
-            column = map(_scalar, column)
-        parts += (repeat(lead + _key(key) + ": " + quote), column)
+        quote, texts = _column(column, kinds)
+        parts += (repeat(lead + _key(key) + ": " + quote), texts)
         lead = quote + "," + inner
     parts.append(repeat(quote + nl + "}"))
     return ("," + nl).join(map("".join, zip(*parts)))
 
 
-def _scalar(v) -> str:
-    if isinstance(v, str):
-        return _str_literal(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v == math.inf:
-            return "Infinity"
-        if v == -math.inf:
-            return "-Infinity"
-        return float.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
 def _key(k) -> str:
-    """A dict key as json writes it: a str, or an int, float, bool or None
-    as the text of its JSON scalar."""
+    """A dict key as json writes it: a str escaped, any other key spelled
+    by json's encoder, which also refuses the keys json refuses."""
     if isinstance(k, str):
         return _str_literal(k)
-    if isinstance(k, (int, float)) or k is None:
-        return '"' + _scalar(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return "".join(_encode({k: None}, 0))[1:-7]
 
 
 def _render_text(node, lines: list[str], depth: int) -> None:

@@ -564,15 +564,11 @@ def paper_ck(A, B, roots_fn: RootsFn, spec: RecurrenceSpec, K: int,
             vals.append(CR_ZERO)
             continue
         center, spread = roots_fn(spec, k)
-        plus = _as_surd(center) + _as_surd(spread)
-        minus = _as_surd(center) - _as_surd(spread)
+        plus = Surd.from_value(center) + Surd.from_value(spread)
+        minus = Surd.from_value(center) - Surd.from_value(spread)
         term = A * (plus ** k) + B * (minus ** k)
         vals.append(term.exact_value() if term.is_exact() else term)
     return CoeffSequence(tuple(vals))
-
-
-def _as_surd(x) -> Surd:
-    return x if isinstance(x, Surd) else Surd.from_value(x)
 
 
 def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
@@ -582,7 +578,9 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
     Admissible means the recurrence's own validity range: ``k >= l`` for the
     real branch, ``k >= l - 1`` for the imaginary one (and ``k >= 2`` so all
     three entries exist).  Exact zero residuals certify a true solution.
-    A row that reads an irrational :func:`paper_ck` entry is a float complex.
+    Exact entries give exact rows; a row that reads an irrational
+    :func:`paper_ck` entry is a float complex, and a float or complex
+    entry raises ``TypeError``.
     A zero leading bracket raises :class:`DegenerateLeading`.
     """
     if len(c) < 3:
@@ -609,6 +607,8 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
 
 
 def _residual_ready(v):
+    if isinstance(v, CRat):
+        return v
     if isinstance(v, Surd):
         return v.exact_value() if v.is_exact() else complex(v)
-    return v
+    return CRat.from_value(v)

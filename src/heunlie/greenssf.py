@@ -81,6 +81,8 @@ class Distribution(_Immutable):
     def __init__(self, terms: Iterable = ()):
         merged: dict = {}
         for order, center, coeff in terms:
+            if isinstance(order, bool):
+                raise TypeError("delta derivative order must be an exact integer, got bool")
             if not isinstance(order, int) or order < 0:
                 raise ValueError(f"delta derivative order must be an integer >= 0, got {order!r}")
             key = (order, CRat.from_value(center))

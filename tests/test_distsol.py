@@ -54,6 +54,12 @@ class TestFallingFactorial:
 
 
 class TestWeightExpansion:
+    def test_as_dict(self):
+        assert weight_expansion(1, 3, 2, 2).as_dict() == {
+            "rho": 1, "sigma": 3, "tau": 2, "a": "2",
+            "h": [["-2", "1"], ["4", "-2"], ["-2", "1"]],
+        }
+
     def test_single_entry(self):
         w = weight_expansion(3, 1, 1, CRat(2))
         assert w.h == ((CR_ONE,),)
@@ -209,6 +215,14 @@ class TestRecurrences:
         seq = forward_real(spec, 1, 0, 4)
         with pytest.raises(ValueError, match="^branch must be 'real' or 'imag', got 'both'$"):
             residual_check(seq, spec, "both")
+
+    def test_residual_check_keeps_exact_entries_exact(self):
+        spec = RecurrenceSpec.make(l=1, ab=1, E=1)
+        rows = residual_check(CoeffSequence((1, 2, 3, 4)), spec, "real")
+        assert rows == [(2, CRat(22)), (3, CRat(112))]
+        assert all(type(res) is CRat for _, res in rows)
+        rows = residual_check(CoeffSequence((Fraction(1, 2), 2, CRat(3), Surd(4))), spec, "real")
+        assert all(type(res) is CRat for _, res in rows)
 
 
 class TestClosedFormRootsReal:

@@ -11,6 +11,7 @@ import pytest
 from heunlie import cli
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
 from heunlie.distsol import (
+    CoeffSequence,
     NonIntegerExponents,
     RecurrenceSpec,
     closed_form_roots_imag,
@@ -20,6 +21,7 @@ from heunlie.distsol import (
     paper_ck,
     recur_imag,
     recur_real,
+    residual_check,
     weight_expansion,
     weight_value_at_zero,
 )
@@ -124,6 +126,8 @@ ENTRY_POINTS = {
     "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), 2),
     "paper_ck A": (lambda x: paper_ck(x, 0, closed_form_roots_real, SPEC, 4, start=1), CR_ONE),
     "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
+    "residual_check entry": (lambda x: residual_check(CoeffSequence((1, 1, x)), SPEC, "real"),
+                             CR_ONE),
     "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x), 2),
     "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x), 2),
     "make_generators j": (make_generators, Fraction(1, 2)),

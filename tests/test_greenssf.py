@@ -51,6 +51,13 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution([(-1, 0, 1)])
 
+    @pytest.mark.parametrize("make", [lambda: Distribution.delta(True),
+                                      lambda: Distribution([(False, 0, 1)])])
+    def test_rejects_bool_orders(self, make):
+        with pytest.raises(TypeError,
+                           match="^delta derivative order must be an exact integer, got bool$"):
+            make()
+
 
 class TestPair:
     def test_plain_delta(self):

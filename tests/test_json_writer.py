@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heunlie import cli
 from heunlie.cli import _render
 
 NUMBER_TEXT = ["-3/2", "1+2i", "0", "-12/5-1/3i", "7i", "+", "-", "/", "i"]
@@ -95,3 +96,31 @@ class TestWriterIsJsonDumps:
             json.dumps(x, indent=2)
         with pytest.raises(TypeError):
             _render(x, "json")
+
+
+PARAMS = ["--a=3", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3",
+          "--delta=-1/2", "--epsilon=7/5"]
+GREEN = [*PARAMS, "--n=1", "--rho=1", "--sigma=5", "--tau=3", "--s-eval=1/2-3i",
+         "--E=-2/3", "--lambda=-2.5"]
+COMMANDS = {
+    "analyze": ["analyze", "--n=8", *PARAMS],  # a float spectrum
+    "spectrum": ["spectrum", "--n=2", "--a=2", "--q=1", "--alpha=-2", "--beta=-1/2",
+                 "--gamma=1/3", "--delta=1/2", "--epsilon=-7/3"],
+    "distsol": ["distsol", "--n=2", "--l=2", "--K=12", "--E=3/2-1/2i", "--c0=1+i",
+                "--c1=-1/3", *PARAMS],
+    "green": ["green", *GREEN],
+    "ssf": ["ssf", *GREEN],
+    "expand": ["expand", "--expr=1/2 * +0 + 1/2 * 0+", "--j=1/2"],  # escaped operator text
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_reports_never_reach_the_pure_python_encoder(monkeypatch, name):
+    payload = cli._payload(cli.build_parser().parse_args(COMMANDS[name]))
+    expected = dumped(payload)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert _render(payload, "json") == expected
