@@ -31,7 +31,6 @@ __all__ = [
     "commutator",
     "quadratic_roots",
     "csqrt_exact",
-    "exact_dot",
     "CR_ZERO",
     "CR_ONE",
     "CR_I",
@@ -321,35 +320,13 @@ def _operand(x):
     return None
 
 
-def _reduced(a: int, b: int, d: int, support: int | None = None,
-             record: list | None = None) -> CRat:
-    """``(a + b i) / d`` for ints with ``d > 0``, in lowest terms.
-
-    A zero value takes no gcd, and any other one gcd without ``support``.
-    With a ``support`` that every prime of ``d`` divides, every common
-    factor of ``a``, ``b`` and ``d`` divides ``g = gcd(a, b, support)``; it
-    is stripped by gcds with ``g`` and its divisors, never with the
-    full-size ``d``.  A prime of ``d`` missing from ``support`` is not
-    stripped, and the result is then not in lowest terms.  With a
-    ``support``, a nonzero value appends the factor it stripped to a list
-    ``record``.
-    """
+def _reduced(a: int, b: int, d: int) -> CRat:
+    """``(a + b i) / d`` for ints with ``d > 0``, in lowest terms: one gcd,
+    none for a zero value."""
     if not (a or b):
         return CR_ZERO
-    if support is None:
-        g = math.gcd(a, b, d)
-        return _crat(a // g, b // g, d // g)
-    g, stripped = support, 1
-    while True:
-        g = math.gcd(a % g, b % g, g)
-        if g != 1:
-            g = math.gcd(d % g, g)
-        if g == 1:
-            if record is not None:
-                record.append(stripped)
-            return _crat(a, b, d)
-        a, b, d = a // g, b // g, d // g
-        stripped *= g
+    g = math.gcd(a, b, d)
+    return _crat(a // g, b // g, d // g)
 
 
 # The operations below skip a zero part rather than multiply it; each branch
@@ -397,85 +374,21 @@ def _product(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
     return _crat(a // g, b // g, d // g)
 
 
-def _quotient(a: int, b: int, d: int, c: int, e: int, f: int,
-              support: int | None = None, record: list | None = None) -> CRat:
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
     """``(a + b i)/d / ((c + e i)/f)``: the numerator times ``f (c - e i)``
-    over ``d (c^2 + e^2)``, reduced by :func:`_reduced`.  A real divisor
-    appends ``f`` and ``c``, made ``c > 0``, to a list ``record``."""
+    over ``d (c^2 + e^2)``, reduced by :func:`_reduced`."""
     if not e:
         if not c:
             raise ZeroDivisionError("division by zero CRat")
         if c < 0:
             c, f = -c, -f
-        if record is not None:
-            record += (f, c)
-        return _reduced(a * f, b * f, d * c, support, record)
-    return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e), support)
+        return _reduced(a * f, b * f, d * c)
+    return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
 
 CR_ZERO = CRat(0)
 CR_ONE = CRat(1)
 CR_I = CRat(0, 1)
-
-
-def exact_dot(terms: Iterable[tuple[int, CRat, CRat]], divisor: CRat | None = None,
-              *, support: int | None = None, record: list | None = None) -> CRat:
-    """Exact ``sum(sign * coef * value) / divisor`` over ``(sign, coef,
-    value)`` triples of a sign ``+1`` or ``-1`` and two ``CRat``.
-
-    The Gaussian-integer products are summed over one common denominator,
-    grown by the gcd of the running denominator and each product's
-    denominator, and reduced once at the end.  The operands of a three-term
-    recurrence share most of their denominators' factors, so those gcds are
-    cheap.  The reduction is the only gcd on the full-size numerator, and a
-    sum that cancels to 0 needs none.  Given a ``support`` that every prime
-    of the unreduced denominator divides, the reduction takes gcds with
-    ``support`` instead (see :func:`_reduced`).  That precondition is not
-    checked: a ``support`` missing such a prime gives a value that is not
-    in lowest terms, which compares and hashes unequal to the canonical
-    one.  A zero ``divisor`` raises ``ZeroDivisionError``, as ``CRat``
-    division does.
-
-    Given a list ``record`` and a ``support``, with every coefficient and
-    the divisor real, the call appends the small integers that rebuild its
-    result from the values' numerators and denominators.  For each term it
-    appends None if the term's product is zero, and else ``(w, d, m)``: the
-    summed numerator becomes ``S d + w num(value)``, and the summed
-    denominator ``m den(value)``.  A real divisor, written ``n/f`` with
-    ``n > 0``, appends ``f`` and ``n``, which multiply ``S`` and the
-    denominator; a nonzero result appends the factor ``G`` that the
-    reduction stripped from both.
-    These are cofactors the sum computes anyway, so recording adds no gcd
-    and no product of two full-size integers.
-    """
-    rn, jn, den = 0, 0, 1
-    for sign, coef, value in terms:
-        a, b, p = coef.triple
-        c, e, q = value.triple
-        if b:
-            x, y = (a * c - b * e, a * e + b * c) if e else (a * c, b * c)
-        else:
-            x, y = a * c, a * e
-        if not (x or y):
-            if record is not None:
-                record.append(None)
-            continue
-        if sign < 0:
-            x, y = -x, -y
-        # den becomes lcm(den, d) = den * d / g: the sum so far is scaled by
-        # d / g and this term's product by s = den / g
-        d = p * q
-        g = math.gcd(den, d)
-        s = den
-        if g != 1:
-            d //= g
-            s //= g
-        rn, jn, den = rn * d + x * s, jn * d + y * s, den * d
-        if record is not None:
-            record.append((sign * a * s, d, p * s))
-    if divisor is None:
-        return _reduced(rn, jn, den, support, record)
-    return _quotient(rn, jn, den, *divisor.triple, support, record)
 
 
 def _isqrt_exact(n: int):

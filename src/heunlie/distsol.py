@@ -19,25 +19,27 @@ quadratics; since those roots vary with k they do not satisfy the recurrence
 in general, and :func:`residual_check` measures exactly how far off they are
 instead of repairing the claim.
 
-The branches differ only in their row of ``_BRANCHES``.  Each bracket
-triple ``(A, B, C)`` of a branch and index k is built once per spec by
-:func:`_brackets`, which also refuses a zero ``C``: the forward solve, the
-residual table and the root formulas of one report read the same triples.
-A triple is built straight from the integer triples of the spec's scalars:
-one ``math.perm`` per falling-factorial family, the shared factor
-``(k+2-l)(k+1-l)`` (or ``k+2-l``) for the longer factorials of a family,
-and one gcd per bracket (:meth:`~heunlie.algpoly.CRat.from_ints`).
-Every step, of a forward solve or alone, carries the primes its
-denominators can have, so it is reduced to lowest terms without a gcd on a
-full-size operand.
+The branches differ only in their row of ``_BRANCHES``.  The brackets
+``(A, B, C)`` of a branch and index k are Gaussian-integer numerators
+``(alpha, beta, gamma)`` over one denominator ``L`` per spec and branch,
+the lcm of the denominators of the scalars that branch reads.  They are
+built once per spec by :func:`_brackets`, which also refuses a zero
+``gamma``: the forward solve, the residual table and the root formulas of
+one report read the same numerators.  A build takes one ``math.perm`` per
+falling-factorial family, the shared factor ``(k+2-l)(k+1-l)`` (or
+``k+2-l``) for the longer factorials of a family, and no gcd.
+A step solves ``s_A alpha c_{k-2} + s_B beta c_{k-1} + gamma c_k = 0`` on
+the integer triples of the values (see :func:`_solve`), and carries the
+primes its denominators can have, so it is reduced to lowest terms
+without a gcd on a full-size operand (:func:`_stripped`).  An exact
+residual row is one integer three-term sum divided by ``L``.
 
 CPython turns an int into decimal text in quadratic time, and a report's
-integers run to thousands of digits.  So a forward solve also keeps each
-real step's small integers from :func:`~heunlie.algpoly.exact_dot`, and
-:meth:`CoeffSequence.as_list` prints a large value by replaying its step
-in exact ``decimal`` arithmetic, checked against the int modulo a prime,
-one linear pass on each side (see :func:`_replayed_text` and
-:func:`_residue`).
+integers run to thousands of digits.  So a forward solve also keeps the
+small integers of each real step, and :meth:`CoeffSequence.as_list`
+prints a large value by replaying its step in exact ``decimal``
+arithmetic, checked against the int modulo a prime, one linear pass on
+each side (see :func:`_replayed_text` and :func:`_residue`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Surd, exact_dot
+from .algpoly import CR_ONE, CR_ZERO, CRat, Surd
 from .heunop import OracleMismatch
 
 __all__ = [
@@ -200,8 +202,9 @@ class RecurrenceSpec:
     ab: CRat
     E: CRat
     a: CRat
-    # (branch, k) -> (A, B, C); filled by _brackets and left out of ==,
-    # hash and repr, so a used spec equals a fresh one
+    # (branch, k) -> (alpha, beta, gamma) and branch -> (L, scalars); filled
+    # by _brackets and _scaled and left out of ==, hash and repr, so a used
+    # spec equals a fresh one
     _brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
@@ -232,49 +235,49 @@ class RecurrenceSpec:
         }
 
 
-def _real_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
-    """(A, B, C) with the real recurrence reading A c_{k-2} - B c_{k-1} + C c_k = 0.
+# The brackets of a branch at index k are Gaussian-integer numerators
+# (alpha, beta, gamma) over the lcm L of the denominators of the scalars
+# that branch reads: (A, B, C) = (alpha, beta, gamma) / L.  Each takes the
+# spec's l, the index, L and those scalars times L as (re, im) int pairs.
+
+
+def _real_numerators(l: int, k: int, L: int, a, rho, tau, ab) -> tuple:
+    """(alpha, beta, gamma) with the real recurrence reading
+    A c_{k-2} - B c_{k-1} + C c_k = 0.
 
     With ``s = (k+2-l)(k+1-l)``, ``(k+2)_(l+2) = s (k+2)_l`` and
     ``(k+1)_(l+1) = s (k+1)_(l-1)``, so ``A = (k+2)_l (s - a)``,
     ``B = (k+1)_(l-1) (s rho - tau)`` and ``C = (k)_l ab``.
     """
-    l = spec.l
     s = (k + 2 - l) * (k + 1 - l)
     p, q, r = _ff(k + 2, l), _ff(k + 1, l - 1), _ff(k, l)
-    a1, a2, ad = spec.a.triple
-    r1, r2, rd = spec.rho.triple
-    t1, t2, td = spec.tau.triple
-    b1, b2, bd = spec.ab.triple
     return (
-        CRat.from_ints(p * (s * ad - a1), -p * a2, ad),
-        CRat.from_ints(q * (s * r1 * td - t1 * rd), q * (s * r2 * td - t2 * rd), rd * td),
-        CRat.from_ints(r * b1, r * b2, bd),
+        (p * (s * L - a[0]), -p * a[1]),
+        (q * (s * rho[0] - tau[0]), q * (s * rho[1] - tau[1])),
+        (r * ab[0], r * ab[1]),
     )
 
 
-def _imag_brackets(spec: RecurrenceSpec, k: int) -> tuple[CRat, CRat, CRat]:
-    """(A, B, C) with the imaginary recurrence reading -A c_{k-2} + B c_{k-1} + C c_k = 0.
+def _imag_numerators(l: int, k: int, L: int, a, sigma, E) -> tuple:
+    """(alpha, beta, gamma) with the imaginary recurrence reading
+    -A c_{k-2} + B c_{k-1} + C c_k = 0.
 
     With ``t = k+2-l``, ``(k+2)_(l+1) = t (k+2)_l``, so
     ``A = (1+a) (k+2)_(l+1) - a (k+2)_l = (k+2)_l (t + (t-1) a)``,
     ``B = (k+1)_l sigma`` and ``C = (k)_(l-1) E``.
     """
-    l = spec.l
     t = k + 2 - l
     p, q, r = _ff(k + 2, l), _ff(k + 1, l), _ff(k, l - 1)
-    a1, a2, ad = spec.a.triple
-    s1, s2, sd = spec.sigma.triple
-    e1, e2, ed = spec.E.triple
     return (
-        CRat.from_ints(p * (t * ad + (t - 1) * a1), p * (t - 1) * a2, ad),
-        CRat.from_ints(q * s1, q * s2, sd),
-        CRat.from_ints(r * e1, r * e2, ed),
+        (p * (t * L + (t - 1) * a[0]), p * (t - 1) * a[1]),
+        (q * sigma[0], q * sigma[1]),
+        (r * E[0], r * E[1]),
     )
 
 
 class _Branch(NamedTuple):
-    brackets: Callable  # (spec, int k) -> (A, B, C)
+    numerators: Callable  # (l, k, L, *scalars) -> (alpha, beta, gamma)
+    scalars: tuple  # names of the spec's scalars the numerators read
     signs: tuple  # of the A and B terms; C's is +1
     offset: int  # of the first determined index below l
     leading: str  # the bracket C, as DegenerateLeading names it
@@ -284,23 +287,53 @@ class _Branch(NamedTuple):
 # the imaginary discriminant is as printed: that quadratic's constant term
 # is -A, so the conventional one would be B^2 + 4CA
 _BRANCHES = {
-    "real": _Branch(_real_brackets, (1, -1), 0, "ab * (k)_l", (CR_ONE / 2,) * 2),
-    "imag": _Branch(_imag_brackets, (-1, 1), 1, "E * (k)_(l-1)", (CRat(-1), CR_ONE)),
+    "real": _Branch(_real_numerators, ("a", "rho", "tau", "ab"), (1, -1), 0,
+                    "ab * (k)_l", (CR_ONE / 2,) * 2),
+    "imag": _Branch(_imag_numerators, ("a", "sigma", "E"), (-1, 1), 1,
+                    "E * (k)_(l-1)", (CRat(-1), CR_ONE)),
 }
 
 
-def _brackets(spec: RecurrenceSpec, branch: str, k, why: str = "") -> tuple[CRat, CRat, CRat]:
-    """(A, B, C) of ``branch`` at the index ``k``, an int or an integer-valued
-    exact value (see :func:`exact_int`), built once per spec.  A zero ``C``
-    raises :class:`DegenerateLeading`, its text ending in ``why``."""
+def _scaled(spec: RecurrenceSpec, branch: str) -> tuple:
+    """``(L, scalars)`` of ``branch``, built once per spec: ``L`` the lcm
+    of the denominators of the scalars it reads, each scalar times ``L``
+    as an ``(re, im)`` int pair."""
+    out = spec._brackets.get(branch)
+    if out is None:
+        triples = [getattr(spec, name).triple for name in _BRANCHES[branch].scalars]
+        L = math.lcm(*(d for _, _, d in triples))
+        out = spec._brackets[branch] = (L, tuple((a * (L // d), b * (L // d))
+                                                 for a, b, d in triples))
+    return out
+
+
+def _numerators(spec: RecurrenceSpec, branch: str, k: int) -> tuple:
+    """(alpha, beta, gamma) of ``branch`` at the int ``k``, not memoized."""
+    L, scalars = _scaled(spec, branch)
+    return _BRANCHES[branch].numerators(spec.l, k, L, *scalars)
+
+
+def _brackets(spec: RecurrenceSpec, branch: str, k, why: str = "") -> tuple:
+    """(alpha, beta, gamma) of ``branch`` at the index ``k``, an int or an
+    integer-valued exact value (see :func:`exact_int`), built once per
+    spec.  A zero ``gamma`` raises :class:`DegenerateLeading`, its text
+    ending in ``why``."""
     if type(k) is not int:
         k = exact_int(k, "k")
     out = spec._brackets.get((branch, k))
     if out is None:
-        out = spec._brackets[branch, k] = _BRANCHES[branch].brackets(spec, k)
-    if out[2].is_zero():
+        out = spec._brackets[branch, k] = _numerators(spec, branch, k)
+    if out[2] == (0, 0):
         raise DegenerateLeading(f"{_BRANCHES[branch].leading} = 0 at k={k}, l={spec.l}{why}")
     return out
+
+
+def _crat_brackets(spec: RecurrenceSpec, branch: str, k) -> tuple[CRat, CRat, CRat]:
+    """(A, B, C) of ``branch`` at ``k`` as ``CRat``, read from
+    :func:`_brackets`."""
+    out = _brackets(spec, branch, k)
+    L = _scaled(spec, branch)[0]
+    return tuple(CRat.from_ints(re, im, L) for re, im in out)
 
 
 def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -309,7 +342,9 @@ def recur_real(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
     Degenerate for ``k < l`` (the leading falling factorial vanishes) and
     for ``ab = 0``.
     """
-    return _step(spec, "real", CRat.from_value(c_km2), CRat.from_value(c_km1), k)[0]
+    vals = [CRat.from_value(c_km2), CRat.from_value(c_km1)]
+    _solve(spec, "real", vals, (k,))
+    return vals[2]
 
 
 def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
@@ -317,45 +352,119 @@ def recur_imag(spec: RecurrenceSpec, c_km2, c_km1, k: int) -> CRat:
 
     Degenerate for ``k < l - 1`` and for ``E = 0``.
     """
-    return _step(spec, "imag", CRat.from_value(c_km2), CRat.from_value(c_km1), k)[0]
+    vals = [CRat.from_value(c_km2), CRat.from_value(c_km1)]
+    _solve(spec, "imag", vals, (k,))
+    return vals[2]
 
 
-# A step returns c_k and the support of its solve grown by its brackets
-# (see _grown); a step alone starts from its operands' denominators.  Given
-# a list `steps`, it appends exact_dot's record of a step with a real C and
-# real operands and a nonzero c_k, and None for any other step.
-def _step(spec, branch: str, x: CRat, y: CRat, k: int, support: int | None = None,
-          steps: list | None = None):
-    A, B, C = _brackets(spec, branch, k, "; c_k is not determined here")
+def _solve(spec, branch: str, vals: list, ks, steps: list | None = None) -> None:
+    """Append to ``vals`` the ``c_k`` solved for each index ``k`` of ``ks``
+    in turn from the last two values, and to a list ``steps`` the record of
+    each step (see :class:`CoeffSequence`).
+
+    A step of ``s_A alpha c_{k-2} + s_B beta c_{k-1} + gamma c_k = 0`` puts
+    ``c_{k-2} = N_{k-2}/D_{k-2}`` and ``c_{k-1} = N_{k-1}/D_{k-1}`` over
+    their lcm ``D_{k-1} f``, with ``f = D_{k-2}/g``, ``h = D_{k-1}/g`` and
+    ``g`` their gcd, and divides by ``gamma`` through ``w/n``: for a real
+    ``gamma = c``, ``w = sign(c)`` and ``n = |c|``; for a complex
+    ``gamma = c + e i``, its conjugate and norm.  So
+    ``N_k G = u N_{k-2} + v N_{k-1}`` and ``D_k G = m D_{k-1}`` with
+    ``u = -s_A alpha w h``, ``v = -s_B beta w f`` and ``m = f n``, where
+    ``G`` is the common factor that :func:`_stripped` takes out.  The next
+    step's ``h/f`` is then ``D_k/D_{k-1} = m/G`` in lowest terms, so only
+    a step after a zero value or the first one takes ``g`` by a gcd of
+    denominators.  Every prime of ``m D_{k-1}`` divides ``support``, by
+    induction: it divides a denominator of the first two values, or ``n``,
+    whose primes are those of ``gcd(c, e)`` and of the primitive norm
+    ``(c^2 + e^2)/gcd(c, e)^2`` (for a real ``gamma``, ``|c|`` and 1).
+    A nonzero step with real ``u``, ``v`` and operands records
+    ``(u, v, m, G)``; any other step records None.
+    """
     sign_a, sign_b = _BRANCHES[branch].signs
-    support = _grown(support or math.lcm(x.triple[2], y.triple[2]), A, B, C)
-    record = [] if steps is not None and not (
-        A.triple[1] or B.triple[1] or C.triple[1] or x.triple[1] or y.triple[1]) else None
-    c = exact_dot(((-sign_a, A, x), (-sign_b, B, y)), C, support=support, record=record)
-    if steps is not None:
-        steps.append(tuple(record) if record and c else None)
-    return c, support
+    x, y = vals[-2].triple, vals[-1].triple
+    support = math.lcm(x[2], y[2])
+    ratio = None  # (f, h) of the next step, when the last step set it
+    for k in ks:
+        (a1, a2), (b1, b2), (c, e) = _brackets(spec, branch, k,
+                                               "; c_k is not determined here")
+        if e:
+            g = math.gcd(c, e)
+            n = c * c + e * e
+            support = math.lcm(support, math.lcm(g, n // (g * g)))
+            w1, w2 = c, -e
+        else:
+            n = abs(c)
+            support = math.lcm(support, n)
+            w1, w2 = (1, 0) if c > 0 else (-1, 0)
+        x1, x2, dx = x
+        y1, y2, dy = y
+        if ratio is None:
+            g = math.gcd(dx, dy)
+            ratio = (dx // g, dy // g)
+        f, h = ratio
+        su, sv = -sign_a * h, -sign_b * f
+        u1, u2 = (a1 * w1 - a2 * w2) * su, (a1 * w2 + a2 * w1) * su
+        v1, v2 = (b1 * w1 - b2 * w2) * sv, (b1 * w2 + b2 * w1) * sv
+        real = not (u2 or v2 or x2 or y2)
+        if real:
+            re, im = u1 * x1 + v1 * y1, 0
+        else:
+            re = u1 * x1 - u2 * x2 + v1 * y1 - v2 * y2
+            im = u1 * x2 + u2 * x1 + v1 * y2 + v2 * y1
+        if re or im:
+            m = f * n
+            re, im, d, G = _stripped(re, im, m * dy, support)
+            x, y = y, (re, im, d)
+            vals.append(_lowest(re, im, d))
+            record = (u1, v1, m, G) if real else None
+            g = math.gcd(m, G)
+            ratio = (G // g, m // g)
+        else:
+            x, y = y, CR_ZERO.triple
+            vals.append(CR_ZERO)
+            record = ratio = None
+        if steps is not None:
+            steps.append(record)
 
 
-def _grown(support: int, A: CRat, B: CRat, C: CRat) -> int:
-    """``support`` grown by every prime a step with the nonzero leading
-    bracket ``C = (c + e i)/f`` can bring into a denominator: those of the
-    brackets' denominators and of ``c^2 + e^2``.  With ``g = gcd(c, e)``
-    that is ``g^2 ((c/g)^2 + (e/g)^2)``, so ``g`` and the primitive norm
-    cover its primes (for a real ``C``, ``g = |c|`` and the norm is 1)."""
-    c, e, f = C.triple
-    g = math.gcd(c, e)
-    norm = (c // g) ** 2 + (e // g) ** 2
-    # one lcm with the large support, after the small ones
-    return math.lcm(support, math.lcm(g, norm, f, A.triple[2], B.triple[2]))
+# a CRat from a canonical triple, built as algpoly builds its results (a
+# sibling module imports only public functions from algpoly)
+_new = object.__new__
+_set_triple = CRat.triple.__set__
+
+
+def _lowest(a: int, b: int, d: int) -> CRat:
+    """``CRat`` of a triple already in lowest terms, without its gcd."""
+    z = _new(CRat)
+    _set_triple(z, (a, b, d))
+    return z
+
+
+def _stripped(a: int, b: int, d: int, support: int) -> tuple[int, int, int, int]:
+    """``(a/G, b/G, d/G, G)`` with ``(a + b i)/d`` in lowest terms, for a
+    nonzero value with ``d > 0`` and a ``support`` that every prime of
+    ``d`` divides.  Every common factor of ``a``, ``b`` and ``d`` then
+    divides ``gcd(a, b, support)``; it is stripped by gcds with that small
+    number and its divisors, never with the full-size ``d``.  A prime of
+    ``d`` missing from ``support`` is not stripped, and the result is then
+    not in lowest terms."""
+    g, G = support, 1
+    while True:
+        g = math.gcd(a % g, b % g, g)
+        if g != 1:
+            g = math.gcd(d % g, g)
+        if g == 1:
+            return a, b, d, G
+        a, b, d = a // g, b // g, d // g
+        G *= g
 
 
 @dataclass(frozen=True)
 class CoeffSequence:
     """Finite truncation c_0, ..., c_K of a delta-derivative coefficient series.
 
-    A forward solve also keeps, per index, the record that
-    :func:`~heunlie.algpoly.exact_dot` made of a real step, or None.  The
+    A forward solve also keeps, per index, the record ``(u, v, m, G)`` of a
+    nonzero step with real integers (see :func:`_solve`), or None.  The
     records are left out of ``==``, hash and repr, so a solved sequence
     equals one built from its values.
     """
@@ -414,11 +523,11 @@ def _replayed_text(values: tuple, steps: tuple) -> list[str]:
                 out.append(str(v))
                 prev = (prev[1], None)
                 continue
-            u, w, j, m, G = _combination(step)
+            u, w, m, G = step
             x = prev[0] or _decimal_pair(out[k - 2])
             y = prev[1] or _decimal_pair(out[k - 1])
             num = _exact_quotient(u * x[0] + w * y[0], G, k)
-            den = _exact_quotient(m * (y if j else x)[1], G, k)
+            den = _exact_quotient(m * y[1], G, k)
             if int(num % _P) % _P != _residue(a) or int(den % _P) % _P != _residue(d):
                 raise OracleMismatch(f"the replayed text of c_{k} disagrees with its value")
             text = _digits(num, a, limit)
@@ -438,20 +547,6 @@ def _residue(i: int) -> int:
         i = (i & ((1 << s) - 1)) + (i >> s)
         n = i.bit_length()
     return i % _P
-
-
-def _combination(step: tuple) -> tuple:
-    """``(u, v, j, m, G)`` with ``N_k G = u N_(k-2) + v N_(k-1)`` and
-    ``D_k G = m D_(k-2+j)``, from the record of a step's ``exact_dot``."""
-    first, second, f, n, G = step
-    u = v = 0
-    if first:
-        u, _, m = first
-        j = 0
-    if second:
-        w, d, m = second
-        u, v, j = u * d, w, 1
-    return u * f, v * f, j, m * n, G
 
 
 def _decimal_pair(text: str) -> tuple:
@@ -482,19 +577,12 @@ def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
     if K < 1:
         raise ValueError("truncation K must be at least 1")
     start = max(2, spec.l - _BRANCHES[branch].offset)
-    vals = [CRat.from_value(c0), CRat.from_value(c1)]
+    # the recurrence does not determine the band below start; take the
+    # minimal choice
+    vals = [CRat.from_value(c0), CRat.from_value(c1)] + [CR_ZERO] * (start - 2)
     steps = [None] * start
-    # Every prime of a step's denominator divides `support`, by induction: it
-    # divides a denominator of c_0 or c_1, or one that a step adds (_grown).
-    support = math.lcm(*(v.triple[2] for v in vals))
-    for k in range(2, K + 1):
-        if k < start:
-            # recurrence does not determine this band; take the minimal choice
-            vals.append(CR_ZERO)
-            continue
-        c, support = _step(spec, branch, vals[k - 2], vals[k - 1], k, support, steps)
-        vals.append(c)
-    return CoeffSequence(tuple(vals), tuple(steps[:K + 1]))
+    _solve(spec, branch, vals, range(start, K + 1), steps)
+    return CoeffSequence(tuple(vals[:K + 1]), tuple(steps[:K + 1]))
 
 
 def forward_real(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:
@@ -509,7 +597,7 @@ def forward_imag(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence
 
 
 def _roots(spec: RecurrenceSpec, branch: str, k) -> tuple[CRat, Surd]:
-    A, B, C = _brackets(spec, branch, k)
+    A, B, C = _crat_brackets(spec, branch, k)
     f, g = _BRANCHES[branch].roots
     return f * B / C, Surd(0, g / C, B * B - CRat(4) * C * A)
 
@@ -592,11 +680,12 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
     vals = [_residual_ready(v) for v in c.values]
     out = []
     for k in range(start, len(c)):
-        A, B, C = _brackets(spec, which, k)
+        brackets = _brackets(spec, which, k)
         x, y, z = vals[k - 2], vals[k - 1], vals[k]
         if isinstance(x, CRat) and isinstance(y, CRat) and isinstance(z, CRat):
-            res = exact_dot(((signs[0], A, x), (signs[1], B, y), (signs[2], C, z)))
+            res = _row(_scaled(spec, which)[0], zip(signs, brackets, (x, y, z)))
         else:
+            A, B, C = _crat_brackets(spec, which, k)
             res = (
                 signs[0] * complex(A) * complex(x)
                 + signs[1] * complex(B) * complex(y)
@@ -604,6 +693,35 @@ def residual_check(c: CoeffSequence, spec: RecurrenceSpec,
             )
         out.append((k, res))
     return out
+
+
+def _row(L: int, terms) -> CRat:
+    """Exact ``sum(sign * (p + q i) * value) / L`` over ``(sign, (p, q),
+    value)`` of a sign, an int pair and a ``CRat``: the Gaussian-integer
+    products summed over one common denominator, grown by the gcd of the
+    running denominator and each value's, and reduced by one gcd at the end
+    (none for a sum that cancels to 0)."""
+    rn = jn = 0
+    den = 1
+    for sign, (p, q), value in terms:
+        a, b, d = value.triple
+        if sign < 0:
+            p, q = -p, -q
+        if q or b:
+            x, y = p * a - q * b, p * b + q * a
+        else:
+            x, y = p * a, 0
+        if not (x or y):
+            continue
+        g = math.gcd(den, d)
+        s = den
+        if g != 1:
+            s //= g
+            d //= g
+        rn, jn, den = rn * d + x * s, jn * d + y * s, den * d
+    if not (rn or jn):
+        return CR_ZERO
+    return CRat.from_ints(rn, jn, den * L)
 
 
 def _residual_ready(v):

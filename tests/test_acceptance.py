@@ -84,7 +84,7 @@ from heunlie.heunop import (
 )
 from heunlie.sl2rep import Spin, make_generators, uea_expand
 from heunlie import cli
-from util import es_params, rand_params, rand_poly
+from util import es_params, rand_params, rand_poly, reference_real_brackets
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -223,8 +223,6 @@ def test_criterion_6_recurrence_suite():
                 else:
                     recur_imag(spec, 1, 1, k)
         # printed real-branch roots satisfy their quadratic exactly
-        from heunlie.distsol import _real_brackets
-
         for _ in range(10):
             spec = RecurrenceSpec.make(
                 l=rng.randint(1, 3), a=Fraction(rng.randint(2, 4)),
@@ -234,7 +232,7 @@ def test_criterion_6_recurrence_suite():
             )
             k = spec.l + rng.randint(0, 2)
             center, spread = closed_form_roots_real(spec, k)
-            A, B, C = _real_brackets(spec, k)
+            A, B, C = reference_real_brackets(spec, k)
             for root in (Surd.from_value(center) + spread, Surd.from_value(center) - spread):
                 assert Surd.from_value(C) * root * root - Surd.from_value(B) * root \
                     + Surd.from_value(A) == Surd(0)

@@ -1,4 +1,3 @@
-import math
 import operator
 import random
 from fractions import Fraction
@@ -18,12 +17,10 @@ from heunlie.algpoly import (
     Surd,
     commutator,
     csqrt_exact,
-    exact_dot,
     op_apply,
     op_compose,
     quadratic_roots,
 )
-from heunlie.algpoly import _reduced
 from util import rand_crat, rand_op, rand_poly
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -260,126 +257,6 @@ class TestSurdHash:
         a = Surd(base, coef, rad)
         b = Surd(base, coef / scale, rad * scale * scale)
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-
-
-# zero, real, imaginary and complex scalars
-part_st = st.one_of(
-    st.just(CR_ZERO),
-    st.builds(CRat, fractions_st),
-    st.builds(CRat, st.just(0), fractions_st),
-    crat_st,
-)
-dot_terms_st = st.lists(st.tuples(st.sampled_from((1, -1)), part_st, part_st), max_size=4)
-divisor_st = st.one_of(
-    st.none(),
-    nonzero_crat_st,
-    st.builds(CRat, fractions_st.filter(lambda f: f < 0)),
-)
-
-
-def fraction_dot(terms, divisor):
-    """The sum as ``Fraction`` operators on (re, im) parts, divided by the
-    divisor through its squared modulus."""
-    re = im = Fraction(0)
-    for sign, coef, value in terms:
-        re += sign * (coef.re * value.re - coef.im * value.im)
-        im += sign * (coef.re * value.im + coef.im * value.re)
-    if divisor is None:
-        return re, im
-    m = divisor.re * divisor.re + divisor.im * divisor.im
-    return ((re * divisor.re + im * divisor.im) / m, (im * divisor.re - re * divisor.im) / m)
-
-
-class TestExactDot:
-    @given(dot_terms_st, divisor_st)
-    @example([(1, CRat(1, 2), CRat(3, -1)), (-1, CRat(Fraction(1, 2)), CRat(0, 3))], CRat(-2))
-    @example([(1, CRat(Fraction(1, 6)), CRat(3)), (1, CRat(Fraction(1, 3)), CRat(Fraction(3, 2)))],
-             CRat(Fraction(-1, 2), 2))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_fraction_operators(self, terms, divisor):
-        got = exact_dot(terms, divisor)
-        assert type(got) is CRat
-        assert (got.re, got.im) == fraction_dot(terms, divisor)
-        assert got.triple[2] > 0 and math.gcd(*got.triple) == 1
-
-    @given(st.lists(st.tuples(part_st, part_st), max_size=3), divisor_st)
-    @settings(max_examples=60, deadline=None)
-    def test_cancelling_sum_is_zero(self, pairs, divisor):
-        terms = [(s, c, v) for c, v in pairs for s in (1, -1)]
-        assert exact_dot(terms, divisor) == CR_ZERO
-
-    @given(dot_terms_st)
-    @settings(max_examples=50, deadline=None)
-    def test_zero_divisor_raises_as_crat_division_does(self, terms):
-        with pytest.raises(ZeroDivisionError) as crat_error:
-            CR_ONE / CR_ZERO
-        with pytest.raises(ZeroDivisionError, match=f"^{crat_error.value}$"):
-            exact_dot(terms, CR_ZERO)
-
-    @given(dot_terms_st, divisor_st)
-    @settings(max_examples=100, deadline=None)
-    def test_support_gives_the_same_value(self, terms, divisor):
-        # the support a forward step carries: every operand denominator and,
-        # for a divisor, its denominators and the numerator it divides by
-        scalars = [x for _, coef, value in terms for x in (coef, value)]
-        support = math.lcm(*(p.denominator for x in scalars for p in (x.re, x.im)))
-        if divisor is not None:
-            lead = divisor.abs2() if divisor.im else divisor.re
-            support = math.lcm(support, lead.numerator, divisor.re.denominator,
-                               divisor.im.denominator)
-        got = exact_dot(terms, divisor, support=support)
-        assert got == exact_dot(terms, divisor) and hash(got) == hash(exact_dot(terms, divisor))
-        assert got.triple[2] > 0 and math.gcd(*got.triple) == 1
-
-
-# the last two are larger than any factor a bracket of a short run carries
-SUPPORT_PRIMES = [2, 3, 5, 7, 11, 13, 999983, 1000003]
-
-
-@st.composite
-def smooth_quotient_st(draw):
-    """``(re_num, im_num, den, support)``: ``den`` a product of powers of
-    SUPPORT_PRIMES, ``support`` a product covering its primes (some squared,
-    some extra), and each numerator sharing some of those powers."""
-    primes = draw(st.lists(st.sampled_from(SUPPORT_PRIMES), max_size=4, unique=True))
-    num = draw(st.integers(-10**40, 10**40))
-    jnum = draw(st.sampled_from((0, draw(st.integers(-10**40, 10**40)))))
-    den = 1
-    for p in primes:
-        den *= p ** draw(st.integers(1, 6))
-        num *= p ** draw(st.integers(0, 6))
-        jnum *= p ** draw(st.integers(0, 6))
-    extra = draw(st.lists(st.sampled_from(SUPPORT_PRIMES), max_size=3))
-    return num, jnum, den, math.prod(primes) * math.prod(extra)
-
-
-class TestSupportReduction:
-    @given(smooth_quotient_st())
-    @example((-(2**5) * 3 * 999983**2, 0, 2**3 * 999983**3, 2 * 3 * 999983))
-    @example((2**5 * 999983, 2**4 * 3 * 999983**2, 2**3 * 999983**3, 2 * 3 * 999983))
-    @example((7**6 * 1000003**6, 0, 7**6 * 1000003**6, 7 * 1000003))
-    @example((-5, 0, 1, 1))
-    @example((0, 0, 9, 3))
-    @example((0, 6, 9, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_fraction_constructor(self, case):
-        num, jnum, den, support = case
-        got = _reduced(num, jnum, den, support)
-        expected = CRat(Fraction(num, den), Fraction(jnum, den))
-        assert type(got) is CRat
-        assert (got.re, got.im) == (Fraction(num, den), Fraction(jnum, den))
-        assert got == expected and hash(got) == hash(expected)
-        assert got.triple == expected.triple
-        assert got.triple[2] > 0 and math.gcd(*got.triple) == 1
-
-    def test_support_missing_a_prime_leaves_it(self):
-        # the documented precondition: a prime of den that the support lacks
-        # is not stripped, and the value is then not canonical
-        got = _reduced(2 * 999983, 0, 3 * 999983, 3)
-        assert got.triple == (2 * 999983, 0, 3 * 999983)
-        assert got != Fraction(2, 3) and got != CRat(Fraction(2, 3))
-        got = exact_dot([(1, CRat(Fraction(2, 999983)), CRat(999983))], support=1)
-        assert got.triple == (2 * 999983, 0, 999983) and got != CRat(2)
 
 
 class TestPartFractions:

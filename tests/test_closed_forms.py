@@ -20,8 +20,7 @@ from heunlie.distsol import (
     DegenerateLeading,
     RecurrenceSpec,
     _brackets,
-    _imag_brackets,
-    _real_brackets,
+    _numerators,
     closed_form_roots_imag,
     closed_form_roots_real,
     forward_imag,
@@ -320,10 +319,24 @@ def spec_st(draw, max_l=6, leading=scalar_st):
     return RecurrenceSpec.make(l, rho, sigma, tau, draw(leading), draw(leading), draw(scalar_st))
 
 
+def _over_L(spec, which, numerators):
+    """Integer bracket numerators ``(alpha, beta, gamma)`` over the spec's
+    ``L`` of ``which``, as ``(A, B, C)``."""
+    L = distsol._scaled(spec, which)[0]
+    return tuple(CRat.from_ints(re, im, L) for re, im in numerators)
+
+
+def _formulas(which):
+    """(A, B, C) of ``which`` at any int k, through the unmemoized build."""
+    return lambda spec, k: _over_L(spec, which, _numerators(spec, which, k))
+
+
 BRANCHES = {
-    "real": (forward_real, _real_brackets, reference_real_brackets, closed_form_roots_real),
-    "imag": (forward_imag, _imag_brackets, reference_imag_brackets, closed_form_roots_imag),
+    "real": (forward_real, _formulas("real"), reference_real_brackets, closed_form_roots_real),
+    "imag": (forward_imag, _formulas("imag"), reference_imag_brackets, closed_form_roots_imag),
 }
+# the scalars whose denominators make up each branch's L
+READS = {"real": ("a", "rho", "tau", "ab"), "imag": ("a", "sigma", "E")}
 
 
 def _start(spec, which):
@@ -370,9 +383,11 @@ class TestSharedBrackets:
                         _brackets(spec, which, k)
                     continue
                 got = _brackets(spec, which, k)
-                assert all(type(x) is CRat for x in got)
-                assert got == expected
+                assert all(type(x) is int for pair in got for x in pair)
+                assert _over_L(spec, which, got) == expected
                 assert _brackets(spec, which, k) is got
+            L = distsol._scaled(spec, which)[0]
+            assert L == math.lcm(*(getattr(spec, name).triple[2] for name in READS[which]))
 
     @given(spec_st(), st.integers(-10, 12))
     @example(RecurrenceSpec.make(1, 0, 0, 0, 0, 0, CRat(0, 1)), -1)
@@ -381,8 +396,8 @@ class TestSharedBrackets:
                                  Fraction(5, 2), CRat(0, Fraction(-1, 3)), Fraction(3, 4)), -4)
     @settings(max_examples=150, deadline=None)
     def test_brackets_match_their_docstring_forms(self, spec, k):
-        # the factored forms that _real_brackets and _imag_brackets document,
-        # through CRat operators: one falling factorial per family, and the
+        # the factored forms that _real_numerators and _imag_numerators
+        # document, over L, through CRat operators: one falling factorial per family, and the
         # shared factors s = (k+2-l)(k+1-l) and t = k+2-l
         l, ff = spec.l, falling_factorial
         s, t = (k + 2 - l) * (k + 1 - l), k + 2 - l
@@ -396,9 +411,11 @@ class TestSharedBrackets:
             ff(k + 1, l) * spec.sigma,
             ff(k, l - 1) * spec.E,
         )
-        for got, expected in ((_real_brackets(spec, k), real), (_imag_brackets(spec, k), imag)):
-            assert [x.triple for x in got] == [x.triple for x in expected]
-            assert all(x.triple[2] > 0 and math.gcd(*x.triple) == 1 for x in got)
+        for which, expected in (("real", real), ("imag", imag)):
+            numerators = _numerators(spec, which, k)
+            assert all(type(x) is int for pair in numerators for x in pair)
+            got = _over_L(spec, which, numerators)
+            assert [x.triple for x in got] == [CRat.from_value(x).triple for x in expected]
 
     @given(
         spec_st(max_l=4, leading=st.one_of(scalar_st, norm_st)),
@@ -531,13 +548,13 @@ class TestSharedBrackets:
         # LARGE_PRIME_SPEC) reduce every step, solved forward or alone,
         # with an int support
         supports = []
-        dot = distsol.exact_dot
+        strip = distsol._stripped
 
-        def recorded(terms, divisor=None, *, support=None, **kwargs):
+        def recorded(a, b, d, support):
             supports.append(support)
-            return dot(terms, divisor, support=support, **kwargs)
+            return strip(a, b, d, support)
 
-        monkeypatch.setattr(distsol, "exact_dot", recorded)
+        monkeypatch.setattr(distsol, "_stripped", recorded)
         forward, _, _, _ = BRANCHES[which]
         forward(spec, Fraction(1, 3), 1, 40)
         assert len(supports) == 40 - _start(spec, which) + 1
@@ -553,27 +570,80 @@ class TestSharedBrackets:
         spec = RecurrenceSpec.make(l=3, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
         start, K = _start(spec, which), 20
         calls = []
-        build = CRat.from_ints
+        build = distsol._numerators
 
-        def counted(cls, *args):
-            calls.append(args)
-            return build(*args)
+        def counted(spec, which, k):
+            calls.append(k)
+            return build(spec, which, k)
 
-        monkeypatch.setattr(CRat, "from_ints", classmethod(counted))
+        monkeypatch.setattr(distsol, "_numerators", counted)
 
-        def triples_built():
-            # a triple is built as three brackets, A, B and C
-            assert len(calls) % 3 == 0
-            return len(calls) // 3
-
-        # one triple per admissible index
+        # one integer bracket build per admissible index
         per_spec = K - start + 1
         residual_check(forward(dataclasses.replace(spec), 1, 0, K), dataclasses.replace(spec), which)
-        assert triples_built() == 2 * per_spec
+        assert len(calls) == 2 * per_spec
         calls.clear()
         seq = forward(spec, 1, 0, K)
-        assert triples_built() == len(spec._brackets) == per_spec
+        assert calls == list(range(start, K + 1))
         residual_check(seq, spec, which)
         for k in range(start, K + 1):
             roots_fn(spec, k)
-        assert triples_built() == per_spec
+        assert calls == list(range(start, K + 1))
+
+
+# parts whose denominators are large primes, as in LARGE_PRIME_SPEC
+prime_part_st = st.builds(Fraction, st.integers(-9, 9),
+                          st.sampled_from([1, 2, 3, 999983, 1000003, 3 * 999983]))
+prime_scalar_st = st.one_of(
+    scalar_st, st.builds(CRat, prime_part_st), st.builds(CRat, prime_part_st, prime_part_st)
+)
+# l from 1 to 5, so a zero band comes before the first determined index
+prime_spec_st = st.builds(RecurrenceSpec.make, st.integers(1, 5), *[prime_scalar_st] * 6)
+# c_0 and c_1: zero, real or complex
+seed_value_st = st.one_of(
+    st.just(CRat(0)), st.builds(CRat, fractions_st), st.builds(CRat, fractions_st, fractions_st)
+)
+
+
+def _canonical(v):
+    a, b, d = v.triple
+    return type(v) is CRat and d > 0 and math.gcd(a, b, d) == 1
+
+
+class TestIntegerSteps:
+    """The forward solve and the single step, which run on integer triples
+    over integer brackets, against the plain ``CRat`` recurrence."""
+
+    @given(prime_spec_st, st.sampled_from(sorted(BRANCHES)), seed_value_st, seed_value_st,
+           st.integers(1, 40))
+    @example(LARGE_PRIME_SPEC, "real", CRat(0), CRat(0), 30)
+    @example(LARGE_PRIME_SPEC, "imag", CRat(0), CRat(1, 1), 30)
+    @example(LARGE_PRIME_SPEC, "real", CRat(Fraction(1, 3)), CRat(0, -2), 30)
+    @settings(max_examples=200, deadline=None)
+    def test_forward_matches_the_reference_recurrence(self, spec, which, c0, c1, K):
+        forward = BRANCHES[which][0]
+        try:
+            expected = reference_forward(spec, c0, c1, K, which)
+        except DegenerateLeading:
+            with pytest.raises(DegenerateLeading):
+                forward(spec, c0, c1, K)
+            return
+        seq = forward(spec, c0, c1, K)
+        assert list(seq.values) == expected
+        assert all(_canonical(v) for v in seq.values)
+
+    @given(prime_spec_st, st.sampled_from(sorted(BRANCHES)), seed_value_st, seed_value_st,
+           st.integers(-8, 40))
+    @example(LARGE_PRIME_SPEC, "real", CRat(Fraction(1, 3)), CRat(0, -2), 7)
+    @example(LARGE_PRIME_SPEC, "imag", CRat(0), CRat(1, 1), -3)
+    @settings(max_examples=200, deadline=None)
+    def test_single_step_matches_the_reference_recurrence(self, spec, which, x, y, k):
+        step = distsol.recur_real if which == "real" else distsol.recur_imag
+        A, B, C = BRANCHES[which][2](spec, k)
+        if C == 0:
+            with pytest.raises(DegenerateLeading):
+                step(spec, x, y, k)
+            return
+        got = step(spec, x, y, k)
+        assert got == ((B * y - A * x) / C if which == "real" else (A * x - B * y) / C)
+        assert _canonical(got)

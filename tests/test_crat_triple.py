@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, exact_dot
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
 from util import reference_crat_op
 
 
@@ -21,14 +21,6 @@ from util import reference_crat_op
 # reference_crat_op (tests/util.py) keeps the formulas CRat used when it held
 # two Fractions: + and - part by part, the four-product product, division
 # through the squared modulus, powers by repeated products.
-
-
-def pair_dot(terms, divisor):
-    re = im = Fraction(0)
-    for sign, coef, value in terms:
-        x, y = reference_crat_op(coef, value, operator.mul)
-        re, im = re + sign * x, im + sign * y
-    return (re, im) if divisor is None else reference_crat_op((re, im), divisor, operator.truediv)
 
 
 def assert_canonical(got, expected):
@@ -64,10 +56,6 @@ crat_st = st.one_of(
     shared_factor_st(),
 )
 operand_st = st.one_of(crat_st, st.integers(-50, 50), st.integers(-BIG, BIG), part_st)
-nonzero_crat_st = crat_st.filter(bool)
-divisor_st = st.one_of(st.none(), nonzero_crat_st,
-                       st.builds(CRat, small_part_st.filter(lambda f: f < 0)))
-dot_terms_st = st.lists(st.tuples(st.sampled_from((1, -1)), crat_st, crat_st), max_size=4)
 
 SHARED = CRat(Fraction(1, 6), Fraction(1, 4))
 
@@ -127,28 +115,6 @@ class TestTripleMatchesFractionPairs:
     def test_from_ints_needs_a_positive_denominator(self, d):
         with pytest.raises(ValueError, match="denominator must be positive"):
             CRat.from_ints(1, 0, d)
-
-    @given(dot_terms_st, divisor_st)
-    @example([(1, SHARED, SHARED), (-1, SHARED, SHARED)], SHARED)
-    @example([(1, SHARED, CRat(6)), (1, CRat(Fraction(1, 4)), CRat(0, -4))], CRat(-2))
-    @settings(max_examples=300, deadline=None)
-    def test_exact_dot(self, terms, divisor):
-        expected = pair_dot(terms, divisor)
-        assert_canonical(exact_dot(terms, divisor), expected)
-        # a valid support: every operand denominator and, for a divisor, its
-        # denominator and the numerator that the sum is divided by
-        support = math.lcm(*(x.triple[2] for _, coef, value in terms for x in (coef, value)))
-        if divisor is not None:
-            lead = divisor.abs2() if divisor.im else divisor.re
-            support = math.lcm(support, lead.numerator, divisor.triple[2])
-        assert_canonical(exact_dot(terms, divisor, support=support), expected)
-
-    @given(dot_terms_st)
-    @settings(max_examples=50, deadline=None)
-    def test_exact_dot_by_zero(self, terms):
-        for support in (None, 6):
-            with pytest.raises(ZeroDivisionError, match="^division by zero CRat$"):
-                exact_dot(terms, CR_ZERO, support=support)
 
 
 # parts near the largest finite float and beyond it, and below the smallest

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, quadratic_roots
 from heunlie.distsol import (
@@ -20,8 +22,15 @@ from heunlie.distsol import (
     residual_check,
     weight_expansion,
     _ff,
+    _stripped,
 )
-from util import rand_fraction, reference_reassembled
+from util import (
+    rand_fraction,
+    reference_residuals,
+    reference_imag_brackets,
+    reference_real_brackets,
+    reference_reassembled,
+)
 
 
 class TestFallingFactorial:
@@ -224,6 +233,26 @@ class TestRecurrences:
         rows = residual_check(CoeffSequence((Fraction(1, 2), 2, CRat(3), Surd(4))), spec, "real")
         assert all(type(res) is CRat for _, res in rows)
 
+    @pytest.mark.parametrize("which", ["real", "imag"])
+    def test_residual_rows_match_the_reference_rows(self, which):
+        spec = RecurrenceSpec.make(l=1, rho=Fraction(1, 2), sigma=CRat(2, 1), tau=3,
+                                   ab=Fraction(-2, 3), E=CRat(Fraction(1, 5), 1), a=7)
+        seq = CoeffSequence((1, 2, 3, 4))
+        for scalars in (spec, RecurrenceSpec.make(l=1, ab=1, E=1)):
+            assert residual_check(seq, scalars, which) == reference_residuals(seq, scalars, which)
+
+        # a closed form whose entries are exact but the one at k = 3
+        def roots(spec, k):
+            return CRat(Fraction(2, 3)), Surd(0, 1, 2) if k == 3 else Surd(0)
+
+        seq = paper_ck(1, 0, roots, spec, 6)
+        assert [type(v) for v in seq.values] == [CRat] * 3 + [Surd] + [CRat] * 3
+        rows = residual_check(seq, spec, which)
+        assert rows == reference_residuals(seq, spec, which)
+        floats = {k for k, res in rows if type(res) is complex}
+        assert floats == {3, 4, 5}
+        assert all(type(res) is CRat for k, res in rows if k not in floats)
+
 
 class TestClosedFormRootsReal:
     def test_roots_solve_quadratic_exactly(self):
@@ -241,7 +270,7 @@ class TestClosedFormRootsReal:
             )
             for k in range(spec.l, spec.l + 3):
                 center, spread = closed_form_roots_real(spec, k)
-                A, B, C = _real_quadratic(spec, k)
+                A, B, C = reference_real_brackets(spec, k)
                 for root in (Surd.from_value(center) + spread, Surd.from_value(center) - spread):
                     val = Surd.from_value(C) * root * root - Surd.from_value(B) * root + Surd.from_value(A)
                     assert val == Surd(0)
@@ -250,7 +279,7 @@ class TestClosedFormRootsReal:
     def test_matches_generic_quadratic_solver(self):
         k = 2
         center, spread = closed_form_roots_real(SPEC_A, k)
-        A, B, C = _real_quadratic(SPEC_A, k)
+        A, B, C = reference_real_brackets(SPEC_A, k)
         r1, r2 = quadratic_roots(C, -B, A)
         got = {Surd.from_value(center) + spread, Surd.from_value(center) - spread}
         assert got == {r1, r2}
@@ -296,7 +325,7 @@ class TestClosedFormRootsImag:
             )
             k = spec.l + 1
             center, spread = closed_form_roots_imag(spec, k)
-            A, B, C = _imag_quadratic(spec, k)
+            A, B, C = reference_imag_brackets(spec, k)
             disc = B * B - CRat(4) * C * A
             for sgn in (1, -1):
                 t = Surd.from_value(center) + (spread if sgn > 0 else -spread)
@@ -308,23 +337,9 @@ class TestClosedFormRootsImag:
     def test_conventional_roots_do_solve(self):
         spec = RecurrenceSpec.make(l=2, a=2, rho=1, sigma=3, tau=1, ab=1, E=2)
         k = 4
-        A, B, C = _imag_quadratic(spec, k)
+        A, B, C = reference_imag_brackets(spec, k)
         for r in quadratic_roots(C, B, -A):
             assert Surd.from_value(C) * r * r + Surd.from_value(B) * r - Surd.from_value(A) == Surd(0)
-
-
-def _real_quadratic(spec, k):
-    """(A, B, C) of the real-branch quadratic C s^2 - B s + A = 0."""
-    from heunlie.distsol import _real_brackets
-
-    return _real_brackets(spec, k)
-
-
-def _imag_quadratic(spec, k):
-    """(A, B, C) of the imag-branch quadratic C t^2 + B t - A = 0."""
-    from heunlie.distsol import _imag_brackets
-
-    return _imag_brackets(spec, k)
 
 
 class TestPaperCk:
@@ -367,3 +382,49 @@ class TestPaperCk:
         spec = RecurrenceSpec.make(l=3, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
         with pytest.raises(DegenerateLeading):
             paper_ck(CRat(1), CRat(0), closed_form_roots_real, spec, 6)
+
+
+# the last two are larger than any factor a bracket of a short run carries
+SUPPORT_PRIMES = [2, 3, 5, 7, 11, 13, 999983, 1000003]
+
+
+@st.composite
+def smooth_quotient_st(draw):
+    """``(re_num, im_num, den, support)``: ``den`` a product of powers of
+    SUPPORT_PRIMES, ``support`` a product covering its primes (some squared,
+    some extra), and each numerator sharing some of those powers."""
+    primes = draw(st.lists(st.sampled_from(SUPPORT_PRIMES), max_size=4, unique=True))
+    num = draw(st.integers(-10**40, 10**40))
+    jnum = draw(st.sampled_from((0, draw(st.integers(-10**40, 10**40)))))
+    if not (num or jnum):
+        num = 1  # a step strips only a nonzero value
+    den = 1
+    for p in primes:
+        den *= p ** draw(st.integers(1, 6))
+        num *= p ** draw(st.integers(0, 6))
+        jnum *= p ** draw(st.integers(0, 6))
+    extra = draw(st.lists(st.sampled_from(SUPPORT_PRIMES), max_size=3))
+    return num, jnum, den, math.prod(primes) * math.prod(extra)
+
+
+class TestSupportReduction:
+    @given(smooth_quotient_st())
+    @example((-(2**5) * 3 * 999983**2, 0, 2**3 * 999983**3, 2 * 3 * 999983))
+    @example((2**5 * 999983, 2**4 * 3 * 999983**2, 2**3 * 999983**3, 2 * 3 * 999983))
+    @example((7**6 * 1000003**6, 0, 7**6 * 1000003**6, 7 * 1000003))
+    @example((-5, 0, 1, 1))
+    @example((0, 6, 9, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_constructor(self, case):
+        num, jnum, den, support = case
+        a, b, d, G = _stripped(num, jnum, den, support)
+        expected = CRat(Fraction(num, den), Fraction(jnum, den))
+        assert (a * G, b * G, d * G) == (num, jnum, den)
+        assert (a, b, d) == expected.triple
+        assert d > 0 and math.gcd(a, b, d) == 1
+
+    def test_support_missing_a_prime_leaves_it(self):
+        # the documented precondition: a prime of den that the support lacks
+        # is not stripped, and the value is then not canonical
+        assert _stripped(2 * 999983, 0, 3 * 999983, 3) == (2 * 999983, 0, 3 * 999983, 1)
+        assert _stripped(2 * 999983, 0, 999983, 1) == (2 * 999983, 0, 999983, 1)

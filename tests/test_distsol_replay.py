@@ -118,7 +118,7 @@ def test_residue_folds_give_the_remainder(i):
 def test_a_wrong_step_trips_the_oracle_and_writes_nothing(monkeypatch):
     assert _main(REPLAYED)[0] == 0
     # N_k becomes (1 + G) N_k, which still divides exactly by G
-    _corrupted(monkeypatch, lambda s: (*s[:2], s[2] * (1 + s[4]), *s[3:]))
+    _corrupted(monkeypatch, lambda s: (s[0] * (1 + s[3]), s[1] * (1 + s[3]), *s[2:]))
     code, out, err = _main(REPLAYED)
     assert code == 3
     assert out == ""
@@ -129,7 +129,7 @@ def test_a_wrong_step_trips_the_oracle_and_writes_nothing(monkeypatch):
 def test_a_step_that_does_not_divide_raises_and_never_rounds(monkeypatch):
     # c_2 = (c_0 + c_1) / G over D_2 = D_1 / G, with c_0 = 1 and c_1 = 2
     values = (CRat(1), CRat(2), CRat(3))
-    step = ((1, 1, 1), (1, 1, 1), 1, 1)
+    step = (1, 1, 1)
     monkeypatch.setattr(distsol, "_REPLAY_BITS", 0)
     assert distsol._replayed_text(values, (None, None, (*step, 1))) == ["1", "2", "3"]
     with pytest.raises(OracleMismatch, match="does not divide exactly by 2"):
@@ -141,7 +141,7 @@ def test_a_step_that_does_not_divide_raises_and_never_rounds(monkeypatch):
     with pytest.raises((decimal.Inexact, decimal.Rounded)), decimal.localcontext(ctx):
         decimal.Decimal(12345) * 1
     monkeypatch.undo()
-    _corrupted(monkeypatch, lambda s: (*s[:4], s[4] * (2 ** 89 - 1)))
+    _corrupted(monkeypatch, lambda s: (*s[:3], s[3] * (2 ** 89 - 1)))
     code, out, err = _main(REPLAYED)
     assert (code, out) == (3, "")
     assert "does not divide exactly" in err
@@ -163,3 +163,37 @@ def test_past_the_digit_limit_with_the_limit_lifted_matches_str(monkeypatch):
     assert code == plain_code == 0
     assert len(replayed) > 10_000_000
     assert hashlib.sha256(replayed.encode()).digest() == hashlib.sha256(plain.encode()).digest()
+
+
+@given(
+    forward=st.sampled_from([forward_real, forward_imag]),
+    l=st.integers(1, 4),
+    scalars=st.lists(nonzero_st, min_size=6, max_size=6),
+    c=st.tuples(part_st, part_st),
+)
+@settings(max_examples=80, deadline=None)
+def test_each_record_rebuilds_its_value(forward, l, scalars, c):
+    rho, sigma, tau, ab, E, a = scalars
+    spec = RecurrenceSpec.make(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
+    seq = forward(spec, *c, 40)
+    for k, step in enumerate(seq.steps):
+        if step is None:
+            continue
+        u, v, m, G = step
+        (n2, _, d2), (n1, _, d1), (n, _, d) = (seq[j].triple for j in (k - 2, k - 1, k))
+        assert G >= 1 and m >= 1
+        assert n * G == u * n2 + v * n1
+        assert d * G == m * d1
+
+
+def test_a_zero_value_inside_a_solve_replays(monkeypatch):
+    # c_0 = B_2 and c_1 = A_2 make c_2 = (B_2 c_1 - A_2 c_0) / C_2 vanish, so
+    # the next two steps have a zero operand
+    spec = RecurrenceSpec.make(l=1, rho=Fraction(3, 7), tau=Fraction(-5, 4), ab=Fraction(2, 9),
+                               a=Fraction(11, 3))
+    A, B, _ = distsol._crat_brackets(spec, "real", 2)
+    seq = forward_real(spec, B, A, 60)
+    assert seq[2] == 0 and all(seq[k] for k in range(3, 61))
+    assert all(seq.steps[k] for k in range(3, 61))
+    monkeypatch.setattr(distsol, "_REPLAY_BITS", 0)
+    assert seq.as_list() == [str(v) for v in seq.values]
