@@ -596,10 +596,10 @@ class Polynomial(_Immutable):
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, k: int, coeff=1) -> "Polynomial":
+    def monomial(cls, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * k + [coeff])
+        return cls([0] * k + [1])
 
     # -- structure ------------------------------------------------------
 
@@ -725,10 +725,8 @@ class DiffOp(_Immutable):
         return cls((Polynomial.one(),))
 
     @classmethod
-    def d(cls, order: int = 1) -> "DiffOp":
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        return cls([Polynomial.zero()] * order + [Polynomial.one()])
+    def d(cls) -> "DiffOp":
+        return cls([Polynomial.zero(), Polynomial.one()])
 
     @classmethod
     def from_term(cls, poly, order: int = 0) -> "DiffOp":

@@ -578,11 +578,12 @@ def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
         raise ValueError("truncation K must be at least 1")
     start = max(2, spec.l - _BRANCHES[branch].offset)
     # the recurrence does not determine the band below start; take the
-    # minimal choice
-    vals = [CRat.from_value(c0), CRat.from_value(c1)] + [CR_ZERO] * (start - 2)
-    steps = [None] * start
+    # minimal choice, and no more of it than K reaches
+    band = min(start, K + 1)
+    vals = [CRat.from_value(c0), CRat.from_value(c1)] + [CR_ZERO] * (band - 2)
+    steps = [None] * band
     _solve(spec, branch, vals, range(start, K + 1), steps)
-    return CoeffSequence(tuple(vals[:K + 1]), tuple(steps[:K + 1]))
+    return CoeffSequence(tuple(vals), tuple(steps))
 
 
 def forward_real(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:

@@ -15,9 +15,9 @@ builds the factor once and closes both sums, the ``(m-1)!``-weighted one and
 the norm constant ``K_p``, from integer moments of their ``m`` weights taken
 in one pass over ``m``.
 
-The summation bound is ``p = sigma - rho`` unless overridden: the printed
-bound formally depends on an inner summation index, and this is its largest
-value.
+The summation bound is ``p = sigma - rho`` unless :func:`green_kernel`'s
+override sets it: the printed bound formally depends on an inner summation
+index, and this is its largest value.  The one-offs use ``s = 0`` and this ``p``.
 
 Every kernel, distribution and norm value is exact: a float or complex input
 raises ``TypeError``.  Floats appear only in :func:`eta_roots` and in the
@@ -390,42 +390,39 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
     )
 
 
-def kp_constant(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None) -> CRat:
-    """The norm constant
-
-    ``K_p = sum_{m=1}^{p} sum_k sum_l C(sigma-1,k) C(tau-1,l) a^(-l)
-            (-1)^(m-1) eps0(m; s_eval)``.
-    """
-    return green_kernel(scalars, s_eval, p_override=p_override).kp
+def kp_constant(scalars: KernelScalars) -> CRat:
+    """The norm constant ``K_p`` of :func:`green_kernel`, the kernel sum
+    without the ``(m-1)!`` weight, at ``s = 0`` over the default bound."""
+    return green_kernel(scalars).kp
 
 
-def green_coincidence(scalars: KernelScalars, E=CR_ONE, *, s_eval=CR_ZERO,
-                      p_override: int = None) -> Distribution:
+def green_coincidence(scalars: KernelScalars, E=CR_ONE) -> Distribution:
     """Coincidence kernel ``(K_p / E) delta(w)``; ``E = 0`` is refused
     before the kernel is assembled."""
     E = _nonzero_eigenvalue(E)
-    return green_kernel(scalars, s_eval, p_override=p_override).coincidence(E)
+    return green_kernel(scalars).coincidence(E)
 
 
-def hs_norm_sq(scalars: KernelScalars, *, s_eval=CR_ZERO, p_override: int = None) -> Fraction:
+def hs_norm_sq(scalars: KernelScalars) -> Fraction:
     """Squared Hilbert-Schmidt norm ``|K_p|^2 |omega(0)|^2``; ``a`` in
     ``{0, 1}`` is refused before the summation bound is checked.
 
     The norm is finite for every valid input and zero iff either factor is
     zero.
     """
-    rho, sigma, tau = scalars.integer_exponents()
-    weight_value_at_zero(rho, sigma, tau, scalars.a)  # the a check, before the bound
-    return green_kernel(scalars, s_eval, p_override=p_override).hs_norm_sq()
+    weight_value_at_zero(*scalars.integer_exponents(), scalars.a)  # the a check, before the bound
+    return green_kernel(scalars).hs_norm_sq()
 
 
 def heaviside(lam: float) -> Fraction:
-    """Symmetric step: 1 for positive, 0 for negative, 1/2 at zero."""
+    """Symmetric step: 1 for positive, 0 for negative, 1/2 at zero; a NaN raises."""
     if lam > 0:
         return Fraction(1)
     if lam < 0:
         return Fraction(0)
-    return Fraction(1, 2)
+    if lam == 0:
+        return Fraction(1, 2)
+    raise ValueError(f"lambda = {lam} has no sign; the step is undefined")
 
 
 @dataclass(frozen=True)
@@ -450,7 +447,8 @@ class SSFValue:
 
 def ssf(lam: float, G: Distribution) -> SSFValue:
     """Spectral shift of the perturbed pair at level ``lam``: the coincidence
-    kernel scaled by the symmetric step."""
+    kernel scaled by the symmetric step; a NaN level raises ``ValueError``."""
+    heaviside(lam)  # a NaN level has no sign
     return SSFValue(kernel=G, heaviside_arg=float(lam))
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algpoly import (
     CR_ONE,
@@ -375,8 +375,8 @@ class Discrepancy:
 class DiscrepancyReport:
     """Ordered collection of :class:`Discrepancy` rows."""
 
-    def __init__(self, rows: Iterable[Discrepancy] = ()):
-        self.rows = list(rows)
+    def __init__(self):
+        self.rows = []
 
     def add(self, name: str, paper, oracle) -> None:
         self.rows.append(Discrepancy(name, CRat.from_value(paper), CRat.from_value(oracle)))

@@ -420,13 +420,13 @@ class TestPrinter:
 
     def test_sums_of_two_terms_print_apart(self):
         units = [c for c in UNIT_CRATS if c]
-        terms = [DiffOp.from_term(Polynomial.monomial(k, c), d)
+        terms = [DiffOp.from_term(Polynomial.monomial(k) * c, d)
                  for c in units for k in range(4) for d in range(4)]
         values = {a + b for i, a in enumerate(terms) for b in terms[i:]} | set(terms)
         assert len({str(v) for v in values}) == len(values)
         for c in units:
             for k in range(4):
-                p = Polynomial.monomial(k, c) + Polynomial.one()
+                p = Polynomial.monomial(k) * c + Polynomial.one()
                 assert str(p) == str(DiffOp.from_term(p))
 
     @given(printed_poly_st, printed_poly_st, st.integers(0, 3), st.integers(0, 5),
@@ -434,7 +434,7 @@ class TestPrinter:
     @settings(max_examples=150, deadline=None)
     def test_polynomial(self, p, q, pad, k, coef):
         rebuilt = Polynomial([CRat(c.re, c.im) for c in p.coeffs] + [0] * pad)
-        nudged = p + Polynomial.monomial(k, coef)
+        nudged = p + Polynomial.monomial(k) * coef
         shifted = Polynomial([0, *p.coeffs])
         conjugated = Polynomial([CRat.from_ints(a, -b, d) for a, b, d in (c.triple for c in p.coeffs)])
         for y in (q, rebuilt, nudged, shifted, conjugated, -p):
@@ -448,7 +448,7 @@ class TestPrinter:
             [Polynomial([CRat(c.re, c.im) for c in t.coeffs]) for t in L.terms]
             + [Polynomial.zero()] * pad
         )
-        nudged = L + DiffOp.from_term(Polynomial.monomial(zdeg, coef), dord)
+        nudged = L + DiffOp.from_term(Polynomial.monomial(zdeg) * coef, dord)
         shifted_d = DiffOp([Polynomial.zero(), *L.terms])
         shifted_z = DiffOp([Polynomial([0, *t.coeffs]) for t in L.terms])
         for y in (M, rebuilt, nudged, shifted_d, shifted_z, -L):

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -180,6 +182,15 @@ class TestDistsolCommand:
         payload = json.loads(out)
         assert all(r["value"] == "0" for r in payload["real"]["residuals"])
         assert payload["real"]["roots"][0]["k"] == 2
+
+    def test_undetermined_band_past_K_leaves_no_residual_row(self, capsys):
+        code, out, _ = run(capsys, "distsol", *BASE, "--n", "2", "--l", "1000000",
+                           "--E", "3/2", "--K", "2")
+        assert code == 0
+        payload = json.loads(out)
+        for branch in ("real", "imag"):
+            assert payload[branch]["sequence"] == ["1", "0", "0"]
+            assert payload[branch]["residuals"] == []
 
     def test_small_K_rejected(self, capsys):
         code, _, err = run(capsys, "distsol", *BASE, "--n", "1", "--l", "1", "--K", "1")
@@ -492,6 +503,37 @@ class TestReportsStartNoProcess:
 
     def test_cli_holds_no_process_or_os_module(self):
         assert not {"subprocess", "os"} & set(vars(cli))
+
+
+class TestNumpyLoadsLazily:
+    # numpy serves only the float eigen path, and importing it costs about
+    # as long as importing the package; a fresh process shows whether any
+    # other report pulls it in
+    SCRIPT = """
+import contextlib, io, json, sys
+from heunlie import cli
+
+def loaded_after(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+    return "numpy" in sys.modules
+
+print(json.dumps([loaded_after(*argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+    def test_only_a_non_triangular_spectrum_imports_numpy(self):
+        argvs = [
+            ["expand", "--expr", "1/2 * +0 + 1/2 * 0+", "--j", "1/2"],
+            ["distsol", *ES1, "--n", "1", "--l", "1", "--K", "4"],
+            ["green", *BASE, "--n", "1", "--rho", "1", "--sigma", "3", "--tau", "2"],
+            ["spectrum", *ES1, "--n", "1"],  # triangular: exact diagonal
+            ["spectrum", "--n=2", "--a=2", "--q=1", "--alpha=-2", "--beta=-1/2",
+             "--gamma=1/3", "--delta=1/2", "--epsilon=-7/3"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(heunlie.__file__).parent.parent))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
 class TestLiteralParsing:

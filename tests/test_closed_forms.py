@@ -112,14 +112,17 @@ class TestBandMatrix:
 
 
 @st.composite
-def kernel_case_st(draw):
+def kernel_scalars_st(draw):
     rho = draw(st.integers(1, 3))
     sigma = draw(st.integers(rho + 1, 8))
     tau = draw(st.integers(1, 6))
     a = draw(st.one_of(st.just(CRat(-1)), nonzero_st))
-    scalars = KernelScalars.direct(draw(st.integers(-3, 5)), a, rho, sigma, tau)
-    p_override = draw(st.one_of(st.none(), st.integers(1, 6), st.integers(7, 40)))
-    return scalars, p_override
+    return KernelScalars.direct(draw(st.integers(-3, 5)), a, rho, sigma, tau)
+
+
+# (scalars, p_override)
+kernel_case_st = st.tuples(
+    kernel_scalars_st(), st.one_of(st.none(), st.integers(1, 6), st.integers(7, 40)))
 
 
 def _bound(scalars, p_override):
@@ -140,7 +143,7 @@ GREEN_ARGV = ["green", "--a=3/2", "--q=0", "--alpha=1", "--beta=1", "--gamma=1",
 
 
 class TestFactoredKernelSums:
-    @given(kernel_case_st(), s_eval_st)
+    @given(kernel_case_st, s_eval_st)
     @example((KernelScalars.direct(0, -1, 1, 3, 1), None), CRat(0, 1))
     @example((KernelScalars.direct(2, -1, 1, 4, 3), 2), CRat(0))
     @example((KernelScalars.direct(1, CRat(1, 2), 2, 5, 1), 4), CRat(0, -3))
@@ -150,12 +153,20 @@ class TestFactoredKernelSums:
     def test_exact_equality(self, case, s_eval):
         scalars, p_override = case
         p = _bound(scalars, p_override)
-        kp = kp_constant(scalars=scalars, s_eval=s_eval, p_override=p_override)
         gk = green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override)
-        assert kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
         assert gk.scalar == reference_kernel_sum(scalars, s_eval, p, with_factorial=True)
         assert gk.kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
-        assert isinstance(kp, CRat) and isinstance(gk.scalar, CRat)
+        assert isinstance(gk.kp, CRat) and isinstance(gk.scalar, CRat)
+
+    @given(kernel_scalars_st().filter(lambda scalars: scalars.a != CRat(1)), nonzero_st)
+    @settings(max_examples=60, deadline=None)
+    def test_one_offs_read_the_default_kernel(self, scalars, E):
+        # the one-offs take neither the dual point nor the bound: each is
+        # green_kernel's value at s = 0 over sigma - rho
+        gk = green_kernel(scalars)
+        assert kp_constant(scalars) == gk.kp
+        assert hs_norm_sq(scalars) == gk.hs_norm_sq()
+        assert green_coincidence(scalars, E) == gk.coincidence(E)
 
     @pytest.mark.parametrize("command", ["green", "ssf"])
     def test_report_builds_kp_once_and_no_symbol(self, monkeypatch, capsys, command):
@@ -179,9 +190,9 @@ class TestFactoredKernelSums:
         report = json.loads(capsys.readouterr().out)
         # the values derived from that one K_p are the library's own
         scalars = KernelScalars.direct(1, Fraction(3, 2), 1, 5, 3)
-        kwargs = {"scalars": scalars, "s_eval": CRat(Fraction(1, 2), -3)}
-        assert report["hs_norm_sq"] == str(hs_norm_sq(**kwargs))
-        coincidence = green_coincidence(E=CRat(Fraction(-2, 3)), **kwargs)
+        kernel = green_kernel(scalars, CRat(Fraction(1, 2), -3))
+        assert report["hs_norm_sq"] == str(kernel.hs_norm_sq())
+        coincidence = kernel.coincidence(CRat(Fraction(-2, 3)))
         assert report["ssf"]["value"] == coincidence.as_list()
 
     def test_zero_eigenvalue_comes_after_the_kernel_checks(self, capsys):

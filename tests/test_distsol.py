@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,34 @@ class TestRecurrences:
         spec = RecurrenceSpec.make(l=1, ab=1, E=1)
         with pytest.raises(ValueError, match="^truncation K must be at least 1$"):
             forward(spec, 1, 0, 0)
+
+    @pytest.mark.parametrize("forward", [forward_real, forward_imag])
+    def test_zero_band_is_bounded_by_the_truncation(self, forward):
+        # the undetermined band runs up to about l, but a solve holds only
+        # the K + 1 values it returns
+        spec = RecurrenceSpec.make(l=10**6, ab=1, E=1)
+        tracemalloc.start()
+        try:
+            seq = forward(spec, 1, CRat(2, 3), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seq.values == (CR_ONE, CRat(2, 3), CR_ZERO)
+        assert seq.steps == (None, None, None)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("forward", [forward_real, forward_imag])
+    def test_truncation_keeps_the_prefix(self, forward):
+        # K cuts the band and the solved tail alike: a shorter solve is a
+        # prefix of a longer one, records included
+        for l in range(1, 8):
+            spec = RecurrenceSpec.make(l=l, a=3, rho=Fraction(1, 2), sigma=2, tau=-1,
+                                       ab=Fraction(5, 4), E=CRat(Fraction(3, 2), 1))
+            full = forward(spec, 1, CRat(2, 3), 12)
+            for K in range(1, 12):
+                seq = forward(spec, 1, CRat(2, 3), K)
+                assert seq.values == full.values[:K + 1]
+                assert seq.steps == full.steps[:K + 1]
 
     def test_residual_check_refusals(self):
         spec = RecurrenceSpec.make(l=1, ab=1, E=1)

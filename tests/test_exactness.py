@@ -30,8 +30,6 @@ from heunlie.greenssf import (
     KernelScalars,
     green_coincidence,
     green_kernel,
-    hs_norm_sq,
-    kp_constant,
 )
 from heunlie.heunop import HeunParams, es_condition, uea_heun, verify_theorem1
 from heunlie.sl2rep import UEAExpr, make_generators, uea_expand
@@ -91,8 +89,6 @@ SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
 # (entry point, an exact value it accepts)
 ENTRY_POINTS = {
     "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
-    "kp_constant s_eval": (lambda x: kp_constant(SCALARS, s_eval=x), CR_ONE),
-    "hs_norm_sq s_eval": (lambda x: hs_norm_sq(SCALARS, s_eval=x), CR_ONE),
     "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
     "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
@@ -104,9 +100,6 @@ ENTRY_POINTS = {
     "RecurrenceSpec a": (lambda x: RecurrenceSpec.make(l=1, a=x), CR_ONE),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3), 1),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x), 2),
-    "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x), 2),
-    "hs_norm_sq p_override": (lambda x: hs_norm_sq(SCALARS, p_override=x), 2),
-    "green_coincidence p_override": (lambda x: green_coincidence(SCALARS, p_override=x), 2),
     "weight_expansion rho": (lambda x: weight_expansion(x, 2, 2, 3), 2),
     "weight_expansion sigma": (lambda x: weight_expansion(2, x, 2, 3), 2),
     "weight_expansion tau": (lambda x: weight_expansion(2, 2, x, 3), 2),
@@ -158,12 +151,6 @@ INTEGER_ARGUMENTS = {
     "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), recur_imag(SPEC, 1, 1, 2)),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
-    "kp_constant p_override": (lambda x: kp_constant(SCALARS, p_override=x),
-                               kp_constant(SCALARS, p_override=2)),
-    "hs_norm_sq p_override": (lambda x: hs_norm_sq(SCALARS, p_override=x),
-                              hs_norm_sq(SCALARS, p_override=2)),
-    "green_coincidence p_override": (lambda x: green_coincidence(SCALARS, p_override=x),
-                                     green_coincidence(SCALARS, p_override=2)),
 }
 
 # weight exponents: the same rule, but a non-integer or a value below 1

@@ -1,6 +1,17 @@
 import importlib
+import inspect
 
 import pytest
+
+from heunlie.algpoly import DiffOp, Polynomial
+from heunlie.greenssf import (
+    KernelScalars,
+    green_coincidence,
+    green_kernel,
+    hs_norm_sq,
+    kp_constant,
+)
+from heunlie.heunop import DiscrepancyReport
 
 MODULES = ["algpoly", "sl2rep", "heunop", "distsol", "greenssf", "cli"]
 
@@ -32,3 +43,37 @@ def test_cli_imports_only_public_functions():
                     if inspect.isfunction(getattr(mod, alias.name)) and alias.name not in mod.__all__:
                         hidden.append(f"{importer}: {node.module}.{alias.name}")
     assert not hidden, f"sibling imports of functions missing from __all__: {hidden}"
+
+
+SCALARS = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
+# constants that no caller sets: passing one as a parameter is a TypeError
+REMOVED_PARAMETERS = {
+    "kp_constant s_eval": lambda: kp_constant(SCALARS, s_eval=0),
+    "kp_constant p_override": lambda: kp_constant(SCALARS, p_override=2),
+    "hs_norm_sq s_eval": lambda: hs_norm_sq(SCALARS, s_eval=0),
+    "hs_norm_sq p_override": lambda: hs_norm_sq(SCALARS, p_override=2),
+    "green_coincidence s_eval": lambda: green_coincidence(SCALARS, 1, s_eval=0),
+    "green_coincidence p_override": lambda: green_coincidence(SCALARS, 1, p_override=2),
+    "DiscrepancyReport rows": lambda: DiscrepancyReport(rows=()),
+    "DiscrepancyReport rows, positional": lambda: DiscrepancyReport(()),
+    "Polynomial.monomial coeff": lambda: Polynomial.monomial(2, coeff=3),
+    "Polynomial.monomial coeff, positional": lambda: Polynomial.monomial(2, 3),
+    "DiffOp.d order": lambda: DiffOp.d(order=2),
+    "DiffOp.d order, positional": lambda: DiffOp.d(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_PARAMETERS))
+def test_removed_parameter_raises_type_error(name):
+    with pytest.raises(TypeError, match="unexpected keyword argument|positional argument"):
+        REMOVED_PARAMETERS[name]()
+
+
+def test_green_kernel_alone_takes_the_kernel_knobs():
+    knobs = {
+        fn.__name__: [name for name in inspect.signature(fn).parameters
+                      if name not in ("scalars", "E")]
+        for fn in (green_kernel, kp_constant, hs_norm_sq, green_coincidence)
+    }
+    assert knobs == {"green_kernel": ["s_eval", "p_override"], "kp_constant": [],
+                     "hs_norm_sq": [], "green_coincidence": []}

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -187,8 +188,6 @@ class TestGreenKernel:
         assert gk.prefactor == Polynomial([CR_ONE, CR_I])
 
     def test_kernel_coefficient_against_double_loop_oracle(self):
-        import math
-
         scal = KernelScalars.direct(n=1, a=3, rho=1, sigma=2, tau=2)
         gk = green_kernel(scalars=scal, p_override=3)
         total = CR_ZERO
@@ -237,7 +236,7 @@ class TestGreenKernel:
 class TestKpConstant:
     def test_single_cell_collapse(self):
         scal = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
-        kp = kp_constant(scalars=scal, p_override=3)
+        kp = green_kernel(scalars=scal, p_override=3).kp
         total = CR_ZERO
         for m in (1, 2, 3):
             sc = symbol_coeffs(m, 0, scal)
@@ -245,10 +244,8 @@ class TestKpConstant:
         assert kp == total
 
     def test_p_one_is_plain_sum(self):
-        import math
-
         scal = KernelScalars.direct(n=2, a=2, rho=1, sigma=3, tau=2)
-        kp = kp_constant(scalars=scal, p_override=1)
+        kp = green_kernel(scalars=scal, p_override=1).kp
         total = CR_ZERO
         sc = symbol_coeffs(1, 2, scal)
         eps0 = sc.eps0.eval(CR_ZERO)
@@ -260,10 +257,8 @@ class TestKpConstant:
     def test_negation_linearity(self):
         # negating every eps0 negates the sum: realized by comparing against
         # the explicitly negated cell sum
-        kp = kp_constant(scalars=SCAL, p_override=2)
+        kp = green_kernel(scalars=SCAL, p_override=2).kp
         neg = CR_ZERO
-        import math
-
         for m in (1, 2):
             sc = symbol_coeffs(m, SCAL.n, SCAL)
             eps0 = -sc.eps0.eval(CR_ZERO)
@@ -286,8 +281,9 @@ class TestGreenCoincidence:
             green_coincidence(scalars=SCAL, E=CRat(0))
         # the eigenvalue is checked before the kernel sum: an empty bound
         # does not mask it
+        empty = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
         with pytest.raises(ZeroEigenvalue):
-            green_coincidence(scalars=SCAL, E=CRat(0), p_override=0)
+            green_coincidence(scalars=empty, E=CRat(0))
 
     def test_matches_kp_over_E(self):
         kp = kp_constant(scalars=SCAL)
@@ -303,8 +299,8 @@ class TestHSNorm:
 
     def test_unit_weight_case(self):
         scal = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
-        kp = kp_constant(scalars=scal, p_override=2)
-        assert hs_norm_sq(scalars=scal, p_override=2) == kp.abs2()
+        gk = green_kernel(scalars=scal, p_override=2)
+        assert gk.hs_norm_sq() == gk.kp.abs2()
 
     def test_nonnegative_and_zero_iff(self):
         rng = random.Random(151)
@@ -316,11 +312,12 @@ class TestHSNorm:
                 n=rng.randint(-2, 3), a=rand_fraction(rng, nonzero=True) or 3,
                 rho=rho, sigma=sigma, tau=tau,
             )
+            gk = green_kernel(scalars=scal, p_override=3)
             try:
-                norm = hs_norm_sq(scalars=scal, p_override=3)
+                norm = gk.hs_norm_sq()
             except ValueError:
                 continue
-            kp = kp_constant(scalars=scal, p_override=3)
+            kp = gk.kp
             omega0 = weight_expansion(rho, sigma, tau, scal.a).value_at_zero()
             assert norm >= 0
             assert (norm == 0) == (kp == CR_ZERO or omega0 == CR_ZERO)
@@ -346,10 +343,26 @@ class TestSSF:
         assert positives == {g}
         assert negatives == {Distribution.zero()}
 
-    def test_heaviside_values(self):
-        assert heaviside(2.0) == 1
-        assert heaviside(-2.0) == 0
-        assert heaviside(0.0) == Fraction(1, 2)
+    @pytest.mark.parametrize("lam, step", [
+        (2.0, Fraction(1)), (-2.0, Fraction(0)),
+        (math.inf, Fraction(1)), (-math.inf, Fraction(0)),
+        (0.0, Fraction(1, 2)), (-0.0, Fraction(1, 2)),
+        (math.nan, None), (-math.nan, None),
+    ], ids=["2.0", "-2.0", "inf", "-inf", "0.0", "-0.0", "nan", "-nan"])
+    def test_heaviside_values(self, lam, step):
+        # the infinities and both zeros have a sign or a midpoint; a NaN has
+        # neither, and is refused rather than read as the jump
+        g = green_coincidence(scalars=SCAL, E=CRat(1))
+        if step is None:
+            for refused in (lambda: heaviside(lam), lambda: ssf(lam, g)):
+                with pytest.raises(ValueError,
+                                   match="^lambda = nan has no sign; the step is undefined$"):
+                    refused()
+            return
+        assert heaviside(lam) == step and type(heaviside(lam)) is Fraction
+        value = ssf(lam, g)
+        assert value.scaled == g * CRat(step)
+        assert value.as_dict()["heaviside"] == str(step)
 
 
 class TestTrace:
@@ -375,28 +388,51 @@ class TestTrace:
 
 EMPTY_BOUND = ("summation bound p = 0 is empty; the scalars give sigma - rho = 0 "
                "(override it to proceed)")
-KERNEL_FUNCTIONS = {
-    "green_kernel": lambda scal, E, **kw: green_kernel(scalars=scal, **kw),
-    "kp_constant": lambda scal, E, **kw: kp_constant(scalars=scal, **kw),
-    "hs_norm_sq": lambda scal, E, **kw: hs_norm_sq(scalars=scal, **kw),
-    "green_coincidence": lambda scal, E, **kw: green_coincidence(scalars=scal, E=E, **kw),
+A_REFUSED = "a must avoid 0 and 1, got {}"
+ZERO_E = "coincidence kernel scales by 1/E; E = 0 is invalid"
+ONE_OFFS = {
+    "kp_constant": lambda scal, E: kp_constant(scalars=scal),
+    "hs_norm_sq": lambda scal, E: hs_norm_sq(scalars=scal),
+    "green_coincidence": lambda scal, E: green_coincidence(scalars=scal, E=E),
 }
+# green_kernel alone takes the bound override; its kernel's methods check
+# after the kernel is assembled
+ON_THE_KERNEL = {
+    "green_kernel": lambda scal, E, **kw: green_kernel(scalars=scal, **kw),
+    "GreenKernel.hs_norm_sq": lambda scal, E, **kw: green_kernel(scal, **kw).hs_norm_sq(),
+    "GreenKernel.coincidence": lambda scal, E, **kw: green_kernel(scal, **kw).coincidence(E),
+}
+KERNEL_FUNCTIONS = {**ONE_OFFS, **ON_THE_KERNEL}
 # rho = tau = 2: sigma = 2 leaves the default bound empty, sigma = 4 gives 2
 BOUNDS = {"empty": (2, {}), "default": (4, {}), "overridden": (2, {"p_override": 3})}
 FIRST_EXCEPTIONS = [
-    *[("hs_norm_sq", a, bound, 1, ValueError, f"a must avoid 0 and 1, got {a}")
-      for a in (0, 1) for bound in BOUNDS],
-    *[(fn, 0, bound, 1, ZeroDivisionError, "division by zero CRat")
-      for bound in ("default", "overridden")
+    # the one-offs, over the default bound
+    *[("hs_norm_sq", a, bound, 1, ValueError, A_REFUSED.format(a))
+      for a in (0, 1) for bound in ("empty", "default")],
+    *[(fn, 0, "default", 1, ZeroDivisionError, "division by zero CRat")
       for fn in ("green_kernel", "kp_constant", "green_coincidence")],
     *[(fn, a, "empty", 1, ValueError, EMPTY_BOUND)
       for a in (0, 1) for fn in ("green_kernel", "kp_constant", "green_coincidence")],
-    *[(fn, 1, bound, 1, None, None)
-      for bound in ("default", "overridden")
+    *[(fn, 1, "default", 1, None, None)
       for fn in ("green_kernel", "kp_constant", "green_coincidence")],
-    *[("green_coincidence", a, bound, 0, ZeroEigenvalue,
-       "coincidence kernel scales by 1/E; E = 0 is invalid")
-      for a in (0, 1) for bound in BOUNDS],
+    *[("green_coincidence", a, bound, 0, ZeroEigenvalue, ZERO_E)
+      for a in (0, 1) for bound in ("empty", "default")],
+    # green_kernel and its kernel's methods, with the bound overridden
+    ("green_kernel", 0, "overridden", 1, ZeroDivisionError, "division by zero CRat"),
+    ("green_kernel", 1, "overridden", 1, None, None),
+    *[(fn, a, "empty", E, ValueError, EMPTY_BOUND)
+      for a in (0, 1) for fn, E in (("GreenKernel.hs_norm_sq", 1),
+                                    ("GreenKernel.coincidence", 0))],
+    *[(fn, 0, bound, E, ZeroDivisionError, "division by zero CRat")
+      for bound in ("default", "overridden")
+      for fn, E in (("GreenKernel.hs_norm_sq", 1), ("GreenKernel.coincidence", 0))],
+    *[(fn, 1, bound, E, exc, message)
+      for bound in ("default", "overridden")
+      for fn, E, exc, message in (
+          ("GreenKernel.hs_norm_sq", 1, ValueError, A_REFUSED.format(1)),
+          ("GreenKernel.coincidence", 0, ZeroEigenvalue, ZERO_E),
+          ("GreenKernel.coincidence", 1, None, None),
+      )],
 ]
 
 

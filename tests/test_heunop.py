@@ -163,9 +163,9 @@ class TestIndicial:
         with pytest.raises(NotRegularSingular):
             indicial_exponents(L, CRat(5))  # ordinary point
         with pytest.raises(NotRegularSingular):
-            indicial_exponents(DiffOp.d(2), CR_ZERO)  # no singularity at all
+            indicial_exponents(DiffOp([0, 0, 1]), CR_ZERO)  # no singularity at all
         with pytest.raises(NotRegularSingular):
-            indicial_exponents(DiffOp.d(1), CR_ZERO)  # wrong order
+            indicial_exponents(DiffOp.d(), CR_ZERO)  # wrong order
 
     def test_irregular_singularity_rejected(self):
         # z^2 D^2 + D has a double zero of the lead but the first-order part

@@ -77,7 +77,7 @@ class TestUEAExpr:
         expected = DiffOp(
             [
                 Polynomial.zero(),
-                Polynomial.monomial(2, Fraction(3, 2)),
+                Polynomial.monomial(2) * Fraction(3, 2),
                 Polynomial.monomial(3),
             ]
         )

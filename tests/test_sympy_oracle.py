@@ -1,15 +1,17 @@
-"""An independent oracle: the operator product, the generator expansion and
-the Frobenius exponents, checked against sympy's own differentiation and
-limits on seeded random inputs.  The module is skipped when sympy is absent.
+"""An independent oracle: the operator product, the generator expansion,
+the generator bracket and the Frobenius exponents, checked against sympy's
+own differentiation and limits on seeded random inputs and a symbolic spin.
+The module is skipped when sympy is absent (the ``test`` extra installs it).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from heunlie.algpoly import CRat, DiffOp, Polynomial, op_compose  # noqa: E402
+from heunlie.algpoly import CRat, DiffOp, Polynomial, commutator, op_compose  # noqa: E402
 from heunlie.heunop import (  # noqa: E402
     INFINITY,
     HeunParams,
@@ -17,7 +19,7 @@ from heunlie.heunop import (  # noqa: E402
     indicial_exponents,
     uea_heun,
 )
-from heunlie.sl2rep import Spin, uea_expand  # noqa: E402
+from heunlie.sl2rep import Spin, make_generators, uea_expand  # noqa: E402
 from util import rand_crat, rand_params  # noqa: E402
 
 z, t, w = sympy.symbols("z t w")
@@ -72,6 +74,26 @@ def _generator(letter, j):
     if letter == "0":
         return lambda f: z * sympy.diff(f, z) - j * f
     return lambda f: sympy.diff(f, z)
+
+
+def test_generator_bracket_is_minus_two_j0_at_every_spin():
+    # acceptance criterion 1 states [Jp, Jm] = +2 J0 and stays as stated;
+    # with a symbolic j and a generic f the realized bracket is -2 J0 for
+    # every spin, not only the sampled ones
+    j = sympy.Symbol("j")
+    f = sympy.Function("f")(z)
+    jp, j0, jm = (_generator(letter, j) for letter in "+0-")
+    assert same(jp(jm(f)) - jm(jp(f)), -2 * j0(f))
+    assert not same(jp(jm(f)) - jm(jp(f)), 2 * j0(f))
+
+
+@pytest.mark.parametrize("n2", range(-20, 21))
+def test_library_bracket_is_minus_two_j0(n2):
+    jp, j0, jm = make_generators(Fraction(n2, 2))
+    bracket = commutator(jp, jm)
+    assert bracket == j0 * CRat(-2)
+    f = sympy.Function("f")(z)
+    assert same(apply_op(bracket, f), -2 * _generator("0", sympy.Rational(n2, 2))(f))
 
 
 def test_heun_expansion_is_the_words_applied_letter_by_letter():

@@ -151,7 +151,7 @@ def reference_indicial_exponents(L, point):
         raise NotRegularSingular("indicial data implemented for second-order operators")
     if point is INFINITY:
         d = max(int(p.degree) for p in L.terms if not p.is_zero())
-        neg_w2_d = op_compose(DiffOp.from_term(Polynomial.monomial(2, -1)), DiffOp.d())
+        neg_w2_d = op_compose(DiffOp.from_term(Polynomial.monomial(2) * -1), DiffOp.d())
         inverted, power = DiffOp.zero(), DiffOp.identity()
         for k, pk in enumerate(L.terms):
             if k:
@@ -278,7 +278,7 @@ def reference_reassembled(w):
     out = Polynomial.zero()
     for m, row in enumerate(w.h):
         for n, c in enumerate(row):
-            out = out + Polynomial.monomial(m + n + w.rho - 1, c)
+            out = out + Polynomial.monomial(m + n + w.rho - 1) * c
     return out
 
 
