@@ -9,7 +9,9 @@ between threads.  That rule is written once, in the private slotted base
 over one positive integer denominator, in lowest terms, so each sum or
 product takes at most one gcd; arithmetic with a float or a Python complex
 operand raises ``TypeError``.  Its ``re`` and ``im`` are the parts as reduced
-``fractions.Fraction``, built when read.
+``fractions.Fraction``, built when read.  A ``Polynomial`` is the same over a
+table: the Gaussian-integer numerators of its coefficients over one
+denominator, a format no other module reads.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -29,6 +32,8 @@ __all__ = [
     "op_apply",
     "op_compose",
     "commutator",
+    "monomial_images",
+    "exact_int",
     "quadratic_roots",
     "csqrt_exact",
     "CR_ZERO",
@@ -41,7 +46,6 @@ __all__ = [
 NEG_INF = float("-inf")
 
 ExactLike = Union[int, Fraction]
-ScalarLike = Union[int, Fraction, "CRat"]
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -391,6 +395,22 @@ CR_ONE = CRat(1)
 CR_I = CRat(0, 1)
 
 
+def exact_int(x, name: str) -> int:
+    """``x`` as an ``int``: an int (not a bool) or an integer-valued exact value.
+
+    A float or complex raises ``TypeError``, as ``CRat.from_value`` does, and
+    so does a bool; a non-integer exact value raises ``ValueError``.
+    """
+    if isinstance(x, bool):
+        raise TypeError(f"{name} must be an exact integer, got bool")
+    if isinstance(x, int):
+        return x
+    z = CRat.from_value(x)
+    if not z.is_integer():
+        raise ValueError(f"{name} must be an integer, got {z}")
+    return int(z.re)
+
+
 def _isqrt_exact(n: int):
     r = math.isqrt(n)
     return r if r * r == n else None
@@ -569,132 +589,162 @@ def quadratic_roots(a, b, c) -> tuple[Surd, Surd]:
 class Polynomial(_Immutable):
     """Dense univariate polynomial over CRat, trailing zeros trimmed.
 
+    The value is ``sum_k (re_k + im_k i) z^k / den``, held as the tuple
+    ``_num`` of Gaussian-integer numerators ``(re_k, im_k)``, low degree
+    first, over one ``_den > 0``: the last pair is nonzero and no prime of
+    ``_den`` divides every part (the zero polynomial is ``((), 1)``).  That
+    form is unique, so two polynomials are equal exactly when their fields
+    are, and a result takes one content gcd.  Only this module reads the
+    fields; ``coeffs`` and ``coeff(k)`` build the ``CRat`` coefficients when
+    read.
+
     ``degree`` of the zero polynomial is ``NEG_INF`` so that degree
     comparisons behave uniformly.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable = ()):  # low degree first
-        lst = [CRat.from_value(c) for c in coeffs]
-        while lst and lst[-1].is_zero():
-            lst.pop()
-        object.__setattr__(self, "coeffs", tuple(lst))
+        triples = [CRat.from_value(c).triple for c in coeffs]
+        # over the lcm of reduced denominators, each prime of the lcm leaves
+        # a part of the coefficient it came from, so the table is reduced
+        den = math.lcm(*(d for _, _, d in triples))
+        num = [(a * (den // d), b * (den // d)) for a, b, d in triples]
+        while num and num[-1] == (0, 0):
+            num.pop()
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return _poly((), 1)
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return _poly(((1, 0),), 1)
 
     @classmethod
     def variable(cls) -> "Polynomial":
-        return cls((0, 1))
+        return _poly(((0, 0), (1, 0)), 1)
 
     @classmethod
     def monomial(cls, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls([0] * k + [1])
+        return _poly(((0, 0),) * _count(k, "monomial degree") + ((1, 0),), 1)
 
     # -- structure ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[CRat, ...]:
+        """The coefficients, low degree first, each in lowest terms."""
+        d = self._den
+        return tuple(_reduced(a, b, d) for a, b in self._num)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._num) - 1 if self._num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coeff(self, k: int) -> CRat:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._num):
+            return _reduced(*self._num[k], self._den)
         return CR_ZERO
 
     # -- algebra ----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) + other.coeff(k) for k in range(n)])
+        (p, q), den = _common((self, self._as_poly(other)))
+        return _reduced_poly(
+            [(a + c, b + e) for (a, b), (c, e) in zip_longest(p, q, fillvalue=(0, 0))], den
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self + -self._as_poly(other)
 
     def __rsub__(self, other):
         return self._as_poly(other) - self
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _poly(tuple((-a, -b) for a, b in self._num), self._den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
+            if not (self._num and other._num):
                 return Polynomial.zero()
-            out = [CR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Polynomial(out)
-        scalar = CRat.from_value(other)
-        return Polynomial([c * scalar for c in self.coeffs])
+            return _reduced_poly(_convolve(self._num, other._num), self._den * other._den)
+        c, e, f = CRat.from_value(other).triple
+        if e:
+            out = [(a * c - b * e, a * e + b * c) for a, b in self._num]
+        else:
+            out = [(a * c, b * c) for a, b in self._num]
+        return _reduced_poly(out, self._den * f)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        return _power(self, n, Polynomial.one())
+        return _power(self, _count(n, "exponent"), Polynomial.one())
 
     @staticmethod
     def _as_poly(other) -> "Polynomial":
         if isinstance(other, Polynomial):
             return other
-        return Polynomial([CRat.from_value(other)])
+        a, b, d = CRat.from_value(other).triple
+        return _reduced_poly([(a, b)], d)
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+        order = _count(order, "derivative order")
         # c_k z^k differentiates to perm(k, order) c_k z^(k - order)
-        return Polynomial(
-            [c * math.perm(k, order) for k, c in enumerate(self.coeffs[order:], order)]
-        )
+        out = []
+        for k, (a, b) in enumerate(self._num[order:], order):
+            f = math.perm(k, order)
+            out.append((a * f, b * f))
+        return _reduced_poly(out, self._den)
 
     def eval(self, x):
-        """Horner evaluation: exact at an exact ``x``, a Python complex at a
-        float or complex ``x``."""
+        """Horner evaluation: exact at an exact ``x``, the composition at a
+        ``Polynomial`` ``x``, and a Python complex at a float or complex
+        ``x``."""
+        d = self._den
         if isinstance(x, (float, complex)):
             z = 0j
-            for c in reversed(self.coeffs):
-                z = z * x + complex(c)
+            # int true division is correctly rounded, as complex(CRat) is
+            for a, b in reversed(self._num):
+                z = z * x + complex(a / d, b / d)
             return z
-        acc: ScalarLike = CR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if isinstance(x, Polynomial):
+            table, f = x._num or ((0, 0),), x._den
+        else:
+            c, e, f = CRat.from_value(x).triple
+            table = ((c, e),)
+        # Horner on the numerators, with x = table / f:
+        # acc = sum_k num_k table^k f^(degree - k), which is f^degree d p(x)
+        acc, power = [(0, 0)], 1
+        for a, b in reversed(self._num):
+            acc = _convolve(acc, table)
+            acc[0] = (acc[0][0] + a * power, acc[0][1] + b * power)
+            power *= f
+        den = d * f ** max(len(self._num) - 1, 0)
+        if isinstance(x, Polynomial):
+            return _reduced_poly(acc, den)
+        return _reduced(*acc[0], den)
 
     # -- comparisons / text ------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction, CRat)):
             return self == self._as_poly(other)
         return NotImplemented
 
     def __hash__(self):
         # a constant equals its scalar, so it hashes as that scalar
-        if len(self.coeffs) <= 1:
+        if len(self._num) <= 1:
             return hash(self.coeff(0))
         return hash(self.coeffs)
 
@@ -703,6 +753,74 @@ class Polynomial(_Immutable):
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
+
+
+_set_num = Polynomial._num.__set__
+_set_den = Polynomial._den.__set__
+
+
+def _poly(num: tuple, den: int) -> Polynomial:
+    """``Polynomial`` from a canonical table and denominator, without the
+    coercion of ``Polynomial.__init__``."""
+    p = _new(Polynomial)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _reduced_poly(num: list, den: int) -> Polynomial:
+    """The polynomial of the ``(re, im)`` int pairs ``num`` over ``den > 0``:
+    trailing zero pairs trimmed, then one content gcd (none over 1)."""
+    while num and num[-1] == (0, 0):
+        num.pop()
+    if not num:
+        return _poly((), 1)
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            return _poly(tuple((a // g, b // g) for a, b in num), den // g)
+    return _poly(tuple(num), den)
+
+
+def _common(polys) -> tuple[list, int]:
+    """The numerator tables of ``polys`` over the lcm ``D`` of their
+    denominators, and ``D``."""
+    den = math.lcm(*(p._den for p in polys))
+    tables = []
+    for p in polys:
+        s = den // p._den
+        tables.append(p._num if s == 1 else [(a * s, b * s) for a, b in p._num])
+    return tables, den
+
+
+def _mul_add(re: list, im: list, p, q) -> None:
+    """Add the product of the Gaussian-integer tables ``p`` and ``q`` into
+    the part lists ``re`` and ``im``, a zero or real factor skipped."""
+    for s, (a, b) in enumerate(p):
+        if b:
+            for t, (c, e) in enumerate(q, s):
+                re[t] += a * c - b * e
+                im[t] += a * e + b * c
+        elif a:
+            for t, (c, e) in enumerate(q, s):
+                re[t] += a * c
+                im[t] += a * e
+
+
+def _convolve(p, q) -> list:
+    """The product of two nonempty Gaussian-integer tables, untrimmed."""
+    re, im = [0] * (len(p) + len(q) - 1), [0] * (len(p) + len(q) - 1)
+    _mul_add(re, im, p, q)
+    return list(zip(re, im))
+
+
+def _count(k, name: str) -> int:
+    """``k`` as an ``int >= 0`` by the rule of :func:`exact_int`; a negative
+    value raises ``ValueError``."""
+    k = exact_int(k, name)
+    if k < 0:
+        raise ValueError(f"{name} must be nonnegative, got {k}")
+    return k
 
 
 class DiffOp(_Immutable):
@@ -731,7 +849,7 @@ class DiffOp(_Immutable):
     @classmethod
     def from_term(cls, poly, order: int = 0) -> "DiffOp":
         poly = poly if isinstance(poly, Polynomial) else Polynomial._as_poly(poly)
-        return cls([Polynomial.zero()] * order + [poly])
+        return cls([Polynomial.zero()] * _count(order, "derivative order") + [poly])
 
     @property
     def order(self):
@@ -748,14 +866,15 @@ class DiffOp(_Immutable):
     def __add__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        n = max(len(self.terms), len(other.terms))
-        return DiffOp([self.coeff(k) + other.coeff(k) for k in range(n)])
+        p, q = self.terms, other.terms
+        if len(p) < len(q):
+            p, q = q, p
+        return DiffOp([*(x + y for x, y in zip(p, q)), *p[len(q):]])
 
     def __sub__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        n = max(len(self.terms), len(other.terms))
-        return DiffOp([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self + -other
 
     def __neg__(self):
         return DiffOp([-p for p in self.terms])
@@ -831,31 +950,57 @@ def op_apply(L: DiffOp, f: Polynomial) -> Polynomial:
 def op_compose(L: DiffOp, M: DiffOp) -> DiffOp:
     """Operator product: the unique N with N(f) = L(M(f)) for every f.
 
-    Computed with the Leibniz rule:
-    ``D^k (q g) = sum_i C(k, i) q^(i) D^(k-i) g``.
+    Computed with the Leibniz rule
+    ``D^k (q g) = sum_i C(k, i) q^(i) D^(k-i) g`` on the numerator tables
+    over the two operators' common denominators, so each coefficient of the
+    result takes one content gcd.
     """
-    acc: dict[int, Polynomial] = {}
-    for k, p in enumerate(L.terms):
-        if p.is_zero():
-            continue
-        for m, q in enumerate(M.terms):
-            if q.is_zero():
-                continue
-            dq = q
-            for i in range(k + 1):
-                if i:
-                    dq = dq.derivative()
-                    if dq.is_zero():
-                        break
-                piece = p * dq * CRat(math.comb(k, i))
-                order = k + m - i
-                acc[order] = acc.get(order, Polynomial.zero()) + piece
-    if not acc:
+    (P, dl), (Q, dm) = _common(L.terms), _common(M.terms)
+    if not (P and Q):
         return DiffOp.zero()
-    top = max(acc)
-    return DiffOp([acc.get(k, Polynomial.zero()) for k in range(top + 1)])
+    width = max(map(len, P)) + max(map(len, Q)) - 1
+    acc = [([0] * width, [0] * width) for _ in range(len(P) + len(Q) - 1)]
+    for m, q in enumerate(Q):
+        dq = q  # the table of q^(i)
+        for i in range(min(len(P), len(q))):  # i <= k, and q^(i) = 0 past its degree
+            if i:
+                dq = [(a * n, b * n) for n, (a, b) in enumerate(dq[1:], 1)]
+            for k in range(i, len(P)):
+                if P[k]:
+                    c = math.comb(k, i)
+                    piece = dq if c == 1 else [(a * c, b * c) for a, b in dq]
+                    _mul_add(*acc[k + m - i], P[k], piece)
+    return DiffOp([_reduced_poly(list(zip(re, im)), dl * dm) for re, im in acc])
 
 
 def commutator(L: DiffOp, M: DiffOp) -> DiffOp:
     """``[L, M] = L M - M L`` as differential operators."""
     return op_compose(L, M) - op_compose(M, L)
+
+
+def monomial_images(L: DiffOp, N: int):
+    """Yield, for ``c = 0, ..., N``, the nonzero coefficients of ``L(z^c)``
+    as a dict ``{degree: CRat}``.
+
+    For ``L = sum_k p_k D^k`` the coefficient of ``z^r`` is the band sum
+    ``sum_k p_k[r - c + k] * c!/(c-k)!``, taken on the numerator tables over
+    the lcm of the ``p_k`` denominators: one gcd per nonzero coefficient.
+    """
+    tables, den = _common(L.terms)
+    # the coefficient p_k[i] of z^i D^k lands on the diagonal r - c = i - k
+    diagonals: dict[int, list] = {}
+    for k, t in enumerate(tables):
+        for i, (a, b) in enumerate(t):
+            if a or b:
+                diagonals.setdefault(i - k, []).append((k, a, b))
+    for c in range(N + 1):
+        falling = [math.perm(c, k) for k in range(len(tables))]  # 0 for k > c
+        col = {}
+        for s, cells in diagonals.items():
+            re = im = 0
+            for k, a, b in cells:
+                re += a * falling[k]
+                im += b * falling[k]
+            if re or im:
+                col[c + s] = _reduced(re, im, den)
+        yield col

@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Surd
+from .algpoly import CR_ONE, CR_ZERO, CRat, Surd, exact_int
 from .heunop import OracleMismatch
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "WeightExpansion",
     "RecurrenceSpec",
     "CoeffSequence",
-    "exact_int",
     "weight_expansion",
     "weight_value_at_zero",
     "recur_real",
@@ -79,22 +78,6 @@ class NonIntegerExponents(ValueError):
 
 class DegenerateLeading(ArithmeticError):
     """The term that the recurrence is solved for carries a zero factor."""
-
-
-def exact_int(x, name: str) -> int:
-    """``x`` as an ``int``: an int (not a bool) or an integer-valued exact value.
-
-    A float or complex raises ``TypeError``, as ``CRat.from_value`` does, and
-    so does a bool; a non-integer exact value raises ``ValueError``.
-    """
-    if isinstance(x, bool):
-        raise TypeError(f"{name} must be an exact integer, got bool")
-    if isinstance(x, int):
-        return x
-    z = CRat.from_value(x)
-    if not z.is_integer():
-        raise ValueError(f"{name} must be an integer, got {z}")
-    return int(z.re)
 
 
 def _ff(k: int, m: int) -> int:

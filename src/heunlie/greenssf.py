@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial, _Immutable
-from .distsol import NonIntegerExponents, exact_int, weight_value_at_zero
+from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial, _Immutable, exact_int
+from .distsol import NonIntegerExponents, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
 __all__ = [
@@ -351,14 +351,15 @@ class GreenKernel:
 
 def _truncated_exponential(p: int) -> Polynomial:
     """``sum_{m=1}^{p} (i w)^(m-1) / (m-1)!``: the degree-(p-1) Taylor
-    truncation of exp(i w), with ``i^k`` cycled and ``1/k!`` carried."""
-    coeffs = []
-    inv_factorial = Fraction(1)
+    truncation of exp(i w), built as the Gaussian integers
+    ``i^k (p-1)!/k!`` over ``(p-1)!``."""
+    top = math.factorial(p - 1)
+    table, term = [], top  # term = (p-1)!/k!
     for k in range(p):
-        part = inv_factorial if k % 4 < 2 else -inv_factorial
-        coeffs.append(CRat(part) if k % 2 == 0 else CRat(0, part))
-        inv_factorial /= k + 1
-    return Polynomial(coeffs)
+        re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]  # i^k
+        table.append(CRat(re * term, im * term))
+        term //= k + 1
+    return Polynomial(table) * CRat.from_ints(1, 0, top)
 
 
 def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,

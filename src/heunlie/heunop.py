@@ -14,7 +14,6 @@ Sign convention: operators are stored with positive leading coefficient
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -27,6 +26,7 @@ from .algpoly import (
     DiffOp,
     Polynomial,
     Surd,
+    monomial_images,
     quadratic_roots,
 )
 from .sl2rep import Spin, UEAExpr, make_generators, uea_expand
@@ -187,14 +187,14 @@ def _indicial_roots(t2: Polynomial, t1: Polynomial, t0: Polynomial, where: CRat
     """
     if t2.is_zero():
         raise NotRegularSingular("vanishing leading coefficient")
-    s = next(i for i, c in enumerate(t2.coeffs) if not c.is_zero())
+    s = next(i for i in range(t2.degree + 1) if t2.coeff(i))
     if s < 1:
         raise NotRegularSingular(f"{where} is an ordinary point (leading coefficient nonzero)")
-    if any(not c.is_zero() for c in (*t1.coeffs[: s - 1], *t0.coeffs[: max(s - 2, 0)])):
+    if any(t1.coeff(i) for i in range(s - 1)) or any(t0.coeff(i) for i in range(s - 2)):
         raise NotRegularSingular(
             f"coefficient fails the regular-singularity order condition at {where}"
         )
-    lead = t2.coeffs[s]
+    lead = t2.coeff(s)
     pc = t1.coeff(s - 1) / lead
     qc = t0.coeff(s - 2) / lead if s >= 2 else CR_ZERO
     return quadratic_roots(CR_ONE, pc - CR_ONE, qc)
@@ -222,13 +222,8 @@ def indicial_exponents(L: DiffOp, point) -> tuple[Surd, Surd]:
         w = Polynomial.variable()
         return _indicial_roots(r2 * w**4, (r2 * w * 2 - r1) * w**2, r0, CR_ZERO)
     z0 = CRat.from_value(point)
-    local = []
-    for p in (p2, p1, p0):
-        acc: list[CRat] = []
-        for c in reversed(p.coeffs):  # Horner in z = z0 + t: acc <- acc (t + z0) + c
-            acc = [x + z0 * y for x, y in zip([c, *acc], [*acc, CR_ZERO])]
-        local.append(Polynomial(acc))
-    return _indicial_roots(*local, z0)
+    shift = Polynomial.variable() + z0
+    return _indicial_roots(*(p.eval(shift) for p in (p2, p1, p0)), z0)
 
 
 # -- enveloping-algebra side -------------------------------------------------
@@ -469,35 +464,26 @@ def es_discrepancies(n: int, p: HeunParams) -> DiscrepancyReport:
 def qes_matrix(L: DiffOp, N: int) -> tuple[tuple[CRat, ...], ...]:
     """Matrix of ``L`` on the monomial basis 1, z, ..., z^N.
 
-    ``M[r][c]`` is the coefficient of ``z^r`` in ``L(z^c)``; for
-    ``L = sum_k p_k(z) D^k`` that is the band formula
-    ``M[r][c] = sum_k p_k[r - c + k] * c!/(c-k)!``, summed over the nonzero
-    coefficients of the ``p_k`` only.  Raises :class:`OverflowColumn` for the
+    ``M[r][c]`` is the coefficient of ``z^r`` in ``L(z^c)``, the band sums
+    of :func:`monomial_images`.  Raises :class:`OverflowColumn` for the
     first column whose fully accumulated image has degree above N, because
     single terms may exceed N and cancel, as the raising terms at spin n/2
     do in column n.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    nonzero = [[(i, x) for i, x in enumerate(pk.coeffs) if not x.is_zero()] for pk in L.terms]
     # sparse columns until the last one passes: a refused N allocates no
     # dense (N+1)^2 matrix
     cols: list[dict[int, CRat]] = []
-    for c in range(N + 1):
-        col: dict[int, CRat] = {}
-        for k, cells in enumerate(nonzero[: c + 1]):  # D^k z^c = 0 for k > c
-            falling = math.perm(c, k)
-            for i, x in cells:
-                col[i + c - k] = col.get(i + c - k, CR_ZERO) + x * falling
-        degree = max((r for r, x in col.items() if not x.is_zero()), default=-1)
+    for c, col in enumerate(monomial_images(L, N)):
+        degree = max(col, default=-1)
         if degree > N:
             raise OverflowColumn(c, degree, N)
         cols.append(col)
     dense = [[CR_ZERO] * (N + 1) for _ in cols]
     for column, col in zip(dense, cols):
         for r, x in col.items():
-            if r <= N:  # entries past N cancelled to zero
-                column[r] = x
+            column[r] = x
     return tuple(zip(*dense))
 
 

@@ -13,7 +13,6 @@ differential operator.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Union
 
 from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, _Immutable, op_compose
@@ -70,12 +69,9 @@ class Spin(_Immutable):
 def make_generators(j) -> tuple[DiffOp, DiffOp, DiffOp]:
     """The spin-j triple (Jp, J0, Jm) = (z^2 D - 2jz, z D - j, D)."""
     j = Spin(j).j
-    z2 = Polynomial.monomial(2)
-    z1 = Polynomial.variable()
-    jp = DiffOp.from_term(z2, 1) + DiffOp.from_term(z1 * CRat(-2 * j), 0)
-    j0 = DiffOp.from_term(z1, 1) + DiffOp.from_term(Polynomial([-j]), 0)
-    jm = DiffOp.d()
-    return jp, j0, jm
+    jp = DiffOp([Polynomial([0, -2 * j]), Polynomial.monomial(2)])
+    j0 = DiffOp([Polynomial([-j]), Polynomial.variable()])
+    return jp, j0, DiffOp.d()
 
 
 class UEAExpr(_Immutable):
@@ -155,12 +151,22 @@ def _parse_coeff(text: str) -> CRat:
 
 def uea_expand(expr: UEAExpr, j) -> DiffOp:
     """Substitute the spin-j generators for the letters and expand."""
-    jp, j0, jm = make_generators(j)
-    table = {"+": jp, "0": j0, "-": jm}
-    out = DiffOp.zero()
-    for coeff, word in expr.words:
-        ops = [table[ch] for ch in word]
-        out = out + reduce(op_compose, ops) * coeff
-    if not expr.constant.is_zero():
-        out = out + DiffOp.identity() * expr.constant
+    return _expand(expr.words, expr.constant, dict(zip(LETTERS, make_generators(j))))
+
+
+def _expand(words, constant: CRat, table: dict) -> DiffOp:
+    """``constant + sum c_w L_w`` for the ``(c_w, w)`` pairs, ``L_w`` the
+    product of the letters' operators.  Composition is linear in its right
+    factor, so the words that start with one letter ``x`` are expanded as
+    one product ``L_x (sum c_w L_v)`` over their tails ``v``."""
+    out = DiffOp.identity() * constant
+    for x in LETTERS:
+        tails = [(c, w[1:]) for c, w in words if w[0] == x]
+        if tails:
+            longer = [(c, v) for c, v in tails if v]
+            scalar = sum((c for c, v in tails if not v), CR_ZERO)
+            if longer:
+                out = out + op_compose(table[x], _expand(longer, scalar, table))
+            else:
+                out = out + table[x] * scalar
     return out

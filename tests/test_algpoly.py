@@ -324,9 +324,9 @@ class TestPolynomial:
             expected = expected * p
         assert p ** n == expected
 
-    @pytest.mark.parametrize("n", [-1, 1.5])
-    def test_pow_refuses_negative_and_non_int_exponents(self, n):
-        with pytest.raises(TypeError):
+    @pytest.mark.parametrize("n, error", [(-1, ValueError), (1.5, TypeError), (True, TypeError)])
+    def test_pow_refuses_negative_and_non_int_exponents(self, n, error):
+        with pytest.raises(error):
             Polynomial([1, 1]) ** n
 
     @given(poly_st(), poly_st())

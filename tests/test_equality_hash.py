@@ -250,7 +250,7 @@ class TestDistributionCenters:
 @pytest.mark.parametrize("make, name", [
     (lambda: CRat(Fraction(1, 2), 3), "triple"),
     (lambda: Surd(1, 2, 3), "rad"),
-    (lambda: Polynomial([1, 2]), "coeffs"),
+    (lambda: Polynomial([1, 2]), "_num"),
     (lambda: DiffOp([Polynomial([1])]), "terms"),
     (lambda: Spin(Fraction(3, 2)), "j"),
     (lambda: UEAExpr([(1, "+0")], 2), "words"),

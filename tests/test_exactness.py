@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from heunlie import cli
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
 from heunlie.distsol import (
     CoeffSequence,
     NonIntegerExponents,
@@ -85,6 +85,8 @@ SPEC = RecurrenceSpec.make(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3)
 HEUN = HeunParams(3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 3),
                   Fraction(-1, 2), Fraction(7, 5))
 SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
+CUBIC = Polynomial([1, 2, 3, 4])
+Z = Polynomial.variable()
 
 # (entry point, an exact value it accepts)
 ENTRY_POINTS = {
@@ -128,6 +130,10 @@ ENTRY_POINTS = {
     "uea_heun j": (lambda x: uea_heun(x, HEUN), 1),
     "verify_theorem1 j": (lambda x: verify_theorem1(x, HEUN), 1),
     "es_condition j": (lambda x: es_condition(x, HEUN), Fraction(3, 2)),
+    "Polynomial.monomial k": (Polynomial.monomial, 2),
+    "Polynomial.derivative order": (CUBIC.derivative, 2),
+    "Polynomial ** n": (lambda x: CUBIC ** x, 2),
+    "DiffOp.from_term order": (lambda x: DiffOp.from_term(Z, x), 2),
 }
 
 
@@ -151,7 +157,14 @@ INTEGER_ARGUMENTS = {
     "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), recur_imag(SPEC, 1, 1, 2)),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
+    "Polynomial.monomial k": (Polynomial.monomial, Polynomial([0, 0, 1])),
+    "Polynomial.derivative order": (CUBIC.derivative, Polynomial([6, 24])),
+    "Polynomial ** n": (lambda x: CUBIC ** x, CUBIC * CUBIC),
+    "DiffOp.from_term order": (lambda x: DiffOp.from_term(Z, x), DiffOp([0, 0, Z])),
 }
+# the orders and degrees among them: a negative value raises ValueError
+ORDERS = ["Polynomial.monomial k", "Polynomial.derivative order", "Polynomial ** n",
+          "DiffOp.from_term order"]
 
 # weight exponents: the same rule, but a non-integer or a value below 1
 # raises NonIntegerExponents with the message a distsol report prints
@@ -186,6 +199,14 @@ def test_bool_integer_argument_raises_type_error(name):
 def test_non_integer_exact_argument_raises_value_error(name, value):
     fn, _ = INTEGER_ARGUMENTS[name]
     with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(str(value))}$"):
+        fn(value)
+
+
+@pytest.mark.parametrize("value", [-1, -3, Fraction(-4, 2)])
+@pytest.mark.parametrize("name", ORDERS)
+def test_negative_order_raises_value_error(name, value):
+    fn, _ = INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"must be nonnegative, got {int(value)}$"):
         fn(value)
 
 

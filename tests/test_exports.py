@@ -45,6 +45,26 @@ def test_cli_imports_only_public_functions():
     assert not hidden, f"sibling imports of functions missing from __all__: {hidden}"
 
 
+def test_only_algpoly_reads_the_polynomial_table():
+    # the numerator table and denominator of a Polynomial are algpoly's
+    # format: every other module reads coefficients through coeffs/coeff(k)
+    import ast
+
+    private = set(Polynomial.__slots__)
+    readers = []
+    for name in MODULES:
+        if name == "algpoly":
+            continue
+        mod = importlib.import_module(f"heunlie.{name}")
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            field = (node.attr if isinstance(node, ast.Attribute)
+                     else node.value if isinstance(node, ast.Constant) else None)
+            if field in private:
+                readers.append(f"{name}:{node.lineno}: {field}")
+    assert private == {"_num", "_den"}
+    assert not readers, f"modules other than algpoly read the polynomial table: {readers}"
+
+
 SCALARS = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
 # constants that no caller sets: passing one as a parameter is a TypeError
 REMOVED_PARAMETERS = {

@@ -346,6 +346,171 @@ def reference_residuals(c, spec, which):
     return out
 
 
+# -- the CRat-list reference for Polynomial and DiffOp ---------------------------
+# A polynomial is a tuple of CRat coefficients, low degree first, trailing zeros
+# trimmed, and an operator a tuple of such tuples, index = derivative order.
+# The algorithms are the ones Polynomial, DiffOp and the kernels over them ran
+# when a polynomial held one CRat per coefficient: every coefficient operation
+# is a CRat operation.
+
+
+def _trimmed(items) -> tuple:
+    out = list(items)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def list_poly(cs) -> tuple:
+    """The reference form of a coefficient list: CRat values, trailing zeros
+    trimmed."""
+    return _trimmed(CRat.from_value(c) for c in cs)
+
+
+def list_op(polys) -> tuple:
+    """The reference form of an operator's coefficient lists."""
+    return _trimmed(list_poly(cs) for cs in polys)
+
+
+def _at(p, k):
+    return p[k] if 0 <= k < len(p) else CR_ZERO
+
+
+def list_add(p, q) -> tuple:
+    return _trimmed(_at(p, k) + _at(q, k) for k in range(max(len(p), len(q))))
+
+
+def list_sub(p, q) -> tuple:
+    return _trimmed(_at(p, k) - _at(q, k) for k in range(max(len(p), len(q))))
+
+
+def list_mul(p, q) -> tuple:
+    if not (p and q):
+        return ()
+    out = [CR_ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return _trimmed(out)
+
+
+def list_scale(p, c) -> tuple:
+    c = CRat.from_value(c)
+    return _trimmed(x * c for x in p)
+
+
+def list_derivative(p, order=1) -> tuple:
+    return _trimmed(c * math.perm(k, order) for k, c in enumerate(p[order:], order))
+
+
+def list_eval(p, x):
+    """Horner: exact at an exact ``x``, a complex at a float or complex one."""
+    if isinstance(x, (float, complex)):
+        z = 0j
+        for c in reversed(p):
+            z = z * x + complex(c)
+        return z
+    acc = CR_ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def list_op_apply(L, f) -> tuple:
+    out, df = (), f
+    for k, p in enumerate(L):
+        if k:
+            df = list_derivative(df)
+        if p:
+            out = list_add(out, list_mul(p, df))
+    return out
+
+
+def list_op_compose(L, M) -> tuple:
+    """Leibniz: ``D^k (q g) = sum_i C(k, i) q^(i) D^(k-i) g``, piece by piece."""
+    acc = {}
+    for k, p in enumerate(L):
+        if not p:
+            continue
+        for m, q in enumerate(M):
+            if not q:
+                continue
+            dq = q
+            for i in range(k + 1):
+                if i:
+                    dq = list_derivative(dq)
+                    if not dq:
+                        break
+                piece = list_scale(list_mul(p, dq), math.comb(k, i))
+                acc[k + m - i] = list_add(acc.get(k + m - i, ()), piece)
+    return _trimmed(acc.get(k, ()) for k in range(max(acc, default=-1) + 1))
+
+
+def list_commutator(L, M) -> tuple:
+    LM, ML = list_op_compose(L, M), list_op_compose(M, L)
+    return _trimmed(list_sub(*(X[k] if k < len(X) else () for X in (LM, ML)))
+                    for k in range(max(len(LM), len(ML))))
+
+
+def list_qes_matrix(L, N):
+    """The band formula ``M[r][c] = sum_k p_k[r - c + k] c!/(c-k)!`` summed
+    entry by entry in CRat, column by column; the first column whose image
+    has degree above N raises OverflowColumn."""
+    cols = []
+    for c in range(N + 1):
+        col = {}
+        for k, p in enumerate(L[: c + 1]):
+            falling = math.perm(c, k)
+            for i, x in enumerate(p):
+                if x:
+                    col[i + c - k] = col.get(i + c - k, CR_ZERO) + x * falling
+        degree = max((r for r, x in col.items() if x), default=-1)
+        if degree > N:
+            raise OverflowColumn(c, degree, N)
+        cols.append([col.get(r, CR_ZERO) for r in range(N + 1)])
+    return tuple(tuple(col[r] for col in cols) for r in range(N + 1))
+
+
+def _shifted(p, s) -> tuple:
+    """``p`` times ``w^s``."""
+    return (CR_ZERO,) * s + p if p else ()
+
+
+def list_indicial_exponents(L, point):
+    """Frobenius exponents from the local coefficient lists: at a finite
+    ``z0`` the lists ``p_k(z0 + t)`` by Horner on lists, at infinity the
+    reversed lists combined as ``w^4 r_2``, ``2 w^3 r_2 - w^2 r_1``, ``r_0``."""
+    if len(L) != 3:
+        raise NotRegularSingular("indicial data implemented for second-order operators")
+    p0, p1, p2 = L
+    if point is INFINITY:
+        d = max(len(p) for p in L) - 1
+        r2, r1, r0 = (_trimmed(_at(p, d - i) for i in range(d + 1)) for p in (p2, p1, p0))
+        local = (_shifted(r2, 4), list_sub(_shifted(list_scale(r2, 2), 3), _shifted(r1, 2)), r0)
+        z0 = CR_ZERO
+    else:
+        z0 = CRat.from_value(point)
+        local = []
+        for p in (p2, p1, p0):
+            acc = []
+            for c in reversed(p):  # acc <- acc (t + z0) + c
+                acc = [x + z0 * y for x, y in zip([c, *acc], [*acc, CR_ZERO])]
+            local.append(_trimmed(acc))
+    t2, t1, t0 = local
+    if not t2:
+        raise NotRegularSingular("vanishing leading coefficient")
+    s = next(i for i, c in enumerate(t2) if c)
+    if s < 1:
+        raise NotRegularSingular(f"{z0} is an ordinary point (leading coefficient nonzero)")
+    if any(c for c in (*t1[: s - 1], *t0[: max(s - 2, 0)])):
+        raise NotRegularSingular(f"coefficient fails the regular-singularity order condition at {z0}")
+    pc = _at(t1, s - 1) / t2[s]
+    qc = _at(t0, s - 2) / t2[s] if s >= 2 else CR_ZERO
+    return quadratic_roots(CR_ONE, pc - CR_ONE, qc)
+
+
 VERSION_FIELD = re.compile(r'"version": "[^"]*",\s*|^version: .*\n', re.M)
 
 
