@@ -34,6 +34,7 @@ __all__ = [
     "commutator",
     "monomial_images",
     "exact_int",
+    "exact_count",
     "quadratic_roots",
     "csqrt_exact",
     "CR_ZERO",
@@ -411,6 +412,15 @@ def exact_int(x, name: str) -> int:
     return int(z.re)
 
 
+def exact_count(k, name: str) -> int:
+    """``k`` as an ``int >= 0`` by the rule of :func:`exact_int`; a negative
+    value raises ``ValueError``."""
+    k = exact_int(k, name)
+    if k < 0:
+        raise ValueError(f"{name} must be nonnegative, got {k}")
+    return k
+
+
 def _isqrt_exact(n: int):
     r = math.isqrt(n)
     return r if r * r == n else None
@@ -525,6 +535,8 @@ class Surd(_Immutable):
     # -- comparisons / conversions --------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (float, complex)):
+            return self.is_exact() and self.base == other
         if isinstance(other, (int, Fraction, CRat)):
             other = Surd.from_value(other)
         if not isinstance(other, Surd):
@@ -631,7 +643,7 @@ class Polynomial(_Immutable):
 
     @classmethod
     def monomial(cls, k: int) -> "Polynomial":
-        return _poly(((0, 0),) * _count(k, "monomial degree") + ((1, 0),), 1)
+        return _poly(((0, 0),) * exact_count(k, "monomial degree") + ((1, 0),), 1)
 
     # -- structure ------------------------------------------------------
 
@@ -687,7 +699,7 @@ class Polynomial(_Immutable):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, _count(n, "exponent"), Polynomial.one())
+        return _power(self, exact_count(n, "exponent"), Polynomial.one())
 
     @staticmethod
     def _as_poly(other) -> "Polynomial":
@@ -697,7 +709,7 @@ class Polynomial(_Immutable):
         return _reduced_poly([(a, b)], d)
 
     def derivative(self, order: int = 1) -> "Polynomial":
-        order = _count(order, "derivative order")
+        order = exact_count(order, "derivative order")
         # c_k z^k differentiates to perm(k, order) c_k z^(k - order)
         out = []
         for k, (a, b) in enumerate(self._num[order:], order):
@@ -738,8 +750,9 @@ class Polynomial(_Immutable):
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self._num == other._num and self._den == other._den
-        if isinstance(other, (int, Fraction, CRat)):
-            return self == self._as_poly(other)
+        if isinstance(other, (int, Fraction, float, complex, CRat, Surd)):
+            # a constant compares as its scalar
+            return len(self._num) <= 1 and self.coeff(0) == other
         return NotImplemented
 
     def __hash__(self):
@@ -814,15 +827,6 @@ def _convolve(p, q) -> list:
     return list(zip(re, im))
 
 
-def _count(k, name: str) -> int:
-    """``k`` as an ``int >= 0`` by the rule of :func:`exact_int`; a negative
-    value raises ``ValueError``."""
-    k = exact_int(k, name)
-    if k < 0:
-        raise ValueError(f"{name} must be nonnegative, got {k}")
-    return k
-
-
 class DiffOp(_Immutable):
     """Linear differential operator ``sum_k p_k(z) D^k`` with Polynomial p_k."""
 
@@ -849,7 +853,7 @@ class DiffOp(_Immutable):
     @classmethod
     def from_term(cls, poly, order: int = 0) -> "DiffOp":
         poly = poly if isinstance(poly, Polynomial) else Polynomial._as_poly(poly)
-        return cls([Polynomial.zero()] * _count(order, "derivative order") + [poly])
+        return cls([Polynomial.zero()] * exact_count(order, "derivative order") + [poly])
 
     @property
     def order(self):
@@ -993,7 +997,7 @@ def monomial_images(L: DiffOp, N: int):
         for i, (a, b) in enumerate(t):
             if a or b:
                 diagonals.setdefault(i - k, []).append((k, a, b))
-    for c in range(N + 1):
+    for c in range(exact_count(N, "N") + 1):
         falling = [math.perm(c, k) for k in range(len(tables))]  # 0 for k > c
         col = {}
         for s, cells in diagonals.items():

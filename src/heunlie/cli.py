@@ -405,7 +405,7 @@ def _render(payload: dict, output: str) -> str:
 
 # The bytes of json.dumps(node, indent=2), built by C-level joins.  With an
 # indent, CPython's json runs its pure-Python encoder, one generator step per
-# value; here a list of strings is one join and a list of flat rows one
+# value; here a list of scalars is one join and a list of flat rows one
 # join per row, and the report is joined once from its chunks.  Strings are
 # escaped by encode_basestring_ascii; json's C encoder, built once with
 # json.dumps's defaults, spells every other scalar, every non-string key and
@@ -439,7 +439,7 @@ def _json(node, nl: str, chunks: list[str]) -> None:
         sep = "," + inner
         chunks.append("[" + inner)
         kinds = set(map(type, node))
-        if kinds == {str}:
+        if kinds <= _SCALAR_TYPES:
             quote, texts = _column(node, kinds)
             chunks.append(quote + (quote + sep + quote).join(texts) + quote)
         elif kinds == {dict} and (rows := _rows(node, inner)) is not None:

@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Surd, exact_int
+from .algpoly import CR_ONE, CR_ZERO, CRat, Surd, exact_count, exact_int
 from .heunop import OracleMismatch
 
 __all__ = [
@@ -193,7 +193,7 @@ class RecurrenceSpec:
     @classmethod
     def make(cls, l, rho=0, sigma=0, tau=0, ab=0, E=0, a=2) -> "RecurrenceSpec":
         return cls(
-            l=exact_int(l, "l"),
+            l=l,
             rho=CRat.from_value(rho),
             sigma=CRat.from_value(sigma),
             tau=CRat.from_value(tau),
@@ -203,6 +203,7 @@ class RecurrenceSpec:
         )
 
     def __post_init__(self):
+        object.__setattr__(self, "l", exact_int(self.l, "l"))
         if self.l < 1:
             raise ValueError(f"exponent offset l must be >= 1, got {self.l}")
 
@@ -557,6 +558,7 @@ def _digits(x, i: int, limit: int) -> str:
 
 
 def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
+    K = exact_int(K, "K")
     if K < 1:
         raise ValueError("truncation K must be at least 1")
     start = max(2, spec.l - _BRANCHES[branch].offset)
@@ -630,6 +632,7 @@ def paper_ck(A, B, roots_fn: RootsFn, spec: RecurrenceSpec, K: int,
     B = CRat.from_value(B)
     if A + B != CR_ONE:
         raise ValueError("closed-form weights must satisfy A + B = 1")
+    K, start = exact_count(K, "K"), exact_count(start, "start")
     vals = []
     for k in range(K + 1):
         if k < start:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial, _Immutable, exact_int
+from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial, _Immutable, exact_count, exact_int
 from .distsol import NonIntegerExponents, weight_value_at_zero
 from .heunop import HeunParams, expanded_es_coeffs
 
@@ -70,10 +70,11 @@ class ZeroEigenvalue(ZeroDivisionError):
 class Distribution(_Immutable):
     """Finite sum ``sum_i coeff_i * delta^(order_i)(x - center_i)``.
 
-    Centers and coefficients are exact (``CRat.from_value``).  Terms sharing
-    an order and a center are merged, zero coefficients are pruned, and the
-    rest are sorted by order and the text of their center.  That is one
-    canonical form per value, so equality and hashing read ``terms`` alone.
+    Orders are counts (``exact_count``); centers and coefficients are exact
+    (``CRat.from_value``).  Terms sharing an order and a center are merged,
+    zero coefficients are pruned, and the rest are sorted by order and the
+    text of their center.  That is one canonical form per value, so equality
+    and hashing read ``terms`` alone.
     """
 
     __slots__ = ("terms",)
@@ -81,11 +82,7 @@ class Distribution(_Immutable):
     def __init__(self, terms: Iterable = ()):
         merged: dict = {}
         for order, center, coeff in terms:
-            if isinstance(order, bool):
-                raise TypeError("delta derivative order must be an exact integer, got bool")
-            if not isinstance(order, int) or order < 0:
-                raise ValueError(f"delta derivative order must be an integer >= 0, got {order!r}")
-            key = (order, CRat.from_value(center))
+            key = (exact_count(order, "delta derivative order"), CRat.from_value(center))
             coeff = CRat.from_value(coeff)
             merged[key] = merged[key] + coeff if key in merged else coeff
         kept = [
@@ -164,8 +161,7 @@ def monomial_times_delta(n: int, m: int) -> Distribution:
 
     0 for ``m < n`` and ``(-1)^n m!/(m-n)! delta^(m-n)(w)`` otherwise.
     """
-    if n < 0 or m < 0:
-        raise ValueError("monomial degree and delta order must be nonnegative")
+    n, m = exact_count(n, "monomial degree"), exact_count(m, "delta order")
     if m < n:
         return Distribution.zero()
     coeff = CRat((-1) ** n * math.factorial(m) // math.factorial(m - n))
@@ -187,7 +183,7 @@ class KernelScalars:
     @classmethod
     def from_heun(cls, n: int, p: HeunParams) -> "KernelScalars":
         got = expanded_es_coeffs(n, p)
-        return cls(n=n, a=p.a, rho=got.rho, sigma=got.sigma, tau=got.tau)
+        return cls.direct(n, p.a, got.rho, got.sigma, got.tau)
 
     @classmethod
     def direct(cls, n: int, a, rho, sigma, tau) -> "KernelScalars":
@@ -242,7 +238,7 @@ def symbol_coeffs(m_kl: int, n: int, scalars: KernelScalars) -> SymbolCoeffs:
     one = CR_ONE
     a = scalars.a
     rho, sigma, tau = scalars.rho, scalars.sigma, scalars.tau
-    m = CRat(m_kl)
+    m, n = CRat(exact_int(m_kl, "m_kl")), exact_int(n, "n")
     eps0 = Polynomial(
         [
             (m - one) * ((one + a) * (m - CRat(2)) + rho) + tau * (m + one),

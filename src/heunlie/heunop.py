@@ -26,6 +26,8 @@ from .algpoly import (
     DiffOp,
     Polynomial,
     Surd,
+    exact_count,
+    exact_int,
     monomial_images,
     quadratic_roots,
 )
@@ -438,9 +440,7 @@ def es_operator(n: int, p: HeunParams) -> DiffOp:
     Built from the generator algebra, never from the published coefficient
     list; the list is audited by :func:`es_discrepancies`.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    return _Analysis(n, p).es_operator
+    return _Analysis(exact_count(n, "n"), p).es_operator
 
 
 def expanded_es_coeffs(n: int, p: HeunParams) -> ExpandedCoeffs:
@@ -470,8 +470,7 @@ def qes_matrix(L: DiffOp, N: int) -> tuple[tuple[CRat, ...], ...]:
     single terms may exceed N and cancel, as the raising terms at spin n/2
     do in column n.
     """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    N = exact_count(N, "N")
     # sparse columns until the last one passes: a refused N allocates no
     # dense (N+1)^2 matrix
     cols: list[dict[int, CRat]] = []
@@ -577,13 +576,9 @@ class _Analysis:
     """
 
     def __init__(self, n: int, p: HeunParams):
-        if isinstance(n, bool):
-            raise TypeError("n must be an exact integer, got bool")
-        if not isinstance(n, int):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        self.n = n
+        self.n = exact_int(n, "n")
         self.p = p
-        self.j = Spin.from_n(n).j
+        self.j = Spin.from_n(self.n).j
 
     @cached_property
     def expanded(self) -> DiffOp:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, _Immutable, op_compose
+from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, _Immutable, exact_int, op_compose
 
 __all__ = [
     "Spin",
@@ -45,7 +45,7 @@ class Spin(_Immutable):
 
     @classmethod
     def from_n(cls, n: int) -> "Spin":
-        return cls(Fraction(n, 2))
+        return cls(Fraction(exact_int(n, "n"), 2))
 
     @property
     def n(self) -> int:

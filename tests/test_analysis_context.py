@@ -150,9 +150,9 @@ class TestOneAnalysisPerReport:
 
     def test_public_readers_keep_their_refusals(self):
         p = HeunParams(2, 1, 1, 1, 1, 1, 1)
-        with pytest.raises(ValueError, match="nonnegative integer, got -1"):
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
             es_spectrum(-1, p, 0)
-        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+        with pytest.raises(TypeError, match="^cannot coerce float to CRat exactly$"):
             es_discrepancies(1.5, p)
         # the coefficient audit still accepts a negative spin integer
         assert es_discrepancies(-2, p).residual("es_rho") == CR_ZERO
@@ -166,8 +166,10 @@ class TestOneAnalysisPerReport:
         for flag in (True, False):
             with pytest.raises(TypeError, match="^n must be an exact integer, got bool$"):
                 reader(flag, p)
-        with pytest.raises(ValueError, match="integer, got 1.5$"):
+        with pytest.raises(TypeError, match="^cannot coerce float to CRat exactly$"):
             reader(1.5, p)
+        with pytest.raises(ValueError, match="^n must be an integer, got 3/2$"):
+            reader(Fraction(3, 2), p)
 
     def test_indicial_rows_skip_the_canonical_check(self, monkeypatch):
         counts = _count_calls(monkeypatch, ("build_expanded", "build_canonical_cleared"))

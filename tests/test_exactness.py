@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from heunlie import cli
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial, monomial_images
 from heunlie.distsol import (
     CoeffSequence,
     NonIntegerExponents,
@@ -30,9 +30,21 @@ from heunlie.greenssf import (
     KernelScalars,
     green_coincidence,
     green_kernel,
+    monomial_times_delta,
+    symbol_coeffs,
 )
-from heunlie.heunop import HeunParams, es_condition, uea_heun, verify_theorem1
-from heunlie.sl2rep import UEAExpr, make_generators, uea_expand
+from heunlie.heunop import (
+    HeunParams,
+    es_condition,
+    es_discrepancies,
+    es_operator,
+    es_spectrum,
+    expanded_es_coeffs,
+    qes_matrix,
+    uea_heun,
+    verify_theorem1,
+)
+from heunlie.sl2rep import Spin, UEAExpr, make_generators, uea_expand
 
 PARAMS = ["--a=3", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3",
           "--delta=-1/2", "--epsilon=7/5"]
@@ -88,26 +100,18 @@ SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
 CUBIC = Polynomial([1, 2, 3, 4])
 Z = Polynomial.variable()
 
-# (entry point, an exact value it accepts)
+# (entry point, an exact value it accepts); every integer argument below is
+# checked the same way at the int 2
 ENTRY_POINTS = {
     "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
     "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
     "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
-    "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x), 2),
     "RecurrenceSpec rho": (lambda x: RecurrenceSpec.make(l=1, rho=x), CR_ONE),
     "RecurrenceSpec sigma": (lambda x: RecurrenceSpec.make(l=1, sigma=x), CR_ONE),
     "RecurrenceSpec tau": (lambda x: RecurrenceSpec.make(l=1, tau=x), CR_ONE),
     "RecurrenceSpec ab": (lambda x: RecurrenceSpec.make(l=1, ab=x), CR_ONE),
     "RecurrenceSpec a": (lambda x: RecurrenceSpec.make(l=1, a=x), CR_ONE),
-    "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3), 1),
-    "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x), 2),
-    "weight_expansion rho": (lambda x: weight_expansion(x, 2, 2, 3), 2),
-    "weight_expansion sigma": (lambda x: weight_expansion(2, x, 2, 3), 2),
-    "weight_expansion tau": (lambda x: weight_expansion(2, 2, x, 3), 2),
-    "weight_value_at_zero rho": (lambda x: weight_value_at_zero(x, 2, 2, 3), 1),
-    "weight_value_at_zero sigma": (lambda x: weight_value_at_zero(1, x, 2, 3), 2),
-    "weight_value_at_zero tau": (lambda x: weight_value_at_zero(1, 2, x, 3), 2),
     "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
     "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
     "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
@@ -117,54 +121,64 @@ ENTRY_POINTS = {
     "forward_imag c1": (lambda x: forward_imag(SPEC, 1, x, 4), CR_ONE),
     "recur_real c_k-1": (lambda x: recur_real(SPEC, 1, x, 2), CR_ONE),
     "recur_imag c_k-2": (lambda x: recur_imag(SPEC, x, 1, 2), CR_ONE),
-    "recur_real k": (lambda x: recur_real(SPEC, 1, 1, x), 2),
-    "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), 2),
     "paper_ck A": (lambda x: paper_ck(x, 0, closed_form_roots_real, SPEC, 4, start=1), CR_ONE),
     "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
     "residual_check entry": (lambda x: residual_check(CoeffSequence((1, 1, x)), SPEC, "real"),
                              CR_ONE),
-    "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x), 2),
-    "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x), 2),
     "make_generators j": (make_generators, Fraction(1, 2)),
     "uea_expand j": (lambda x: uea_expand(UEAExpr.parse("1 * +-"), x), 1),
     "uea_heun j": (lambda x: uea_heun(x, HEUN), 1),
     "verify_theorem1 j": (lambda x: verify_theorem1(x, HEUN), 1),
     "es_condition j": (lambda x: es_condition(x, HEUN), Fraction(3, 2)),
-    "Polynomial.monomial k": (Polynomial.monomial, 2),
-    "Polynomial.derivative order": (CUBIC.derivative, 2),
-    "Polynomial ** n": (lambda x: CUBIC ** x, 2),
-    "DiffOp.from_term order": (lambda x: DiffOp.from_term(Z, x), 2),
 }
 
+D = DiffOp.d()
 
-@pytest.mark.parametrize("inexact", [0.5, 2.0, 0.5j, complex(1, 0)])
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_float_or_complex_input_raises_type_error(name, inexact):
-    fn, exact = ENTRY_POINTS[name]
-    fn(exact)
-    with pytest.raises(TypeError, match=f"^cannot coerce {type(inexact).__name__} to CRat exactly$"):
-        fn(inexact)
+
+def _ck(K=4, start=1):
+    return paper_ck(1, 0, closed_form_roots_real, SPEC, K, start=start)
 
 
 # integer arguments: (entry point, its result at the int 2)
 INTEGER_ARGUMENTS = {
     "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x).l, 2),
+    "RecurrenceSpec(l)": (lambda x: RecurrenceSpec(x, *[CR_ONE] * 6).l, 2),
     "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x),
                                  closed_form_roots_real(SPEC, 2)),
     "closed_form_roots_imag k": (lambda x: closed_form_roots_imag(SPEC, x),
                                  closed_form_roots_imag(SPEC, 2)),
     "recur_real k": (lambda x: recur_real(SPEC, 1, 1, x), recur_real(SPEC, 1, 1, 2)),
     "recur_imag k": (lambda x: recur_imag(SPEC, 1, 1, x), recur_imag(SPEC, 1, 1, 2)),
+    "forward_real K": (lambda x: forward_real(SPEC, 1, 0, x), forward_real(SPEC, 1, 0, 2)),
+    "forward_imag K": (lambda x: forward_imag(SPEC, 1, 0, x), forward_imag(SPEC, 1, 0, 2)),
+    "paper_ck K": (lambda x: _ck(K=x), _ck(K=2)),
+    "paper_ck start": (lambda x: _ck(start=x), _ck(start=2)),
     "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
+    "KernelScalars.from_heun n": (lambda x: KernelScalars.from_heun(x, HEUN).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
+    "Distribution order": (lambda x: Distribution.delta(x).terms[0][0], 2),
+    "monomial_times_delta n": (lambda x: monomial_times_delta(x, 3), monomial_times_delta(2, 3)),
+    "monomial_times_delta m": (lambda x: monomial_times_delta(1, x), monomial_times_delta(1, 2)),
+    "symbol_coeffs m_kl": (lambda x: symbol_coeffs(x, 1, SCALARS), symbol_coeffs(2, 1, SCALARS)),
+    "symbol_coeffs n": (lambda x: symbol_coeffs(1, x, SCALARS), symbol_coeffs(1, 2, SCALARS)),
+    "es_operator n": (lambda x: es_operator(x, HEUN), es_operator(2, HEUN)),
+    "expanded_es_coeffs n": (lambda x: expanded_es_coeffs(x, HEUN), expanded_es_coeffs(2, HEUN)),
+    "es_discrepancies n": (lambda x: es_discrepancies(x, HEUN).as_list(),
+                           es_discrepancies(2, HEUN).as_list()),
+    "es_spectrum N": (lambda x: es_spectrum(2, HEUN, x), es_spectrum(2, HEUN, 2)),
+    "qes_matrix N": (lambda x: qes_matrix(D, x), qes_matrix(D, 2)),
+    "monomial_images N": (lambda x: list(monomial_images(D, x)), list(monomial_images(D, 2))),
+    "Spin.from_n n": (Spin.from_n, Spin(1)),
     "Polynomial.monomial k": (Polynomial.monomial, Polynomial([0, 0, 1])),
     "Polynomial.derivative order": (CUBIC.derivative, Polynomial([6, 24])),
     "Polynomial ** n": (lambda x: CUBIC ** x, CUBIC * CUBIC),
     "DiffOp.from_term order": (lambda x: DiffOp.from_term(Z, x), DiffOp([0, 0, Z])),
 }
-# the orders and degrees among them: a negative value raises ValueError
+# the counts among them (orders, degrees, sizes): a negative value raises ValueError
 ORDERS = ["Polynomial.monomial k", "Polynomial.derivative order", "Polynomial ** n",
-          "DiffOp.from_term order"]
+          "DiffOp.from_term order", "paper_ck K", "paper_ck start", "Distribution order",
+          "monomial_times_delta n", "monomial_times_delta m", "es_operator n",
+          "es_spectrum N", "qes_matrix N", "monomial_images N"]
 
 # weight exponents: the same rule, but a non-integer or a value below 1
 # raises NonIntegerExponents with the message a distsol report prints
@@ -177,6 +191,19 @@ WEIGHT_EXPONENTS = {
     "weight_value_at_zero tau": (lambda x: weight_value_at_zero(1, 2, x, 3), CRat(3)),
 }
 EXACT_INT_RULE = {**INTEGER_ARGUMENTS, **WEIGHT_EXPONENTS}
+INEXACT_REFUSED = {**ENTRY_POINTS,
+                   **{name: (fn, 2) for name, (fn, _) in EXACT_INT_RULE.items()}}
+
+
+@pytest.mark.parametrize("inexact", [0.5, 2.0, 0.5j, complex(1, 0)])
+@pytest.mark.parametrize("name", sorted(INEXACT_REFUSED))
+def test_float_or_complex_input_raises_type_error(name, inexact):
+    fn, exact = INEXACT_REFUSED[name]
+    fn(exact)
+    with pytest.raises(TypeError, match=f"^cannot coerce {type(inexact).__name__} to CRat exactly$"):
+        fn(inexact)
+
+
 
 
 @pytest.mark.parametrize("exact", [2, Fraction(4, 2), CRat(2)])

@@ -65,6 +65,26 @@ def test_only_algpoly_reads_the_polynomial_table():
     assert not readers, f"modules other than algpoly read the polynomial table: {readers}"
 
 
+def test_only_algpoly_checks_for_bool():
+    # isinstance(x, bool) is the sign of a hand-rolled integer check: every
+    # other module takes its integers through algpoly.exact_int/exact_count
+    import ast
+
+    checks = []
+    for name in MODULES:
+        if name == "algpoly":
+            continue
+        mod = importlib.import_module(f"heunlie.{name}")
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                types = node.args[1]
+                names = types.elts if isinstance(types, ast.Tuple) else [types]
+                if any(isinstance(t, ast.Name) and t.id == "bool" for t in names):
+                    checks.append(f"{name}:{node.lineno}")
+    assert not checks, f"modules other than algpoly test for bool: {checks}"
+
+
 SCALARS = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
 # constants that no caller sets: passing one as a parameter is a TypeError
 REMOVED_PARAMETERS = {
