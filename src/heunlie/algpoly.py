@@ -292,11 +292,9 @@ class CRat(_Immutable):
         a, b, d = self.triple
         if not b:
             return str(a) if d == 1 else f"{a}/{d}"
-        re, im = self.re, self.im
-        if not re:
-            return f"{im}i"
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{abs(im)}i"
+        if not a:
+            return f"{_ratio_text(b, d)}i"
+        return f"{_ratio_text(a, d)}{'+' if b > 0 else '-'}{_ratio_text(abs(b), d)}i"
 
     def __repr__(self) -> str:
         return f"CRat({str(self)!r})"
@@ -307,6 +305,12 @@ _HASH_MODULUS = 1 << _HASH.width
 _new = object.__new__
 _set_triple = CRat.triple.__set__
 _ZERO_TRIPLE = (0, 0, 1)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ints with ``d > 0``, by one gcd."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def _crat(a: int, b: int, d: int) -> CRat:
@@ -409,7 +413,7 @@ def exact_int(x, name: str) -> int:
     z = CRat.from_value(x)
     if not z.is_integer():
         raise ValueError(f"{name} must be an integer, got {z}")
-    return int(z.re)
+    return z.triple[0]
 
 
 def exact_count(k, name: str) -> int:
@@ -644,6 +648,15 @@ class Polynomial(_Immutable):
     @classmethod
     def monomial(cls, k: int) -> "Polynomial":
         return _poly(((0, 0),) * exact_count(k, "monomial degree") + ((1, 0),), 1)
+
+    @classmethod
+    def from_ints(cls, num: Iterable, den: int) -> "Polynomial":
+        """``sum_k (re_k + im_k i) z^k / den`` for the int pairs ``num``, low
+        degree first, and an int ``den > 0``, reduced by one content gcd, as
+        ``CRat.from_ints`` reduces a scalar."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        return _reduced_poly(list(num), den)
 
     # -- structure ------------------------------------------------------
 

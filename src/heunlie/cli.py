@@ -13,7 +13,6 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -60,7 +59,7 @@ from .sl2rep import Spin, UEAExpr, uea_expand
 
 __all__ = ["main"]
 
-_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(HeunParams))
+_PARAM_NAMES = HeunParams.FIELD_NAMES
 
 #: every report's ``version``: the package version alone, so the same
 #: configuration gives the same bytes in any checkout or installed copy
@@ -192,7 +191,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = matcher
     for sp in sub.choices.values():
         sp._negative_number_matcher = matcher
+    parser._commands = sub.choices  # command word -> its parser, for _parse
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one argparse pass.
+
+    The full parser hands every word after the command word to that
+    command's parser and keeps only its result and its leftover words.  So
+    when the first word names a command, that parser takes the rest of the
+    line here directly.  The full parser runs when there is no command
+    word, the word is unknown, or words are left over: every help text,
+    error text and exit code is argparse's own.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _add_green_flags(sp: argparse.ArgumentParser) -> None:
@@ -579,7 +600,7 @@ def _payload(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         if args.command == "sweep":
             _params_from_args(args)  # validates the base point

@@ -192,17 +192,12 @@ class RecurrenceSpec:
 
     @classmethod
     def make(cls, l, rho=0, sigma=0, tau=0, ab=0, E=0, a=2) -> "RecurrenceSpec":
-        return cls(
-            l=l,
-            rho=CRat.from_value(rho),
-            sigma=CRat.from_value(sigma),
-            tau=CRat.from_value(tau),
-            ab=CRat.from_value(ab),
-            E=CRat.from_value(E),
-            a=CRat.from_value(a),
-        )
+        return cls(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
 
     def __post_init__(self):
+        # the scalars first, as make coerced them before the offset check
+        for name in ("rho", "sigma", "tau", "ab", "E", "a"):
+            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
         object.__setattr__(self, "l", exact_int(self.l, "l"))
         if self.l < 1:
             raise ValueError(f"exponent offset l must be >= 1, got {self.l}")

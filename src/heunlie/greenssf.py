@@ -11,9 +11,9 @@ dual variable on its own; 0 is the reproducible default).  The summand
 factors, and the binomial theorem closes the ``(k, l)`` part exactly:
 ``sum_{k,l} C(sigma-1,k) C(tau-1,l) a^(-l) = 2^(sigma-1) (1 + 1/a)^(tau-1)``.
 So each kernel sum is that factor times a sum over ``m``.  ``_kernel_sums``
-builds the factor once and closes both sums, the ``(m-1)!``-weighted one and
-the norm constant ``K_p``, from integer moments of their ``m`` weights taken
-in one pass over ``m``.
+builds the factor once, as a Gaussian-integer power over an integer, and
+closes both sums, the ``(m-1)!``-weighted one and the norm constant ``K_p``,
+from integer moments of their ``m`` weights taken in one pass over ``m``.
 
 The summation bound is ``p = sigma - rho`` unless :func:`green_kernel`'s
 override sets it: the printed bound formally depends on an inner summation
@@ -80,18 +80,20 @@ class Distribution(_Immutable):
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable = ()):
-        merged: dict = {}
-        for order, center, coeff in terms:
-            key = (exact_count(order, "delta derivative order"), CRat.from_value(center))
-            coeff = CRat.from_value(coeff)
-            merged[key] = merged[key] + coeff if key in merged else coeff
         kept = [
-            (order, center, coeff)
-            for (order, center), coeff in merged.items()
-            if not coeff.is_zero()
+            (exact_count(order, "delta derivative order"), CRat.from_value(center),
+             CRat.from_value(coeff))
+            for order, center, coeff in terms
         ]
-        kept.sort(key=lambda t: (t[0], str(t[1])))
-        object.__setattr__(self, "terms", tuple(kept))
+        if len(kept) > 1:  # one term has nothing to merge with or sort against
+            merged: dict = {}
+            for order, center, coeff in kept:
+                key = (order, center)
+                merged[key] = merged[key] + coeff if key in merged else coeff
+            kept = [(order, center, coeff) for (order, center), coeff in merged.items()]
+            kept.sort(key=lambda t: (t[0], str(t[1])))
+        kept = tuple(t for t in kept if not t[2].is_zero())
+        object.__setattr__(self, "terms", kept)
 
     @classmethod
     def delta(cls, order: int = 0, center=0, coeff=1) -> "Distribution":
@@ -199,12 +201,12 @@ class KernelScalars:
         """(rho, sigma, tau) as positive integers, or NonIntegerExponents."""
         out = []
         for name, v in (("rho", self.rho), ("sigma", self.sigma), ("tau", self.tau)):
-            if not v.is_integer() or v.re < 1:
+            if not v.is_integer() or v.triple[0] < 1:
                 raise NonIntegerExponents(
                     f"{name} = {v} is not a positive integer; the weight table "
                     "and kernel sums are undefined"
                 )
-            out.append(int(v.re))
+            out.append(v.triple[0])
         return tuple(out)
 
     def as_dict(self) -> dict:
@@ -274,30 +276,43 @@ def eta_roots(sc: SymbolCoeffs, s) -> tuple[complex, complex]:
 
 def _kernel_sums(exponents: tuple[int, int, int], a: CRat, s_eval: CRat,
                  p: int) -> tuple[CRat, CRat]:
-    """The ``(m-1)!``-weighted kernel sum and ``K_p``, in one pass over ``m``."""
+    """The ``(m-1)!``-weighted kernel sum and ``K_p``, in one pass over ``m``,
+    each closed on Gaussian integers and reduced once."""
     rho, sigma, tau = exponents
-    one_a = CR_ONE + a
-    # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
-    binomials = CRat(2 ** (sigma - 1)) * one_a ** (tau - 1) * a ** (1 - tau)
+    a0, a1, ad = a.triple
+    s0, s1, sd = s_eval.triple
+    # 2^(sigma-1) ((1+a)/a)^(tau-1) with (1+a)/a = g/h for the Gaussian
+    # integer g = (ad + a0 + a1 i)(a0 - a1 i) and h = |a0 + a1 i|^2: the
+    # denominator ad of a cancels.  h = 0 (a = 0) divides only when tau > 1,
+    # and then raises CRat's own error
+    g = CRat.from_ints((ad + a0) * a0 + a1 * a1, -a1 * ad, 1) ** (tau - 1)
+    b0, b1, _ = g.triple
+    b0, b1 = b0 << (sigma - 1), b1 << (sigma - 1)
+    den = (a0 * a0 + a1 * a1) ** (tau - 1) * ad * sd
+    if not den:
+        raise ZeroDivisionError("division by zero CRat")
     # eps0(m; s) = (1+a)[(m-1)(m-2) - 2is(m-1)] + rho(m-1) + tau(m+1) + is sigma
     # is linear in (m-1)(m-2), m-1 and 1, so a weighted m-sum needs only the
     # integer moments S0 = sum w, S1 = sum w (m-1), S2 = sum w (m-1)(m-2) of its
-    # weights; the tau term's sum w (m+1) is S1 + 2 S0.  s0..s2 are the moments
-    # of w_m = (-1)^(m-1) (m-1)!, t0..t2 those of v_m = (-1)^(m-1)
-    s0 = s1 = s2 = t0 = t1 = t2 = 0
+    # weights; the tau term's sum w (m+1) is S1 + 2 S0.  w0..w2 are the moments
+    # of w_m = (-1)^(m-1) (m-1)!, v0..v2 those of v_m = (-1)^(m-1)
+    w0 = w1 = w2 = v0 = v1 = v2 = 0
     w = v = 1
     for m in range(1, p + 1):
         c1, c2 = m - 1, (m - 1) * (m - 2)
-        s0, s1, s2 = s0 + w, s1 + w * c1, s2 + w * c2
-        t0, t1, t2 = t0 + v, t1 + v * c1, t2 + v * c2
+        w0, w1, w2 = w0 + w, w1 + w * c1, w2 + w * c2
+        v0, v1, v2 = v0 + v, v1 + v * c1, v2 + v * c2
         w, v = -w * m, -v
 
-    def total(s0, s1, s2):
-        constant = one_a * s2 + (rho * s1 + tau * (s1 + 2 * s0))
-        linear = CR_I * (sigma * s0 - one_a * (2 * s1))
-        return binomials * (linear * s_eval + constant)
+    def total(S0, S1, S2):
+        # ad sd eps0-sum = (l0 + l1 i)(s0 + s1 i) + sd (c0 + c1 i), where
+        # ad (1+a) = ad + a0 + a1 i
+        l0, l1 = 2 * a1 * S1, ad * sigma * S0 - 2 * (ad + a0) * S1
+        c0, c1 = (ad + a0) * S2 + ad * (rho * S1 + tau * (S1 + 2 * S0)), a1 * S2
+        y0, y1 = l0 * s0 - l1 * s1 + sd * c0, l0 * s1 + l1 * s0 + sd * c1
+        return CRat.from_ints(b0 * y0 - b1 * y1, b0 * y1 + b1 * y0, den)
 
-    return total(s0, s1, s2), total(t0, t1, t2)
+    return total(w0, w1, w2), total(v0, v1, v2)
 
 
 def _nonzero_eigenvalue(E) -> CRat:
@@ -332,8 +347,11 @@ class GreenKernel:
         return weight_value_at_zero(s.rho, s.sigma, s.tau, s.a)
 
     def hs_norm_sq(self) -> Fraction:
-        """``|K_p|^2 |omega(0)|^2``, exactly."""
-        return self.kp.abs2() * self.omega_at_0.abs2()
+        """``|K_p|^2 |omega(0)|^2``, exactly: one ``Fraction`` of the two
+        triples."""
+        a, b, d = self.kp.triple
+        c, e, f = self.omega_at_0.triple
+        return Fraction((a * a + b * b) * (c * c + e * e), (d * f) ** 2)
 
     def coincidence(self, E) -> Distribution:
         """Coincidence kernel ``G+-(E, w) = (K_p / E) delta(w)``.
@@ -353,9 +371,9 @@ def _truncated_exponential(p: int) -> Polynomial:
     table, term = [], top  # term = (p-1)!/k!
     for k in range(p):
         re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]  # i^k
-        table.append(CRat(re * term, im * term))
+        table.append((re * term, im * term))
         term //= k + 1
-    return Polynomial(table) * CRat.from_ints(1, 0, top)
+    return Polynomial.from_ints(table, top)
 
 
 def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,

@@ -14,7 +14,7 @@ Sign convention: operators are stored with positive leading coefficient
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -117,9 +117,12 @@ class HeunParams:
     delta: CRat
     epsilon: CRat
 
+    #: the field names in field order (a class attribute, not a field)
+    FIELD_NAMES = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
+
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, CRat.from_value(getattr(self, f.name)))
+        for name in self.FIELD_NAMES:
+            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
         if self.a == CR_ZERO or self.a == CR_ONE:
             raise ValueError(f"a must avoid 0 and 1, got a={self.a}")
 
@@ -128,14 +131,14 @@ class HeunParams:
         return self.alpha + self.beta + CR_ONE - self.gamma - self.delta - self.epsilon
 
     def as_dict(self) -> dict:
-        return {f.name: str(getattr(self, f.name)) for f in fields(self)}
+        return {name: str(getattr(self, name)) for name in self.FIELD_NAMES}
 
     @classmethod
     def from_strings(cls, **kw) -> "HeunParams":
         return cls(**kw)
 
     def __repr__(self):
-        inner = ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        inner = ", ".join(f"{name}={getattr(self, name)}" for name in self.FIELD_NAMES)
         return f"HeunParams({inner})"
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, _Immutable, exact_int, op_compose
+from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, Surd, _Immutable, exact_int, op_compose
 
 __all__ = [
     "Spin",
@@ -53,9 +53,10 @@ class Spin(_Immutable):
         return int(2 * self.j)
 
     def __eq__(self, other):
+        # as j compares, so that equal values hash alike
         if isinstance(other, Spin):
             return self.j == other.j
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float, complex, CRat, Surd, Polynomial)):
             return self.j == other
         return NotImplemented
 

@@ -1,20 +1,25 @@
 """The command line as a whole: every drawn command line ends with a
 documented exit code (or argparse's 2), writes nothing to stdout unless it
-exits 0, and on exit 0 writes JSON (one line per point for a sweep).
+exits 0, and on exit 0 writes JSON (one line per point for a sweep).  The
+one-pass parse gives every line the exit code, stdout and stderr of the
+full parser.
 
 Draws cover all seven command names, valid and invalid exact literals,
 spin integers around 0..8, truncations up to K = 12, scalar-mode flags and
 sweep grids, valid and not.
 """
 
+import argparse
 import contextlib
 import io
 import json
+from unittest import mock
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from heunlie import cli
+from util import reference_parse
 
 PARAMS = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
 VALID = ("0", "1", "2", "-1", "3", "3/2", "-2/3", "5/4", "1/3", "-1/2", "2+i", "1-1/2i", "-3i",
@@ -134,3 +139,91 @@ def test_every_command_line_ends_with_a_documented_exit(argv):
         assert out.endswith("\n") and out.strip()
     else:
         assert isinstance(json.loads(out), dict)
+
+
+# -- the one-pass parse against the full parser ------------------------------------
+
+#: flags no command has, abbreviations (unique in some parsers, ambiguous in
+#: others: --s is --s-eval or --sigma, --o is --output or --out) and help
+ODD_FLAGS = ("--zeta=1", "--bogus", "-x", "--alp=2", "--ep=1/2", "--gam=1", "--s=1",
+             "--o=json", "--lam=1", "--N=2", "-h", "--help", "--", "extra")
+ODD_WORDS = ("", "greens", "an", "ssf2", "Green", "-", "1", "--n=1")
+
+
+@st.composite
+def parser_line_st(draw):
+    """A command line from ``command_line_st``, then spoiled for the parser:
+    an odd flag or word put anywhere, a flag moved before the command, the
+    command word dropped or replaced."""
+    argv = draw(command_line_st())
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(("insert", "front", "drop", "replace", "help")))
+        if how == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_FLAGS)))
+        elif how == "front" and len(argv) > 1:
+            argv.insert(0, argv.pop(draw(st.integers(1, len(argv) - 1))))
+        elif how == "drop" and argv:
+            del argv[0]
+        elif how == "replace" and argv:
+            argv[0] = draw(st.sampled_from(ODD_WORDS))
+        elif how == "help":
+            argv.insert(draw(st.sampled_from((0, 1, len(argv)))), draw(st.sampled_from(
+                ("-h", "--help"))))
+    return argv
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``; argparse's exit
+    code when it refuses the line or prints help."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+GREEN = ["green", *ES_BASE, "--n=1", "--rho=1", "--sigma=2", "--tau=2"]
+
+
+@given(parser_line_st())
+@example([])
+@example(["-h"])
+@example(["--help", "green"])
+@example(["green", "--help"])
+@example(["ssf", "-h"])
+@example(["bogus", *GREEN[1:]])
+@example(GREEN[1:])  # no command word
+@example([GREEN[1], *GREEN[:1], *GREEN[2:]])  # a flag before the command
+@example([*GREEN, "extra"])  # a word left over
+@example([*GREEN, "--zeta=1"])
+@example([*GREEN[:-1], "--alp=1"])  # --alp=1 is --alpha=1 given twice
+@example(["green", *ES_BASE[1:], "--n=1"])  # --a missing
+@example(["green", *GREEN[2:], "--a=1/0"])
+@example(["green", "--s=1", *GREEN[1:]])  # ambiguous
+@example(["analyze", "--", *ES_BASE])
+@settings(max_examples=300, deadline=None)
+def test_one_pass_parse_matches_the_full_parser(argv):
+    got = outcome(argv)
+    with mock.patch.object(cli, "_parse", reference_parse):
+        want = outcome(argv)
+    event(f"exit {got[0]}")
+    assert got == want, argv
+
+
+def test_a_green_line_reaches_argparse_once(monkeypatch):
+    seen = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        seen.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert outcome(GREEN)[0] == 0
+    assert seen == ["heunlie green"]
+    seen.clear()
+    with mock.patch.object(cli, "_parse", reference_parse):
+        assert outcome(GREEN)[0] == 0
+    assert seen == ["heunlie", "heunlie green"]

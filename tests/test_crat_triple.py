@@ -100,6 +100,24 @@ class TestTripleMatchesFractionPairs:
         assert_canonical(CRat.from_ints(a, -b, d), (re, -im))
         assert x.abs2() == re * re + im * im and type(x.abs2()) is Fraction
 
+    @given(crat_st)
+    @example(SHARED)
+    @example(CRat(0, Fraction(-3, 4)))
+    @example(CRat(Fraction(-1, 3), -1))
+    @example(CRat(Fraction(5, 6), Fraction(1, 6)))  # 6 reduces in neither part alone
+    @settings(max_examples=300, deadline=None)
+    def test_text(self, x):
+        # each part as its Fraction prints
+        re, im = x.re, x.im
+        if not im:
+            expected = str(re)
+        elif not re:
+            expected = f"{im}i"
+        else:
+            expected = f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+        assert str(x) == expected
+        assert CRat.parse(str(x)) == x
+
     @given(st.integers(-BIG, BIG), st.integers(-BIG, BIG),
            st.one_of(st.integers(1, 50), st.integers(1, BIG)), st.integers(1, 10**6))
     @example(0, 0, 7, 1)

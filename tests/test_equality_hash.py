@@ -33,6 +33,8 @@ def representations(z: CRat) -> list:
         out.append(complex(z))
     if z.is_rational():
         out.append(z.re)
+        if (2 * z.re).denominator == 1:
+            out.append(Spin(z.re))
         if is_float_exact(z.re):
             out.append(float(z.re))
         if z.is_integer():

@@ -100,6 +100,11 @@ SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
 CUBIC = Polynomial([1, 2, 3, 4])
 Z = Polynomial.variable()
 
+
+def _plain_spec(**scalars):
+    """SPEC's scalars, some replaced, through the plain constructor."""
+    return RecurrenceSpec(**{**dict(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3), **scalars})
+
 # (entry point, an exact value it accepts); every integer argument below is
 # checked the same way at the int 2
 ENTRY_POINTS = {
@@ -112,6 +117,8 @@ ENTRY_POINTS = {
     "RecurrenceSpec tau": (lambda x: RecurrenceSpec.make(l=1, tau=x), CR_ONE),
     "RecurrenceSpec ab": (lambda x: RecurrenceSpec.make(l=1, ab=x), CR_ONE),
     "RecurrenceSpec a": (lambda x: RecurrenceSpec.make(l=1, a=x), CR_ONE),
+    **{f"RecurrenceSpec({name})": (lambda x, name=name: _plain_spec(**{name: x}), CR_ONE)
+       for name in ("rho", "sigma", "tau", "ab", "E", "a")},
     "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
     "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
     "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
@@ -204,6 +211,15 @@ def test_float_or_complex_input_raises_type_error(name, inexact):
         fn(inexact)
 
 
+
+
+def test_plain_recurrence_spec_coerces_as_make_does():
+    plain = RecurrenceSpec(1, 1, 2, 1, 2, 1, 3)
+    assert plain == SPEC
+    assert all(type(getattr(plain, name)) is CRat
+               for name in ("rho", "sigma", "tau", "ab", "E", "a"))
+    assert forward_real(plain, 1, 0, 6).as_list() == forward_real(SPEC, 1, 0, 6).as_list()
+    assert forward_imag(plain, 1, 0, 6).as_list() == forward_imag(SPEC, 1, 0, 6).as_list()
 
 
 @pytest.mark.parametrize("exact", [2, Fraction(4, 2), CRat(2)])

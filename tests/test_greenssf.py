@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
 from heunlie.distsol import NonIntegerExponents, weight_expansion
 from heunlie.greenssf import (
     DegenerateQuadratic,
+    GreenKernel,
     Distribution,
     KernelScalars,
     ZeroEigenvalue,
@@ -23,8 +26,12 @@ from heunlie.greenssf import (
     ssf,
     symbol_coeffs,
     trace_green,
+    _kernel_sums,
+    _truncated_exponential,
 )
 from util import (
+    crat_kernel_sums,
+    crat_truncated_exponential,
     es_params,
     rand_crat,
     rand_fraction,
@@ -458,3 +465,46 @@ def test_first_exception_non_integer_exponent(fn):
     assert str(info.value) == (
         "rho = 1/2 is not a positive integer; the weight table and kernel sums are undefined"
     )
+
+
+# -- the integer kernel data against the CRat reference ------------------------
+# denominators with large primes, so that nothing cancels by accident
+DENOMINATORS = (1, 2, 3, 12, 10**9 + 7, 2**61 - 1, (2**31 - 1) * (10**9 + 9))
+part_st = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(DENOMINATORS))
+complex_st = st.builds(CRat, part_st, st.one_of(st.just(0), part_st))
+a_st = complex_st.filter(lambda a: a != 0 and a != 1)
+
+
+@given(a=a_st, s_eval=complex_st, rho=st.integers(1, 4), sigma=st.integers(1, 17),
+       tau=st.integers(1, 13), p=st.integers(1, 20))
+@example(a=CRat(-1), s_eval=CR_ZERO, rho=1, sigma=1, tau=2, p=1)  # 1 + a = 0
+@example(a=CRat(0, 1), s_eval=CRat(0, -1), rho=3, sigma=17, tau=13, p=20)
+@settings(max_examples=300, deadline=None)
+def test_kernel_data_match_the_crat_reference(a, s_eval, rho, sigma, tau, p):
+    got = _kernel_sums((rho, sigma, tau), a, s_eval, p)
+    assert got == crat_kernel_sums((rho, sigma, tau), a, s_eval, p)
+    assert all(type(x) is CRat for x in got)
+    assert _truncated_exponential(p) == crat_truncated_exponential(p)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 5])
+@pytest.mark.parametrize("s_eval", [CR_ZERO, CRat(Fraction(1, 3), -2)])
+def test_kernel_sums_at_a_zero(tau, s_eval):
+    # at a = 0 the binomial factor divides by a only when tau > 1
+    args = ((2, 5, tau), CR_ZERO, s_eval, 3)
+    if tau == 1:
+        assert _kernel_sums(*args) == crat_kernel_sums(*args)
+        return
+    for sums in (_kernel_sums, crat_kernel_sums):
+        with pytest.raises(ZeroDivisionError) as info:
+            sums(*args)
+        assert str(info.value) == "division by zero CRat"
+
+
+@given(kp=complex_st, a=a_st, rho=st.integers(1, 2), sigma=st.integers(1, 4),
+       tau=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_hs_norm_is_the_product_of_the_two_moduli(kp, a, rho, sigma, tau):
+    scalars = KernelScalars.direct(1, a, rho, sigma, tau)
+    kernel = GreenKernel(scalars, 1, Polynomial.one(), CR_ONE, kp)
+    assert kernel.hs_norm_sq() == kp.abs2() * kernel.omega_at_0.abs2()

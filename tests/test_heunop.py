@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import random
@@ -74,6 +75,12 @@ class TestConstraint:
             HeunParams(a=1, q=0, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
         with pytest.raises(ValueError):
             HeunParams(a=0, q=0, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
+
+    def test_field_names_are_the_fields_in_order(self):
+        assert HeunParams.FIELD_NAMES == tuple(f.name for f in dataclasses.fields(HeunParams))
+        p = HeunParams(2, 0, 1, Fraction(1, 2), 1, 1, 1)
+        assert list(p.as_dict()) == list(HeunParams.FIELD_NAMES)
+        assert repr(p) == "HeunParams(a=2, q=0, alpha=1, beta=1/2, gamma=1, delta=1, epsilon=1)"
 
 
 class TestOperatorForms:

@@ -113,6 +113,21 @@ class TestTableMatchesCRatLists:
     def test_construction(self, cs):
         assert_table(Polynomial(cs), list_poly(cs))
 
+    @given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20)),
+                    max_size=6),
+           st.one_of(st.integers(1, 50), st.sampled_from(LARGE_PRIMES)))
+    @example([(2, 0), (4, 6), (0, 0)], 2)  # content 2 cancels, a zero pair trails
+    @example([(0, 0)], 7)
+    @settings(max_examples=200, deadline=None)
+    def test_from_ints(self, num, den):
+        expected = list_poly(CRat.from_ints(a, b, den) for a, b in num)
+        assert_table(Polynomial.from_ints(num, den), expected)
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_from_ints_refuses_a_denominator_below_one(self, den):
+        with pytest.raises(ValueError, match=f"^denominator must be positive, got {den}$"):
+            Polynomial.from_ints([(1, 0)], den)
+
     @given(st.sampled_from([(operator.add, list_add), (operator.sub, list_sub),
                             (operator.mul, list_mul)]),
            coeffs_st(), coeffs_st())

@@ -229,6 +229,47 @@ def reference_truncated_exponential(p):
     return Polynomial([CR_I ** (m - 1) / CRat(math.factorial(m - 1)) for m in range(1, p + 1)])
 
 
+# -- the CRat reference for the kernel data -----------------------------------
+# _kernel_sums and _truncated_exponential as they ran when every kernel
+# operation was a CRat operation: the binomial factor as CRat powers of
+# 1 + a and a, the sums closed in CRat, and the prefactor as a table of
+# CRat values times the scalar 1/(p-1)!.
+
+
+def crat_kernel_sums(exponents, a, s_eval, p):
+    """The ``(m-1)!``-weighted kernel sum and ``K_p``, in one pass over ``m``."""
+    rho, sigma, tau = exponents
+    one_a = CR_ONE + a
+    # 2^(sigma-1) (1 + 1/a)^(tau-1), written to divide by a only when tau > 1
+    binomials = CRat(2 ** (sigma - 1)) * one_a ** (tau - 1) * a ** (1 - tau)
+    s0 = s1 = s2 = t0 = t1 = t2 = 0
+    w = v = 1
+    for m in range(1, p + 1):
+        c1, c2 = m - 1, (m - 1) * (m - 2)
+        s0, s1, s2 = s0 + w, s1 + w * c1, s2 + w * c2
+        t0, t1, t2 = t0 + v, t1 + v * c1, t2 + v * c2
+        w, v = -w * m, -v
+
+    def total(s0, s1, s2):
+        constant = one_a * s2 + (rho * s1 + tau * (s1 + 2 * s0))
+        linear = CR_I * (sigma * s0 - one_a * (2 * s1))
+        return binomials * (linear * s_eval + constant)
+
+    return total(s0, s1, s2), total(t0, t1, t2)
+
+
+def crat_truncated_exponential(p):
+    """``sum_{m=1}^{p} (i w)^(m-1) / (m-1)!`` as the CRat table
+    ``i^k (p-1)!/k!`` times the scalar ``1/(p-1)!``."""
+    top = math.factorial(p - 1)
+    table, term = [], top  # term = (p-1)!/k!
+    for k in range(p):
+        re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]  # i^k
+        table.append(CRat(re * term, im * term))
+        term //= k + 1
+    return Polynomial(table) * CRat.from_ints(1, 0, top)
+
+
 def _parts(x) -> tuple[Fraction, Fraction]:
     if isinstance(x, CRat):
         return x.re, x.im
@@ -509,6 +550,13 @@ def list_indicial_exponents(L, point):
     pc = _at(t1, s - 1) / t2[s]
     qc = _at(t0, s - 2) / t2[s] if s >= 2 else CR_ZERO
     return quadratic_roots(CR_ONE, pc - CR_ONE, qc)
+
+
+def reference_parse(argv):
+    """The command line parsed by the full parser alone, as ``cli.main`` did
+    before the one-pass rule: the top parser walks the whole line, then the
+    command's parser walks the rest of it."""
+    return cli.build_parser().parse_args(argv)
 
 
 VERSION_FIELD = re.compile(r'"version": "[^"]*",\s*|^version: .*\n', re.M)
