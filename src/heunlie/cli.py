@@ -59,8 +59,6 @@ from .sl2rep import Spin, UEAExpr, uea_expand
 
 __all__ = ["main"]
 
-_PARAM_NAMES = HeunParams.FIELD_NAMES
-
 #: every report's ``version``: the package version alone, so the same
 #: configuration gives the same bytes in any checkout or installed copy
 _TOOL_VERSION = f"heunlie-{__version__}"
@@ -117,7 +115,7 @@ def _finite_float(text: str) -> float:
 
 
 def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    for name in _PARAM_NAMES:
+    for name in HeunParams.FIELD_NAMES:
         sp.add_argument(f"--{name}", type=_crat, required=True, metavar="EXACT")
 
 
@@ -127,7 +125,7 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> HeunParams:
-    return HeunParams(**{name: getattr(args, name) for name in _PARAM_NAMES})
+    return HeunParams(**{name: getattr(args, name) for name in HeunParams.FIELD_NAMES})
 
 
 @functools.cache
@@ -321,7 +319,7 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
     coeffs = expanded_es_coeffs(n, params)
-    spec = RecurrenceSpec.make(
+    spec = RecurrenceSpec(
         l=l, rho=coeffs.rho, sigma=coeffs.sigma, tau=coeffs.tau,
         ab=coeffs.abProduct, E=E, a=params.a,
     )
@@ -371,7 +369,7 @@ def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
     if any(v is not None for v in overrides.values()):
         if not all(v is not None for v in overrides.values()):
             raise ValueError("scalar mode needs all of --rho, --sigma and --tau")
-        return KernelScalars.direct(
+        return KernelScalars(
             n, params.a, overrides["rho"], overrides["sigma"], overrides["tau"]
         )
     return KernelScalars.from_heun(n, params)
@@ -549,7 +547,7 @@ def _parse_grid(text: str) -> dict[str, list[CRat]]:
             continue
         name, _, values = chunk.partition("=")
         name = name.strip()
-        if name not in _PARAM_NAMES:
+        if name not in HeunParams.FIELD_NAMES:
             raise ValueError(f"unknown sweep parameter {name!r}")
         if name in axes:
             raise ValueError(f"sweep axis {name!r} is given more than once")
@@ -575,7 +573,7 @@ def _sweep_point(base: dict, n: int, overrides: dict) -> dict:
 
 def run_sweep(args) -> str:
     axes = _parse_grid(args.grid)
-    base = {name: getattr(args, name) for name in _PARAM_NAMES}
+    base = {name: getattr(args, name) for name in HeunParams.FIELD_NAMES}
     results = [
         _sweep_point(base, args.n, dict(zip(axes, combo)))
         for combo in product(*axes.values())

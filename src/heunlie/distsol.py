@@ -179,23 +179,18 @@ class RecurrenceSpec:
     the operator scalars (rho, sigma, tau, ab, E, a)."""
 
     l: int
-    rho: CRat
-    sigma: CRat
-    tau: CRat
-    ab: CRat
-    E: CRat
-    a: CRat
+    rho: CRat = 0
+    sigma: CRat = 0
+    tau: CRat = 0
+    ab: CRat = 0
+    E: CRat = 0
+    a: CRat = 2
     # (branch, k) -> (alpha, beta, gamma) and branch -> (L, scalars); filled
     # by _brackets and _scaled and left out of ==, hash and repr, so a used
     # spec equals a fresh one
     _brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @classmethod
-    def make(cls, l, rho=0, sigma=0, tau=0, ab=0, E=0, a=2) -> "RecurrenceSpec":
-        return cls(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
-
     def __post_init__(self):
-        # the scalars first, as make coerced them before the offset check
         for name in ("rho", "sigma", "tau", "ab", "E", "a"):
             object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
         object.__setattr__(self, "l", exact_int(self.l, "l"))
@@ -451,6 +446,10 @@ class CoeffSequence:
     values: tuple
     steps: tuple | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        # tuple() of a tuple is the same object, so a solve pays nothing here
+        object.__setattr__(self, "values", tuple(self.values))
+
     def __len__(self):
         return len(self.values)
 
@@ -563,7 +562,7 @@ def _forward(spec, branch: str, c0, c1, K) -> CoeffSequence:
     vals = [CRat.from_value(c0), CRat.from_value(c1)] + [CR_ZERO] * (band - 2)
     steps = [None] * band
     _solve(spec, branch, vals, range(start, K + 1), steps)
-    return CoeffSequence(tuple(vals), tuple(steps))
+    return CoeffSequence(vals, tuple(steps))
 
 
 def forward_real(spec: RecurrenceSpec, c0=1, c1=0, K: int = 32) -> CoeffSequence:
@@ -638,7 +637,7 @@ def paper_ck(A, B, roots_fn: RootsFn, spec: RecurrenceSpec, K: int,
         minus = Surd.from_value(center) - Surd.from_value(spread)
         term = A * (plus ** k) + B * (minus ** k)
         vals.append(term.exact_value() if term.is_exact() else term)
-    return CoeffSequence(tuple(vals))
+    return CoeffSequence(vals)
 
 
 def residual_check(c: CoeffSequence, spec: RecurrenceSpec,

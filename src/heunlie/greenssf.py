@@ -182,20 +182,15 @@ class KernelScalars:
     sigma: CRat
     tau: CRat
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", exact_int(self.n, "n"))
+        for name in ("a", "rho", "sigma", "tau"):
+            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
+
     @classmethod
     def from_heun(cls, n: int, p: HeunParams) -> "KernelScalars":
         got = expanded_es_coeffs(n, p)
-        return cls.direct(n, p.a, got.rho, got.sigma, got.tau)
-
-    @classmethod
-    def direct(cls, n: int, a, rho, sigma, tau) -> "KernelScalars":
-        return cls(
-            n=exact_int(n, "n"),
-            a=CRat.from_value(a),
-            rho=CRat.from_value(rho),
-            sigma=CRat.from_value(sigma),
-            tau=CRat.from_value(tau),
-        )
+        return cls(n, p.a, got.rho, got.sigma, got.tau)
 
     def integer_exponents(self) -> tuple[int, int, int]:
         """(rho, sigma, tau) as positive integers, or NonIntegerExponents."""

@@ -133,10 +133,6 @@ class HeunParams:
     def as_dict(self) -> dict:
         return {name: str(getattr(self, name)) for name in self.FIELD_NAMES}
 
-    @classmethod
-    def from_strings(cls, **kw) -> "HeunParams":
-        return cls(**kw)
-
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)}" for name in self.FIELD_NAMES)
         return f"HeunParams({inner})"

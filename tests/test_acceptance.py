@@ -147,7 +147,7 @@ def test_criterion_3_expansion_self_consistency_and_golden_report():
                 f = rand_poly(rng, max_deg=10)
                 assert op_apply(L, f) == op_apply(reassembled, f)
         recorded = json.loads((GOLDEN / "theorem1_n2.json").read_text())
-        p = HeunParams.from_strings(**recorded["params"])
+        p = HeunParams(**recorded["params"])
         rows = verify_theorem1(Spin.from_n(recorded["n"]).j, p).as_list()
         rows += es_discrepancies(recorded["n"], p).as_list()
         assert rows == recorded["discrepancies"], "residual table deviates from the golden file"
@@ -196,7 +196,7 @@ def test_criterion_6_recurrence_suite():
         rng = random.Random(2718)
         # forward solves stay exactly on the recurrence up to K = 32
         for _ in range(6):
-            spec = RecurrenceSpec.make(
+            spec = RecurrenceSpec(
                 l=rng.randint(1, 3),
                 a=Fraction(rng.randint(2, 5)),
                 rho=Fraction(rng.randint(-4, 4)),
@@ -210,7 +210,7 @@ def test_criterion_6_recurrence_suite():
                 assert all(r == CR_ZERO for _, r in residual_check(seq, spec, branch))
         # the degenerate range is exactly k < l (real) and k < l - 1 (imag)
         for l in range(1, 6):
-            spec = RecurrenceSpec.make(l=l, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
+            spec = RecurrenceSpec(l=l, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
             for k in range(2, 9):
                 if k < l:
                     with pytest.raises(DegenerateLeading):
@@ -224,7 +224,7 @@ def test_criterion_6_recurrence_suite():
                     recur_imag(spec, 1, 1, k)
         # printed real-branch roots satisfy their quadratic exactly
         for _ in range(10):
-            spec = RecurrenceSpec.make(
+            spec = RecurrenceSpec(
                 l=rng.randint(1, 3), a=Fraction(rng.randint(2, 4)),
                 rho=Fraction(rng.randint(-3, 3)), sigma=Fraction(rng.randint(-3, 3)),
                 tau=Fraction(rng.randint(-3, 3)), ab=Fraction(rng.randint(1, 4)),
@@ -240,7 +240,7 @@ def test_criterion_6_recurrence_suite():
         # table for 10 specs and require the audit to complete
         audited = 0
         for trial in range(10):
-            spec = RecurrenceSpec.make(
+            spec = RecurrenceSpec(
                 l=1, a=Fraction(trial + 2), rho=Fraction(trial - 4),
                 sigma=Fraction(2), tau=Fraction(1), ab=Fraction(trial + 1),
                 E=Fraction(1),
@@ -272,7 +272,7 @@ def test_criterion_8_green_ssf_suite():
     with _Criterion(8, "kernel prefactor, symbol coefficients, roots, norm, shift", 5.0):
         import math
 
-        scal = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
+        scal = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
         # prefactor == Taylor truncation of exp(i w), coefficientwise
         for p_bound in range(1, 9):
             gk = green_kernel(scalars=scal, p_override=p_bound)
@@ -301,10 +301,10 @@ def test_criterion_8_green_ssf_suite():
             checked += 1
         # hs norm: |K_p|^2 |omega(0)|^2 with omega(0) = 0 exactly when rho > 1
         for rho, sigma, tau in ((2, 4, 2), (3, 5, 1), (4, 6, 3)):
-            s2 = KernelScalars.direct(n=1, a=2, rho=rho, sigma=sigma, tau=tau)
+            s2 = KernelScalars(n=1, a=2, rho=rho, sigma=sigma, tau=tau)
             assert weight_expansion(rho, sigma, tau, CRat(2)).value_at_zero() == CR_ZERO
             assert hs_norm_sq(scalars=s2) == 0
-        s1 = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
+        s1 = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
         kp = kp_constant(scalars=s1)
         omega0 = weight_expansion(1, 3, 2, CRat(2)).value_at_zero()
         assert hs_norm_sq(scalars=s1) == kp.abs2() * omega0.abs2()

@@ -303,7 +303,7 @@ class TestGreenCommand:
         from heunlie.algpoly import CRat
         from heunlie.greenssf import KernelScalars, green_kernel
 
-        scal = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
+        scal = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
         gk = green_kernel(scalars=scal, s_eval=CRat.parse("1/2i"), p_override=4)
         assert payload["kernel_coeff"] == str(gk.scalar)
 

@@ -117,7 +117,7 @@ def kernel_scalars_st(draw):
     sigma = draw(st.integers(rho + 1, 8))
     tau = draw(st.integers(1, 6))
     a = draw(st.one_of(st.just(CRat(-1)), nonzero_st))
-    return KernelScalars.direct(draw(st.integers(-3, 5)), a, rho, sigma, tau)
+    return KernelScalars(draw(st.integers(-3, 5)), a, rho, sigma, tau)
 
 
 # (scalars, p_override)
@@ -144,11 +144,11 @@ GREEN_ARGV = ["green", "--a=3/2", "--q=0", "--alpha=1", "--beta=1", "--gamma=1",
 
 class TestFactoredKernelSums:
     @given(kernel_case_st, s_eval_st)
-    @example((KernelScalars.direct(0, -1, 1, 3, 1), None), CRat(0, 1))
-    @example((KernelScalars.direct(2, -1, 1, 4, 3), 2), CRat(0))
-    @example((KernelScalars.direct(1, CRat(1, 2), 2, 5, 1), 4), CRat(0, -3))
-    @example((KernelScalars.direct(3, CRat(-5, 2), 3, 8, 6), 40), CRat(Fraction(-7, 4), 5))
-    @example((KernelScalars.direct(1, CRat(1, 3), 1, 2, 1), 40), CRat(Fraction(1, 2), -1))
+    @example((KernelScalars(0, -1, 1, 3, 1), None), CRat(0, 1))
+    @example((KernelScalars(2, -1, 1, 4, 3), 2), CRat(0))
+    @example((KernelScalars(1, CRat(1, 2), 2, 5, 1), 4), CRat(0, -3))
+    @example((KernelScalars(3, CRat(-5, 2), 3, 8, 6), 40), CRat(Fraction(-7, 4), 5))
+    @example((KernelScalars(1, CRat(1, 3), 1, 2, 1), 40), CRat(Fraction(1, 2), -1))
     @settings(max_examples=120, deadline=None)
     def test_exact_equality(self, case, s_eval):
         scalars, p_override = case
@@ -189,7 +189,7 @@ class TestFactoredKernelSums:
         assert calls == ["green_kernel", "_kernel_sums"]
         report = json.loads(capsys.readouterr().out)
         # the values derived from that one K_p are the library's own
-        scalars = KernelScalars.direct(1, Fraction(3, 2), 1, 5, 3)
+        scalars = KernelScalars(1, Fraction(3, 2), 1, 5, 3)
         kernel = green_kernel(scalars, CRat(Fraction(1, 2), -3))
         assert report["hs_norm_sq"] == str(kernel.hs_norm_sq())
         coincidence = kernel.coincidence(CRat(Fraction(-2, 3)))
@@ -327,7 +327,7 @@ def spec_st(draw, max_l=6, leading=scalar_st):
     """A recurrence spec; ``leading`` draws ab and E, the scalars of C."""
     l = draw(st.integers(1, max_l))
     rho, sigma, tau = draw(scalar_st), draw(scalar_st), draw(scalar_st)
-    return RecurrenceSpec.make(l, rho, sigma, tau, draw(leading), draw(leading), draw(scalar_st))
+    return RecurrenceSpec(l, rho, sigma, tau, draw(leading), draw(leading), draw(scalar_st))
 
 
 def _over_L(spec, which, numerators):
@@ -355,17 +355,17 @@ def _start(spec, which):
 
 
 # K = 300 specs, whose sequences reach denominators of 1000 digits and more
-LONG_REAL_SPEC = RecurrenceSpec.make(
+LONG_REAL_SPEC = RecurrenceSpec(
     1, Fraction(-7, 5), Fraction(5, 3), Fraction(1, 4), Fraction(-3, 11), Fraction(5, 7),
     Fraction(7, 2),
 )
-LONG_COMPLEX_SPEC = RecurrenceSpec.make(
+LONG_COMPLEX_SPEC = RecurrenceSpec(
     2, CRat(1, -2), Fraction(3, 4), CRat(0, 1), CRat(-1, 1), CRat(Fraction(3, 2), -1), CRat(2, 1)
 )
 # large primes where a step's denominator can pick them up: a bracket
 # denominator (a, tau) and the squared moduli |ab|^2 = 994013/9 and
 # |E|^2 = 994013/25, both prime numerators
-LARGE_PRIME_SPEC = RecurrenceSpec.make(
+LARGE_PRIME_SPEC = RecurrenceSpec(
     3, Fraction(2, 9), CRat(1, Fraction(-1, 2)), Fraction(5, 1000003),
     CRat(Fraction(997, 3), Fraction(2, 3)), CRat(Fraction(2, 5), Fraction(-997, 5)),
     CRat(Fraction(1, 999983), 1),
@@ -401,10 +401,10 @@ class TestSharedBrackets:
             assert L == math.lcm(*(getattr(spec, name).triple[2] for name in READS[which]))
 
     @given(spec_st(), st.integers(-10, 12))
-    @example(RecurrenceSpec.make(1, 0, 0, 0, 0, 0, CRat(0, 1)), -1)
-    @example(RecurrenceSpec.make(6, CRat(0, 2), 3, 0, CRat(0, -1), CRat(1, 1), 2), 3)
-    @example(RecurrenceSpec.make(2, Fraction(1, 3), Fraction(-2, 5), CRat(Fraction(1, 4), 1),
-                                 Fraction(5, 2), CRat(0, Fraction(-1, 3)), Fraction(3, 4)), -4)
+    @example(RecurrenceSpec(1, 0, 0, 0, 0, 0, CRat(0, 1)), -1)
+    @example(RecurrenceSpec(6, CRat(0, 2), 3, 0, CRat(0, -1), CRat(1, 1), 2), 3)
+    @example(RecurrenceSpec(2, Fraction(1, 3), Fraction(-2, 5), CRat(Fraction(1, 4), 1),
+                            Fraction(5, 2), CRat(0, Fraction(-1, 3)), Fraction(3, 4)), -4)
     @settings(max_examples=150, deadline=None)
     def test_brackets_match_their_docstring_forms(self, spec, k):
         # the factored forms that _real_numerators and _imag_numerators
@@ -443,11 +443,11 @@ class TestSharedBrackets:
     @example(LONG_COMPLEX_SPEC, "imag", Fraction(1, 1000003), CRat(0, Fraction(2, 999983)), 300)
     @example(LARGE_PRIME_SPEC, "real", 1, CRat(1, 1), 300)
     @example(LARGE_PRIME_SPEC, "imag", Fraction(1, 1000003), 1, 300)
-    @example(RecurrenceSpec.make(2, 1, Fraction(1, 2), 3, CRat(12, 5), CRat(2, 2), 5),
+    @example(RecurrenceSpec(2, 1, Fraction(1, 2), 3, CRat(12, 5), CRat(2, 2), 5),
              "real", Fraction(1, 3), CRat(1, 2), 120)
-    @example(RecurrenceSpec.make(2, 1, Fraction(1, 2), 3, CRat(12, 5), CRat(2, 2), 5),
+    @example(RecurrenceSpec(2, 1, Fraction(1, 2), 3, CRat(12, 5), CRat(2, 2), 5),
              "imag", 1, Fraction(-1, 13), 120)
-    @example(RecurrenceSpec.make(1, 2, CRat(0, 1), -1, CRat(Fraction(3, 2), 3), CRat(0, 3), 7),
+    @example(RecurrenceSpec(1, 2, CRat(0, 1), -1, CRat(Fraction(3, 2), 3), CRat(0, 3), 7),
              "imag", CRat(0, Fraction(1, 5)), 1, 120)
     @settings(max_examples=150, deadline=None)
     def test_forward_and_residuals_match_reference(self, spec, which, c0, c1, K):
@@ -530,7 +530,7 @@ class TestSharedBrackets:
         def brackets(spec, k):
             return _brackets(spec, which, k)
 
-        spec = RecurrenceSpec.make(l=2, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
+        spec = RecurrenceSpec(l=2, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
         calls = []
         exact_int = distsol.exact_int
 
@@ -578,7 +578,7 @@ class TestSharedBrackets:
     @pytest.mark.parametrize("which", sorted(BRANCHES))
     def test_readers_after_forward_build_nothing(self, monkeypatch, which):
         forward, _, _, roots_fn = BRANCHES[which]
-        spec = RecurrenceSpec.make(l=3, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
+        spec = RecurrenceSpec(l=3, rho=1, sigma=3, tau=2, ab=2, E=CRat(1, 1), a=3)
         start, K = _start(spec, which), 20
         calls = []
         build = distsol._numerators
@@ -609,7 +609,7 @@ prime_scalar_st = st.one_of(
     scalar_st, st.builds(CRat, prime_part_st), st.builds(CRat, prime_part_st, prime_part_st)
 )
 # l from 1 to 5, so a zero band comes before the first determined index
-prime_spec_st = st.builds(RecurrenceSpec.make, st.integers(1, 5), *[prime_scalar_st] * 6)
+prime_spec_st = st.builds(RecurrenceSpec, st.integers(1, 5), *[prime_scalar_st] * 6)
 # c_0 and c_1: zero, real or complex
 seed_value_st = st.one_of(
     st.just(CRat(0)), st.builds(CRat, fractions_st), st.builds(CRat, fractions_st, fractions_st)

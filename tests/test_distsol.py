@@ -128,7 +128,7 @@ class TestWeightExpansion:
             weight_expansion(1, 1, 1, CRat(1))
 
 
-SPEC_A = RecurrenceSpec.make(l=1, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
+SPEC_A = RecurrenceSpec(l=1, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
 
 
 class TestRecurrences:
@@ -137,7 +137,7 @@ class TestRecurrences:
         assert recur_imag(SPEC_A, 0, 0, 3) == CR_ZERO
 
     def test_degenerate_boundary_real(self):
-        spec = RecurrenceSpec.make(l=4, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
+        spec = RecurrenceSpec(l=4, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
         for k in range(2, 10):
             if k < spec.l:
                 with pytest.raises(DegenerateLeading):
@@ -146,7 +146,7 @@ class TestRecurrences:
                 recur_real(spec, 1, 1, k)
 
     def test_degenerate_boundary_imag(self):
-        spec = RecurrenceSpec.make(l=5, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
+        spec = RecurrenceSpec(l=5, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
         for k in range(2, 10):
             if k < spec.l - 1:
                 with pytest.raises(DegenerateLeading):
@@ -155,7 +155,7 @@ class TestRecurrences:
                 recur_imag(spec, 1, 1, k)
 
     def test_zero_scalars_degenerate(self):
-        spec = RecurrenceSpec.make(l=1, a=2, rho=1, sigma=1, tau=1, ab=0, E=0)
+        spec = RecurrenceSpec(l=1, a=2, rho=1, sigma=1, tau=1, ab=0, E=0)
         with pytest.raises(DegenerateLeading):
             recur_real(spec, 1, 0, 5)
         with pytest.raises(DegenerateLeading):
@@ -164,8 +164,8 @@ class TestRecurrences:
     def test_degenerate_texts(self):
         # the texts land in the error fields of distsol reports; a residual
         # row needs its C too, so a hand-built sequence meets the same refusal
-        zero = RecurrenceSpec.make(l=2, ab=0, E=0)
-        short = RecurrenceSpec.make(l=3, ab=1, E=1)
+        zero = RecurrenceSpec(l=2, ab=0, E=0)
+        short = RecurrenceSpec(l=3, ab=1, E=1)
         solved = "; c_k is not determined here"
         for call, text in (
             (lambda: forward_real(zero, 1, 0, 4), "ab * (k)_l = 0 at k=2, l=2" + solved),
@@ -188,13 +188,13 @@ class TestRecurrences:
         assert residual_check(seq, SPEC_A, "real") == [(2, CR_ZERO)]
 
     def test_worked_example_imag(self):
-        spec = RecurrenceSpec.make(l=1, a=1, rho=0, sigma=0, tau=0, ab=0, E=1)
+        spec = RecurrenceSpec(l=1, a=1, rho=0, sigma=0, tau=0, ab=0, E=1)
         assert recur_imag(spec, CRat(1), CRat(0), 3) == CRat(35)
 
     def test_forward_residuals_vanish(self):
         rng = random.Random(109)
         for _ in range(6):
-            spec = RecurrenceSpec.make(
+            spec = RecurrenceSpec(
                 l=rng.randint(1, 3),
                 a=rand_fraction(rng, nonzero=True) or 2,
                 rho=rand_fraction(rng),
@@ -210,11 +210,11 @@ class TestRecurrences:
 
     def test_l_validation(self):
         with pytest.raises(ValueError):
-            RecurrenceSpec.make(l=0, ab=1, E=1)
+            RecurrenceSpec(l=0, ab=1, E=1)
 
     @pytest.mark.parametrize("forward", [forward_real, forward_imag])
     def test_truncation_below_one_is_refused(self, forward):
-        spec = RecurrenceSpec.make(l=1, ab=1, E=1)
+        spec = RecurrenceSpec(l=1, ab=1, E=1)
         with pytest.raises(ValueError, match="^truncation K must be at least 1$"):
             forward(spec, 1, 0, 0)
 
@@ -222,7 +222,7 @@ class TestRecurrences:
     def test_zero_band_is_bounded_by_the_truncation(self, forward):
         # the undetermined band runs up to about l, but a solve holds only
         # the K + 1 values it returns
-        spec = RecurrenceSpec.make(l=10**6, ab=1, E=1)
+        spec = RecurrenceSpec(l=10**6, ab=1, E=1)
         tracemalloc.start()
         try:
             seq = forward(spec, 1, CRat(2, 3), 2)
@@ -238,7 +238,7 @@ class TestRecurrences:
         # K cuts the band and the solved tail alike: a shorter solve is a
         # prefix of a longer one, records included
         for l in range(1, 8):
-            spec = RecurrenceSpec.make(l=l, a=3, rho=Fraction(1, 2), sigma=2, tau=-1,
+            spec = RecurrenceSpec(l=l, a=3, rho=Fraction(1, 2), sigma=2, tau=-1,
                                        ab=Fraction(5, 4), E=CRat(Fraction(3, 2), 1))
             full = forward(spec, 1, CRat(2, 3), 12)
             for K in range(1, 12):
@@ -247,7 +247,7 @@ class TestRecurrences:
                 assert seq.steps == full.steps[:K + 1]
 
     def test_residual_check_refusals(self):
-        spec = RecurrenceSpec.make(l=1, ab=1, E=1)
+        spec = RecurrenceSpec(l=1, ab=1, E=1)
         with pytest.raises(ValueError, match="^need at least c_0, c_1, c_2 "):
             residual_check(CoeffSequence((CR_ONE, CR_ZERO)), spec, "real")
         seq = forward_real(spec, 1, 0, 4)
@@ -255,7 +255,7 @@ class TestRecurrences:
             residual_check(seq, spec, "both")
 
     def test_residual_check_keeps_exact_entries_exact(self):
-        spec = RecurrenceSpec.make(l=1, ab=1, E=1)
+        spec = RecurrenceSpec(l=1, ab=1, E=1)
         rows = residual_check(CoeffSequence((1, 2, 3, 4)), spec, "real")
         assert rows == [(2, CRat(22)), (3, CRat(112))]
         assert all(type(res) is CRat for _, res in rows)
@@ -264,10 +264,10 @@ class TestRecurrences:
 
     @pytest.mark.parametrize("which", ["real", "imag"])
     def test_residual_rows_match_the_reference_rows(self, which):
-        spec = RecurrenceSpec.make(l=1, rho=Fraction(1, 2), sigma=CRat(2, 1), tau=3,
+        spec = RecurrenceSpec(l=1, rho=Fraction(1, 2), sigma=CRat(2, 1), tau=3,
                                    ab=Fraction(-2, 3), E=CRat(Fraction(1, 5), 1), a=7)
         seq = CoeffSequence((1, 2, 3, 4))
-        for scalars in (spec, RecurrenceSpec.make(l=1, ab=1, E=1)):
+        for scalars in (spec, RecurrenceSpec(l=1, ab=1, E=1)):
             assert residual_check(seq, scalars, which) == reference_residuals(seq, scalars, which)
 
         # a closed form whose entries are exact but the one at k = 3
@@ -288,7 +288,7 @@ class TestClosedFormRootsReal:
         rng = random.Random(113)
         checked = 0
         while checked < 10:
-            spec = RecurrenceSpec.make(
+            spec = RecurrenceSpec(
                 l=rng.randint(1, 3),
                 a=rand_fraction(rng, nonzero=True) or 2,
                 rho=rand_fraction(rng),
@@ -316,7 +316,7 @@ class TestClosedFormRootsReal:
     def test_double_root_case(self):
         # ab chosen so the discriminant vanishes: B^2 = 4 C' A with
         # C' = ab (k)_l at k=2, l=1, rho=tau=1, a=2
-        spec = RecurrenceSpec.make(l=1, a=2, rho=1, sigma=0, tau=1,
+        spec = RecurrenceSpec(l=1, a=2, rho=1, sigma=0, tau=1,
                                    ab=Fraction(25, 128), E=1)
         center, spread = closed_form_roots_real(spec, 2)
         assert spread == Surd(0)
@@ -328,12 +328,12 @@ class TestClosedFormRootsReal:
 
 class TestClosedFormRootsImag:
     def test_sigma_zero_centers_at_origin(self):
-        spec = RecurrenceSpec.make(l=1, a=2, rho=1, sigma=0, tau=1, ab=1, E=3)
+        spec = RecurrenceSpec(l=1, a=2, rho=1, sigma=0, tau=1, ab=1, E=3)
         center, _ = closed_form_roots_imag(spec, 4)
         assert center == CR_ZERO
 
     def test_worked_example(self):
-        spec = RecurrenceSpec.make(l=1, a=2, rho=0, sigma=2, tau=0, ab=0, E=2)
+        spec = RecurrenceSpec(l=1, a=2, rho=0, sigma=2, tau=0, ab=0, E=2)
         center, _ = closed_form_roots_imag(spec, 2)
         assert center == CRat(-3)
 
@@ -343,7 +343,7 @@ class TestClosedFormRootsImag:
         # B^2/C - 5A -+ (B/C) sqrt(disc)
         rng = random.Random(127)
         for _ in range(8):
-            spec = RecurrenceSpec.make(
+            spec = RecurrenceSpec(
                 l=rng.randint(1, 3),
                 a=rand_fraction(rng, nonzero=True) or 2,
                 rho=rand_fraction(rng),
@@ -364,7 +364,7 @@ class TestClosedFormRootsImag:
                 assert got == expected
 
     def test_conventional_roots_do_solve(self):
-        spec = RecurrenceSpec.make(l=2, a=2, rho=1, sigma=3, tau=1, ab=1, E=2)
+        spec = RecurrenceSpec(l=2, a=2, rho=1, sigma=3, tau=1, ab=1, E=2)
         k = 4
         A, B, C = reference_imag_brackets(spec, k)
         for r in quadratic_roots(C, B, -A):
@@ -408,7 +408,7 @@ class TestPaperCk:
             paper_ck(CRat(1), CRat(0), closed_form_roots_real, SPEC_A, 8)
 
     def test_degenerate_propagates(self):
-        spec = RecurrenceSpec.make(l=3, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
+        spec = RecurrenceSpec(l=3, a=2, rho=1, sigma=1, tau=1, ab=1, E=1)
         with pytest.raises(DegenerateLeading):
             paper_ck(CRat(1), CRat(0), closed_form_roots_real, spec, 6)
 

@@ -66,7 +66,7 @@ def test_replayed_text_is_the_str_text(forward, l, K, complex_scalars, c, real_c
         scalars = [CRat(data.draw(nonzero_st)) for _ in range(6)]
         c0, c1 = map(CRat, real_c)
     rho, sigma, tau, ab, E, a = scalars
-    spec = RecurrenceSpec.make(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
+    spec = RecurrenceSpec(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
     seq = forward(spec, c0, c1, K)
     if not complex_scalars:
         # every nonzero solved value of a real solve is recorded
@@ -174,7 +174,7 @@ def test_past_the_digit_limit_with_the_limit_lifted_matches_str(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_each_record_rebuilds_its_value(forward, l, scalars, c):
     rho, sigma, tau, ab, E, a = scalars
-    spec = RecurrenceSpec.make(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
+    spec = RecurrenceSpec(l=l, rho=rho, sigma=sigma, tau=tau, ab=ab, E=E, a=a)
     seq = forward(spec, *c, 40)
     for k, step in enumerate(seq.steps):
         if step is None:
@@ -189,7 +189,7 @@ def test_each_record_rebuilds_its_value(forward, l, scalars, c):
 def test_a_zero_value_inside_a_solve_replays(monkeypatch):
     # c_0 = B_2 and c_1 = A_2 make c_2 = (B_2 c_1 - A_2 c_0) / C_2 vanish, so
     # the next two steps have a zero operand
-    spec = RecurrenceSpec.make(l=1, rho=Fraction(3, 7), tau=Fraction(-5, 4), ab=Fraction(2, 9),
+    spec = RecurrenceSpec(l=1, rho=Fraction(3, 7), tau=Fraction(-5, 4), ab=Fraction(2, 9),
                                a=Fraction(11, 3))
     A, B, _ = distsol._crat_brackets(spec, "real", 2)
     seq = forward_real(spec, B, A, 60)

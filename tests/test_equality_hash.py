@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from heunlie import algpoly, cli, distsol, greenssf, heunop, sl2rep
 from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd, _Immutable
-from heunlie.distsol import weight_expansion
+from heunlie.distsol import CoeffSequence, weight_expansion
 from heunlie.greenssf import Distribution
 from heunlie.heunop import HeunParams
 from heunlie.sl2rep import Spin, UEAExpr
@@ -137,6 +137,12 @@ class TestEqualValuesHashEqually:
     @settings(max_examples=300, deadline=None)
     def test_heun_params(self, a, b):
         assert_consistent(a, b)
+
+    def test_coeff_sequence_from_a_list_or_a_tuple(self):
+        listed, tupled = CoeffSequence([1, 2, 3]), CoeffSequence((1, 2, 3))
+        assert listed.values == (1, 2, 3)
+        assert_consistent(listed, tupled)
+        assert listed == tupled
 
 
 # dyadic parts, so that each has an exact float twin

@@ -93,10 +93,10 @@ def test_report_floats_only_under_documented_keys(capsys, name):
     assert bool(float_keys) == has_float
 
 
-SPEC = RecurrenceSpec.make(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3)
+SPEC = RecurrenceSpec(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3)
 HEUN = HeunParams(3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 3),
                   Fraction(-1, 2), Fraction(7, 5))
-SCALARS = KernelScalars.direct(1, 3, 1, 5, 3)
+SCALARS = KernelScalars(1, 3, 1, 5, 3)
 CUBIC = Polynomial([1, 2, 3, 4])
 Z = Polynomial.variable()
 
@@ -105,20 +105,27 @@ def _plain_spec(**scalars):
     """SPEC's scalars, some replaced, through the plain constructor."""
     return RecurrenceSpec(**{**dict(l=1, rho=1, sigma=2, tau=1, ab=2, E=1, a=3), **scalars})
 
+
+def _plain_scalars(**fields):
+    """SCALARS' fields, some replaced, through the plain constructor."""
+    return KernelScalars(**{**dict(n=1, a=3, rho=1, sigma=5, tau=3), **fields})
+
 # (entry point, an exact value it accepts); every integer argument below is
 # checked the same way at the int 2
 ENTRY_POINTS = {
     "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
     "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
-    "RecurrenceSpec E": (lambda x: RecurrenceSpec.make(l=1, E=x), CR_ONE),
-    "RecurrenceSpec rho": (lambda x: RecurrenceSpec.make(l=1, rho=x), CR_ONE),
-    "RecurrenceSpec sigma": (lambda x: RecurrenceSpec.make(l=1, sigma=x), CR_ONE),
-    "RecurrenceSpec tau": (lambda x: RecurrenceSpec.make(l=1, tau=x), CR_ONE),
-    "RecurrenceSpec ab": (lambda x: RecurrenceSpec.make(l=1, ab=x), CR_ONE),
-    "RecurrenceSpec a": (lambda x: RecurrenceSpec.make(l=1, a=x), CR_ONE),
+    "RecurrenceSpec E": (lambda x: RecurrenceSpec(l=1, E=x), CR_ONE),
+    "RecurrenceSpec rho": (lambda x: RecurrenceSpec(l=1, rho=x), CR_ONE),
+    "RecurrenceSpec sigma": (lambda x: RecurrenceSpec(l=1, sigma=x), CR_ONE),
+    "RecurrenceSpec tau": (lambda x: RecurrenceSpec(l=1, tau=x), CR_ONE),
+    "RecurrenceSpec ab": (lambda x: RecurrenceSpec(l=1, ab=x), CR_ONE),
+    "RecurrenceSpec a": (lambda x: RecurrenceSpec(l=1, a=x), CR_ONE),
     **{f"RecurrenceSpec({name})": (lambda x, name=name: _plain_spec(**{name: x}), CR_ONE)
        for name in ("rho", "sigma", "tau", "ab", "E", "a")},
+    **{f"KernelScalars({name})": (lambda x, name=name: _plain_scalars(**{name: x}), CR_ONE)
+       for name in ("a", "rho", "sigma", "tau")},
     "Distribution center": (lambda x: Distribution.delta(0, x, 1), Fraction(1, 2)),
     "Distribution coefficient": (lambda x: Distribution.delta(0, 0, x), Fraction(1, 2)),
     "Distribution scalar": (lambda x: Distribution.delta(0) * x, 2),
@@ -148,7 +155,7 @@ def _ck(K=4, start=1):
 
 # integer arguments: (entry point, its result at the int 2)
 INTEGER_ARGUMENTS = {
-    "RecurrenceSpec l": (lambda x: RecurrenceSpec.make(l=x).l, 2),
+    "RecurrenceSpec l": (lambda x: RecurrenceSpec(l=x).l, 2),
     "RecurrenceSpec(l)": (lambda x: RecurrenceSpec(x, *[CR_ONE] * 6).l, 2),
     "closed_form_roots_real k": (lambda x: closed_form_roots_real(SPEC, x),
                                  closed_form_roots_real(SPEC, 2)),
@@ -160,7 +167,8 @@ INTEGER_ARGUMENTS = {
     "forward_imag K": (lambda x: forward_imag(SPEC, 1, 0, x), forward_imag(SPEC, 1, 0, 2)),
     "paper_ck K": (lambda x: _ck(K=x), _ck(K=2)),
     "paper_ck start": (lambda x: _ck(start=x), _ck(start=2)),
-    "KernelScalars.direct n": (lambda x: KernelScalars.direct(x, 3, 1, 5, 3).n, 2),
+    "KernelScalars n": (lambda x: KernelScalars(x, 3, 1, 5, 3).n, 2),
+    "KernelScalars(n)": (lambda x: _plain_scalars(n=x).n, 2),
     "KernelScalars.from_heun n": (lambda x: KernelScalars.from_heun(x, HEUN).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
     "Distribution order": (lambda x: Distribution.delta(x).terms[0][0], 2),
@@ -220,6 +228,16 @@ def test_plain_recurrence_spec_coerces_as_make_does():
                for name in ("rho", "sigma", "tau", "ab", "E", "a"))
     assert forward_real(plain, 1, 0, 6).as_list() == forward_real(SPEC, 1, 0, 6).as_list()
     assert forward_imag(plain, 1, 0, 6).as_list() == forward_imag(SPEC, 1, 0, 6).as_list()
+
+
+def test_plain_kernel_scalars_coerce_their_fields():
+    plain = KernelScalars(1, 2, 1, 3, 2)
+    exact = KernelScalars(1, CRat(2), CRat(1), CRat(3), CRat(2))
+    assert type(plain.n) is int
+    assert all(type(getattr(plain, name)) is CRat for name in ("a", "rho", "sigma", "tau"))
+    assert plain == exact and hash(plain) == hash(exact)
+    got, want = green_kernel(plain), green_kernel(exact)
+    assert (got.kp, got.scalar, got.hs_norm_sq()) == (want.kp, want.scalar, want.hs_norm_sq())
 
 
 @pytest.mark.parametrize("exact", [2, Fraction(4, 2), CRat(2)])

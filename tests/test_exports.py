@@ -1,9 +1,16 @@
 import importlib
 import inspect
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import heunlie
 from heunlie.algpoly import DiffOp, Polynomial
+from heunlie.distsol import RecurrenceSpec
 from heunlie.greenssf import (
     KernelScalars,
     green_coincidence,
@@ -11,7 +18,7 @@ from heunlie.greenssf import (
     hs_norm_sq,
     kp_constant,
 )
-from heunlie.heunop import DiscrepancyReport
+from heunlie.heunop import DiscrepancyReport, HeunParams
 
 MODULES = ["algpoly", "sl2rep", "heunop", "distsol", "greenssf", "cli"]
 
@@ -85,7 +92,7 @@ def test_only_algpoly_checks_for_bool():
     assert not checks, f"modules other than algpoly test for bool: {checks}"
 
 
-SCALARS = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
+SCALARS = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
 # constants that no caller sets: passing one as a parameter is a TypeError
 REMOVED_PARAMETERS = {
     "kp_constant s_eval": lambda: kp_constant(SCALARS, s_eval=0),
@@ -107,6 +114,34 @@ REMOVED_PARAMETERS = {
 def test_removed_parameter_raises_type_error(name):
     with pytest.raises(TypeError, match="unexpected keyword argument|positional argument"):
         REMOVED_PARAMETERS[name]()
+
+
+# alias constructors: each input record has one constructor, which validates
+REMOVED_CONSTRUCTORS = {
+    "KernelScalars.direct": lambda: KernelScalars.direct(1, 2, 1, 3, 2),
+    "RecurrenceSpec.make": lambda: RecurrenceSpec.make(l=1),
+    "HeunParams.from_strings": lambda: HeunParams.from_strings(a=2, q=0, alpha=1, beta=1,
+                                                               gamma=1, delta=1, epsilon=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_CONSTRUCTORS))
+def test_removed_constructor_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"has no attribute '{name.split('.')[1]}'$"):
+        REMOVED_CONSTRUCTORS[name]()
+
+
+def test_package_root_holds_only_the_version():
+    # each public name is imported from its own module: the root re-exports
+    # nothing, so importing it loads no module of the package
+    script = ("import json, sys, heunlie; print(json.dumps(["
+              "sorted(m for m in sys.modules if m.startswith('heunlie.')),"
+              "sorted(n for n in vars(heunlie) if not n.startswith('_')),"
+              "heunlie.__version__]))")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(heunlie.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == [[], [], heunlie.__version__]
 
 
 def test_green_kernel_alone_takes_the_kernel_knobs():

@@ -39,7 +39,7 @@ from util import (
     reference_truncated_exponential,
 )
 
-SCAL = KernelScalars.direct(n=1, a=2, rho=1, sigma=3, tau=2)
+SCAL = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
 
 
 class TestDistribution:
@@ -195,7 +195,7 @@ class TestGreenKernel:
         assert gk.prefactor == Polynomial([CR_ONE, CR_I])
 
     def test_kernel_coefficient_against_double_loop_oracle(self):
-        scal = KernelScalars.direct(n=1, a=3, rho=1, sigma=2, tau=2)
+        scal = KernelScalars(n=1, a=3, rho=1, sigma=2, tau=2)
         gk = green_kernel(scalars=scal, p_override=3)
         total = CR_ZERO
         for m in range(1, 4):
@@ -233,7 +233,7 @@ class TestGreenKernel:
             green_kernel(KernelScalars.from_heun(1, p1))  # rho = 0
 
     def test_empty_bound_needs_override(self):
-        scal = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
+        scal = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)
         with pytest.raises(ValueError):
             green_kernel(scalars=scal)
         gk = green_kernel(scalars=scal, p_override=1)
@@ -242,7 +242,7 @@ class TestGreenKernel:
 
 class TestKpConstant:
     def test_single_cell_collapse(self):
-        scal = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
+        scal = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)
         kp = green_kernel(scalars=scal, p_override=3).kp
         total = CR_ZERO
         for m in (1, 2, 3):
@@ -251,7 +251,7 @@ class TestKpConstant:
         assert kp == total
 
     def test_p_one_is_plain_sum(self):
-        scal = KernelScalars.direct(n=2, a=2, rho=1, sigma=3, tau=2)
+        scal = KernelScalars(n=2, a=2, rho=1, sigma=3, tau=2)
         kp = green_kernel(scalars=scal, p_override=1).kp
         total = CR_ZERO
         sc = symbol_coeffs(1, 2, scal)
@@ -288,7 +288,7 @@ class TestGreenCoincidence:
             green_coincidence(scalars=SCAL, E=CRat(0))
         # the eigenvalue is checked before the kernel sum: an empty bound
         # does not mask it
-        empty = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
+        empty = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)
         with pytest.raises(ZeroEigenvalue):
             green_coincidence(scalars=empty, E=CRat(0))
 
@@ -300,12 +300,12 @@ class TestGreenCoincidence:
 
 class TestHSNorm:
     def test_zero_when_rho_exceeds_one(self):
-        scal = KernelScalars.direct(n=1, a=2, rho=3, sigma=5, tau=2)
+        scal = KernelScalars(n=1, a=2, rho=3, sigma=5, tau=2)
         assert weight_expansion(3, 5, 2, CRat(2)).value_at_zero() == CR_ZERO
         assert hs_norm_sq(scalars=scal) == 0
 
     def test_unit_weight_case(self):
-        scal = KernelScalars.direct(n=0, a=2, rho=1, sigma=1, tau=1)
+        scal = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)
         gk = green_kernel(scalars=scal, p_override=2)
         assert gk.hs_norm_sq() == gk.kp.abs2()
 
@@ -315,7 +315,7 @@ class TestHSNorm:
             sigma = rng.randint(1, 4)
             tau = rng.randint(1, 3)
             rho = rng.randint(1, max(1, sigma - 1)) if sigma > 1 else 1
-            scal = KernelScalars.direct(
+            scal = KernelScalars(
                 n=rng.randint(-2, 3), a=rand_fraction(rng, nonzero=True) or 3,
                 rho=rho, sigma=sigma, tau=tau,
             )
@@ -446,7 +446,7 @@ FIRST_EXCEPTIONS = [
 @pytest.mark.parametrize("fn, a, bound, E, exc, message", FIRST_EXCEPTIONS)
 def test_first_exception(fn, a, bound, E, exc, message):
     sigma, kwargs = BOUNDS[bound]
-    scal = KernelScalars.direct(n=1, a=a, rho=2, sigma=sigma, tau=2)
+    scal = KernelScalars(n=1, a=a, rho=2, sigma=sigma, tau=2)
     if exc is None:
         KERNEL_FUNCTIONS[fn](scal, CRat(E), **kwargs)
         return
@@ -459,7 +459,7 @@ def test_first_exception(fn, a, bound, E, exc, message):
 @pytest.mark.parametrize("fn", list(KERNEL_FUNCTIONS))
 def test_first_exception_non_integer_exponent(fn):
     # the exponents are checked first, with integer_exponents' own message
-    scal = KernelScalars.direct(n=1, a=1, rho=Fraction(1, 2), sigma=2, tau=2)
+    scal = KernelScalars(n=1, a=1, rho=Fraction(1, 2), sigma=2, tau=2)
     with pytest.raises(NonIntegerExponents) as info:
         KERNEL_FUNCTIONS[fn](scal, CRat(1))
     assert str(info.value) == (
@@ -505,6 +505,6 @@ def test_kernel_sums_at_a_zero(tau, s_eval):
        tau=st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_hs_norm_is_the_product_of_the_two_moduli(kp, a, rho, sigma, tau):
-    scalars = KernelScalars.direct(1, a, rho, sigma, tau)
+    scalars = KernelScalars(1, a, rho, sigma, tau)
     kernel = GreenKernel(scalars, 1, Polynomial.one(), CR_ONE, kp)
     assert kernel.hs_norm_sq() == kp.abs2() * kernel.omega_at_0.abs2()

@@ -551,7 +551,7 @@ class TestGoldenReport:
     def test_discrepancy_report_matches_golden(self):
         path = GOLDEN / "theorem1_n2.json"
         recorded = json.loads(path.read_text())
-        p = HeunParams.from_strings(**recorded["params"])
+        p = HeunParams(**recorded["params"])
         n = recorded["n"]
         rows = verify_theorem1(Spin.from_n(n).j, p).as_list()
         rows += es_discrepancies(n, p).as_list()
@@ -560,5 +560,5 @@ class TestGoldenReport:
     def test_golden_operator_text_is_printed(self):
         path = GOLDEN / "theorem1_n2.json"
         recorded = json.loads(path.read_text())
-        p = HeunParams.from_strings(**recorded["params"])
+        p = HeunParams(**recorded["params"])
         assert str(es_operator(recorded["n"], p)) == recorded["es_operator"]
