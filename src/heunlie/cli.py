@@ -128,11 +128,22 @@ def _params_from_args(args) -> HeunParams:
     return HeunParams(**{name: getattr(args, name) for name in HeunParams.FIELD_NAMES})
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a ``--flag=--`` value is refused as a
+    missing one: CPython 3.11 drops the ``--`` and stores ``[]``, which no
+    report can read."""
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``heunlie`` parser, built once per process: parsing never mutates
     it, and every default is immutable."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heunlie",
         description="Exact operator algebra, solvability detection and kernel "
         "reports for the Heun family.",
@@ -194,24 +205,56 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one argparse pass.
+    """``build_parser().parse_args(argv)``, read from the command's actions
+    when the line is a command word followed by ``--flag=value`` words.
 
-    The full parser hands every word after the command word to that
-    command's parser and keeps only its result and its leftover words.  So
-    when the first word names a command, that parser takes the rest of the
-    line here directly.  The full parser runs when there is no command
-    word, the word is unknown, or words are left over: every help text,
-    error text and exit code is argparse's own.
+    Each flag must be an exact option string of a plain store action of
+    that command, given once, with a value other than ``--``.  Each value
+    goes through its action's type and choices, and every other action
+    takes its default, as argparse would.  Any other line, and any value or
+    missing flag that argparse refuses, goes to the full parser: every help
+    text, error text and exit code is argparse's own.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser._commands.get(argv[0]) if argv else None
     if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
+        args = _read_flags(command, argv)
+        if args is not None:
             return args
     return parser.parse_args(argv)
+
+
+def _read_flags(command: argparse.ArgumentParser, argv: list) -> Optional[argparse.Namespace]:
+    """The namespace the full parser builds for ``argv``, whose first word
+    names ``command`` and whose other words are ``--flag=value``; None for
+    any word, value or omission that needs argparse's own parsing pass."""
+    given = {}
+    for word in argv[1:]:
+        flag, eq, text = word.partition("=")
+        action = command._option_string_actions.get(flag)
+        if (not eq or type(action) is not argparse._StoreAction or action.nargs is not None
+                or action in given or text == "--"):
+            return None
+        given[action] = text
+    args = argparse.Namespace(command=argv[0])
+    try:
+        for action in command._actions:
+            if action in given:
+                value = command._get_value(action, given[action])
+                command._check_value(action, value)
+            elif action.default == argparse.SUPPRESS:  # -h/--help
+                continue
+            elif action.required:
+                return None
+            elif isinstance(action.default, str):
+                value = command._get_value(action, action.default)
+            else:
+                value = action.default
+            setattr(args, action.dest, value)
+    except argparse.ArgumentError:
+        return None
+    return args
 
 
 def _add_green_flags(sp: argparse.ArgumentParser) -> None:

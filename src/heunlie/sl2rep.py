@@ -12,6 +12,7 @@ differential operator.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -69,7 +70,13 @@ class Spin(_Immutable):
 
 def make_generators(j) -> tuple[DiffOp, DiffOp, DiffOp]:
     """The spin-j triple (Jp, J0, Jm) = (z^2 D - 2jz, z D - j, D)."""
-    j = Spin(j).j
+    return _generators(Spin(j).j)
+
+
+@functools.lru_cache(maxsize=1)
+def _generators(j: Fraction) -> tuple[DiffOp, DiffOp, DiffOp]:
+    # the last spin's triple is kept: an analysis expands its Heun words and
+    # takes the raising generator from the one triple
     jp = DiffOp([Polynomial([0, -2 * j]), Polynomial.monomial(2)])
     j0 = DiffOp([Polynomial([-j]), Polynomial.variable()])
     return jp, j0, DiffOp.d()

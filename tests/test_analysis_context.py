@@ -18,7 +18,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import heunlie
 from heunlie import algpoly, cli, heunop, sl2rep
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
 from heunlie.heunop import (
@@ -67,7 +66,7 @@ def _count_calls(monkeypatch, names, log=None) -> dict:
                 log.append(_name)
             return _original(*args, **kwargs)
 
-        for module in (algpoly, heunop, cli, sl2rep, heunlie):
+        for module in (algpoly, heunop, cli, sl2rep):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return counts
@@ -101,6 +100,12 @@ class TestOneAnalysisPerReport:
         assert len(rows) == 4 and '"error"' in rows[0]
         per_point = {**PER_REPORT, **COMPOSE_PER_REPORT}
         assert counts == {name: 3 * calls for name, calls in per_point.items()}
+
+    def test_expansion_and_raising_free_operator_share_one_generator_triple(self):
+        sl2rep._generators.cache_clear()
+        cli.payload_analyze(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1), 8)
+        info = sl2rep._generators.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_stages_run_in_report_order(self, monkeypatch):
         log = []

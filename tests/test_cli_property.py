@@ -1,8 +1,8 @@
 """The command line as a whole: every drawn command line ends with a
 documented exit code (or argparse's 2), writes nothing to stdout unless it
-exits 0, and on exit 0 writes JSON (one line per point for a sweep).  The
-one-pass parse gives every line the exit code, stdout and stderr of the
-full parser.
+exits 0, and on exit 0 writes JSON (one line per point for a sweep).  Every
+line, whether read from the command's actions or parsed by argparse, gives
+the exit code, stdout and stderr of the full parser.
 
 Draws cover all seven command names, valid and invalid exact literals,
 spin integers around 0..8, truncations up to K = 12, scalar-mode flags and
@@ -11,8 +11,11 @@ sweep grids, valid and not.
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import event, example, given, settings
@@ -124,6 +127,8 @@ ES_BASE = ["--a=2", "--q=1", "--alpha=-1", "--beta=0", "--gamma=1/3", "--delta=1
           "--delta=1", f"--epsilon={-3 - 10 ** 100}"])
 @example(["analyze", "--n=4", f"--a={HUGE}", "--gamma=1", *UNIT])
 @example(["sweep", "--n=4", "--a=2", f"--gamma={BIG}", *UNIT, f"--grid=a=2,{BIG},{HUGE}"])
+@example(["expand", "--expr=--", "--j=1/2"])  # argparse's 2, not a traceback
+@example(["analyze", *ES_BASE, "--output=--"])  # argparse's 2, not a text report
 @settings(max_examples=300, deadline=None)
 def test_every_command_line_ends_with_a_documented_exit(argv):
     code, out = run_main(argv)
@@ -141,7 +146,7 @@ def test_every_command_line_ends_with_a_documented_exit(argv):
         assert isinstance(json.loads(out), dict)
 
 
-# -- the one-pass parse against the full parser ------------------------------------
+# -- the parse against the full parser -----------------------------------------------
 
 #: flags no command has, abbreviations (unique in some parsers, ambiguous in
 #: others: --s is --s-eval or --sigma, --o is --output or --out) and help
@@ -203,6 +208,16 @@ GREEN = ["green", *ES_BASE, "--n=1", "--rho=1", "--sigma=2", "--tau=2"]
 @example(["green", *GREEN[2:], "--a=1/0"])
 @example(["green", "--s=1", *GREEN[1:]])  # ambiguous
 @example(["analyze", "--", *ES_BASE])
+# a value of "--" is [] to argparse
+@example(["expand", "--expr=--", "--j=1/2"])
+@example([*GREEN, "--out=--"])
+@example(["sweep", *ES_BASE, "--n=2", "--grid=--"])
+@example([*GREEN, "--out="])
+@example([*GREEN, "--n=2"])  # an exact flag given twice
+@example([*GREEN, "--help=1"])
+@example([*GREEN, "--output=xml"])
+@example([*GREEN, "-n=1"])
+@example([*GREEN, "--lambda=nan"])
 @settings(max_examples=300, deadline=None)
 def test_one_pass_parse_matches_the_full_parser(argv):
     got = outcome(argv)
@@ -212,7 +227,8 @@ def test_one_pass_parse_matches_the_full_parser(argv):
     assert got == want, argv
 
 
-def test_a_green_line_reaches_argparse_once(monkeypatch):
+def _argparse_calls(monkeypatch) -> list:
+    """The parsers whose ``parse_known_args`` runs from now on, by ``prog``."""
     seen = []
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -221,9 +237,45 @@ def test_a_green_line_reaches_argparse_once(monkeypatch):
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return seen
+
+
+def test_a_green_line_never_reaches_argparse(monkeypatch):
+    seen = _argparse_calls(monkeypatch)
     assert outcome(GREEN)[0] == 0
-    assert seen == ["heunlie green"]
-    seen.clear()
+    assert seen == []
     with mock.patch.object(cli, "_parse", reference_parse):
         assert outcome(GREEN)[0] == 0
     assert seen == ["heunlie", "heunlie green"]
+
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    return bench
+
+
+def test_every_benchmark_line_is_read_without_argparse(monkeypatch):
+    """The lines the benchmark runs (every op at seed 4200 for 30 s, and
+    the warm-ups) take the direct path, so a change of their spelling cannot
+    send the benchmark back through argparse unseen."""
+    lines = [
+        argv
+        for workload in _load_bench().WORKLOADS.values()
+        for argv in (*(op.argv for op in workload.ops(4200, 30)), *workload.warmup)
+    ]
+    assert len(lines) > 100
+    seen = _argparse_calls(monkeypatch)
+    for argv in lines:
+        args = cli._parse(argv)
+        assert seen == [], argv
+        assert vars(args) == vars(reference_parse(argv)), argv
+        seen.clear()

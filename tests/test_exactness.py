@@ -116,12 +116,6 @@ ENTRY_POINTS = {
     "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
     "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
-    "RecurrenceSpec E": (lambda x: RecurrenceSpec(l=1, E=x), CR_ONE),
-    "RecurrenceSpec rho": (lambda x: RecurrenceSpec(l=1, rho=x), CR_ONE),
-    "RecurrenceSpec sigma": (lambda x: RecurrenceSpec(l=1, sigma=x), CR_ONE),
-    "RecurrenceSpec tau": (lambda x: RecurrenceSpec(l=1, tau=x), CR_ONE),
-    "RecurrenceSpec ab": (lambda x: RecurrenceSpec(l=1, ab=x), CR_ONE),
-    "RecurrenceSpec a": (lambda x: RecurrenceSpec(l=1, a=x), CR_ONE),
     **{f"RecurrenceSpec({name})": (lambda x, name=name: _plain_spec(**{name: x}), CR_ONE)
        for name in ("rho", "sigma", "tau", "ab", "E", "a")},
     **{f"KernelScalars({name})": (lambda x, name=name: _plain_scalars(**{name: x}), CR_ONE)
@@ -221,13 +215,15 @@ def test_float_or_complex_input_raises_type_error(name, inexact):
 
 
 
-def test_plain_recurrence_spec_coerces_as_make_does():
+def test_plain_recurrence_spec_coerces_its_fields():
     plain = RecurrenceSpec(1, 1, 2, 1, 2, 1, 3)
-    assert plain == SPEC
+    exact = RecurrenceSpec(1, CRat(1), CRat(2), CRat(1), CRat(2), CRat(1), CRat(3))
+    assert type(plain.l) is int
     assert all(type(getattr(plain, name)) is CRat
                for name in ("rho", "sigma", "tau", "ab", "E", "a"))
-    assert forward_real(plain, 1, 0, 6).as_list() == forward_real(SPEC, 1, 0, 6).as_list()
-    assert forward_imag(plain, 1, 0, 6).as_list() == forward_imag(SPEC, 1, 0, 6).as_list()
+    assert plain == exact and hash(plain) == hash(exact)
+    assert forward_real(plain, 1, 0, 6).as_list() == forward_real(exact, 1, 0, 6).as_list()
+    assert forward_imag(plain, 1, 0, 6).as_list() == forward_imag(exact, 1, 0, 6).as_list()
 
 
 def test_plain_kernel_scalars_coerce_their_fields():

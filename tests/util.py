@@ -553,8 +553,8 @@ def list_indicial_exponents(L, point):
 
 
 def reference_parse(argv):
-    """The command line parsed by the full parser alone, as ``cli.main`` did
-    before the one-pass rule: the top parser walks the whole line, then the
+    """The command line parsed by the full parser alone, never read from the
+    command's actions directly: the top parser walks the whole line, then the
     command's parser walks the rest of it."""
     return cli.build_parser().parse_args(argv)
 
