@@ -116,6 +116,14 @@ ENTRY_POINTS = {
     "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
     "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
+    # one scalar given, the rest left at the field defaults (int 0, a = 2)
+    "RecurrenceSpec E": (lambda x: RecurrenceSpec(l=1, E=x), CR_ONE),
+    "RecurrenceSpec rho": (lambda x: RecurrenceSpec(l=1, rho=x), CR_ONE),
+    "RecurrenceSpec sigma": (lambda x: RecurrenceSpec(l=1, sigma=x), CR_ONE),
+    "RecurrenceSpec tau": (lambda x: RecurrenceSpec(l=1, tau=x), CR_ONE),
+    "RecurrenceSpec ab": (lambda x: RecurrenceSpec(l=1, ab=x), CR_ONE),
+    "RecurrenceSpec a": (lambda x: RecurrenceSpec(l=1, a=x), CR_ONE),
+    # every scalar given, SPEC's values with one replaced
     **{f"RecurrenceSpec({name})": (lambda x, name=name: _plain_spec(**{name: x}), CR_ONE)
        for name in ("rho", "sigma", "tau", "ab", "E", "a")},
     **{f"KernelScalars({name})": (lambda x, name=name: _plain_scalars(**{name: x}), CR_ONE)
