@@ -33,6 +33,7 @@ __all__ = [
     "op_compose",
     "commutator",
     "monomial_images",
+    "format_terms",
     "exact_int",
     "exact_count",
     "quadratic_roots",
@@ -238,9 +239,6 @@ class CRat(_Immutable):
     def __neg__(self):
         a, b, d = self.triple
         return _crat(-a, -b, d)
-
-    def __pos__(self):
-        return self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

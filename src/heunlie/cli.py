@@ -47,10 +47,7 @@ from .heunop import (
     OracleMismatch,
     OverflowColumn,
     _Analysis,
-    build_expanded,
     es_condition,
-    es_discrepancies,
-    expanded_es_coeffs,
     matrix_diagonal,
     matrix_spectrum,
     qes_matrix,
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_green_flags(p_gr)
     _add_output_flags(p_gr)
 
-    p_sw = sub.add_parser("sweep", help="stream one report per grid point")
+    p_sw = sub.add_parser("sweep", help="one JSON line per grid point, written when all are built")
     _add_param_flags(p_sw)
     p_sw.add_argument("--n", type=int, default=1)
     p_sw.add_argument(
@@ -247,8 +244,6 @@ def _read_flags(command: argparse.ArgumentParser, argv: list) -> Optional[argpar
                 continue
             elif action.required:
                 return None
-            elif isinstance(action.default, str):
-                value = command._get_value(action, action.default)
             else:
                 value = action.default
             setattr(args, action.dest, value)
@@ -277,10 +272,10 @@ def _add_green_flags(sp: argparse.ArgumentParser) -> None:
 # -- payload builders ---------------------------------------------------------
 
 
-def _check_n(n: int) -> int:
-    if not 0 <= n <= 64:
-        raise ValueError(f"n must be in 0..64, got {n}")
-    return n
+def _check_n(value: int, name: str = "n") -> int:
+    if not 0 <= value <= 64:
+        raise ValueError(f"{name} must be in 0..64, got {value}")
+    return value
 
 
 def _surd_str_pair(pair_) -> list[str]:
@@ -333,26 +328,23 @@ def payload_expand(expr_text: str, j_text: str) -> dict:
 
 
 def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
-    n = _check_n(n)
-    j = Spin.from_n(n).j
-    size = n if N is None else N
-    if not 0 <= size <= 64:
-        raise ValueError(f"N must be in 0..64, got {size}")
-    L = build_expanded(params)
-    M = qes_matrix(L, size)
+    # one context per report; the first error is n's, N's, then the matrix's
+    ctx = _Analysis(_check_n(n), params)
+    size = _check_n(n if N is None else N, "N")
+    M = qes_matrix(ctx.expanded, size)
     lower, upper, spectrum = matrix_spectrum(M)
     return {
         "schema": "heun-spectrum-v1",
         "version": _TOOL_VERSION,
         "config": _config("spectrum", params, n, {"N": size}),
-        "es_condition_residual": str(es_condition(j, params)),
+        "es_condition_residual": str(es_condition(ctx.j, params)),
         "matrix_dim": size + 1,
         "matrix": [[str(x) for x in row] for row in M],
         "triangular_lower": lower,
         "triangular_upper": upper,
         "diagonal": [str(v) for v in matrix_diagonal(M)],
         "spectrum": [_jsonable(v) for v in spectrum],
-        "discrepancies": es_discrepancies(n, params).as_list(),
+        "discrepancies": ctx.es_rows().as_list(),
     }
 
 
@@ -361,7 +353,7 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
     n = _check_n(n)
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
-    coeffs = expanded_es_coeffs(n, params)
+    coeffs = _Analysis(n, params).es_coeffs
     spec = RecurrenceSpec(
         l=l, rho=coeffs.rho, sigma=coeffs.sigma, tau=coeffs.tau,
         ab=coeffs.abProduct, E=E, a=params.a,

@@ -114,9 +114,6 @@ class Distribution(_Immutable):
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Distribution":
-        return self * CRat(-1)
-
     def __eq__(self, other):
         if not isinstance(other, Distribution):
             return NotImplemented

@@ -671,11 +671,7 @@ class _Analysis:
             -(n / CRat(2)) * ((n - p.gamma) * (one + p.a) - p.delta - p.epsilon),
             const_extra,
         )
-        r.add(
-            "jplus_coefficient",
-            p.alpha + p.beta + CRat(3 * j) - CRat(Fraction(1, 2)),
-            self.uea_coeffs.cPlus,
-        )
+        r.add("jplus_coefficient", es_condition(j, p), self.uea_coeffs.cPlus)
         r.add(
             "qes_membership_condition",
             CRat(8 * j * j) + CRat(2 * j) * (p.alpha + p.beta - one) + p.alpha * p.beta,
@@ -684,7 +680,7 @@ class _Analysis:
         r.add(
             "eq3_linear_z_coeff",
             -((one + p.a) * p.gamma + p.delta + p.epsilon),
-            -((one + p.a) * p.gamma + p.a * p.delta + p.epsilon),
+            self.expanded.coeff(1).coeff(1),  # the z-coefficient of D
         )
         return r
 

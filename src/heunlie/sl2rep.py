@@ -16,7 +16,9 @@ import functools
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, Surd, _Immutable, exact_int, op_compose
+from .algpoly import (
+    CR_ZERO, CRat, DiffOp, Polynomial, Surd, _Immutable, exact_int, format_terms, op_compose,
+)
 
 __all__ = [
     "Spin",
@@ -115,9 +117,9 @@ class UEAExpr(_Immutable):
         return hash((self.words, self.constant))
 
     def __str__(self) -> str:
-        chunks = [f"{_coeff_text(c)} * {w}" for c, w in self.words]
+        chunks = [f"{format_terms([(c, 0, 0)])} * {w}" for c, w in self.words]
         if not self.constant.is_zero() or not chunks:
-            chunks.append(_coeff_text(self.constant))
+            chunks.append(format_terms([(self.constant, 0, 0)]))
         return " + ".join(chunks)
 
     def __repr__(self):
@@ -144,11 +146,6 @@ class UEAExpr(_Immutable):
             else:
                 constant = constant + _parse_coeff(chunk)
         return cls(words, constant)
-
-
-def _coeff_text(c: CRat) -> str:
-    s = str(c)
-    return s if c.is_rational() and c.re >= 0 else f"({s})"
 
 
 def _parse_coeff(text: str) -> CRat:

@@ -101,6 +101,38 @@ class TestOneAnalysisPerReport:
         per_point = {**PER_REPORT, **COMPOSE_PER_REPORT}
         assert counts == {name: 3 * calls for name, calls in per_point.items()}
 
+    def test_spectrum_and_distsol_build_one_context(self, monkeypatch):
+        made = []
+        init = _Analysis.__init__
+
+        def counted(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(_Analysis, "__init__", counted)
+        counts = _count_calls(monkeypatch, ("build_expanded", "uea_expand", "qes_matrix"))
+        p = es_params(8)
+        cli.payload_spectrum(p, 8, None)
+        # the matrix's operator and the rows' coefficients are its stages
+        assert len(made) == 1 and {"expanded", "es_coeffs"} <= set(vars(made[0]))
+        assert counts == {"build_expanded": 1, "uea_expand": 1, "qes_matrix": 1}
+        made.clear()
+        cli.payload_distsol(p, 8, 2, CR_ONE, 4, CR_ONE, CR_ZERO)
+        assert len(made) == 1 and "es_coeffs" in vars(made[0])
+
+    def test_cli_reads_spin_data_through_the_context_alone(self):
+        assert not {"build_expanded", "es_discrepancies", "expanded_es_coeffs"} & set(vars(cli))
+
+    @pytest.mark.parametrize("n, N, message", [
+        (65, 70, "n must be in 0..64, got 65"),
+        (8, 65, "N must be in 0..64, got 65"),
+    ])
+    def test_spectrum_checks_n_then_N_before_any_stage(self, monkeypatch, n, N, message):
+        counts = _count_calls(monkeypatch, ("build_expanded", "qes_matrix"))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli.payload_spectrum(es_params(8), n, N)
+        assert counts == {"build_expanded": 0, "qes_matrix": 0}
+
     def test_expansion_and_raising_free_operator_share_one_generator_triple(self):
         sl2rep._generators.cache_clear()
         cli.payload_analyze(HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1), 8)

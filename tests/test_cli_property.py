@@ -249,6 +249,19 @@ def test_a_green_line_never_reaches_argparse(monkeypatch):
     assert seen == ["heunlie", "heunlie green"]
 
 
+def test_no_string_default_needs_its_type():
+    # argparse passes a str default of an absent flag through the action's
+    # type; the direct path stores every default as it is, which is the same
+    # while no str default has a type
+    typed = [
+        (word, action.dest)
+        for word, command in cli.build_parser()._commands.items()
+        for action in command._actions
+        if isinstance(action.default, str) and action.type is not None
+    ]
+    assert typed == []
+
+
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 

@@ -314,6 +314,12 @@ class TestUEACoefficients:
         assert es_condition(0, p3) == CRat(Fraction(3, 2))
 
 
+#: the theorem-1 rows whose residual vanishes under the parameter constraint
+GENERAL_ROWS = ("rho_general", "rho_constraint_form", "sigma_general", "tau_general",
+                "ab_product_general", "jplus_coefficient")
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
 class TestVerifyTheorem1:
     def test_zero_residual_rows(self):
         rng = random.Random(79)
@@ -321,9 +327,19 @@ class TestVerifyTheorem1:
             p = rand_params(rng, constrained=True)
             n = rng.randint(-3, 4)
             rep = verify_theorem1(Fraction(n, 2), p)
-            for name in ("rho_general", "rho_constraint_form", "sigma_general",
-                         "tau_general", "ab_product_general", "jplus_coefficient"):
+            for name in GENERAL_ROWS:
                 assert rep.residual(name) == CR_ZERO, name
+
+    @given(small_fractions.filter(lambda a: a not in (0, 1)),
+           st.lists(small_fractions, min_size=5, max_size=5), st.integers(0, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_general_rows_vanish_under_the_constraint(self, a, rest, n):
+        q, alpha, beta, gamma, delta = rest
+        p = HeunParams(a, q, alpha, beta, gamma, delta, alpha + beta + 1 - gamma - delta)
+        rep = verify_theorem1(Fraction(n, 2), p)
+        assert {name: rep.residual(name) for name in GENERAL_ROWS} == dict.fromkeys(
+            GENERAL_ROWS, CR_ZERO
+        )
 
     def test_halfspin_residual_closed_forms(self):
         rng = random.Random(83)
