@@ -106,12 +106,10 @@ class CRat(_Immutable):
     def __init__(self, re: ExactLike = 0, im: ExactLike = 0):
         a, p = _ratio(re)
         b, q = _ratio(im)
-        if p != q:
-            # over the lcm of the two reduced denominators, every prime of
-            # the lcm leaves one part's numerator, so the triple is reduced
-            d = math.lcm(p, q)
-            a, b, p = a * (d // p), b * (d // q), d
-        _set_triple(self, (a, b, p))
+        # over the lcm of the two reduced denominators, every prime of the
+        # lcm leaves one part's numerator, so the triple is reduced
+        d = math.lcm(p, q)
+        _set_triple(self, (a * (d // p), b * (d // q), d))
 
     @property
     def re(self) -> Fraction:
@@ -336,60 +334,23 @@ def _reduced(a: int, b: int, d: int) -> CRat:
     return _crat(a // g, b // g, d // g)
 
 
-# The operations below skip a zero part rather than multiply it; each branch
-# gives the value of the full formula.  _sum and _product take canonical
-# triples, and _quotient any triples with a positive denominator.
-
-
 def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
-    """``(a + b i)/d + (c + e i)/f``.  Over a shared denominator one gcd
-    reduces the sum, none when it is 1; if one denominator is 1 the cross
-    sum is already reduced (a prime of the other leaves that one's
-    numerator untouched)."""
-    if d == f:
-        if d == 1:
-            return _crat(a + c, b + e, 1)
-        a, b = a + c, b + e
-    elif d == 1 or f == 1:
-        return _crat(a * f + c * d, b * f + e * d, d * f)
-    else:
-        a, b, d = a * f + c * d, b * f + e * d, d * f
-    g = math.gcd(a, b, d)
-    return _crat(a // g, b // g, d // g)
+    """``(a + b i)/d + (c + e i)/f`` for triples with positive
+    denominators, reduced by :func:`_reduced`."""
+    return _reduced(a * f + c * d, b * f + e * d, d * f)
 
 
 def _product(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
-    """``(a + b i)/d * (c + e i)/f`` by one gcd, or none for Gaussian
-    integers."""
-    if not b and d == 1:  # an integer factor goes second
-        a, b, d, c, e, f = c, e, f, a, b, d
-    if not e and f == 1:
-        # an integer c: gcd(c a, c b, d) == gcd(c, d), as gcd(a, b, d) == 1
-        if d != 1:
-            g = math.gcd(c, d)
-            if g != 1:
-                c, d = c // g, d // g
-        return _crat(a * c, b * c, d)
-    if not e:
-        a, b = a * c, b * c
-    elif not b:
-        a, b = a * c, a * e
-    else:
-        a, b = a * c - b * e, a * e + b * c
-    d *= f
-    g = math.gcd(a, b, d)
-    return _crat(a // g, b // g, d // g)
+    """``(a + b i)/d * (c + e i)/f`` for triples with positive
+    denominators, reduced by :func:`_reduced`."""
+    return _reduced(a * c - b * e, a * e + b * c, d * f)
 
 
 def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> CRat:
     """``(a + b i)/d / ((c + e i)/f)``: the numerator times ``f (c - e i)``
     over ``d (c^2 + e^2)``, reduced by :func:`_reduced`."""
-    if not e:
-        if not c:
-            raise ZeroDivisionError("division by zero CRat")
-        if c < 0:
-            c, f = -c, -f
-        return _reduced(a * f, b * f, d * c)
+    if not (c or e):
+        raise ZeroDivisionError("division by zero CRat")
     return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
 
@@ -701,10 +662,7 @@ class Polynomial(_Immutable):
                 return Polynomial.zero()
             return _reduced_poly(_convolve(self._num, other._num), self._den * other._den)
         c, e, f = CRat.from_value(other).triple
-        if e:
-            out = [(a * c - b * e, a * e + b * c) for a, b in self._num]
-        else:
-            out = [(a * c, b * c) for a, b in self._num]
+        out = [(a * c - b * e, a * e + b * c) for a, b in self._num]
         return _reduced_poly(out, self._den * f)
 
     __rmul__ = __mul__
@@ -819,16 +777,12 @@ def _common(polys) -> tuple[list, int]:
 
 def _mul_add(re: list, im: list, p, q) -> None:
     """Add the product of the Gaussian-integer tables ``p`` and ``q`` into
-    the part lists ``re`` and ``im``, a zero or real factor skipped."""
+    the part lists ``re`` and ``im``, a zero factor skipped."""
     for s, (a, b) in enumerate(p):
-        if b:
+        if a or b:
             for t, (c, e) in enumerate(q, s):
                 re[t] += a * c - b * e
                 im[t] += a * e + b * c
-        elif a:
-            for t, (c, e) in enumerate(q, s):
-                re[t] += a * c
-                im[t] += a * e
 
 
 def _convolve(p, q) -> list:

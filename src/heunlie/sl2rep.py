@@ -13,6 +13,7 @@ differential operator.
 from __future__ import annotations
 
 import functools
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -129,15 +130,16 @@ class UEAExpr(_Immutable):
     def parse(cls, text: str) -> "UEAExpr":
         """Parse the ``coeff * W`` grammar with W a word over {+, 0, -}.
 
-        Terms are separated by `` + `` (space, plus, space); a bare
-        coefficient is the constant term, e.g. ``1/2 * +0 + 1/2 * 0+ + (-1)``.
+        Terms are separated by `` + `` (space, plus, space), except that a
+        ``+`` right after ``* `` is a word; a bare coefficient is the constant
+        term, e.g. ``1/2 * +0 + 1/2 * 0+ + (-1)``; what ``str`` prints parses back.
         """
         words = []
         constant = CR_ZERO
         s = text.strip()
         if not s:
             return cls()
-        for chunk in s.split(" + "):
+        for chunk in re.split(r"(?<!\*) \+ ", s):
             chunk = chunk.strip()
             if "*" in chunk:
                 coeff_txt, _, word = chunk.partition("*")

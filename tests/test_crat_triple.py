@@ -69,6 +69,16 @@ class TestTripleMatchesFractionPairs:
     @example(operator.mul, SHARED, CRat.from_ints(2, -3, 12), False)  # the conjugate
     @example(operator.truediv, SHARED, Fraction(-1, 6), False)
     @example(operator.truediv, CRat(BIG, -BIG), CRat(Fraction(1, BIG), 3), True)
+    # operands a shortcut past the one formula would serve
+    @example(operator.mul, CRat(-4), SHARED, False)  # an integer times a complex value
+    @example(operator.mul, SHARED, CRat(-4), False)
+    @example(operator.mul, CRat(2, -3), CRat(-1, 5), False)  # two Gaussian integers
+    @example(operator.add, CRat(2, -3), CRat(-1, 5), False)
+    @example(operator.add, CRat(Fraction(1, 6), Fraction(5, 6)),
+             CRat(Fraction(-1, 6), Fraction(1, 6)), False)  # equal denominators
+    @example(operator.sub, SHARED, CRat(3, -1), False)  # one denominator is 1
+    @example(operator.truediv, SHARED, -3, False)  # a negative integer divisor
+    @example(operator.truediv, SHARED, CRat(0, Fraction(-2, 3)), False)  # a pure imaginary one
     @settings(max_examples=600, deadline=None)
     def test_binary_ops(self, op, x, y, swap):
         if swap:

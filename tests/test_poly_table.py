@@ -135,6 +135,8 @@ class TestTableMatchesCRatLists:
              [CRat(Fraction(-2, 3)), CRat(Fraction(2, 3))])  # the sum cancels to 1
     @example((operator.mul, list_mul), [CRat(Fraction(1, 2), Fraction(1, 2))],
              [CRat(1, -1)])  # (1+i)/2 (1-i) = 1
+    @example((operator.mul, list_mul), [CRat(Fraction(1, 2)), CRat(3)],
+             [CRat(1, Fraction(1, 3)), CRat(0, 2)])  # a real table times a complex one
     @settings(max_examples=300, deadline=None)
     def test_ring_operations(self, ops, ps, qs):
         op, ref = ops
@@ -142,6 +144,7 @@ class TestTableMatchesCRatLists:
 
     @given(coeffs_st(), scalar_st)
     @example([CRat(Fraction(3, 2)), CRat(Fraction(1, 2))], 2)
+    @example([CRat(1, Fraction(1, 2)), CRat(0, 3)], Fraction(-2, 3))  # a real multiple
     @settings(max_examples=200, deadline=None)
     def test_scalar_product_and_sum(self, ps, c):
         p, ref = Polynomial(ps), list_poly(ps)

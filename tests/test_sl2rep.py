@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heunlie.algpoly import CRat, DiffOp, Polynomial, commutator, op_apply
 from heunlie.sl2rep import Spin, UEAExpr, make_generators, uea_expand
@@ -66,6 +68,10 @@ class TestGenerators:
                     assert img.is_zero() or img.degree <= n
 
 
+part_st = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+coeff_st = st.one_of(st.just(0), part_st, st.builds(CRat, part_st, part_st))
+
+
 class TestUEAExpr:
     def test_empty_expression(self):
         assert uea_expand(UEAExpr(), 0) == DiffOp.zero()
@@ -111,6 +117,17 @@ class TestUEAExpr:
         )
         again = UEAExpr.parse(str(expr))
         assert again == expr
+
+    @given(st.builds(
+        UEAExpr,
+        st.lists(st.tuples(coeff_st, st.text("+0-", max_size=4)), max_size=5),
+        coeff_st,
+    ))
+    @example(UEAExpr([(2, "+")], 3))  # "2 * + + 3"
+    @example(UEAExpr([(1, "+"), (1, "0")]))  # "1 * + + 1 * 0"
+    @settings(max_examples=300, deadline=None)
+    def test_printed_text_parses_back(self, expr):
+        assert UEAExpr.parse(str(expr)) == expr
 
     def test_parse_examples(self):
         expr = UEAExpr.parse("1/2 * +0 + 1/2 * 0+ + (-3/2)")
