@@ -1,17 +1,21 @@
 """Exact complex-rational scalars, dense polynomials, and the algebra of
-linear differential operators with polynomial coefficients.
+linear differential operators with polynomial coefficients; also the
+Heun parameter record, the weight-argument check that ``distsol`` and
+``greenssf`` share, and the errors that every command maps to an exit code,
+so that each command loads only the modules whose code it runs.
 
 Every value in this module is immutable after construction and every
 operation is a pure function, so everything here can be shared freely
 between threads.  That rule is written once, in the private slotted base
 ``_Immutable``, from which the value types here, in ``sl2rep`` and in
-``greenssf`` derive.  A scalar ``CRat`` is one Gaussian-integer numerator
-over one positive integer denominator, in lowest terms, so each sum or
-product takes at most one gcd; arithmetic with a float or a Python complex
-operand raises ``TypeError``.  Its ``re`` and ``im`` are the parts as reduced
-``fractions.Fraction``, built when read.  A ``Polynomial`` is the same over a
-table: the Gaussian-integer numerators of its coefficients over one
-denominator, a format no other module reads.
+``greenssf`` derive, and through ``_Record`` the records here, in
+``heunop``, ``distsol`` and ``greenssf``.  A scalar ``CRat`` is one
+Gaussian-integer numerator over one positive integer denominator, in lowest
+terms, so each sum or product takes at most one gcd; arithmetic with a
+float or a Python complex operand raises ``TypeError``.  Its ``re`` and
+``im`` are the parts as reduced ``fractions.Fraction``, built when read.  A
+``Polynomial`` is the same over a table: the Gaussian-integer numerators of
+its coefficients over one denominator, a format no other module reads.
 """
 
 from __future__ import annotations
@@ -42,6 +46,13 @@ __all__ = [
     "CR_ONE",
     "CR_I",
     "NEG_INF",
+    "HeunParams",
+    "weight_args",
+    "NonIntegerExponents",
+    "DegenerateLeading",
+    "DegenerateQuadratic",
+    "OverflowColumn",
+    "OracleMismatch",
 ]
 
 #: degree/order of the zero polynomial / zero operator
@@ -90,6 +101,61 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+
+class _Record(_Immutable):
+    """Base of the records: values whose fields are the names annotated in
+    the class body, in order (``FIELD_NAMES``), kept in the ``__dict__``, so
+    a ``functools.cached_property`` works on a record.
+
+    Each record class gets an ``__init__`` that takes the fields by position
+    or keyword, with their class attributes as defaults, sets them, and
+    then calls the class's ``__post_init__``, if any, which may coerce or
+    check them with ``object.__setattr__``.  ``==`` holds only between
+    records of one class whose compared fields are equal (any other operand
+    gets ``NotImplemented``), ``hash`` reads the same fields, and ``repr``
+    is ``Name(field=value!r, ...)``.  The fields named in the class keyword
+    ``uncompared`` are left out of all three.
+    """
+
+    __slots__ = ()
+    FIELD_NAMES = ()
+    _COMPARED = ()
+
+    def __init_subclass__(cls, uncompared=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(vars(cls).get("__annotations__", ()))
+        cls.FIELD_NAMES += names
+        cls._COMPARED += tuple(n for n in names if n not in uncompared)
+        # the __init__ is compiled once per class, as dataclasses does: a
+        # generic one over *args and **kwargs took about 1 us more per record
+        defaults = {n: getattr(cls, n) for n in cls.FIELD_NAMES if hasattr(cls, n)}
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}"
+                         for n in cls.FIELD_NAMES)
+        # object.__setattr__ keeps the fields in the instance's inline values,
+        # where attribute reads are fastest; writing vars(self) would not
+        body = [f"_set(self, {n!r}, {n})" for n in cls.FIELD_NAMES]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        scope = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(f"def __init__(self{params}):\n    " + ("\n    ".join(body) or "pass"), scope)
+        scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = scope["__init__"]
+
+    def _compared(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._COMPARED])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._COMPARED)
+        return f"{type(self).__qualname__}({inner})"
 
 
 class CRat(_Immutable):
@@ -382,6 +448,99 @@ def exact_count(k, name: str) -> int:
     if k < 0:
         raise ValueError(f"{name} must be nonnegative, got {k}")
     return k
+
+
+# -- the parameters and errors of every command ---------------------------------
+
+
+class NonIntegerExponents(ValueError):
+    """Weight exponents must be positive integers for the binomial table."""
+
+
+class DegenerateLeading(ArithmeticError):
+    """The term that the recurrence is solved for carries a zero factor."""
+
+
+class DegenerateQuadratic(ArithmeticError):
+    """The quadratic's leading symbol coefficient vanished at the evaluation point."""
+
+
+class OverflowColumn(RuntimeError):
+    """A basis column left the degree-bounded space."""
+
+    def __init__(self, column: int, degree: int, bound: int):
+        self.column = column
+        self.degree = degree
+        self.bound = bound
+        super().__init__(
+            f"column z^{column} maps to degree {degree} > {bound}; "
+            "the operator does not preserve this polynomial space"
+        )
+
+
+class OracleMismatch(AssertionError):
+    """Internal cross-check failed; this is the CI tripwire, never expected."""
+
+
+class HeunParams(_Record):
+    """The scalar data (a; q; alpha, beta, gamma, delta, epsilon).
+
+    ``a`` must avoid 0 and 1 (the singular points must stay distinct).  The
+    parameter constraint residual ``alpha + beta + 1 - gamma - delta -
+    epsilon`` is exposed rather than enforced so that diagnostic inputs can
+    be analyzed.
+    """
+
+    a: CRat
+    q: CRat
+    alpha: CRat
+    beta: CRat
+    gamma: CRat
+    delta: CRat
+    epsilon: CRat
+
+    def __post_init__(self):
+        for name in self.FIELD_NAMES:
+            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
+        if self.a == CR_ZERO or self.a == CR_ONE:
+            raise ValueError(f"a must avoid 0 and 1, got a={self.a}")
+
+    @property
+    def constraint_residual(self) -> CRat:
+        return self.alpha + self.beta + CR_ONE - self.gamma - self.delta - self.epsilon
+
+    def as_dict(self) -> dict:
+        return {name: str(getattr(self, name)) for name in self.FIELD_NAMES}
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)}" for name in self.FIELD_NAMES)
+        return f"HeunParams({inner})"
+
+
+def _positive_int(x, name: str) -> int:
+    """``x`` as a positive ``int`` by the rule of :func:`exact_int`, except
+    that a non-integer or a value below 1 raises :class:`NonIntegerExponents`."""
+    try:
+        v = exact_int(x, name)
+    except ValueError:
+        v = 0
+    if v >= 1:
+        return v
+    shown = x if isinstance(x, CRat) else repr(x)
+    raise NonIntegerExponents(f"{name} must be a positive integer, got {shown}")
+
+
+def weight_args(rho, sigma, tau, a) -> tuple[int, int, int, CRat]:
+    """The exponents and location of the weight
+    ``z^(rho-1) (z-1)^(sigma-1) (z-a)^(tau-1)``, checked: positive integers
+    (else :class:`NonIntegerExponents`) and an exact ``a`` off 0 and 1."""
+    rho = _positive_int(rho, "rho")
+    sigma = _positive_int(sigma, "sigma")
+    tau = _positive_int(tau, "tau")
+    a = CRat.from_value(a)
+    if a == CR_ZERO or a == CR_ONE:
+        raise ValueError(f"a must avoid 0 and 1, got {a}")
+    return rho, sigma, tau, a
 
 
 def _isqrt_exact(n: int):

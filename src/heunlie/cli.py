@@ -23,36 +23,23 @@ from json.encoder import encode_basestring_ascii as _str_literal
 from typing import Any, Iterable, Optional
 
 from . import __version__
-from .algpoly import CR_ZERO, CRat
-from .distsol import (
+from .algpoly import (
+    CR_ZERO,
+    CRat,
     DegenerateLeading,
-    NonIntegerExponents,
-    RecurrenceSpec,
-    closed_form_roots_imag,
-    closed_form_roots_real,
-    forward_imag,
-    forward_real,
-    residual_check,
-    weight_expansion,
-)
-from .greenssf import (
     DegenerateQuadratic,
-    KernelScalars,
-    green_kernel,
-    ssf,
-    trace_green,
-)
-from .heunop import (
     HeunParams,
+    NonIntegerExponents,
     OracleMismatch,
     OverflowColumn,
-    _Analysis,
-    es_condition,
-    matrix_diagonal,
-    matrix_spectrum,
-    qes_matrix,
 )
-from .sl2rep import Spin, UEAExpr, uea_expand
+
+#: the package: ``_lib.<module>`` imports a library module on first access
+#: (the package's ``__getattr__``), so each command loads only the modules
+#: its payload builder reads.  A function-level ``from .module import``
+#: would resolve the relative name through importlib on every report; this
+#: is one attribute read, which also finds a name patched on the module.
+_lib = sys.modules[__package__]
 
 __all__ = ["main"]
 
@@ -283,10 +270,11 @@ def _surd_str_pair(pair_) -> list[str]:
 
 
 def payload_analyze(params: HeunParams, n: int) -> dict:
+    heunop = _lib.heunop
     n = _check_n(n)
     # one context per report; reading its stages in this order raises the
     # same first exception as building each stage afresh
-    ctx = _Analysis(n, params)
+    ctx = heunop._Analysis(n, params)
     ctx.check_canonical()
     exponents = {label: _surd_str_pair(pair) for label, pair in ctx.exponents.items()}
     rows = ctx.theorem1_rows().as_list()
@@ -303,7 +291,7 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
         "uea_coeffs": ctx.uea_coeffs.as_dict(),
         "discrepancies": rows,
         "es": {
-            "condition_residual": str(es_condition(ctx.j, params)),
+            "condition_residual": str(heunop.es_condition(ctx.j, params)),
             "matrix_dim": n + 1,
             "spectrum": [_jsonable(v) for v in spectrum],
         },
@@ -311,12 +299,13 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
 
 
 def payload_expand(expr_text: str, j_text: str) -> dict:
+    sl2rep = _lib.sl2rep
     j_value = CRat.parse(j_text)
     if not j_value.is_rational():
         raise ValueError(f"spin j must be real, got j={j_value}")
-    j = Spin(j_value.re)
-    expr = UEAExpr.parse(expr_text)
-    op = uea_expand(expr, j)
+    j = sl2rep.Spin(j_value.re)
+    expr = sl2rep.UEAExpr.parse(expr_text)
+    op = sl2rep.uea_expand(expr, j)
     return {
         "schema": "uea-expand-v1",
         "version": _TOOL_VERSION,
@@ -328,21 +317,22 @@ def payload_expand(expr_text: str, j_text: str) -> dict:
 
 
 def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
+    heunop = _lib.heunop
     # one context per report; the first error is n's, N's, then the matrix's
-    ctx = _Analysis(_check_n(n), params)
+    ctx = heunop._Analysis(_check_n(n), params)
     size = _check_n(n if N is None else N, "N")
-    M = qes_matrix(ctx.expanded, size)
-    lower, upper, spectrum = matrix_spectrum(M)
+    M = heunop.qes_matrix(ctx.expanded, size)
+    lower, upper, spectrum = heunop.matrix_spectrum(M)
     return {
         "schema": "heun-spectrum-v1",
         "version": _TOOL_VERSION,
         "config": _config("spectrum", params, n, {"N": size}),
-        "es_condition_residual": str(es_condition(ctx.j, params)),
+        "es_condition_residual": str(heunop.es_condition(ctx.j, params)),
         "matrix_dim": size + 1,
         "matrix": [[str(x) for x in row] for row in M],
         "triangular_lower": lower,
         "triangular_upper": upper,
-        "diagonal": [str(v) for v in matrix_diagonal(M)],
+        "diagonal": [str(v) for v in heunop.matrix_diagonal(M)],
         "spectrum": [_jsonable(v) for v in spectrum],
         "discrepancies": ctx.es_rows().as_list(),
     }
@@ -350,17 +340,20 @@ def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
 
 def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
                     c0: CRat, c1: CRat) -> dict:
+    distsol = _lib.distsol
     n = _check_n(n)
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
-    coeffs = _Analysis(n, params).es_coeffs
-    spec = RecurrenceSpec(
+    coeffs = _lib.heunop._Analysis(n, params).es_coeffs
+    spec = distsol.RecurrenceSpec(
         l=l, rho=coeffs.rho, sigma=coeffs.sigma, tau=coeffs.tau,
         ab=coeffs.abProduct, E=E, a=params.a,
     )
     weight_block = None
     try:
-        weight_block = weight_expansion(coeffs.rho, coeffs.sigma, coeffs.tau, params.a).as_dict()
+        weight_block = distsol.weight_expansion(
+            coeffs.rho, coeffs.sigma, coeffs.tau, params.a
+        ).as_dict()
     except NonIntegerExponents as exc:
         weight_block = {"error": str(exc)}
 
@@ -374,15 +367,15 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
         "weight": weight_block,
     }
     for branch, forward, roots_fn in (
-        ("real", forward_real, closed_form_roots_real),
-        ("imag", forward_imag, closed_form_roots_imag),
+        ("real", distsol.forward_real, distsol.closed_form_roots_real),
+        ("imag", distsol.forward_imag, distsol.closed_form_roots_imag),
     ):
         block: dict[str, Any] = {}
         try:
             seq = forward(spec, c0, c1, K)
             block["sequence"] = seq.as_list()
             block["residuals"] = [
-                {"k": k, "value": str(v)} for k, v in residual_check(seq, spec, branch)
+                {"k": k, "value": str(v)} for k, v in distsol.residual_check(seq, spec, branch)
             ]
         except DegenerateLeading as exc:
             block["error"] = str(exc)
@@ -399,6 +392,7 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
 
 
 def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
+    KernelScalars = _lib.greenssf.KernelScalars
     n = _check_n(args.n)
     overrides = {name: getattr(args, f"scalar_{name}") for name in ("rho", "sigma", "tau")}
     if any(v is not None for v in overrides.values()):
@@ -411,12 +405,13 @@ def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
 
 
 def payload_green(args, params: HeunParams) -> dict:
+    greenssf = _lib.greenssf
     scalars = _kernel_scalars(args, params)
     # one kernel per report; its fields are read in the order kernel checks,
     # omega(0), E = 0, so the first exception is the one each stage gives
-    kernel = green_kernel(scalars, args.s_eval, p_override=args.p_override)
+    kernel = greenssf.green_kernel(scalars, args.s_eval, p_override=args.p_override)
     omega0 = kernel.omega_at_0
-    shift = ssf(args.lam, kernel.coincidence(args.E))
+    shift = greenssf.ssf(args.lam, kernel.coincidence(args.E))
     return {
         "schema": "green-v1",
         "version": _TOOL_VERSION,
@@ -438,7 +433,7 @@ def payload_green(args, params: HeunParams) -> dict:
         "kp": str(kernel.kp),
         "omega_at_0": str(omega0),
         "hs_norm_sq": str(kernel.hs_norm_sq()),
-        "trace": str(trace_green(kernel)),
+        "trace": str(greenssf.trace_green(kernel)),
         "ssf": shift.as_dict(),
     }
 

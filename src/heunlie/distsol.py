@@ -47,20 +47,26 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .algpoly import CR_ONE, CR_ZERO, CRat, Surd, exact_count, exact_int
-from .heunop import OracleMismatch
+from .algpoly import (
+    CR_ONE,
+    CR_ZERO,
+    CRat,
+    DegenerateLeading,
+    OracleMismatch,
+    Surd,
+    _Record,
+    exact_count,
+    exact_int,
+    weight_args,
+)
 
 __all__ = [
-    "NonIntegerExponents",
-    "DegenerateLeading",
     "WeightExpansion",
     "RecurrenceSpec",
     "CoeffSequence",
     "weight_expansion",
-    "weight_value_at_zero",
     "recur_real",
     "recur_imag",
     "forward_real",
@@ -72,14 +78,6 @@ __all__ = [
 ]
 
 
-class NonIntegerExponents(ValueError):
-    """Weight exponents must be positive integers for the binomial table."""
-
-
-class DegenerateLeading(ArithmeticError):
-    """The term that the recurrence is solved for carries a zero factor."""
-
-
 def _ff(k: int, m: int) -> int:
     """``(k)_m`` for ints ``k`` and ``m >= 0``: ``perm(k, m)``, and
     ``(-1)^m perm(m-k-1, m)`` for ``k < 0``."""
@@ -89,8 +87,7 @@ def _ff(k: int, m: int) -> int:
     return -p if m & 1 else p
 
 
-@dataclass(frozen=True)
-class WeightExpansion:
+class WeightExpansion(_Record):
     """Binomial expansion table of ``z^(rho-1) (z-1)^(sigma-1) (z-a)^(tau-1)``.
 
     ``h[m][n]`` multiplies ``z^(m + n + rho - 1)``; reassembling the table
@@ -104,8 +101,9 @@ class WeightExpansion:
     h: tuple  # of row tuples
 
     def value_at_zero(self) -> CRat:
-        """Constant term of the reassembled weight; see :func:`weight_value_at_zero`."""
-        return weight_value_at_zero(self.rho, self.sigma, self.tau, self.a)
+        """Constant term of the reassembled weight: ``h[0][0]``, the
+        coefficient of ``z^(rho-1)``, when rho = 1, else 0."""
+        return self.h[0][0] if self.rho == 1 else CR_ZERO
 
     def as_dict(self) -> dict:
         return {
@@ -117,29 +115,6 @@ class WeightExpansion:
         }
 
 
-def _positive_int(x, name: str) -> int:
-    """``x`` as a positive ``int`` by the rule of :func:`exact_int`, except
-    that a non-integer or a value below 1 raises :class:`NonIntegerExponents`."""
-    try:
-        v = exact_int(x, name)
-    except ValueError:
-        v = 0
-    if v >= 1:
-        return v
-    shown = x if isinstance(x, CRat) else repr(x)
-    raise NonIntegerExponents(f"{name} must be a positive integer, got {shown}")
-
-
-def _weight_args(rho, sigma, tau, a) -> tuple[int, int, int, CRat]:
-    rho = _positive_int(rho, "rho")
-    sigma = _positive_int(sigma, "sigma")
-    tau = _positive_int(tau, "tau")
-    a = CRat.from_value(a)
-    if a == CR_ZERO or a == CR_ONE:
-        raise ValueError(f"a must avoid 0 and 1, got {a}")
-    return rho, sigma, tau, a
-
-
 def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
     """Full coefficient table
 
@@ -147,7 +122,7 @@ def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
 
     for ``0 <= m <= sigma-1``, ``0 <= n <= tau-1``.
     """
-    rho, sigma, tau, a = _weight_args(rho, sigma, tau, a)
+    rho, sigma, tau, a = weight_args(rho, sigma, tau, a)
     h = []
     for m in range(sigma):
         row = []
@@ -161,20 +136,7 @@ def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
     return WeightExpansion(rho, sigma, tau, a, tuple(h))
 
 
-def weight_value_at_zero(rho, sigma, tau, a) -> CRat:
-    """Constant term ``omega(0)`` of the weight, without building the table:
-    ``h[0][0] = (-1)^(sigma+tau) a^(tau-1)`` when rho = 1, else 0.
-
-    Validates its arguments exactly as :func:`weight_expansion` does.
-    """
-    rho, sigma, tau, a = _weight_args(rho, sigma, tau, a)
-    if rho != 1:
-        return CR_ZERO
-    return CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1)
-
-
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(_Record):
     """Scalar data of one recurrence instance: the exponent offset ``l`` and
     the operator scalars (rho, sigma, tau, ab, E, a)."""
 
@@ -185,12 +147,12 @@ class RecurrenceSpec:
     ab: CRat = 0
     E: CRat = 0
     a: CRat = 2
-    # (branch, k) -> (alpha, beta, gamma) and branch -> (L, scalars); filled
-    # by _brackets and _scaled and left out of ==, hash and repr, so a used
-    # spec equals a fresh one
-    _brackets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # (branch, k) -> (alpha, beta, gamma) and branch -> (L, scalars);
+        # filled by _brackets and _scaled, and not a field, so a used spec
+        # equals a fresh one
+        object.__setattr__(self, "_brackets", {})
         for name in ("rho", "sigma", "tau", "ab", "E", "a"):
             object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
         object.__setattr__(self, "l", exact_int(self.l, "l"))
@@ -433,8 +395,7 @@ def _stripped(a: int, b: int, d: int, support: int) -> tuple[int, int, int, int]
         G *= g
 
 
-@dataclass(frozen=True)
-class CoeffSequence:
+class CoeffSequence(_Record, uncompared=("steps",)):
     """Finite truncation c_0, ..., c_K of a delta-derivative coefficient series.
 
     A forward solve also keeps, per index, the record ``(u, v, m, G)`` of a
@@ -444,7 +405,7 @@ class CoeffSequence:
     """
 
     values: tuple
-    steps: tuple | None = field(default=None, compare=False, repr=False)
+    steps: tuple | None = None
 
     def __post_init__(self):
         # tuple() of a tuple is the same object, so a solve pays nothing here

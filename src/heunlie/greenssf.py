@@ -29,13 +29,24 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial, _Immutable, exact_count, exact_int
-from .distsol import NonIntegerExponents, weight_value_at_zero
-from .heunop import HeunParams, expanded_es_coeffs
+from .algpoly import (
+    CR_I,
+    CR_ONE,
+    CR_ZERO,
+    CRat,
+    DegenerateQuadratic,
+    HeunParams,
+    NonIntegerExponents,
+    Polynomial,
+    _Immutable,
+    _Record,
+    exact_count,
+    exact_int,
+    weight_args,
+)
 
 __all__ = [
     "Distribution",
@@ -43,7 +54,6 @@ __all__ = [
     "KernelScalars",
     "GreenKernel",
     "SSFValue",
-    "DegenerateQuadratic",
     "ZeroEigenvalue",
     "pair",
     "monomial_times_delta",
@@ -53,14 +63,11 @@ __all__ = [
     "green_coincidence",
     "kp_constant",
     "hs_norm_sq",
+    "weight_value_at_zero",
     "ssf",
     "heaviside",
     "trace_green",
 ]
-
-
-class DegenerateQuadratic(ArithmeticError):
-    """The quadratic's leading symbol coefficient vanished at the evaluation point."""
 
 
 class ZeroEigenvalue(ZeroDivisionError):
@@ -167,8 +174,7 @@ def monomial_times_delta(n: int, m: int) -> Distribution:
     return Distribution.delta(m - n, 0, coeff)
 
 
-@dataclass(frozen=True)
-class KernelScalars:
+class KernelScalars(_Record):
     """The scalar data the kernel sums consume: spin integer n, singular
     location a, and the first-order coefficients (rho, sigma, tau) of the
     raising-free operator."""
@@ -186,6 +192,8 @@ class KernelScalars:
 
     @classmethod
     def from_heun(cls, n: int, p: HeunParams) -> "KernelScalars":
+        from .heunop import expanded_es_coeffs
+
         got = expanded_es_coeffs(n, p)
         return cls(n, p.a, got.rho, got.sigma, got.tau)
 
@@ -211,8 +219,7 @@ class KernelScalars:
         }
 
 
-@dataclass(frozen=True)
-class SymbolCoeffs:
+class SymbolCoeffs(_Record):
     """The three dual-variable symbol polynomials attached to one ``m``
     value of the transformed operator; ``eps2`` is ``-2 s^2`` always."""
 
@@ -314,8 +321,7 @@ def _nonzero_eigenvalue(E) -> CRat:
     return E
 
 
-@dataclass(frozen=True)
-class GreenKernel:
+class GreenKernel(_Record):
     """The kernel data of one ``green``/``ssf`` report.
 
     The separated kernel is the truncated-exponential prefactor in the
@@ -410,6 +416,18 @@ def green_coincidence(scalars: KernelScalars, E=CR_ONE) -> Distribution:
     return green_kernel(scalars).coincidence(E)
 
 
+def weight_value_at_zero(rho, sigma, tau, a) -> CRat:
+    """Constant term ``omega(0)`` of the weight, without building the table:
+    ``h[0][0] = (-1)^(sigma+tau) a^(tau-1)`` when rho = 1, else 0.
+
+    Validates its arguments exactly as ``distsol.weight_expansion`` does.
+    """
+    rho, sigma, tau, a = weight_args(rho, sigma, tau, a)
+    if rho != 1:
+        return CR_ZERO
+    return CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1)
+
+
 def hs_norm_sq(scalars: KernelScalars) -> Fraction:
     """Squared Hilbert-Schmidt norm ``|K_p|^2 |omega(0)|^2``; ``a`` in
     ``{0, 1}`` is refused before the summation bound is checked.
@@ -432,8 +450,7 @@ def heaviside(lam: float) -> Fraction:
     raise ValueError(f"lambda = {lam} has no sign; the step is undefined")
 
 
-@dataclass(frozen=True)
-class SSFValue:
+class SSFValue(_Record):
     """Spectral shift datum: the coincidence kernel and the step argument."""
 
     kernel: Distribution

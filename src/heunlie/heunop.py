@@ -14,7 +14,6 @@ Sign convention: operators are stored with positive leading coefficient
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -24,8 +23,12 @@ from .algpoly import (
     CR_ZERO,
     CRat,
     DiffOp,
+    HeunParams,
+    OracleMismatch,
+    OverflowColumn,
     Polynomial,
     Surd,
+    _Record,
     exact_count,
     exact_int,
     monomial_images,
@@ -34,14 +37,11 @@ from .algpoly import (
 from .sl2rep import Spin, UEAExpr, make_generators, uea_expand
 
 __all__ = [
-    "HeunParams",
     "UEACoeffs",
     "ExpandedCoeffs",
     "Discrepancy",
     "DiscrepancyReport",
     "NotRegularSingular",
-    "OverflowColumn",
-    "OracleMismatch",
     "INFINITY",
     "build_expanded",
     "build_canonical_cleared",
@@ -71,23 +71,6 @@ class NotRegularSingular(ValueError):
     """The requested point does not carry regular-singular Frobenius data."""
 
 
-class OverflowColumn(RuntimeError):
-    """A basis column left the degree-bounded space."""
-
-    def __init__(self, column: int, degree: int, bound: int):
-        self.column = column
-        self.degree = degree
-        self.bound = bound
-        super().__init__(
-            f"column z^{column} maps to degree {degree} > {bound}; "
-            "the operator does not preserve this polynomial space"
-        )
-
-
-class OracleMismatch(AssertionError):
-    """Internal cross-check failed; this is the CI tripwire, never expected."""
-
-
 class _Infinity:
     __slots__ = ()
 
@@ -97,45 +80,6 @@ class _Infinity:
 
 #: singular-point marker for the point at infinity
 INFINITY = _Infinity()
-
-
-@dataclass(frozen=True)
-class HeunParams:
-    """The scalar data (a; q; alpha, beta, gamma, delta, epsilon).
-
-    ``a`` must avoid 0 and 1 (the singular points must stay distinct).  The
-    parameter constraint residual ``alpha + beta + 1 - gamma - delta -
-    epsilon`` is exposed rather than enforced so that diagnostic inputs can
-    be analyzed.
-    """
-
-    a: CRat
-    q: CRat
-    alpha: CRat
-    beta: CRat
-    gamma: CRat
-    delta: CRat
-    epsilon: CRat
-
-    #: the field names in field order (a class attribute, not a field)
-    FIELD_NAMES = ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
-
-    def __post_init__(self):
-        for name in self.FIELD_NAMES:
-            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
-        if self.a == CR_ZERO or self.a == CR_ONE:
-            raise ValueError(f"a must avoid 0 and 1, got a={self.a}")
-
-    @property
-    def constraint_residual(self) -> CRat:
-        return self.alpha + self.beta + CR_ONE - self.gamma - self.delta - self.epsilon
-
-    def as_dict(self) -> dict:
-        return {name: str(getattr(self, name)) for name in self.FIELD_NAMES}
-
-    def __repr__(self):
-        inner = ", ".join(f"{name}={getattr(self, name)}" for name in self.FIELD_NAMES)
-        return f"HeunParams({inner})"
 
 
 def build_canonical_cleared(p: HeunParams) -> DiffOp:
@@ -230,8 +174,7 @@ def indicial_exponents(L: DiffOp, point) -> tuple[Surd, Surd]:
 # -- enveloping-algebra side -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UEACoeffs:
+class UEACoeffs(_Record):
     """The seven scalars of the quadratic generator combination."""
 
     cPlusZero: CRat
@@ -300,8 +243,7 @@ def uea_heun(j, p: HeunParams) -> UEAExpr:
     return _uea_from_coeffs(uea_heun_coeffs(j, p))
 
 
-@dataclass(frozen=True)
-class ExpandedCoeffs:
+class ExpandedCoeffs(_Record):
     """Coefficients read off an expanded operator
     ``z(z-1)(z-a) D^2 + (rho z^2 + sigma z + tau) D + (ab z - qShift)``."""
 
@@ -346,8 +288,7 @@ def extract_expanded_coeffs(L: DiffOp, a) -> ExpandedCoeffs:
 # -- discrepancy bookkeeping --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(_Record):
     """One audited formula: its published value, the oracle value, and the
     exact residual ``published - oracle``."""
 

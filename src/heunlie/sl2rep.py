@@ -130,13 +130,14 @@ class UEAExpr(_Immutable):
     def parse(cls, text: str) -> "UEAExpr":
         """Parse the ``coeff * W`` grammar with W a word over {+, 0, -}.
 
-        Terms are separated by `` + `` (space, plus, space), except that a
-        ``+`` right after ``* `` is a word; a bare coefficient is the constant
-        term, e.g. ``1/2 * +0 + 1/2 * 0+ + (-1)``; what ``str`` prints parses back.
+        Each run of whitespace reads as one space.  Terms are separated by
+        `` + `` (space, plus, space), except that a ``+`` right after ``* `` is
+        a word; a bare coefficient is the constant term, e.g.
+        ``1/2 * +0 + 1/2 * 0+ + (-1)``; what ``str`` prints parses back.
         """
         words = []
         constant = CR_ZERO
-        s = text.strip()
+        s = " ".join(text.split())
         if not s:
             return cls()
         for chunk in re.split(r"(?<!\*) \+ ", s):

@@ -34,13 +34,16 @@ from heunlie.algpoly import (
     CR_ONE,
     CR_ZERO,
     CRat,
+    DegenerateLeading,
+    DegenerateQuadratic,
+    HeunParams,
+    OverflowColumn,
     Polynomial,
     Surd,
     commutator,
     op_apply,
 )
 from heunlie.distsol import (
-    DegenerateLeading,
     RecurrenceSpec,
     closed_form_roots_real,
     forward_imag,
@@ -63,7 +66,6 @@ from heunlie.greenssf import (
     ssf,
     symbol_coeffs,
     eta_roots,
-    DegenerateQuadratic,
 )
 from heunlie.heunop import (
     INFINITY,
@@ -79,8 +81,6 @@ from heunlie.heunop import (
     uea_heun,
     verify_theorem1,
     extract_expanded_coeffs,
-    HeunParams,
-    OverflowColumn,
 )
 from heunlie.sl2rep import Spin, make_generators, uea_expand
 from heunlie import cli

@@ -19,11 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie import algpoly, cli, heunop, sl2rep
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial
+from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, HeunParams, OracleMismatch, Polynomial
 from heunlie.heunop import (
     INFINITY,
-    HeunParams,
-    OracleMismatch,
     _Analysis,
     _float_eigenvalues,
     build_expanded,

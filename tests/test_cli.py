@@ -9,10 +9,15 @@ import pytest
 
 import heunlie
 from heunlie import cli, heunop
-from heunlie.algpoly import CRat, DiffOp, Polynomial
-from heunlie.distsol import NonIntegerExponents
+from heunlie.algpoly import (
+    CRat,
+    DiffOp,
+    HeunParams,
+    NonIntegerExponents,
+    OracleMismatch,
+    Polynomial,
+)
 from heunlie.greenssf import ZeroEigenvalue
-from heunlie.heunop import HeunParams
 
 BASE = [
     "--a", "2", "--q", "0", "--alpha", "1", "--beta", "1",
@@ -687,7 +692,7 @@ class TestNothingWrittenOnFailure:
         def tripped(z):
             calls.append(z)
             if len(calls) == middle:
-                raise heunop.OracleMismatch("tripped mid-report")
+                raise OracleMismatch("tripped mid-report")
             return printed(z)
 
         monkeypatch.setattr(CRat, "__str__", tripped)

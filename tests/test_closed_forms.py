@@ -3,7 +3,6 @@ weight value at 0), the zero-part fast paths of ``CRat`` arithmetic and the
 shared recurrence brackets against the loop and textbook forms they replace,
 which stay here as references."""
 
-import dataclasses
 import json
 import math
 import operator
@@ -14,10 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie import cli, distsol, greenssf
-from heunlie.algpoly import CRat, DiffOp, Polynomial, Surd
+from heunlie.algpoly import (
+    CRat,
+    DegenerateLeading,
+    DiffOp,
+    HeunParams,
+    OracleMismatch,
+    OverflowColumn,
+    Polynomial,
+    Surd,
+)
 from heunlie.distsol import (
     CoeffSequence,
-    DegenerateLeading,
     RecurrenceSpec,
     _brackets,
     _numerators,
@@ -28,7 +35,6 @@ from heunlie.distsol import (
     paper_ck,
     residual_check,
     weight_expansion,
-    weight_value_at_zero,
 )
 from heunlie.greenssf import (
     KernelScalars,
@@ -36,11 +42,9 @@ from heunlie.greenssf import (
     green_kernel,
     hs_norm_sq,
     kp_constant,
+    weight_value_at_zero,
 )
 from heunlie.heunop import (
-    HeunParams,
-    OracleMismatch,
-    OverflowColumn,
     _surd_product,
     es_operator,
     qes_matrix,
@@ -179,8 +183,7 @@ class TestFactoredKernelSums:
             return wrapper
 
         kernel = counted("green_kernel", greenssf.green_kernel)
-        monkeypatch.setattr(greenssf, "green_kernel", kernel)
-        monkeypatch.setattr(cli, "green_kernel", kernel)
+        monkeypatch.setattr(greenssf, "green_kernel", kernel)  # cli reads it there per call
         for name in ("_kernel_sums", "symbol_coeffs"):
             monkeypatch.setattr(greenssf, name, counted(name, getattr(greenssf, name)))
         argv = [command, *GREEN_ARGV[1:]]
@@ -354,6 +357,11 @@ def _start(spec, which):
     return max(2, spec.l) if which == "real" else max(2, spec.l - 1)
 
 
+def _fresh(spec):
+    """A spec built from the fields of ``spec``, with an empty memo."""
+    return RecurrenceSpec(*(getattr(spec, name) for name in RecurrenceSpec.FIELD_NAMES))
+
+
 # K = 300 specs, whose sequences reach denominators of 1000 digits and more
 LONG_REAL_SPEC = RecurrenceSpec(
     1, Fraction(-7, 5), Fraction(5, 3), Fraction(1, 4), Fraction(-3, 11), Fraction(5, 7),
@@ -464,7 +472,7 @@ class TestSharedBrackets:
             assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
         table = reference_residuals(seq, spec, which)
         assert residual_check(seq, spec, which) == table
-        assert residual_check(seq, dataclasses.replace(spec), which) == table
+        assert residual_check(seq, _fresh(spec), which) == table
         assert all(type(v) is CRat for v in expected)
         assert all(res == 0 for _, res in table)
 
@@ -510,7 +518,7 @@ class TestSharedBrackets:
     @given(spec_st(), st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_filled_memo_is_invisible(self, spec, extra):
-        fresh = dataclasses.replace(spec)
+        fresh = _fresh(spec)
         K = spec.l + extra
         for which, (forward, *_) in BRANCHES.items():
             try:
@@ -591,7 +599,7 @@ class TestSharedBrackets:
 
         # one integer bracket build per admissible index
         per_spec = K - start + 1
-        residual_check(forward(dataclasses.replace(spec), 1, 0, K), dataclasses.replace(spec), which)
+        residual_check(forward(_fresh(spec), 1, 0, K), _fresh(spec), which)
         assert len(calls) == 2 * per_spec
         calls.clear()
         seq = forward(spec, 1, 0, K)

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, Polynomial, Surd, quadratic_roots
-from heunlie.distsol import (
-    CoeffSequence,
+from heunlie.algpoly import (
+    CR_ONE,
+    CR_ZERO,
+    CRat,
     DegenerateLeading,
     NonIntegerExponents,
+    Polynomial,
+    Surd,
+    quadratic_roots,
+)
+from heunlie.distsol import (
+    CoeffSequence,
     RecurrenceSpec,
     closed_form_roots_imag,
     closed_form_roots_real,

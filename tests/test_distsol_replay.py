@@ -20,9 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie import cli, distsol
-from heunlie.algpoly import CRat
+from heunlie.algpoly import CRat, OracleMismatch
 from heunlie.distsol import CoeffSequence, RecurrenceSpec, forward_imag, forward_real
-from heunlie.heunop import OracleMismatch
 
 _PARAMS = [f"--{k}={v}" for k, v in zip(
     ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon"),

@@ -9,10 +9,18 @@ from fractions import Fraction
 import pytest
 
 from heunlie import cli
-from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, Polynomial, monomial_images
+from heunlie.algpoly import (
+    CR_ONE,
+    CR_ZERO,
+    CRat,
+    DiffOp,
+    HeunParams,
+    NonIntegerExponents,
+    Polynomial,
+    monomial_images,
+)
 from heunlie.distsol import (
     CoeffSequence,
-    NonIntegerExponents,
     RecurrenceSpec,
     closed_form_roots_imag,
     closed_form_roots_real,
@@ -23,7 +31,6 @@ from heunlie.distsol import (
     recur_real,
     residual_check,
     weight_expansion,
-    weight_value_at_zero,
 )
 from heunlie.greenssf import (
     Distribution,
@@ -32,9 +39,9 @@ from heunlie.greenssf import (
     green_kernel,
     monomial_times_delta,
     symbol_coeffs,
+    weight_value_at_zero,
 )
 from heunlie.heunop import (
-    HeunParams,
     es_condition,
     es_discrepancies,
     es_operator,

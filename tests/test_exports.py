@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import heunlie
-from heunlie.algpoly import DiffOp, Polynomial
+from heunlie.algpoly import DiffOp, HeunParams, Polynomial
 from heunlie.distsol import RecurrenceSpec
 from heunlie.greenssf import (
     KernelScalars,
@@ -18,7 +18,7 @@ from heunlie.greenssf import (
     hs_norm_sq,
     kp_constant,
 )
-from heunlie.heunop import DiscrepancyReport, HeunParams
+from heunlie.heunop import DiscrepancyReport
 
 MODULES = ["algpoly", "sl2rep", "heunop", "distsol", "greenssf", "cli"]
 

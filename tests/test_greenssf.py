@@ -7,10 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heunlie.algpoly import CR_I, CR_ONE, CR_ZERO, CRat, Polynomial
-from heunlie.distsol import NonIntegerExponents, weight_expansion
-from heunlie.greenssf import (
+from heunlie.algpoly import (
+    CR_I,
+    CR_ONE,
+    CR_ZERO,
+    CRat,
     DegenerateQuadratic,
+    NonIntegerExponents,
+    Polynomial,
+)
+from heunlie.distsol import weight_expansion
+from heunlie.greenssf import (
     GreenKernel,
     Distribution,
     KernelScalars,
@@ -216,7 +223,7 @@ class TestGreenKernel:
         # raising-free expansion at n = -1 has rho = 3; gamma = -1 makes
         # tau = a, and delta + epsilon tunes sigma to 5 (alpha and beta do
         # not enter the raising-free scalars at all)
-        from heunlie.heunop import HeunParams
+        from heunlie.algpoly import HeunParams
 
         p = HeunParams(a=2, q=1, alpha=1, beta=1, gamma=-1, delta=-13, epsilon=-1)
         scal = KernelScalars.from_heun(-1, p)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import pathlib
 import random
@@ -13,15 +12,15 @@ from heunlie.algpoly import (
     CR_ZERO,
     CRat,
     DiffOp,
+    HeunParams,
+    OverflowColumn,
     Polynomial,
     Surd,
     op_apply,
 )
 from heunlie.heunop import (
     INFINITY,
-    HeunParams,
     NotRegularSingular,
-    OverflowColumn,
     build_canonical_cleared,
     build_expanded,
     es_condition,
@@ -77,7 +76,7 @@ class TestConstraint:
             HeunParams(a=0, q=0, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
 
     def test_field_names_are_the_fields_in_order(self):
-        assert HeunParams.FIELD_NAMES == tuple(f.name for f in dataclasses.fields(HeunParams))
+        assert HeunParams.FIELD_NAMES == tuple(HeunParams.__annotations__)
         p = HeunParams(2, 0, 1, Fraction(1, 2), 1, 1, 1)
         assert list(p.as_dict()) == list(HeunParams.FIELD_NAMES)
         assert repr(p) == "HeunParams(a=2, q=0, alpha=1, beta=1/2, gamma=1, delta=1, epsilon=1)"

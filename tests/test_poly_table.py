@@ -20,6 +20,8 @@ from heunlie.algpoly import (
     NEG_INF,
     CRat,
     DiffOp,
+    HeunParams,
+    OverflowColumn,
     Polynomial,
     commutator,
     op_apply,
@@ -27,9 +29,7 @@ from heunlie.algpoly import (
 )
 from heunlie.heunop import (
     INFINITY,
-    HeunParams,
     NotRegularSingular,
-    OverflowColumn,
     build_expanded,
     indicial_exponents,
     qes_matrix,

@@ -70,6 +70,11 @@ class TestGenerators:
 
 part_st = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 coeff_st = st.one_of(st.just(0), part_st, st.builds(CRat, part_st, part_st))
+expr_st = st.builds(
+    UEAExpr,
+    st.lists(st.tuples(coeff_st, st.text("+0-", max_size=4)), max_size=5),
+    coeff_st,
+)
 
 
 class TestUEAExpr:
@@ -118,16 +123,27 @@ class TestUEAExpr:
         again = UEAExpr.parse(str(expr))
         assert again == expr
 
-    @given(st.builds(
-        UEAExpr,
-        st.lists(st.tuples(coeff_st, st.text("+0-", max_size=4)), max_size=5),
-        coeff_st,
-    ))
+    @given(expr_st)
     @example(UEAExpr([(2, "+")], 3))  # "2 * + + 3"
     @example(UEAExpr([(1, "+"), (1, "0")]))  # "1 * + + 1 * 0"
     @settings(max_examples=300, deadline=None)
     def test_printed_text_parses_back(self, expr):
         assert UEAExpr.parse(str(expr)) == expr
+
+    @given(expr_st, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_whitespace_runs_read_as_one_space(self, expr, data):
+        pieces = str(expr).split(" ")
+        runs = data.draw(st.lists(st.text(" \t", min_size=1, max_size=3),
+                                  min_size=len(pieces) - 1, max_size=len(pieces) - 1))
+        text = "".join(piece + run for piece, run in zip(pieces, [*runs, ""]))
+        assert UEAExpr.parse(text) == expr
+
+    @pytest.mark.parametrize("text", ["2 *  + + 3", "2 *\t+ +  3", " 2 * +\t+ 3\t"])
+    def test_a_word_after_a_whitespace_run_is_kept(self, text):
+        # "2 *  + + 3" read as the constant 5: the chunk "2 *" times the
+        # empty word folded into the constant
+        assert UEAExpr.parse(text) == UEAExpr([(2, "+")], 3)
 
     def test_parse_examples(self):
         expr = UEAExpr.parse("1/2 * +0 + 1/2 * 0+ + (-3/2)")

@@ -11,15 +11,14 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from heunlie.algpoly import CRat, DiffOp, Polynomial, commutator, op_compose  # noqa: E402
-from heunlie.heunop import (  # noqa: E402
+from heunlie.algpoly import CRat, DiffOp, HeunParams, Polynomial, commutator, op_compose
+from heunlie.heunop import (
     INFINITY,
-    HeunParams,
     build_expanded,
     indicial_exponents,
     uea_heun,
 )
-from heunlie.sl2rep import Spin, make_generators, uea_expand  # noqa: E402
+from heunlie.sl2rep import Spin, make_generators, uea_expand
 from util import rand_crat, rand_params  # noqa: E402
 
 z, t, w = sympy.symbols("z t w")

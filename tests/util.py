@@ -16,21 +16,22 @@ from heunlie.algpoly import (
     CR_ZERO,
     NEG_INF,
     CRat,
+    DegenerateLeading,
     DiffOp,
+    HeunParams,
+    OracleMismatch,
+    OverflowColumn,
     Polynomial,
     op_apply,
     op_compose,
     quadratic_roots,
 )
-from heunlie.distsol import DegenerateLeading, _residual_ready
+from heunlie.distsol import _residual_ready
 from heunlie.greenssf import symbol_coeffs
 from heunlie.heunop import (
     EIG_RESIDUAL_TOL,
     INFINITY,
-    HeunParams,
     NotRegularSingular,
-    OracleMismatch,
-    OverflowColumn,
     uea_heun_coeffs,
 )
 from heunlie.sl2rep import UEAExpr
