@@ -98,18 +98,80 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    for name in HeunParams.FIELD_NAMES:
-        sp.add_argument(f"--{name}", type=_crat, required=True, metavar="EXACT")
-
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--output", choices=("text", "json"), default="json")
-    sp.add_argument("--out", metavar="FILE", default=None)
-
-
 def _params_from_args(args) -> HeunParams:
     return HeunParams(**{name: getattr(args, name) for name in HeunParams.FIELD_NAMES})
+
+
+_PARAM_FLAGS = {
+    f"--{name}": {"type": _crat, "required": True, "metavar": "EXACT"}
+    for name in HeunParams.FIELD_NAMES
+}
+_OUTPUT_FLAGS = {
+    "--output": {"choices": ("text", "json"), "default": "json"},
+    "--out": {"metavar": "FILE", "default": None},
+}
+
+#: each command: its ``add_parser`` keywords, and each of its option
+#: strings, in help order, with that flag's ``add_argument`` keywords
+_COMMANDS = {
+    "analyze": ({"help": "constraint, exponents, coefficient audit"}, {
+        **_PARAM_FLAGS,
+        "--n": {"type": int, "default": 1, "help": "spin integer n = 2j (0..64)"},
+        **_OUTPUT_FLAGS,
+    }),
+    "expand": ({"help": "expand a generator-word expression"}, {
+        "--expr": {"required": True, "help": "e.g. '1/2 * +0 + 1/2 * 0+'"},
+        "--j": {"type": str, "required": True, "help": "spin, e.g. 1/2"},
+        **_OUTPUT_FLAGS,
+    }),
+    "spectrum": ({"help": "polynomial-flag matrix and spectrum"}, {
+        **_PARAM_FLAGS,
+        "--n": {"type": int, "default": 1},
+        "--N": {"type": int, "default": None, "help": "basis degree bound (default n)"},
+        **_OUTPUT_FLAGS,
+    }),
+    "distsol": ({"help": "three-term recurrences and residual audit"}, {
+        **_PARAM_FLAGS,
+        "--n": {"type": int, "default": 1},
+        "--l": {"type": int, "required": True, "help": "exponent offset l >= 1"},
+        "--E": {"type": _crat, "default": CRat(1)},
+        "--K": {"type": int, "default": 32},
+        "--c0": {"type": _crat, "default": CRat(1)},
+        "--c1": {"type": _crat, "default": CR_ZERO},
+        **_OUTPUT_FLAGS,
+    }),
+    # one report under two names; both report config.command "green"
+    "green": ({
+        "aliases": ["ssf"],
+        "help": "separated kernel, norm constant, trace, spectral shift at one --lambda",
+    }, {
+        **_PARAM_FLAGS,
+        "--n": {"type": int, "default": 0},
+        "--s-eval": {"dest": "s_eval", "type": _crat, "default": CR_ZERO},
+        "--p-override": {"dest": "p_override", "type": int, "default": None},
+        "--E": {"type": _crat, "default": CRat(1)},
+        "--lambda": {"dest": "lam", "type": _finite_float, "default": 1.0},
+        **{f"--{name}": {
+            "dest": f"scalar_{name}", "type": _crat, "default": None,
+            "help": f"override the derived {name} (diagnostic scalar mode)",
+        } for name in ("rho", "sigma", "tau")},
+        **_OUTPUT_FLAGS,
+    }),
+    "sweep": ({"help": "one JSON line per grid point, written when all are built"}, {
+        **_PARAM_FLAGS,
+        "--n": {"type": int, "default": 1},
+        "--grid": {
+            "required": True, "help": "semicolon-separated assignments, e.g. 'a=2,3;q=0,1'",
+        },
+        "--out": _OUTPUT_FLAGS["--out"],
+    }),
+}
+#: command word (an alias too) -> its flags
+_FLAGS = {
+    word: flags
+    for command, (keywords, flags) in _COMMANDS.items()
+    for word in (command, *keywords.get("aliases", ()))
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,135 +187,70 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``heunlie`` parser, built once per process: parsing never mutates
-    it, and every default is immutable."""
+    """The ``heunlie`` parser, built from ``_COMMANDS`` once per process:
+    parsing never mutates it, and every default is immutable."""
     parser = _Parser(
         prog="heunlie",
         description="Exact operator algebra, solvability detection and kernel "
         "reports for the Heun family.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_an = sub.add_parser("analyze", help="constraint, exponents, coefficient audit")
-    _add_param_flags(p_an)
-    p_an.add_argument("--n", type=int, default=1, help="spin integer n = 2j (0..64)")
-    _add_output_flags(p_an)
-
-    p_ex = sub.add_parser("expand", help="expand a generator-word expression")
-    p_ex.add_argument("--expr", required=True, help="e.g. '1/2 * +0 + 1/2 * 0+'")
-    p_ex.add_argument("--j", type=str, required=True, help="spin, e.g. 1/2")
-    _add_output_flags(p_ex)
-
-    p_sp = sub.add_parser("spectrum", help="polynomial-flag matrix and spectrum")
-    _add_param_flags(p_sp)
-    p_sp.add_argument("--n", type=int, default=1)
-    p_sp.add_argument("--N", type=int, default=None, help="basis degree bound (default n)")
-    _add_output_flags(p_sp)
-
-    p_ds = sub.add_parser("distsol", help="three-term recurrences and residual audit")
-    _add_param_flags(p_ds)
-    p_ds.add_argument("--n", type=int, default=1)
-    p_ds.add_argument("--l", type=int, required=True, help="exponent offset l >= 1")
-    p_ds.add_argument("--E", type=_crat, default=CRat(1))
-    p_ds.add_argument("--K", type=int, default=32)
-    p_ds.add_argument("--c0", type=_crat, default=CRat(1))
-    p_ds.add_argument("--c1", type=_crat, default=CR_ZERO)
-    _add_output_flags(p_ds)
-
-    # one report under two names; both report config.command "green"
-    p_gr = sub.add_parser(
-        "green", aliases=["ssf"],
-        help="separated kernel, norm constant, trace, spectral shift at one --lambda",
-    )
-    _add_green_flags(p_gr)
-    _add_output_flags(p_gr)
-
-    p_sw = sub.add_parser("sweep", help="one JSON line per grid point, written when all are built")
-    _add_param_flags(p_sw)
-    p_sw.add_argument("--n", type=int, default=1)
-    p_sw.add_argument(
-        "--grid",
-        required=True,
-        help="semicolon-separated assignments, e.g. 'a=2,3;q=0,1'",
-    )
-    p_sw.add_argument("--out", metavar="FILE", default=None)
-
     # let exact negative literals (-5/6, -1+2i) and negative float literals
     # (-1e-3) pass as option values; the --name=value spelling works regardless
     matcher = re.compile(r"^-\d[\d/i+\-.eE]*$")
     parser._negative_number_matcher = matcher
-    for sp in sub.choices.values():
+    for command, (keywords, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, **keywords)
         sp._negative_number_matcher = matcher
-    parser._commands = sub.choices  # command word -> its parser, for _parse
+        for flag, kw in flags.items():
+            sp.add_argument(flag, **kw)
     return parser
 
 
 def _parse(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, read from the command's actions
-    when the line is a command word followed by ``--flag=value`` words.
+    """``build_parser().parse_args(argv)``, read from ``_COMMANDS`` when the
+    line is a command word followed by ``--flag=value`` words.
 
-    Each flag must be an exact option string of a plain store action of
-    that command, given once, with a value other than ``--``.  Each value
-    goes through its action's type and choices, and every other action
-    takes its default, as argparse would.  Any other line, and any value or
-    missing flag that argparse refuses, goes to the full parser: every help
-    text, error text and exit code is argparse's own.
+    Each flag must be an exact option string of that command, given once,
+    with a value other than ``--``.  Each value goes through its flag's type
+    and choices, and every other flag takes its default, as argparse would.
+    Any other line, and any value or missing flag that argparse refuses,
+    goes to the full parser: every help text, error text and exit code is
+    argparse's own.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser._commands.get(argv[0]) if argv else None
-    if command is not None:
-        args = _read_flags(command, argv)
-        if args is not None:
-            return args
-    return parser.parse_args(argv)
+    args = _read_flags(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
-def _read_flags(command: argparse.ArgumentParser, argv: list) -> Optional[argparse.Namespace]:
-    """The namespace the full parser builds for ``argv``, whose first word
-    names ``command`` and whose other words are ``--flag=value``; None for
-    any word, value or omission that needs argparse's own parsing pass."""
+def _read_flags(argv: list) -> Optional[argparse.Namespace]:
+    """The namespace the full parser builds for ``argv``, a command word
+    followed by ``--flag=value`` words; None for any word, value or omission
+    that needs argparse's own parsing pass."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
     given = {}
     for word in argv[1:]:
         flag, eq, text = word.partition("=")
-        action = command._option_string_actions.get(flag)
-        if (not eq or type(action) is not argparse._StoreAction or action.nargs is not None
-                or action in given or text == "--"):
+        if not eq or flag not in flags or flag in given or text == "--":
             return None
-        given[action] = text
+        given[flag] = text
     args = argparse.Namespace(command=argv[0])
-    try:
-        for action in command._actions:
-            if action in given:
-                value = command._get_value(action, given[action])
-                command._check_value(action, value)
-            elif action.default == argparse.SUPPRESS:  # -h/--help
-                continue
-            elif action.required:
+    for flag, kw in flags.items():
+        if flag in given:
+            try:
+                value = kw.get("type", str)(given[flag])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-            else:
-                value = action.default
-            setattr(args, action.dest, value)
-    except argparse.ArgumentError:
-        return None
+            if "choices" in kw and value not in kw["choices"]:
+                return None
+        elif kw.get("required"):
+            return None
+        else:
+            value = kw.get("default")
+        setattr(args, kw.get("dest", flag[2:].replace("-", "_")), value)
     return args
-
-
-def _add_green_flags(sp: argparse.ArgumentParser) -> None:
-    _add_param_flags(sp)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--s-eval", dest="s_eval", type=_crat, default=CR_ZERO)
-    sp.add_argument("--p-override", dest="p_override", type=int, default=None)
-    sp.add_argument("--E", type=_crat, default=CRat(1))
-    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=1.0)
-    for name in ("rho", "sigma", "tau"):
-        sp.add_argument(
-            f"--{name}",
-            dest=f"scalar_{name}",
-            type=_crat,
-            default=None,
-            help=f"override the derived {name} (diagnostic scalar mode)",
-        )
 
 
 # -- payload builders ---------------------------------------------------------

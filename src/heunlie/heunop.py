@@ -162,7 +162,7 @@ def indicial_exponents(L: DiffOp, point) -> tuple[Surd, Surd]:
         raise NotRegularSingular("indicial data implemented for second-order operators")
     p0, p1, p2 = L.terms
     if point is INFINITY:
-        d = max(len(p.coeffs) for p in L.terms) - 1
+        d = max(p.degree for p in L.terms)
         r2, r1, r0 = (Polynomial(p.coeff(d - i) for i in range(d + 1)) for p in (p2, p1, p0))
         w = Polynomial.variable()
         return _indicial_roots(r2 * w**4, (r2 * w * 2 - r1) * w**2, r0, CR_ZERO)

@@ -1,7 +1,7 @@
 """The command line as a whole: every drawn command line ends with a
 documented exit code (or argparse's 2), writes nothing to stdout unless it
 exits 0, and on exit 0 writes JSON (one line per point for a sweep).  Every
-line, whether read from the command's actions or parsed by argparse, gives
+line, whether read from the flag table or parsed by argparse, gives
 the exit code, stdout and stderr of the full parser.
 
 Draws cover all seven command names, valid and invalid exact literals,
@@ -254,12 +254,31 @@ def test_no_string_default_needs_its_type():
     # type; the direct path stores every default as it is, which is the same
     # while no str default has a type
     typed = [
-        (word, action.dest)
-        for word, command in cli.build_parser()._commands.items()
-        for action in command._actions
-        if isinstance(action.default, str) and action.type is not None
+        (word, flag)
+        for word, (_, flags) in cli._COMMANDS.items()
+        for flag, kw in flags.items()
+        if isinstance(kw.get("default"), str) and kw.get("type") is not None
     ]
     assert typed == []
+
+
+DIRECT_LINES = {
+    "analyze": ["analyze", *ES_BASE, "--n=1"],
+    "expand": ["expand", "--expr=1/2 * +0 + 1/2 * 0+", "--j=1/2"],
+    "spectrum": ["spectrum", *ES_BASE, "--n=1", "--N=1"],
+    "distsol": ["distsol", *ES_BASE, "--n=1", "--l=1", "--K=4"],
+    "green": GREEN,
+    "ssf": ["ssf", *GREEN[1:]],
+    "sweep": ["sweep", *ES_BASE, "--n=1", "--grid=q=0,1"],
+}
+
+
+def test_direct_lines_build_no_parser():
+    assert sorted(DIRECT_LINES) == sorted(cli._FLAGS)
+    for word, argv in DIRECT_LINES.items():
+        cli.build_parser.cache_clear()
+        assert outcome(argv)[0] == 0, word
+        assert cli.build_parser.cache_info().misses == 0, word
 
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"

@@ -72,6 +72,17 @@ def test_only_algpoly_reads_the_polynomial_table():
     assert not readers, f"modules other than algpoly read the polynomial table: {readers}"
 
 
+def test_cli_reads_flags_from_its_own_table():
+    # a command's flags are cli._COMMANDS: the direct reader never decodes
+    # argparse's parser objects, which are argparse's private format
+    import heunlie.cli
+
+    source = inspect.getsource(heunlie.cli)
+    private = ["_option_string_actions", "_StoreAction", "_get_value(", "_check_value(",
+               "._actions", "._commands"]
+    assert [name for name in private if name in source] == []
+
+
 def test_only_algpoly_checks_for_bool():
     # isinstance(x, bool) is the sign of a hand-rolled integer check: every
     # other module takes its integers through algpoly.exact_int/exact_count

@@ -555,7 +555,7 @@ def list_indicial_exponents(L, point):
 
 def reference_parse(argv):
     """The command line parsed by the full parser alone, never read from the
-    command's actions directly: the top parser walks the whole line, then the
+    flag table directly: the top parser walks the whole line, then the
     command's parser walks the rest of it."""
     return cli.build_parser().parse_args(argv)
 
@@ -565,10 +565,14 @@ VERSION_FIELD = re.compile(r'"version": "[^"]*",\s*|^version: .*\n', re.M)
 
 def run_case(argv) -> dict:
     """Exit code and SHA-256 digests of one ``cli.main`` call's standard
-    output (without the commit-dependent ``version`` field) and error."""
+    output (without the commit-dependent ``version`` field) and error; the
+    exit code of argparse's help and usage errors is its ``SystemExit``'s."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return {
         "exit": code,
         "stdout": hashlib.sha256(VERSION_FIELD.sub("", out.getvalue()).encode()).hexdigest(),
