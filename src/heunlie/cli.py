@@ -102,10 +102,9 @@ def _params_from_args(args) -> HeunParams:
     return HeunParams(**{name: getattr(args, name) for name in HeunParams.FIELD_NAMES})
 
 
-_PARAM_FLAGS = {
-    f"--{name}": {"type": _crat, "required": True, "metavar": "EXACT"}
-    for name in HeunParams.FIELD_NAMES
-}
+#: a required exact literal: each parameter and kernel scalar
+_EXACT = {"type": _crat, "required": True, "metavar": "EXACT"}
+_PARAM_FLAGS = {f"--{name}": _EXACT for name in HeunParams.FIELD_NAMES}
 _OUTPUT_FLAGS = {
     "--output": {"choices": ("text", "json"), "default": "json"},
     "--out": {"metavar": "FILE", "default": None},
@@ -151,10 +150,7 @@ _COMMANDS = {
         "--p-override": {"dest": "p_override", "type": int, "default": None},
         "--E": {"type": _crat, "default": CRat(1)},
         "--lambda": {"dest": "lam", "type": _finite_float, "default": 1.0},
-        **{f"--{name}": {
-            "dest": f"scalar_{name}", "type": _crat, "default": None,
-            "help": f"override the derived {name} (diagnostic scalar mode)",
-        } for name in ("rho", "sigma", "tau")},
+        **{f"--{name}": _EXACT for name in ("rho", "sigma", "tau")},
         **_OUTPUT_FLAGS,
     }),
     "sweep": ({"help": "one JSON line per grid point, written when all are built"}, {
@@ -388,22 +384,9 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
     return out
 
 
-def _kernel_scalars(args, params: HeunParams) -> KernelScalars:
-    KernelScalars = _lib.greenssf.KernelScalars
-    n = _check_n(args.n)
-    overrides = {name: getattr(args, f"scalar_{name}") for name in ("rho", "sigma", "tau")}
-    if any(v is not None for v in overrides.values()):
-        if not all(v is not None for v in overrides.values()):
-            raise ValueError("scalar mode needs all of --rho, --sigma and --tau")
-        return KernelScalars(
-            n, params.a, overrides["rho"], overrides["sigma"], overrides["tau"]
-        )
-    return KernelScalars.from_heun(n, params)
-
-
 def payload_green(args, params: HeunParams) -> dict:
     greenssf = _lib.greenssf
-    scalars = _kernel_scalars(args, params)
+    scalars = greenssf.KernelScalars(_check_n(args.n), params.a, args.rho, args.sigma, args.tau)
     # one kernel per report; its fields are read in the order kernel checks,
     # omega(0), E = 0, so the first exception is the one each stage gives
     kernel = greenssf.green_kernel(scalars, args.s_eval, p_override=args.p_override)

@@ -38,7 +38,6 @@ from .algpoly import (
     CR_ZERO,
     CRat,
     DegenerateQuadratic,
-    HeunParams,
     NonIntegerExponents,
     Polynomial,
     _Immutable,
@@ -176,8 +175,8 @@ def monomial_times_delta(n: int, m: int) -> Distribution:
 
 class KernelScalars(_Record):
     """The scalar data the kernel sums consume: spin integer n, singular
-    location a, and the first-order coefficients (rho, sigma, tau) of the
-    raising-free operator."""
+    location a, and the first-order coefficients (rho, sigma, tau), which
+    are inputs (``green --rho/--sigma/--tau``), not derived from a spin."""
 
     n: int
     a: CRat
@@ -189,13 +188,6 @@ class KernelScalars(_Record):
         object.__setattr__(self, "n", exact_int(self.n, "n"))
         for name in ("a", "rho", "sigma", "tau"):
             object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
-
-    @classmethod
-    def from_heun(cls, n: int, p: HeunParams) -> "KernelScalars":
-        from .heunop import expanded_es_coeffs
-
-        got = expanded_es_coeffs(n, p)
-        return cls(n, p.a, got.rho, got.sigma, got.tau)
 
     def integer_exponents(self) -> tuple[int, int, int]:
         """(rho, sigma, tau) as positive integers, or NonIntegerExponents."""

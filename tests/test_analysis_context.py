@@ -28,7 +28,6 @@ from heunlie.heunop import (
     es_discrepancies,
     es_operator,
     es_spectrum,
-    expanded_es_coeffs,
     indicial_exponents,
     verify_theorem1,
 )
@@ -119,7 +118,7 @@ class TestOneAnalysisPerReport:
         assert len(made) == 1 and "es_coeffs" in vars(made[0])
 
     def test_cli_reads_spin_data_through_the_context_alone(self):
-        assert not {"build_expanded", "es_discrepancies", "expanded_es_coeffs"} & set(vars(cli))
+        assert not {"build_expanded", "es_discrepancies"} & set(vars(cli))
 
     @pytest.mark.parametrize("n, N, message", [
         (65, 70, "n must be in 0..64, got 65"),
@@ -189,12 +188,13 @@ class TestOneAnalysisPerReport:
             es_spectrum(-1, p, 0)
         with pytest.raises(TypeError, match="^cannot coerce float to CRat exactly$"):
             es_discrepancies(1.5, p)
-        # the coefficient audit still accepts a negative spin integer
-        assert es_discrepancies(-2, p).residual("es_rho") == CR_ZERO
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -2$"):
+            es_discrepancies(-2, p)
 
     @pytest.mark.parametrize("reader", [
-        es_operator, expanded_es_coeffs, es_discrepancies, KernelScalars.from_heun,
-    ])
+        es_operator, lambda n, p: _Analysis(n, p).es_coeffs, es_discrepancies,
+        lambda n, p: KernelScalars(n, p.a, 1, 3, 2),
+    ], ids=["es_operator", "es_coeffs", "es_discrepancies", "KernelScalars"])
     def test_bool_spin_integer_raises_type_error(self, reader):
         p = HeunParams(2, 1, 1, 1, 1, 1, 1)
         reader(1, p)
@@ -212,14 +212,14 @@ class TestOneAnalysisPerReport:
         assert counts == {"build_expanded": 1, "build_canonical_cleared": 0}
 
     @pytest.mark.parametrize("n", [-3, -1, 0, 5])
-    def test_expanded_es_coeffs_is_one_raising_free_expansion(self, monkeypatch, n):
+    def test_es_coeffs_is_one_raising_free_expansion(self, monkeypatch, n):
         for p in _param_sets():
             j = Spin.from_n(n).j
             expected = heunop.extract_expanded_coeffs(
                 sl2rep.uea_expand(raising_free_expr(j, p), j), p.a
             )
             counts = _count_calls(monkeypatch, ("uea_expand",))
-            assert heunop.expanded_es_coeffs(n, p) == expected
+            assert _Analysis(n, p).es_coeffs == expected
             assert counts == {"uea_expand": 1}
             monkeypatch.undo()
 
@@ -278,7 +278,9 @@ def _bits(values):
 
 class _RecordEig:
     """``np.linalg.eig`` that keeps the arrays it was given, and optionally
-    corrupts the eigenvectors at the given indices."""
+    corrupts the eigenvalues at the given indices.  A corrupt eigenvector
+    alone trips nothing: the check falls back to the value's least residual
+    over all vectors."""
 
     def __init__(self, corrupt=()):
         self.real = np.linalg.eig
@@ -288,9 +290,9 @@ class _RecordEig:
     def __call__(self, arr):
         self.arrays.append(arr.copy())
         vals, vecs = self.real(arr)
-        vecs = vecs.copy()
+        vals = vals.copy()
         for k, weight in self.corrupt:
-            vecs[:, k % len(vals)] += weight * np.arange(1, len(vals) + 1)
+            vals[k % len(vals)] += weight
         return vals, vecs
 
 
@@ -337,12 +339,12 @@ class TestBandFloatPath:
     def test_nan_residual_trips(self, monkeypatch):
         real = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda arr: (real(arr)[0] * np.nan, real(arr)[1]))
-        with pytest.raises(OracleMismatch, match=r"^eigenpair residual nan exceeds"):
+        with pytest.raises(OracleMismatch, match=r"^eigenvalue residual nan exceeds"):
             _float_eigenvalues(((CR_ONE, CRat(2)), (CRat(3), CRat(4))))
 
     @pytest.mark.parametrize("corrupt", [((0, 1.0),), ((4, 1.0),), ((-1, 1.0),),
                                          ((4, 1.0), (-1, 5.0)), ((-1, 5.0), (0, 1e-3))])
-    def test_corrupt_eigenvector_raises_on_first_failing_pair(self, corrupt, monkeypatch):
+    def test_corrupt_eigenvalue_raises_on_first_failing_pair(self, corrupt, monkeypatch):
         rng = random.Random(227)
         M = _rand_matrix(rng, 9, band=True)
         monkeypatch.setattr(np.linalg, "eig", _RecordEig(corrupt))
@@ -350,14 +352,28 @@ class TestBandFloatPath:
             reference_float_eigenvalues(M)
         with pytest.raises(OracleMismatch) as got:
             _float_eigenvalues(M)
-        pattern = r"eigenpair residual (\S+) exceeds 1\.0e-10 \* scale"
+        pattern = r"eigenvalue residual (\S+) exceeds 1\.0e-10 \* scale"
         expected_res = float(re.fullmatch(pattern, str(reference.value)).group(1))
         assert float(re.fullmatch(pattern, str(got.value)).group(1)) == pytest.approx(
             expected_res, rel=1e-2
         )
 
+    def test_corrupt_eigenvectors_alone_keep_the_spectrum(self, monkeypatch):
+        # every vector fails its residual, but each value passes through the
+        # smallest singular value of M - lambda I
+        M = _rand_matrix(random.Random(227), 9, band=True)
+        expected = _float_eigenvalues(M)
+        real = np.linalg.eig
+
+        def corrupt_vectors(arr):
+            vals, vecs = real(arr)
+            return vals, vecs + np.arange(1, len(vals) + 1)[:, None]
+
+        monkeypatch.setattr(np.linalg, "eig", corrupt_vectors)
+        assert _bits(_float_eigenvalues(M)) == _bits(expected)
+
     @pytest.mark.parametrize("index", [0, 4, 8])
-    def test_corrupt_eigenvector_exits_3(self, index, monkeypatch, capsys):
+    def test_corrupt_eigenvalue_exits_3(self, index, monkeypatch, capsys):
         assert cli.main(SPECTRUM_N8) == 0
         capsys.readouterr()
         monkeypatch.setattr(np.linalg, "eig", _RecordEig(((index, 1.0),)))
@@ -365,7 +381,7 @@ class TestBandFloatPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
-            r"heunlie: internal oracle mismatch: eigenpair residual \S+ exceeds "
+            r"heunlie: internal oracle mismatch: eigenvalue residual \S+ exceeds "
             r"1\.0e-10 \* scale\n",
             captured.err,
         )

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import heunlie
@@ -274,9 +275,15 @@ class TestGreenCommand:
         assert json.loads(out)["ssf"]["heaviside"] == "1/2"
 
     def test_spin_path_guard(self, capsys):
-        code, _, err = run(capsys, "green", *BASE, "--n", "0")
-        assert code == 2
-        assert "positive integer" in err
+        # the kernel scalars come from the command line alone: the
+        # raising-free expansion's rho = 3(1-n)/2 reaches no kernel
+        with pytest.raises(SystemExit) as info:
+            cli.main(["green", *BASE, "--n", "0"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("the following arguments are required: --rho, --sigma, --tau"
+                in captured.err)
 
     # NonIntegerExponents is a ValueError and ZeroEigenvalue a
     # ZeroDivisionError, so both exit 2 through their base classes
@@ -291,9 +298,24 @@ class TestGreenCommand:
         assert err.startswith(f"heunlie: invalid parameters: {message}")
 
     def test_partial_scalar_override_rejected(self, capsys):
-        code, _, err = run(capsys, "green", *BASE, "--n", "1", "--rho", "1")
-        assert code == 2
-        assert "scalar mode" in err
+        with pytest.raises(SystemExit) as info:
+            cli.main(["green", *BASE, "--n", "1", "--rho", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --sigma, --tau" in captured.err
+
+    @pytest.mark.parametrize("command", ["green", "ssf"])
+    @pytest.mark.parametrize("missing", ["--rho", "--sigma", "--tau"])
+    def test_each_kernel_scalar_is_required(self, capsys, command, missing):
+        i = self.SCALARS.index(missing)
+        given = self.SCALARS[:i] + self.SCALARS[i + 2:]
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *BASE, "--n", "1", *given])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the following arguments are required: {missing}\n" in captured.err
 
     def test_p_override_and_dual_point(self, capsys):
         code, out, _ = run(capsys, "green", *BASE, "--n", "1", *self.SCALARS,
@@ -444,6 +466,29 @@ class TestFloatRange:
         rows = [json.loads(line) for line in out.splitlines()]
         assert ["report" in row for row in rows] == [True, True, False]
         assert rows[2]["error"] == {"type": "ValueError", "message": BEYOND}
+
+
+# a flag matrix with two eigenvalues about 10^90 apart at modulus 6*10^200:
+# LAPACK's vector for one of them fails its residual check, while the value
+# passes: the smallest singular value of (M - lambda I) / scale is about 1e-201
+NEAR_PAIR = ["analyze", f"--a=3{'0' * 200}i", f"--epsilon=1{'0' * 90}", "--n=2",
+             "--q=0", "--alpha=0", "--beta=0", "--gamma=0", "--delta=0"]
+
+
+def test_good_values_with_a_failing_vector_exit_0(capsys):
+    # the wrong-value side of the check: test_analysis_context's
+    # test_corrupt_eigenvalue_exits_3
+    params = cli._params_from_args(cli._parse(NEAR_PAIR))
+    M = heunop._Analysis(2, params).flag_matrix
+    arr = np.array([[complex(x) for x in row] for row in M])
+    vals, vecs = np.linalg.eig(arr)
+    scale = np.abs(arr).max()
+    res = np.linalg.norm((arr / scale) @ vecs - vecs * (vals / scale), axis=0)
+    assert (res > heunop.EIG_RESIDUAL_TOL).any()  # the vector check alone trips
+    code, out, err = run(capsys, *NEAR_PAIR)
+    assert (code, err) == (0, "")
+    expected = sorted((complex(v) for v in vals), key=lambda z: (z.real, z.imag))
+    assert json.loads(out)["es"]["spectrum"] == [[z.real, z.imag] for z in expected]
 
 
 class TestOutputFile:

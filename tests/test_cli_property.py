@@ -5,7 +5,7 @@ line, whether read from the flag table or parsed by argparse, gives
 the exit code, stdout and stderr of the full parser.
 
 Draws cover all seven command names, valid and invalid exact literals,
-spin integers around 0..8, truncations up to K = 12, scalar-mode flags and
+spin integers around 0..8, truncations up to K = 12, kernel scalars and
 sweep grids, valid and not.
 """
 
@@ -83,9 +83,9 @@ def command_line_st(draw):
         flag("p-override", st.integers(-1, 6), omit=0.6)
         flag("E", literal_st, omit=0.5)
         flag("lambda", st.sampled_from(LAMBDAS), omit=0.4)
-        if draw(st.booleans()):  # scalar mode; a spoiled line may leave it partial
-            for name in ("rho", "sigma", "tau"):
-                flag(name, st.sampled_from(("1", "2", "3", "4", "3/2", "-1", "0")))
+        # the kernel scalars are required; a spoiled line may drop one
+        for name in ("rho", "sigma", "tau"):
+            flag(name, st.sampled_from(("1", "2", "3", "4", "3/2", "-1", "0")))
     elif command == "sweep":
         flag("grid", grid_st(), omit=0.05)
     if command != "sweep":
@@ -129,6 +129,10 @@ ES_BASE = ["--a=2", "--q=1", "--alpha=-1", "--beta=0", "--gamma=1/3", "--delta=1
 @example(["sweep", "--n=4", "--a=2", f"--gamma={BIG}", *UNIT, f"--grid=a=2,{BIG},{HUGE}"])
 @example(["expand", "--expr=--", "--j=1/2"])  # argparse's 2, not a traceback
 @example(["analyze", *ES_BASE, "--output=--"])  # argparse's 2, not a text report
+# two eigenvalues whose LAPACK vector fails its residual, but whose values
+# pass the singular-value check: exit 0, not the tripwire's 3
+@example(["analyze", f"--a=3{'0' * 200}i", "--q=0", "--alpha=0", "--beta=0", "--gamma=0",
+          "--delta=0", f"--epsilon=1{'0' * 90}", "--n=2"])
 @settings(max_examples=300, deadline=None)
 def test_every_command_line_ends_with_a_documented_exit(argv):
     code, out = run_main(argv)

@@ -42,11 +42,11 @@ from heunlie.greenssf import (
     weight_value_at_zero,
 )
 from heunlie.heunop import (
+    _Analysis,
     es_condition,
     es_discrepancies,
     es_operator,
     es_spectrum,
-    expanded_es_coeffs,
     qes_matrix,
     uea_heun,
     verify_theorem1,
@@ -178,7 +178,6 @@ INTEGER_ARGUMENTS = {
     "paper_ck start": (lambda x: _ck(start=x), _ck(start=2)),
     "KernelScalars n": (lambda x: KernelScalars(x, 3, 1, 5, 3).n, 2),
     "KernelScalars(n)": (lambda x: _plain_scalars(n=x).n, 2),
-    "KernelScalars.from_heun n": (lambda x: KernelScalars.from_heun(x, HEUN).n, 2),
     "green_kernel p_override": (lambda x: green_kernel(SCALARS, p_override=x).p_bound, 2),
     "Distribution order": (lambda x: Distribution.delta(x).terms[0][0], 2),
     "monomial_times_delta n": (lambda x: monomial_times_delta(x, 3), monomial_times_delta(2, 3)),
@@ -186,7 +185,8 @@ INTEGER_ARGUMENTS = {
     "symbol_coeffs m_kl": (lambda x: symbol_coeffs(x, 1, SCALARS), symbol_coeffs(2, 1, SCALARS)),
     "symbol_coeffs n": (lambda x: symbol_coeffs(1, x, SCALARS), symbol_coeffs(1, 2, SCALARS)),
     "es_operator n": (lambda x: es_operator(x, HEUN), es_operator(2, HEUN)),
-    "expanded_es_coeffs n": (lambda x: expanded_es_coeffs(x, HEUN), expanded_es_coeffs(2, HEUN)),
+    "_Analysis.es_coeffs n": (lambda x: _Analysis(x, HEUN).es_coeffs,
+                              _Analysis(2, HEUN).es_coeffs),
     "es_discrepancies n": (lambda x: es_discrepancies(x, HEUN).as_list(),
                            es_discrepancies(2, HEUN).as_list()),
     "es_spectrum N": (lambda x: es_spectrum(2, HEUN, x), es_spectrum(2, HEUN, 2)),
@@ -202,7 +202,7 @@ INTEGER_ARGUMENTS = {
 ORDERS = ["Polynomial.monomial k", "Polynomial.derivative order", "Polynomial ** n",
           "DiffOp.from_term order", "paper_ck K", "paper_ck start", "Distribution order",
           "monomial_times_delta n", "monomial_times_delta m", "es_operator n",
-          "es_spectrum N", "qes_matrix N", "monomial_images N"]
+          "es_discrepancies n", "es_spectrum N", "qes_matrix N", "monomial_images N"]
 
 # weight exponents: the same rule, but a non-integer or a value below 1
 # raises NonIntegerExponents with the message a distsol report prints

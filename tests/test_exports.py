@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import heunlie
+from heunlie import heunop
 from heunlie.algpoly import DiffOp, HeunParams, Polynomial
 from heunlie.distsol import RecurrenceSpec
 from heunlie.greenssf import (
@@ -50,6 +51,23 @@ def test_cli_imports_only_public_functions():
                     if inspect.isfunction(getattr(mod, alias.name)) and alias.name not in mod.__all__:
                         hidden.append(f"{importer}: {node.module}.{alias.name}")
     assert not hidden, f"sibling imports of functions missing from __all__: {hidden}"
+
+
+def test_greenssf_imports_no_spin_module():
+    # the kernel takes its scalars as inputs: greenssf derives nothing from
+    # the Heun operator, so it imports neither heunop nor sl2rep
+    import ast
+
+    import heunlie.greenssf
+
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(heunlie.greenssf))):
+        if isinstance(node, ast.ImportFrom) and node.module:  # from .heunop import x
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):  # from . import heunop
+            imported.update(alias.name for alias in node.names)
+    assert "algpoly" in imported
+    assert not {"heunop", "sl2rep"} & {name.rpartition(".")[2] for name in imported}
 
 
 def test_only_algpoly_reads_the_polynomial_table():
@@ -127,9 +145,13 @@ def test_removed_parameter_raises_type_error(name):
         REMOVED_PARAMETERS[name]()
 
 
-# alias constructors: each input record has one constructor, which validates
+# alias constructors (each input record has one constructor, which
+# validates), and the spin-derived kernel scalars, which reached no kernel:
+# the raising-free rho = 3(1-n)/2 is a positive integer for no n >= 0
 REMOVED_CONSTRUCTORS = {
     "KernelScalars.direct": lambda: KernelScalars.direct(1, 2, 1, 3, 2),
+    "KernelScalars.from_heun": lambda: KernelScalars.from_heun(1, None),
+    "heunop.expanded_es_coeffs": lambda: heunop.expanded_es_coeffs(1, None),
     "RecurrenceSpec.make": lambda: RecurrenceSpec.make(l=1),
     "HeunParams.from_strings": lambda: HeunParams.from_strings(a=2, q=0, alpha=1, beta=1,
                                                                gamma=1, delta=1, epsilon=0),

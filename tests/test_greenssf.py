@@ -39,7 +39,6 @@ from heunlie.greenssf import (
 from util import (
     crat_kernel_sums,
     crat_truncated_exponential,
-    es_params,
     rand_crat,
     rand_fraction,
     rand_poly,
@@ -219,25 +218,11 @@ class TestGreenKernel:
                     )
         assert gk.scalar == total
 
-    def test_heun_derived_scalars_negative_n(self):
-        # raising-free expansion at n = -1 has rho = 3; gamma = -1 makes
-        # tau = a, and delta + epsilon tunes sigma to 5 (alpha and beta do
-        # not enter the raising-free scalars at all)
-        from heunlie.algpoly import HeunParams
-
-        p = HeunParams(a=2, q=1, alpha=1, beta=1, gamma=-1, delta=-13, epsilon=-1)
-        scal = KernelScalars.from_heun(-1, p)
-        assert (scal.rho, scal.sigma, scal.tau) == (CRat(3), CRat(5), CRat(2))
-        gk = green_kernel(KernelScalars.from_heun(-1, p))
-        assert gk.p_bound == 2
-
     def test_integer_guard(self):
-        p = es_params(0)
-        with pytest.raises(NonIntegerExponents):
-            green_kernel(KernelScalars.from_heun(0, p))  # rho = 3/2
-        p1 = es_params(1)
-        with pytest.raises(NonIntegerExponents):
-            green_kernel(KernelScalars.from_heun(1, p1))  # rho = 0
+        # the raising-free expansion's rho = 3(1-n)/2 at n = 0 and n = 1
+        for rho in (Fraction(3, 2), 0):
+            with pytest.raises(NonIntegerExponents, match=f"^rho = {rho} is not a positive"):
+                green_kernel(KernelScalars(n=0, a=2, rho=rho, sigma=3, tau=2))
 
     def test_empty_bound_needs_override(self):
         scal = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)

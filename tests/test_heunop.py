@@ -27,7 +27,6 @@ from heunlie.heunop import (
     es_discrepancies,
     es_operator,
     es_spectrum,
-    expanded_es_coeffs,
     extract_expanded_coeffs,
     indicial_exponents,
     is_lower_triangular,
@@ -386,7 +385,7 @@ class TestESOperator:
         # printed rho = 3(1-n)/2 and printed ab = n(n-1)/2 agree with the
         # expansion exactly
         for n, rho, ab in ((0, Fraction(3, 2), 0), (1, 0, 0), (2, Fraction(-3, 2), 1)):
-            got = expanded_es_coeffs(n, p)
+            got = _Analysis(n, p).es_coeffs
             assert got.rho == CRat(rho)
             assert got.abProduct == CRat(ab)
             rep = es_discrepancies(n, p)
@@ -395,11 +394,9 @@ class TestESOperator:
 
     def test_rejects_negative_n(self):
         p = HeunParams(a=2, q=1, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
-        with pytest.raises(ValueError):
-            es_operator(-1, p)
-        # the scalar extraction accepts the negative range
-        got = expanded_es_coeffs(-1, p)
-        assert got.rho == CRat(3)
+        for reader in (es_operator, es_discrepancies):
+            with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+                reader(-1, p)
 
     def test_statement_eigenvalue_equals_corner_entry(self):
         rng = random.Random(103)
@@ -467,7 +464,7 @@ class TestQESMatrix:
         #   lowering M[m-1][m] = a m(m-1) + tau m
         p = es_params(3, gamma=Fraction(2, 5), delta=Fraction(-1, 3))
         n = 3
-        c = expanded_es_coeffs(n, p)
+        c = _Analysis(n, p).es_coeffs
         C = -c.qShift
         M = qes_matrix(es_operator(n, p), n)
         for m in range(n + 1):
@@ -491,7 +488,7 @@ class TestQESMatrix:
         p0 = es_params(0)
         M0 = qes_matrix(es_operator(0, p0), 0)
         assert is_lower_triangular(M0)
-        assert es_spectrum(0, p0, 0) == [-expanded_es_coeffs(0, p0).qShift]
+        assert es_spectrum(0, p0, 0) == [-_Analysis(0, p0).es_coeffs.qShift]
         # n = 1: the raising band vanishes (ab = 0, rho = 0), upper-triangular
         p1 = es_params(1)
         M1 = qes_matrix(es_operator(1, p1), 1)

@@ -21,9 +21,9 @@ HEUN = {"algpoly", "sl2rep", "heunop", "cli"}
 LINES = {
     "green": (["green", *KERNEL, *PARAMS], 0, {"algpoly", "greenssf", "cli"}),
     "ssf": (["ssf", *KERNEL, "--lambda=-1", *PARAMS], 0, {"algpoly", "greenssf", "cli"}),
-    # without --rho/--sigma/--tau the scalars come from the raising-free
-    # expansion, whose rho = 3(1-n)/2 is no positive integer for n in 0..64
-    "green derived": (["green", "--n=0", *PARAMS], 2, HEUN | {"greenssf"}),
+    # --rho/--sigma/--tau are required: argparse refuses the line before
+    # any spin module loads
+    "green derived": (["green", "--n=0", *PARAMS], 2, {"algpoly", "cli"}),
     "expand": (["expand", "--expr=1/2 * +0 + 1/2 * 0+", "--j=1/2"], 0,
                {"algpoly", "sl2rep", "cli"}),
     "analyze": (["analyze", "--n=2", *PARAMS], 0, HEUN),
