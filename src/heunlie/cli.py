@@ -267,7 +267,7 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
     n = _check_n(n)
     # one context per report; reading its stages in this order raises the
     # same first exception as building each stage afresh
-    ctx = heunop._Analysis(n, params)
+    ctx = heunop.Analysis(n, params)
     ctx.check_canonical()
     exponents = {label: _surd_str_pair(pair) for label, pair in ctx.exponents.items()}
     rows = ctx.theorem1_rows().as_list()
@@ -312,7 +312,7 @@ def payload_expand(expr_text: str, j_text: str) -> dict:
 def payload_spectrum(params: HeunParams, n: int, N: Optional[int]) -> dict:
     heunop = _lib.heunop
     # one context per report; the first error is n's, N's, then the matrix's
-    ctx = heunop._Analysis(_check_n(n), params)
+    ctx = heunop.Analysis(_check_n(n), params)
     size = _check_n(n if N is None else N, "N")
     M = heunop.qes_matrix(ctx.expanded, size)
     lower, upper, spectrum = heunop.matrix_spectrum(M)
@@ -337,12 +337,11 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
     n = _check_n(n)
     if K < 2:
         raise ValueError(f"K must be at least 2, got {K}")
-    coeffs = _lib.heunop._Analysis(n, params).es_coeffs
+    coeffs = _lib.heunop.Analysis(n, params).es_coeffs
     spec = distsol.RecurrenceSpec(
         l=l, rho=coeffs.rho, sigma=coeffs.sigma, tau=coeffs.tau,
         ab=coeffs.abProduct, E=E, a=params.a,
     )
-    weight_block = None
     try:
         weight_block = distsol.weight_expansion(
             coeffs.rho, coeffs.sigma, coeffs.tau, params.a

@@ -17,7 +17,9 @@ from integer moments of their ``m`` weights taken in one pass over ``m``.
 
 The summation bound is ``p = sigma - rho`` unless :func:`green_kernel`'s
 override sets it: the printed bound formally depends on an inner summation
-index, and this is its largest value.  The one-offs use ``s = 0`` and this ``p``.
+index, and this is its largest value.  One :class:`GreenKernel` per report
+carries the kernel, its norm constant ``kp``, the Hilbert-Schmidt norm and
+the coincidence kernel.
 
 Every kernel, distribution and norm value is exact: a float or complex input
 raises ``TypeError``.  Floats appear only in :func:`eta_roots` and in the
@@ -59,9 +61,6 @@ __all__ = [
     "symbol_coeffs",
     "eta_roots",
     "green_kernel",
-    "green_coincidence",
-    "kp_constant",
-    "hs_norm_sq",
     "weight_value_at_zero",
     "ssf",
     "heaviside",
@@ -306,13 +305,6 @@ def _kernel_sums(exponents: tuple[int, int, int], a: CRat, s_eval: CRat,
     return total(w0, w1, w2), total(v0, v1, v2)
 
 
-def _nonzero_eigenvalue(E) -> CRat:
-    E = CRat.from_value(E)
-    if E.is_zero():
-        raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
-    return E
-
-
 class GreenKernel(_Record):
     """The kernel data of one ``green``/``ssf`` report.
 
@@ -349,7 +341,9 @@ class GreenKernel(_Record):
         The delta term has even order, so both half-plane signs give this
         same kernel.
         """
-        E = _nonzero_eigenvalue(E)
+        E = CRat.from_value(E)
+        if E.is_zero():
+            raise ZeroEigenvalue("coincidence kernel scales by 1/E; E = 0 is invalid")
         return Distribution.delta(0, 0, self.kp * (CR_ONE / E))
 
 
@@ -381,6 +375,8 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
     rho, sigma, _ = exponents
     bound = sigma - rho if p_override is None else exact_int(p_override, "p_override")
     if bound < 1:
+        if p_override is not None:
+            raise ValueError(f"p_override = {bound} must be at least 1")
         raise ValueError(
             f"summation bound p = {bound} is empty; the scalars give sigma - rho = "
             f"{sigma - rho} (override it to proceed)"
@@ -395,19 +391,6 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
     )
 
 
-def kp_constant(scalars: KernelScalars) -> CRat:
-    """The norm constant ``K_p`` of :func:`green_kernel`, the kernel sum
-    without the ``(m-1)!`` weight, at ``s = 0`` over the default bound."""
-    return green_kernel(scalars).kp
-
-
-def green_coincidence(scalars: KernelScalars, E=CR_ONE) -> Distribution:
-    """Coincidence kernel ``(K_p / E) delta(w)``; ``E = 0`` is refused
-    before the kernel is assembled."""
-    E = _nonzero_eigenvalue(E)
-    return green_kernel(scalars).coincidence(E)
-
-
 def weight_value_at_zero(rho, sigma, tau, a) -> CRat:
     """Constant term ``omega(0)`` of the weight, without building the table:
     ``h[0][0] = (-1)^(sigma+tau) a^(tau-1)`` when rho = 1, else 0.
@@ -418,17 +401,6 @@ def weight_value_at_zero(rho, sigma, tau, a) -> CRat:
     if rho != 1:
         return CR_ZERO
     return CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1)
-
-
-def hs_norm_sq(scalars: KernelScalars) -> Fraction:
-    """Squared Hilbert-Schmidt norm ``|K_p|^2 |omega(0)|^2``; ``a`` in
-    ``{0, 1}`` is refused before the summation bound is checked.
-
-    The norm is finite for every valid input and zero iff either factor is
-    zero.
-    """
-    weight_value_at_zero(*scalars.integer_exponents(), scalars.a)  # the a check, before the bound
-    return green_kernel(scalars).hs_norm_sq()
 
 
 def heaviside(lam: float) -> Fraction:

@@ -6,7 +6,9 @@ Ground truth for every coefficient formula audited here is the symbolic
 expansion of the generator algebra; the audited formulas themselves live
 only in :class:`DiscrepancyReport` rows, because several of them disagree
 with the expansion (and with each other).  Each row records the published
-value, the oracle value and their exact difference.
+value, the oracle value and their exact difference.  The rows, the
+raising-free operator and its flag matrix are read from one
+:class:`Analysis` of ``(n, params)`` at spin ``j = n/2``.
 
 Sign convention: operators are stored with positive leading coefficient
 ``z (z - 1) (z - a)``.
@@ -49,16 +51,13 @@ __all__ = [
     "uea_heun",
     "uea_heun_coeffs",
     "extract_expanded_coeffs",
-    "verify_theorem1",
-    "es_discrepancies",
+    "Analysis",
     "es_condition",
-    "es_operator",
     "qes_matrix",
     "is_lower_triangular",
     "is_upper_triangular",
     "matrix_diagonal",
     "matrix_spectrum",
-    "es_spectrum",
     "EIG_RESIDUAL_TOL",
 ]
 
@@ -237,7 +236,7 @@ def uea_heun(j, p: HeunParams) -> UEAExpr:
     """The quadratic generator combination for the full operator at spin j.
 
     The raising-grade admissibility residual is reported by
-    :func:`verify_theorem1`, not enforced here.
+    :meth:`Analysis.theorem1_rows`, not enforced here.
     """
     return _uea_from_coeffs(uea_heun_coeffs(j, p))
 
@@ -330,17 +329,6 @@ class DiscrepancyReport:
         return [row.as_dict() for row in self.rows]
 
 
-def verify_theorem1(j, p: HeunParams) -> DiscrepancyReport:
-    """Expand the spin-j generator combination and audit the published
-    coefficient formulas (both the general-spin list and the reduced
-    ``j = n/2`` list) against the expansion.
-
-    The expansion itself is ground truth; nonzero residuals are the
-    deliverable, not an error.
-    """
-    return _Analysis(Spin(j).n, p).theorem1_rows()
-
-
 def _sorted_exponents(e1: Surd, e2: Surd) -> tuple[Surd, Surd]:
     """Put an exact-zero exponent first when present (for report stability)."""
     if e2 == Surd(0):
@@ -370,23 +358,6 @@ def es_condition(j, p: HeunParams) -> CRat:
     grading (under the parameter constraint)."""
     j = Spin(j).j
     return p.alpha + p.beta + CRat(3 * j) - CRat(Fraction(1, 2))
-
-
-def es_operator(n: int, p: HeunParams) -> DiffOp:
-    """The raising-free operator at spin ``j = n/2``, ``n >= 0``: the Heun
-    expansion less its raising word ``cPlus * Jp``.
-
-    Built from the generator algebra, never from the published coefficient
-    list; the list is audited by :func:`es_discrepancies`.
-    """
-    return _Analysis(exact_count(n, "n"), p).es_operator
-
-
-def es_discrepancies(n: int, p: HeunParams) -> DiscrepancyReport:
-    """Audit the reduced-spin coefficient list and both published eigenvalue
-    formulas against the raising-free expansion at ``j = n/2``, ``n >= 0``,
-    and its flag matrix."""
-    return _Analysis(exact_count(n, "n"), p).es_rows()
 
 
 # -- polynomial-flag matrices ----------------------------------------------------
@@ -490,16 +461,10 @@ def matrix_spectrum(M: Sequence[Sequence[CRat]]) -> tuple[bool, bool, list]:
     return lower, upper, _float_eigenvalues(M)
 
 
-def es_spectrum(n: int, p: HeunParams, N: int) -> list:
-    """Spectrum of the raising-free operator on the degree-N monomial basis;
-    see :func:`matrix_spectrum`."""
-    return matrix_spectrum(qes_matrix(es_operator(n, p), N))[2]
-
-
 # -- one analysis per report -----------------------------------------------------
 
 
-class _Analysis:
+class Analysis:
     """The analysis of one ``(n, params)``: each stage is computed on first
     use and kept, so a report builds every object once.
 
@@ -551,6 +516,8 @@ class _Analysis:
 
     @cached_property
     def es_operator(self) -> DiffOp:
+        """The Heun expansion less its raising word ``cPlus * Jp``: built from
+        the generator algebra, never from the published coefficient list."""
         jp = make_generators(self.j)[0]  # the generator uea_expand puts for "+"
         return self.heun_operator - jp * self.uea_coeffs.cPlus
 
@@ -567,7 +534,9 @@ class _Analysis:
         return matrix_spectrum(self.flag_matrix)[2]
 
     def theorem1_rows(self) -> DiscrepancyReport:
-        """The rows of :func:`verify_theorem1`."""
+        """Audit the published coefficient formulas, the general-spin list
+        and the reduced ``j = n/2`` list, against the expansion; a nonzero
+        residual is a finding, not an error."""
         p, j = self.p, self.j
         n = CRat(self.n)
         one = CR_ONE
@@ -646,7 +615,9 @@ class _Analysis:
         return r
 
     def es_rows(self) -> DiscrepancyReport:
-        """The rows of :func:`es_discrepancies`."""
+        """Audit the reduced-spin coefficient list and both published
+        eigenvalue formulas against the raising-free expansion and its flag
+        matrix."""
         p, n = self.p, self.n
         one = CR_ONE
         ncr = CRat(n)

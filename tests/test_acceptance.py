@@ -57,10 +57,7 @@ from heunlie.distsol import (
 from heunlie.greenssf import (
     Distribution,
     KernelScalars,
-    green_coincidence,
     green_kernel,
-    hs_norm_sq,
-    kp_constant,
     monomial_times_delta,
     pair,
     ssf,
@@ -69,20 +66,18 @@ from heunlie.greenssf import (
 )
 from heunlie.heunop import (
     INFINITY,
+    Analysis,
     build_canonical_cleared,
     build_expanded,
-    es_discrepancies,
-    es_operator,
-    es_spectrum,
     indicial_exponents,
     is_lower_triangular,
     matrix_diagonal,
+    matrix_spectrum,
     qes_matrix,
     uea_heun,
-    verify_theorem1,
     extract_expanded_coeffs,
 )
-from heunlie.sl2rep import Spin, make_generators, uea_expand
+from heunlie.sl2rep import make_generators, uea_expand
 from heunlie import cli
 from util import es_params, rand_params, rand_poly, reference_real_brackets
 
@@ -148,8 +143,9 @@ def test_criterion_3_expansion_self_consistency_and_golden_report():
                 assert op_apply(L, f) == op_apply(reassembled, f)
         recorded = json.loads((GOLDEN / "theorem1_n2.json").read_text())
         p = HeunParams(**recorded["params"])
-        rows = verify_theorem1(Spin.from_n(recorded["n"]).j, p).as_list()
-        rows += es_discrepancies(recorded["n"], p).as_list()
+        ctx = Analysis(recorded["n"], p)
+        rows = ctx.theorem1_rows().as_list()
+        rows += ctx.es_rows().as_list()
         assert rows == recorded["discrepancies"], "residual table deviates from the golden file"
 
 
@@ -158,16 +154,17 @@ def test_criterion_4_es_triangularity():
         failures = []
         for n in range(0, 7):
             p = es_params(n)
+            L = Analysis(n, p).es_operator
             for N in range(0, 13):
                 try:
-                    M = qes_matrix(es_operator(n, p), N)
+                    M = qes_matrix(L, N)
                 except OverflowColumn as exc:
                     failures.append(f"n={n}, N={N}: {exc}")
                     continue
                 if not is_lower_triangular(M):
                     failures.append(f"n={n}, N={N}: above-diagonal entry present")
                     continue
-                if es_spectrum(n, p, N) != matrix_diagonal(M):
+                if matrix_spectrum(M)[2] != matrix_diagonal(M):
                     failures.append(f"n={n}, N={N}: spectrum differs from diagonal")
         assert not failures, (
             f"{len(failures)} of 91 (n, N) cases violate lower-triangularity; "
@@ -303,13 +300,14 @@ def test_criterion_8_green_ssf_suite():
         for rho, sigma, tau in ((2, 4, 2), (3, 5, 1), (4, 6, 3)):
             s2 = KernelScalars(n=1, a=2, rho=rho, sigma=sigma, tau=tau)
             assert weight_expansion(rho, sigma, tau, CRat(2)).value_at_zero() == CR_ZERO
-            assert hs_norm_sq(scalars=s2) == 0
+            assert green_kernel(s2).hs_norm_sq() == 0
         s1 = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
-        kp = kp_constant(scalars=s1)
+        kernel = green_kernel(s1)
+        kp = kernel.kp
         omega0 = weight_expansion(1, 3, 2, CRat(2)).value_at_zero()
-        assert hs_norm_sq(scalars=s1) == kp.abs2() * omega0.abs2()
+        assert kernel.hs_norm_sq() == kp.abs2() * omega0.abs2()
         # the shift is piecewise constant with values {0, G/2, G}
-        g = green_coincidence(scalars=s1, E=CRat(2))
+        g = kernel.coincidence(CRat(2))
         for lam in (0.5, 2.0, 9.0):
             assert ssf(lam, g).scaled == g
         for lam in (-0.5, -2.0, -9.0):

@@ -1,8 +1,10 @@
 """One analysis per report, and the band-only float path.
 
-``payload_analyze`` reads every stage from one ``heunop._Analysis``: it
+``payload_analyze`` reads every stage from one ``heunop.Analysis``: it
 expands each generator word once, takes each indicial pair once and builds
-one flag matrix, and its rows and spectrum equal the public stage functions'.
+one flag matrix, and its rows and spectrum equal those of fresh contexts.
+At a negative ``n`` the context still gives its rows; only the flag matrix
+refuses.
 ``_float_eigenvalues`` converts only the exactly nonzero entries and checks
 all eigenpair residuals at once; it must hand ``np.linalg.eig`` the same array
 as the dense conversion in ``util.reference_float_eigenvalues`` and return the
@@ -22,14 +24,12 @@ from heunlie import algpoly, cli, heunop, sl2rep
 from heunlie.algpoly import CR_ONE, CR_ZERO, CRat, DiffOp, HeunParams, OracleMismatch, Polynomial
 from heunlie.heunop import (
     INFINITY,
-    _Analysis,
+    Analysis,
     _float_eigenvalues,
     build_expanded,
-    es_discrepancies,
-    es_operator,
-    es_spectrum,
     indicial_exponents,
-    verify_theorem1,
+    matrix_spectrum,
+    qes_matrix,
 )
 from heunlie.greenssf import KernelScalars
 from heunlie.sl2rep import Spin
@@ -100,13 +100,13 @@ class TestOneAnalysisPerReport:
 
     def test_spectrum_and_distsol_build_one_context(self, monkeypatch):
         made = []
-        init = _Analysis.__init__
+        init = Analysis.__init__
 
         def counted(self, *args):
             made.append(self)
             init(self, *args)
 
-        monkeypatch.setattr(_Analysis, "__init__", counted)
+        monkeypatch.setattr(Analysis, "__init__", counted)
         counts = _count_calls(monkeypatch, ("build_expanded", "uea_expand", "qes_matrix"))
         p = es_params(8)
         cli.payload_spectrum(p, 8, None)
@@ -118,7 +118,7 @@ class TestOneAnalysisPerReport:
         assert len(made) == 1 and "es_coeffs" in vars(made[0])
 
     def test_cli_reads_spin_data_through_the_context_alone(self):
-        assert not {"build_expanded", "es_discrepancies"} & set(vars(cli))
+        assert not {"build_expanded", "extract_expanded_coeffs", "uea_expand"} & set(vars(cli))
 
     @pytest.mark.parametrize("n, N, message", [
         (65, 70, "n must be in 0..64, got 65"),
@@ -152,11 +152,12 @@ class TestOneAnalysisPerReport:
     def test_payload_equals_the_stage_functions(self, n):
         for p in _param_sets():
             payload = cli.payload_analyze(p, n)
-            rows = verify_theorem1(Spin.from_n(n).j, p).as_list()
-            rows += _Analysis(0, p).indicial_rows().as_list()
-            rows += es_discrepancies(n, p).as_list()
+            rows = Analysis(n, p).theorem1_rows().as_list()
+            rows += Analysis(0, p).indicial_rows().as_list()
+            rows += Analysis(n, p).es_rows().as_list()
             assert payload["discrepancies"] == rows
-            spectrum = [cli._jsonable(v) for v in es_spectrum(n, p, n)]
+            M = qes_matrix(Analysis(n, p).es_operator, n)
+            spectrum = [cli._jsonable(v) for v in matrix_spectrum(M)[2]]
             assert payload["es"]["spectrum"] == spectrum
             L = build_expanded(p)
             points = {"0": CR_ZERO, "1": CR_ONE, "a": p.a, "inf": INFINITY}
@@ -167,7 +168,7 @@ class TestOneAnalysisPerReport:
             assert payload["uea_coeffs"] == heunop.uea_heun_coeffs(Spin.from_n(n).j, p).as_dict()
 
     def test_each_stage_is_kept(self):
-        ctx = _Analysis(3, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
+        ctx = Analysis(3, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
         for stage in ("expanded", "exponents", "uea_coeffs", "heun_operator", "heun_coeffs",
                       "es_operator", "es_coeffs", "flag_matrix", "spectrum"):
             assert getattr(ctx, stage) is getattr(ctx, stage)
@@ -182,19 +183,11 @@ class TestOneAnalysisPerReport:
                        "disagrees with the expanded form\n")
         assert counts == dict.fromkeys(later, 0)
 
-    def test_public_readers_keep_their_refusals(self):
-        p = HeunParams(2, 1, 1, 1, 1, 1, 1)
-        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
-            es_spectrum(-1, p, 0)
-        with pytest.raises(TypeError, match="^cannot coerce float to CRat exactly$"):
-            es_discrepancies(1.5, p)
-        with pytest.raises(ValueError, match="^n must be nonnegative, got -2$"):
-            es_discrepancies(-2, p)
-
     @pytest.mark.parametrize("reader", [
-        es_operator, lambda n, p: _Analysis(n, p).es_coeffs, es_discrepancies,
+        lambda n, p: Analysis(n, p).es_operator, lambda n, p: Analysis(n, p).es_coeffs,
+        lambda n, p: Analysis(n, p).es_rows(),
         lambda n, p: KernelScalars(n, p.a, 1, 3, 2),
-    ], ids=["es_operator", "es_coeffs", "es_discrepancies", "KernelScalars"])
+    ], ids=["es_operator", "es_coeffs", "es_rows", "KernelScalars"])
     def test_bool_spin_integer_raises_type_error(self, reader):
         p = HeunParams(2, 1, 1, 1, 1, 1, 1)
         reader(1, p)
@@ -208,7 +201,7 @@ class TestOneAnalysisPerReport:
 
     def test_indicial_rows_skip_the_canonical_check(self, monkeypatch):
         counts = _count_calls(monkeypatch, ("build_expanded", "build_canonical_cleared"))
-        _Analysis(0, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1)).indicial_rows()
+        Analysis(0, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1)).indicial_rows()
         assert counts == {"build_expanded": 1, "build_canonical_cleared": 0}
 
     @pytest.mark.parametrize("n", [-3, -1, 0, 5])
@@ -219,9 +212,27 @@ class TestOneAnalysisPerReport:
                 sl2rep.uea_expand(raising_free_expr(j, p), j), p.a
             )
             counts = _count_calls(monkeypatch, ("uea_expand",))
-            assert _Analysis(n, p).es_coeffs == expected
+            assert Analysis(n, p).es_coeffs == expected
             assert counts == {"uea_expand": 1}
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_spin_gives_rows_but_no_flag_matrix(self, n):
+        # Analysis takes any integer n: the rows exist at j = n/2 < 0, and
+        # only the flag matrix, of size n + 1, refuses
+        j = Fraction(n, 2)
+        for p in _param_sets():
+            ctx = Analysis(n, p)
+            theorem1 = {row.name: row for row in ctx.theorem1_rows()}
+            assert len(theorem1) == 14 and len(ctx.es_rows().rows) == 6
+            expanded = heunop.extract_expanded_coeffs(
+                sl2rep.uea_expand(heunop.uea_heun(j, p), j), p.a)
+            for name, field in (("rho_general", "rho"), ("sigma_general", "sigma"),
+                                ("tau_general", "tau"), ("ab_product_general", "abProduct")):
+                assert theorem1[name].oracle == getattr(expanded, field)
+            with pytest.raises(ValueError) as info:
+                ctx.flag_matrix
+            assert str(info.value) == f"N must be nonnegative, got {n}"
 
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -241,7 +252,7 @@ class TestOneExpansion:
         # the expansion of the eight raising-free words, term for term, and
         # the Heun coefficients are those of the expanded uea_heun
         j = Spin.from_n(n).j
-        ctx = _Analysis(n, p)
+        ctx = Analysis(n, p)
         expected = sl2rep.uea_expand(raising_free_expr(j, p), j)
         assert ctx.es_operator == expected
         heun = sl2rep.uea_expand(heunop.uea_heun(j, p), j)

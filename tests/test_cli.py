@@ -334,6 +334,15 @@ class TestGreenCommand:
         gk = green_kernel(scalars=scal, s_eval=CRat.parse("1/2i"), p_override=4)
         assert payload["kernel_coeff"] == str(gk.scalar)
 
+    @pytest.mark.parametrize("command", ["green", "ssf"])
+    @pytest.mark.parametrize("p_override", ["0", "-2"])
+    def test_p_override_below_one_names_the_override(self, capsys, command, p_override):
+        # sigma - rho = 2 is a valid bound: the refusal is the override's
+        code, out, err = run(capsys, command, *BASE, "--n", "1", *self.SCALARS,
+                             f"--p-override={p_override}")
+        assert (code, out) == (2, "")
+        assert err == f"heunlie: invalid parameters: p_override = {p_override} must be at least 1\n"
+
     def test_sweep_out_file(self, tmp_path, capsys):
         target = tmp_path / "sweep.jsonl"
         code, out, _ = run(capsys, "sweep", *BASE, "--n", "1",
@@ -479,7 +488,7 @@ def test_good_values_with_a_failing_vector_exit_0(capsys):
     # the wrong-value side of the check: test_analysis_context's
     # test_corrupt_eigenvalue_exits_3
     params = cli._params_from_args(cli._parse(NEAR_PAIR))
-    M = heunop._Analysis(2, params).flag_matrix
+    M = heunop.Analysis(2, params).flag_matrix
     arr = np.array([[complex(x) for x in row] for row in M])
     vals, vecs = np.linalg.eig(arr)
     scale = np.abs(arr).max()

@@ -38,15 +38,12 @@ from heunlie.distsol import (
 )
 from heunlie.greenssf import (
     KernelScalars,
-    green_coincidence,
     green_kernel,
-    hs_norm_sq,
-    kp_constant,
     weight_value_at_zero,
 )
 from heunlie.heunop import (
+    Analysis,
     _surd_product,
-    es_operator,
     qes_matrix,
 )
 from util import (
@@ -111,7 +108,7 @@ class TestBandMatrix:
     def test_raising_free_operators(self, n, N, a, rest):
         # the raising terms cancel in column n: N = n keeps every column, and
         # N > n overflows at column n + 1
-        L = es_operator(n, HeunParams(a, *rest))
+        L = Analysis(n, HeunParams(a, *rest)).es_operator
         _same_matrix_or_overflow(L, N)
 
 
@@ -162,16 +159,6 @@ class TestFactoredKernelSums:
         assert gk.kp == reference_kernel_sum(scalars, s_eval, p, with_factorial=False)
         assert isinstance(gk.kp, CRat) and isinstance(gk.scalar, CRat)
 
-    @given(kernel_scalars_st().filter(lambda scalars: scalars.a != CRat(1)), nonzero_st)
-    @settings(max_examples=60, deadline=None)
-    def test_one_offs_read_the_default_kernel(self, scalars, E):
-        # the one-offs take neither the dual point nor the bound: each is
-        # green_kernel's value at s = 0 over sigma - rho
-        gk = green_kernel(scalars)
-        assert kp_constant(scalars) == gk.kp
-        assert hs_norm_sq(scalars) == gk.hs_norm_sq()
-        assert green_coincidence(scalars, E) == gk.coincidence(E)
-
     @pytest.mark.parametrize("command", ["green", "ssf"])
     def test_report_builds_kp_once_and_no_symbol(self, monkeypatch, capsys, command):
         calls = []
@@ -201,7 +188,7 @@ class TestFactoredKernelSums:
     def test_zero_eigenvalue_comes_after_the_kernel_checks(self, capsys):
         argv = [*GREEN_ARGV, "--E=0"]
         assert cli.main([*argv, "--p-override=0"]) == 2
-        assert "summation bound p = 0 is empty" in capsys.readouterr().err
+        assert "p_override = 0 must be at least 1" in capsys.readouterr().err
         assert cli.main(argv) == 2
         assert "E = 0 is invalid" in capsys.readouterr().err
 

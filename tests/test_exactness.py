@@ -35,21 +35,17 @@ from heunlie.distsol import (
 from heunlie.greenssf import (
     Distribution,
     KernelScalars,
-    green_coincidence,
     green_kernel,
     monomial_times_delta,
     symbol_coeffs,
     weight_value_at_zero,
 )
 from heunlie.heunop import (
-    _Analysis,
+    Analysis,
     es_condition,
-    es_discrepancies,
-    es_operator,
-    es_spectrum,
+    matrix_spectrum,
     qes_matrix,
     uea_heun,
-    verify_theorem1,
 )
 from heunlie.sl2rep import Spin, UEAExpr, make_generators, uea_expand
 
@@ -121,7 +117,6 @@ def _plain_scalars(**fields):
 # checked the same way at the int 2
 ENTRY_POINTS = {
     "green_kernel s_eval": (lambda x: green_kernel(SCALARS, x), CR_ONE),
-    "green_coincidence E": (lambda x: green_coincidence(SCALARS, E=x), CR_ONE),
     "GreenKernel.coincidence E": (lambda x: green_kernel(SCALARS).coincidence(x), CR_ONE),
     # one scalar given, the rest left at the field defaults (int 0, a = 2)
     "RecurrenceSpec E": (lambda x: RecurrenceSpec(l=1, E=x), CR_ONE),
@@ -151,7 +146,6 @@ ENTRY_POINTS = {
     "make_generators j": (make_generators, Fraction(1, 2)),
     "uea_expand j": (lambda x: uea_expand(UEAExpr.parse("1 * +-"), x), 1),
     "uea_heun j": (lambda x: uea_heun(x, HEUN), 1),
-    "verify_theorem1 j": (lambda x: verify_theorem1(x, HEUN), 1),
     "es_condition j": (lambda x: es_condition(x, HEUN), Fraction(3, 2)),
 }
 
@@ -160,6 +154,9 @@ D = DiffOp.d()
 
 def _ck(K=4, start=1):
     return paper_ck(1, 0, closed_form_roots_real, SPEC, K, start=start)
+
+
+ES_OPERATOR = Analysis(2, HEUN).es_operator
 
 
 # integer arguments: (entry point, its result at the int 2)
@@ -184,12 +181,17 @@ INTEGER_ARGUMENTS = {
     "monomial_times_delta m": (lambda x: monomial_times_delta(1, x), monomial_times_delta(1, 2)),
     "symbol_coeffs m_kl": (lambda x: symbol_coeffs(x, 1, SCALARS), symbol_coeffs(2, 1, SCALARS)),
     "symbol_coeffs n": (lambda x: symbol_coeffs(1, x, SCALARS), symbol_coeffs(1, 2, SCALARS)),
-    "es_operator n": (lambda x: es_operator(x, HEUN), es_operator(2, HEUN)),
-    "_Analysis.es_coeffs n": (lambda x: _Analysis(x, HEUN).es_coeffs,
-                              _Analysis(2, HEUN).es_coeffs),
-    "es_discrepancies n": (lambda x: es_discrepancies(x, HEUN).as_list(),
-                           es_discrepancies(2, HEUN).as_list()),
-    "es_spectrum N": (lambda x: es_spectrum(2, HEUN, x), es_spectrum(2, HEUN, 2)),
+    "Analysis.theorem1_rows n": (lambda x: Analysis(x, HEUN).theorem1_rows().as_list(),
+                                 Analysis(2, HEUN).theorem1_rows().as_list()),
+    "Analysis.es_operator n": (lambda x: Analysis(x, HEUN).es_operator,
+                               Analysis(2, HEUN).es_operator),
+    "Analysis.es_coeffs n": (lambda x: Analysis(x, HEUN).es_coeffs,
+                             Analysis(2, HEUN).es_coeffs),
+    "Analysis.es_rows n": (lambda x: Analysis(x, HEUN).es_rows().as_list(),
+                           Analysis(2, HEUN).es_rows().as_list()),
+    "Analysis.spectrum n": (lambda x: Analysis(x, HEUN).spectrum, Analysis(2, HEUN).spectrum),
+    "matrix_spectrum N": (lambda x: matrix_spectrum(qes_matrix(ES_OPERATOR, x))[2],
+                          matrix_spectrum(qes_matrix(ES_OPERATOR, 2))[2]),
     "qes_matrix N": (lambda x: qes_matrix(D, x), qes_matrix(D, 2)),
     "monomial_images N": (lambda x: list(monomial_images(D, x)), list(monomial_images(D, 2))),
     "Spin.from_n n": (Spin.from_n, Spin(1)),
@@ -201,8 +203,8 @@ INTEGER_ARGUMENTS = {
 # the counts among them (orders, degrees, sizes): a negative value raises ValueError
 ORDERS = ["Polynomial.monomial k", "Polynomial.derivative order", "Polynomial ** n",
           "DiffOp.from_term order", "paper_ck K", "paper_ck start", "Distribution order",
-          "monomial_times_delta n", "monomial_times_delta m", "es_operator n",
-          "es_discrepancies n", "es_spectrum N", "qes_matrix N", "monomial_images N"]
+          "monomial_times_delta n", "monomial_times_delta m", "Analysis.spectrum n",
+          "matrix_spectrum N", "qes_matrix N", "monomial_images N"]
 
 # weight exponents: the same rule, but a non-integer or a value below 1
 # raises NonIntegerExponents with the message a distsol report prints

@@ -9,16 +9,10 @@ import sys
 import pytest
 
 import heunlie
-from heunlie import heunop
 from heunlie.algpoly import DiffOp, HeunParams, Polynomial
 from heunlie.distsol import RecurrenceSpec
-from heunlie.greenssf import (
-    KernelScalars,
-    green_coincidence,
-    green_kernel,
-    hs_norm_sq,
-    kp_constant,
-)
+from heunlie import greenssf, heunop
+from heunlie.greenssf import GreenKernel, KernelScalars, green_kernel
 from heunlie.heunop import DiscrepancyReport
 
 MODULES = ["algpoly", "sl2rep", "heunop", "distsol", "greenssf", "cli"]
@@ -90,6 +84,29 @@ def test_only_algpoly_reads_the_polynomial_table():
     assert not readers, f"modules other than algpoly read the polynomial table: {readers}"
 
 
+def test_cli_reads_no_private_name_of_a_sibling():
+    # a sibling's underscore names are its own format: cli reads the library
+    # through public names, whether imported or read as _lib.<module>.<name>
+    # (or through a local bound to _lib.<module>)
+    import ast
+
+    import heunlie.cli
+
+    def sibling(node):
+        if isinstance(node, ast.Name):
+            return node.id in MODULES
+        return (isinstance(node, ast.Attribute) and node.attr in MODULES
+                and isinstance(node.value, ast.Name) and node.value.id == "_lib")
+
+    private = []
+    for node in ast.walk(ast.parse(inspect.getsource(heunlie.cli))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in MODULES:
+            private += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and sibling(node.value):
+            private.append(f"{node.lineno}: {ast.unparse(node)}")
+    assert not private, f"cli reads private names of sibling modules: {private}"
+
+
 def test_cli_reads_flags_from_its_own_table():
     # a command's flags are cli._COMMANDS: the direct reader never decodes
     # argparse's parser objects, which are argparse's private format
@@ -124,12 +141,6 @@ def test_only_algpoly_checks_for_bool():
 SCALARS = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
 # constants that no caller sets: passing one as a parameter is a TypeError
 REMOVED_PARAMETERS = {
-    "kp_constant s_eval": lambda: kp_constant(SCALARS, s_eval=0),
-    "kp_constant p_override": lambda: kp_constant(SCALARS, p_override=2),
-    "hs_norm_sq s_eval": lambda: hs_norm_sq(SCALARS, s_eval=0),
-    "hs_norm_sq p_override": lambda: hs_norm_sq(SCALARS, p_override=2),
-    "green_coincidence s_eval": lambda: green_coincidence(SCALARS, 1, s_eval=0),
-    "green_coincidence p_override": lambda: green_coincidence(SCALARS, 1, p_override=2),
     "DiscrepancyReport rows": lambda: DiscrepancyReport(rows=()),
     "DiscrepancyReport rows, positional": lambda: DiscrepancyReport(()),
     "Polynomial.monomial coeff": lambda: Polynomial.monomial(2, coeff=3),
@@ -146,8 +157,10 @@ def test_removed_parameter_raises_type_error(name):
 
 
 # alias constructors (each input record has one constructor, which
-# validates), and the spin-derived kernel scalars, which reached no kernel:
-# the raising-free rho = 3(1-n)/2 is a positive integer for no n >= 0
+# validates), the spin-derived kernel scalars, which reached no kernel (the
+# raising-free rho = 3(1-n)/2 is a positive integer for no n >= 0), and the
+# one-off readers of a fresh heunop.Analysis or GreenKernel, whose stages and
+# fields the callers read directly
 REMOVED_CONSTRUCTORS = {
     "KernelScalars.direct": lambda: KernelScalars.direct(1, 2, 1, 3, 2),
     "KernelScalars.from_heun": lambda: KernelScalars.from_heun(1, None),
@@ -155,6 +168,13 @@ REMOVED_CONSTRUCTORS = {
     "RecurrenceSpec.make": lambda: RecurrenceSpec.make(l=1),
     "HeunParams.from_strings": lambda: HeunParams.from_strings(a=2, q=0, alpha=1, beta=1,
                                                                gamma=1, delta=1, epsilon=0),
+    "heunop.verify_theorem1": lambda: heunop.verify_theorem1(1, None),
+    "heunop.es_operator": lambda: heunop.es_operator(2, None),
+    "heunop.es_discrepancies": lambda: heunop.es_discrepancies(2, None),
+    "heunop.es_spectrum": lambda: heunop.es_spectrum(2, None, 2),
+    "greenssf.kp_constant": lambda: greenssf.kp_constant(SCALARS),
+    "greenssf.hs_norm_sq": lambda: greenssf.hs_norm_sq(SCALARS),
+    "greenssf.green_coincidence": lambda: greenssf.green_coincidence(SCALARS, 1),
 }
 
 
@@ -179,9 +199,9 @@ def test_package_root_holds_only_the_version():
 
 def test_green_kernel_alone_takes_the_kernel_knobs():
     knobs = {
-        fn.__name__: [name for name in inspect.signature(fn).parameters
-                      if name not in ("scalars", "E")]
-        for fn in (green_kernel, kp_constant, hs_norm_sq, green_coincidence)
+        fn.__qualname__: [name for name in inspect.signature(fn).parameters
+                          if name not in ("self", "scalars", "E")]
+        for fn in (green_kernel, GreenKernel.hs_norm_sq, GreenKernel.coincidence)
     }
-    assert knobs == {"green_kernel": ["s_eval", "p_override"], "kp_constant": [],
-                     "hs_norm_sq": [], "green_coincidence": []}
+    assert knobs == {"green_kernel": ["s_eval", "p_override"], "GreenKernel.hs_norm_sq": [],
+                     "GreenKernel.coincidence": []}

@@ -23,11 +23,8 @@ from heunlie.greenssf import (
     KernelScalars,
     ZeroEigenvalue,
     eta_roots,
-    green_coincidence,
     green_kernel,
     heaviside,
-    hs_norm_sq,
-    kp_constant,
     monomial_times_delta,
     pair,
     ssf,
@@ -271,30 +268,23 @@ class TestKpConstant:
 
 class TestGreenCoincidence:
     def test_inverse_eigenvalue_scaling(self):
-        g1 = green_coincidence(scalars=SCAL, E=CRat(1))
-        g2 = green_coincidence(scalars=SCAL, E=CRat(2))
-        assert g1 == g2 * CRat(2)
+        gk = green_kernel(SCAL)
+        assert gk.coincidence(CRat(1)) == gk.coincidence(CRat(2)) * CRat(2)
 
     def test_zero_eigenvalue(self):
         with pytest.raises(ZeroEigenvalue):
-            green_coincidence(scalars=SCAL, E=CRat(0))
-        # the eigenvalue is checked before the kernel sum: an empty bound
-        # does not mask it
-        empty = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)
-        with pytest.raises(ZeroEigenvalue):
-            green_coincidence(scalars=empty, E=CRat(0))
+            green_kernel(SCAL).coincidence(CRat(0))
 
     def test_matches_kp_over_E(self):
-        kp = kp_constant(scalars=SCAL)
-        g = green_coincidence(scalars=SCAL, E=CRat(5))
-        assert g == Distribution.delta(0, 0, kp / CRat(5))
+        gk = green_kernel(SCAL)
+        assert gk.coincidence(CRat(5)) == Distribution.delta(0, 0, gk.kp / CRat(5))
 
 
 class TestHSNorm:
     def test_zero_when_rho_exceeds_one(self):
         scal = KernelScalars(n=1, a=2, rho=3, sigma=5, tau=2)
         assert weight_expansion(3, 5, 2, CRat(2)).value_at_zero() == CR_ZERO
-        assert hs_norm_sq(scalars=scal) == 0
+        assert green_kernel(scal).hs_norm_sq() == 0
 
     def test_unit_weight_case(self):
         scal = KernelScalars(n=0, a=2, rho=1, sigma=1, tau=1)
@@ -324,19 +314,19 @@ class TestHSNorm:
 
 class TestSSF:
     def test_negative_level_kills_kernel(self):
-        g = green_coincidence(scalars=SCAL, E=CRat(1))
+        g = green_kernel(SCAL).coincidence(CRat(1))
         assert ssf(-3.0, g).scaled == Distribution.zero()
 
     def test_positive_level_preserves_kernel(self):
-        g = green_coincidence(scalars=SCAL, E=CRat(1))
+        g = green_kernel(SCAL).coincidence(CRat(1))
         assert ssf(3.0, g).scaled == g
 
     def test_zero_level_halves(self):
-        g = green_coincidence(scalars=SCAL, E=CRat(1))
+        g = green_kernel(SCAL).coincidence(CRat(1))
         assert ssf(0.0, g).scaled == g * CRat(Fraction(1, 2))
 
     def test_piecewise_constant(self):
-        g = green_coincidence(scalars=SCAL, E=CRat(1))
+        g = green_kernel(SCAL).coincidence(CRat(1))
         positives = {ssf(lam, g).scaled for lam in (0.1, 1.0, 7.5, 1e6)}
         negatives = {ssf(lam, g).scaled for lam in (-0.1, -2.0, -1e6)}
         assert positives == {g}
@@ -351,7 +341,7 @@ class TestSSF:
     def test_heaviside_values(self, lam, step):
         # the infinities and both zeros have a sign or a midpoint; a NaN has
         # neither, and is refused rather than read as the jump
-        g = green_coincidence(scalars=SCAL, E=CRat(1))
+        g = green_kernel(SCAL).coincidence(CRat(1))
         if step is None:
             for refused in (lambda: heaviside(lam), lambda: ssf(lam, g)):
                 with pytest.raises(ValueError,
@@ -389,33 +379,22 @@ EMPTY_BOUND = ("summation bound p = 0 is empty; the scalars give sigma - rho = 0
                "(override it to proceed)")
 A_REFUSED = "a must avoid 0 and 1, got {}"
 ZERO_E = "coincidence kernel scales by 1/E; E = 0 is invalid"
-ONE_OFFS = {
-    "kp_constant": lambda scal, E: kp_constant(scalars=scal),
-    "hs_norm_sq": lambda scal, E: hs_norm_sq(scalars=scal),
-    "green_coincidence": lambda scal, E: green_coincidence(scalars=scal, E=E),
-}
+BELOW_ONE = "p_override = 0 must be at least 1"
 # green_kernel alone takes the bound override; its kernel's methods check
 # after the kernel is assembled
-ON_THE_KERNEL = {
+KERNEL_FUNCTIONS = {
     "green_kernel": lambda scal, E, **kw: green_kernel(scalars=scal, **kw),
     "GreenKernel.hs_norm_sq": lambda scal, E, **kw: green_kernel(scal, **kw).hs_norm_sq(),
     "GreenKernel.coincidence": lambda scal, E, **kw: green_kernel(scal, **kw).coincidence(E),
 }
-KERNEL_FUNCTIONS = {**ONE_OFFS, **ON_THE_KERNEL}
 # rho = tau = 2: sigma = 2 leaves the default bound empty, sigma = 4 gives 2
-BOUNDS = {"empty": (2, {}), "default": (4, {}), "overridden": (2, {"p_override": 3})}
+BOUNDS = {"empty": (2, {}), "default": (4, {}), "overridden": (2, {"p_override": 3}),
+          "below one": (4, {"p_override": 0})}
 FIRST_EXCEPTIONS = [
-    # the one-offs, over the default bound
-    *[("hs_norm_sq", a, bound, 1, ValueError, A_REFUSED.format(a))
-      for a in (0, 1) for bound in ("empty", "default")],
-    *[(fn, 0, "default", 1, ZeroDivisionError, "division by zero CRat")
-      for fn in ("green_kernel", "kp_constant", "green_coincidence")],
-    *[(fn, a, "empty", 1, ValueError, EMPTY_BOUND)
-      for a in (0, 1) for fn in ("green_kernel", "kp_constant", "green_coincidence")],
-    *[(fn, 1, "default", 1, None, None)
-      for fn in ("green_kernel", "kp_constant", "green_coincidence")],
-    *[("green_coincidence", a, bound, 0, ZeroEigenvalue, ZERO_E)
-      for a in (0, 1) for bound in ("empty", "default")],
+    # green_kernel over the default bound
+    ("green_kernel", 0, "default", 1, ZeroDivisionError, "division by zero CRat"),
+    *[("green_kernel", a, "empty", 1, ValueError, EMPTY_BOUND) for a in (0, 1)],
+    ("green_kernel", 1, "default", 1, None, None),
     # green_kernel and its kernel's methods, with the bound overridden
     ("green_kernel", 0, "overridden", 1, ZeroDivisionError, "division by zero CRat"),
     ("green_kernel", 1, "overridden", 1, None, None),
@@ -432,6 +411,16 @@ FIRST_EXCEPTIONS = [
           ("GreenKernel.coincidence", 0, ZeroEigenvalue, ZERO_E),
           ("GreenKernel.coincidence", 1, None, None),
       )],
+    # the coincidence kernel at a nonzero E meets the kernel's own refusals
+    *[("GreenKernel.coincidence", a, "empty", 1, ValueError, EMPTY_BOUND) for a in (0, 1)],
+    *[("GreenKernel.coincidence", 0, bound, 1, ZeroDivisionError, "division by zero CRat")
+      for bound in ("default", "overridden")],
+    # an override below 1 is refused by name before the kernel is assembled,
+    # although the scalars' own bound sigma - rho = 2 is valid
+    *[(fn, a, "below one", E, ValueError, BELOW_ONE)
+      for a in (0, 1) for fn, E in (("green_kernel", 1), ("GreenKernel.hs_norm_sq", 1),
+                                    ("GreenKernel.coincidence", 0),
+                                    ("GreenKernel.coincidence", 1))],
 ]
 
 
@@ -457,6 +446,16 @@ def test_first_exception_non_integer_exponent(fn):
     assert str(info.value) == (
         "rho = 1/2 is not a positive integer; the weight table and kernel sums are undefined"
     )
+
+
+@pytest.mark.parametrize("p_override", [0, -2])
+def test_override_below_one_names_the_override(p_override):
+    # the default bound sigma - rho = 2 is valid: the refusal names the
+    # override the caller gave, not the scalars
+    scal = KernelScalars(n=1, a=2, rho=1, sigma=3, tau=2)
+    with pytest.raises(ValueError) as info:
+        green_kernel(scal, p_override=p_override)
+    assert str(info.value) == f"p_override = {p_override} must be at least 1"
 
 
 # -- the integer kernel data against the CRat reference ------------------------

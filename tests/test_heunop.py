@@ -23,22 +23,19 @@ from heunlie.heunop import (
     NotRegularSingular,
     build_canonical_cleared,
     build_expanded,
+    Analysis,
     es_condition,
-    es_discrepancies,
-    es_operator,
-    es_spectrum,
     extract_expanded_coeffs,
     indicial_exponents,
     is_lower_triangular,
     is_upper_triangular,
     matrix_diagonal,
+    matrix_spectrum,
     qes_matrix,
     uea_heun,
     uea_heun_coeffs,
-    verify_theorem1,
-    _Analysis,
 )
-from heunlie.sl2rep import Spin, uea_expand
+from heunlie.sl2rep import uea_expand
 from util import (
     es_params,
     rand_fraction,
@@ -220,7 +217,7 @@ class TestIndicial:
         p = HeunParams(a=2, q=1, alpha=Fraction(1, 2), beta=Fraction(1, 3),
                        gamma=Fraction(1, 5), delta=Fraction(1, 7),
                        epsilon=Fraction(1, 2) + Fraction(1, 3) + 1 - Fraction(1, 5) - Fraction(1, 7))
-        rep = _Analysis(0, p).indicial_rows()
+        rep = Analysis(0, p).indicial_rows()
         assert rep.residual("exponent_at_0_first") == CR_ZERO
         assert rep.residual("exponent_at_0_second") == CR_ZERO
         assert rep.residual("exponent_at_1_first") == CR_ONE
@@ -297,7 +294,7 @@ class TestUEACoefficients:
 
     def test_membership_residual_at_zero_spin(self):
         p = HeunParams(a=2, q=1, alpha=3, beta=5, gamma=1, delta=1, epsilon=1)
-        rep = verify_theorem1(0, p)
+        rep = Analysis(0, p).theorem1_rows()
         row = next(r for r in rep if r.name == "qes_membership_condition")
         assert row.paper == p.alpha * p.beta  # printed residual reduces to ab at j=0
         assert row.oracle == p.alpha * p.beta  # expansion ab-product is 0 at j=0
@@ -324,7 +321,7 @@ class TestVerifyTheorem1:
         for _ in range(10):
             p = rand_params(rng, constrained=True)
             n = rng.randint(-3, 4)
-            rep = verify_theorem1(Fraction(n, 2), p)
+            rep = Analysis(n, p).theorem1_rows()
             for name in GENERAL_ROWS:
                 assert rep.residual(name) == CR_ZERO, name
 
@@ -334,7 +331,7 @@ class TestVerifyTheorem1:
     def test_general_rows_vanish_under_the_constraint(self, a, rest, n):
         q, alpha, beta, gamma, delta = rest
         p = HeunParams(a, q, alpha, beta, gamma, delta, alpha + beta + 1 - gamma - delta)
-        rep = verify_theorem1(Fraction(n, 2), p)
+        rep = Analysis(n, p).theorem1_rows()
         assert {name: rep.residual(name) for name in GENERAL_ROWS} == dict.fromkeys(
             GENERAL_ROWS, CR_ZERO
         )
@@ -344,7 +341,7 @@ class TestVerifyTheorem1:
         for _ in range(10):
             p = rand_params(rng, constrained=True)
             n = rng.randint(-3, 4)
-            rep = verify_theorem1(Fraction(n, 2), p)
+            rep = Analysis(n, p).theorem1_rows()
             ncr = CRat(n)
             assert rep.residual("sigma_halfspin") == (CR_ONE + p.a) * (CR_ONE - ncr)
             assert rep.residual("tau_halfspin") == p.a * (ncr - CR_ONE) / CRat(2)
@@ -355,14 +352,14 @@ class TestVerifyTheorem1:
             p = rand_params(rng, constrained=False)
             n = rng.randint(-3, 4)
             j = Fraction(n, 2)
-            rep = verify_theorem1(j, p)
+            rep = Analysis(n, p).theorem1_rows()
             assert rep.residual("ab_product_general") == CRat(-2 * j) * p.constraint_residual
 
     def test_eq3_row_isolates_middle_coefficient(self):
         rng = random.Random(97)
         for _ in range(10):
             p = rand_params(rng)
-            rep = verify_theorem1(0, p)
+            rep = Analysis(0, p).theorem1_rows()
             assert rep.residual("eq3_linear_z_coeff") == p.delta * (p.a - CR_ONE)
 
     def test_expansion_self_consistency(self):
@@ -385,25 +382,19 @@ class TestESOperator:
         # printed rho = 3(1-n)/2 and printed ab = n(n-1)/2 agree with the
         # expansion exactly
         for n, rho, ab in ((0, Fraction(3, 2), 0), (1, 0, 0), (2, Fraction(-3, 2), 1)):
-            got = _Analysis(n, p).es_coeffs
+            got = Analysis(n, p).es_coeffs
             assert got.rho == CRat(rho)
             assert got.abProduct == CRat(ab)
-            rep = es_discrepancies(n, p)
+            rep = Analysis(n, p).es_rows()
             assert rep.residual("es_rho") == CR_ZERO
             assert rep.residual("es_ab_product") == CR_ZERO
-
-    def test_rejects_negative_n(self):
-        p = HeunParams(a=2, q=1, alpha=1, beta=1, gamma=1, delta=1, epsilon=1)
-        for reader in (es_operator, es_discrepancies):
-            with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
-                reader(-1, p)
 
     def test_statement_eigenvalue_equals_corner_entry(self):
         rng = random.Random(103)
         for _ in range(8):
             n = rng.randint(0, 5)
             p = rand_params(rng, constrained=False)
-            rep = es_discrepancies(n, p)
+            rep = Analysis(n, p).es_rows()
             assert rep.residual("E_statement_vs_entry00") == CR_ZERO
 
     def test_vanishing_raising_condition_collapses_to_es_operator(self):
@@ -414,7 +405,7 @@ class TestESOperator:
             coeffs = uea_heun_coeffs(j, p)
             assert coeffs.cPlus == CR_ZERO
             full = uea_expand(uea_heun(j, p), j)
-            assert full == es_operator(n, p)
+            assert full == Analysis(n, p).es_operator
 
 
 class TestQESMatrix:
@@ -451,11 +442,11 @@ class TestQESMatrix:
 
     def test_es_matrix_survives_exactly_on_its_module(self):
         p = es_params(2)
-        M = qes_matrix(es_operator(2, p), 2)
+        M = qes_matrix(Analysis(2, p).es_operator, 2)
         assert len(M) == 3
         for bad_N in (0, 1, 3, 4, 12):
             with pytest.raises(OverflowColumn):
-                qes_matrix(es_operator(2, p), bad_N)
+                qes_matrix(Analysis(2, p).es_operator, bad_N)
 
     def test_es_matrix_entries_match_band_formulas(self):
         # on the invariant module the matrix is tridiagonal with
@@ -464,9 +455,9 @@ class TestQESMatrix:
         #   lowering M[m-1][m] = a m(m-1) + tau m
         p = es_params(3, gamma=Fraction(2, 5), delta=Fraction(-1, 3))
         n = 3
-        c = _Analysis(n, p).es_coeffs
+        c = Analysis(n, p).es_coeffs
         C = -c.qShift
-        M = qes_matrix(es_operator(n, p), n)
+        M = qes_matrix(Analysis(n, p).es_operator, n)
         for m in range(n + 1):
             mc = CRat(m)
             diag = -(CR_ONE + p.a) * mc * (mc - CR_ONE) + c.sigma * mc + C
@@ -486,28 +477,28 @@ class TestQESMatrix:
     def test_triangular_cases(self):
         # n = 0: 1x1, trivially triangular; eigenvalue is the constant term
         p0 = es_params(0)
-        M0 = qes_matrix(es_operator(0, p0), 0)
+        M0 = qes_matrix(Analysis(0, p0).es_operator, 0)
         assert is_lower_triangular(M0)
-        assert es_spectrum(0, p0, 0) == [-_Analysis(0, p0).es_coeffs.qShift]
+        assert matrix_spectrum(M0)[2] == [-Analysis(0, p0).es_coeffs.qShift]
         # n = 1: the raising band vanishes (ab = 0, rho = 0), upper-triangular
         p1 = es_params(1)
-        M1 = qes_matrix(es_operator(1, p1), 1)
+        M1 = qes_matrix(Analysis(1, p1).es_operator, 1)
         assert is_upper_triangular(M1)
         assert not is_lower_triangular(M1)  # lowering entry tau survives
-        assert es_spectrum(1, p1, 1) == matrix_diagonal(M1)
+        assert matrix_spectrum(M1)[2] == matrix_diagonal(M1)
 
     def test_diagonal_matrix_when_tau_vanishes(self):
         # n = 1 with gamma = 0 makes tau = a(gamma - n + 1) = 0: diagonal
         p = es_params(1, gamma=Fraction(0))
-        M = qes_matrix(es_operator(1, p), 1)
+        M = qes_matrix(Analysis(1, p).es_operator, 1)
         assert is_lower_triangular(M) and is_upper_triangular(M)
 
     def test_float_spectrum_matches_characteristic_polynomial(self):
         p = es_params(2)
         n = 2
-        M = qes_matrix(es_operator(n, p), n)
+        M = qes_matrix(Analysis(n, p).es_operator, n)
         assert not is_lower_triangular(M) and not is_upper_triangular(M)
-        spectrum = es_spectrum(n, p, n)
+        spectrum = matrix_spectrum(M)[2]
         charpoly = _charpoly(M)
         scale = max(abs(complex(c)) for c in charpoly.coeffs)
         for lam in spectrum:
@@ -517,16 +508,16 @@ class TestQESMatrix:
         # spectral symmetric functions agree with exact matrix invariants
         p = es_params(3, gamma=Fraction(1, 7))
         n = 3
-        M = qes_matrix(es_operator(n, p), n)
-        spectrum = es_spectrum(n, p, n)
+        M = qes_matrix(Analysis(n, p).es_operator, n)
+        spectrum = matrix_spectrum(M)[2]
         tr = sum(complex(x) for x in matrix_diagonal(M))
         assert sum(spectrum) == pytest.approx(tr, rel=1e-9, abs=1e-9)
 
     def test_large_module_spectrum_trace(self):
         p = es_params(6, gamma=Fraction(3, 4), delta=Fraction(-2, 5))
         n = 6
-        M = qes_matrix(es_operator(n, p), n)
-        spectrum = es_spectrum(n, p, n)
+        M = qes_matrix(Analysis(n, p).es_operator, n)
+        spectrum = matrix_spectrum(M)[2]
         assert len(spectrum) == 7
         tr = sum(complex(x) for x in matrix_diagonal(M))
         scale = max(abs(complex(x)) for row in M for x in row)
@@ -565,12 +556,13 @@ class TestGoldenReport:
         recorded = json.loads(path.read_text())
         p = HeunParams(**recorded["params"])
         n = recorded["n"]
-        rows = verify_theorem1(Spin.from_n(n).j, p).as_list()
-        rows += es_discrepancies(n, p).as_list()
+        ctx = Analysis(n, p)
+        rows = ctx.theorem1_rows().as_list()
+        rows += ctx.es_rows().as_list()
         assert rows == recorded["discrepancies"]
 
     def test_golden_operator_text_is_printed(self):
         path = GOLDEN / "theorem1_n2.json"
         recorded = json.loads(path.read_text())
         p = HeunParams(**recorded["params"])
-        assert str(es_operator(recorded["n"], p)) == recorded["es_operator"]
+        assert str(Analysis(recorded["n"], p).es_operator) == recorded["es_operator"]

@@ -3,6 +3,7 @@ commented results hold, so the documented API cannot be pruned unnoticed;
 and each command line of its "Command line" block exits 0 with JSON, so the
 documented flags cannot drift away from the parser."""
 
+import importlib
 import json
 import math
 import pathlib
@@ -55,3 +56,18 @@ def test_documented_command_lines_run(argv, capsys):
         assert all("report" in row for row in rows)
     else:
         assert isinstance(json.loads(out), dict)
+
+
+def test_package_layout_names_exist():
+    # each backticked name in a library row of the "Package layout" table is
+    # an attribute of that module, so the table cannot list a deleted name
+    text = README.read_text(encoding="utf-8")
+    m = re.search(r"^## Package layout\n(.*?)^#", text, re.M | re.S)
+    assert m, "README.md has no '## Package layout' section"
+    rows = dict(re.findall(r"^\| `heunlie\.(\w+)` +\|(.*)\|$", m.group(1), re.M))
+    modules = ["algpoly", "sl2rep", "heunop", "distsol", "greenssf"]
+    assert list(rows)[:len(modules)] == modules
+    missing = [f"{module}.{name}" for module in modules
+               for name in re.findall(r"`([^`]+)`", rows[module])
+               if not hasattr(importlib.import_module(f"heunlie.{module}"), name)]
+    assert missing == []
