@@ -115,7 +115,9 @@ class _Record(_Immutable):
     records of one class whose compared fields are equal (any other operand
     gets ``NotImplemented``), ``hash`` reads the same fields, and ``repr``
     is ``Name(field=value!r, ...)``.  The fields named in the class keyword
-    ``uncompared`` are left out of all three.
+    ``uncompared`` are left out of all three.  ``as_dict`` is the report
+    block: each field under its own name, in order, an ``int`` as itself, a
+    tuple as a list and any other value as its ``str``.
     """
 
     __slots__ = ()
@@ -156,6 +158,18 @@ class _Record(_Immutable):
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._COMPARED)
         return f"{type(self).__qualname__}({inner})"
+
+    def as_dict(self) -> dict:
+        return {name: _report_value(getattr(self, name)) for name in self.FIELD_NAMES}
+
+
+def _report_value(x):
+    """A field's report value, by the rule of :meth:`_Record.as_dict`."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, tuple):
+        return [_report_value(v) for v in x]
+    return str(x)
 
 
 class CRat(_Immutable):
@@ -508,9 +522,6 @@ class HeunParams(_Record):
     @property
     def constraint_residual(self) -> CRat:
         return self.alpha + self.beta + CR_ONE - self.gamma - self.delta - self.epsilon
-
-    def as_dict(self) -> dict:
-        return {name: str(getattr(self, name)) for name in self.FIELD_NAMES}
 
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)}" for name in self.FIELD_NAMES)

@@ -293,17 +293,14 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
 
 def payload_expand(expr_text: str, j_text: str) -> dict:
     sl2rep = _lib.sl2rep
-    j_value = CRat.parse(j_text)
-    if not j_value.is_rational():
-        raise ValueError(f"spin j must be real, got j={j_value}")
-    j = sl2rep.Spin(j_value.re)
+    j = sl2rep.spin(j_text)
     expr = sl2rep.UEAExpr.parse(expr_text)
     op = sl2rep.uea_expand(expr, j)
     return {
         "schema": "uea-expand-v1",
         "version": _TOOL_VERSION,
         "expr": str(expr),
-        "j": str(j.j),
+        "j": str(j),
         "operator": str(op),
         "order": None if op.is_zero() else int(op.order),
     }

@@ -105,15 +105,6 @@ class WeightExpansion(_Record):
         coefficient of ``z^(rho-1)``, when rho = 1, else 0."""
         return self.h[0][0] if self.rho == 1 else CR_ZERO
 
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "a": str(self.a),
-            "h": [[str(c) for c in row] for row in self.h],
-        }
-
 
 def weight_expansion(rho, sigma, tau, a) -> WeightExpansion:
     """Full coefficient table
@@ -158,17 +149,6 @@ class RecurrenceSpec(_Record):
         object.__setattr__(self, "l", exact_int(self.l, "l"))
         if self.l < 1:
             raise ValueError(f"exponent offset l must be >= 1, got {self.l}")
-
-    def as_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "rho": str(self.rho),
-            "sigma": str(self.sigma),
-            "tau": str(self.tau),
-            "ab": str(self.ab),
-            "E": str(self.E),
-            "a": str(self.a),
-        }
 
 
 # The brackets of a branch at index k are Gaussian-integer numerators

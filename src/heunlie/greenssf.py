@@ -200,15 +200,6 @@ class KernelScalars(_Record):
             out.append(v.triple[0])
         return tuple(out)
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": str(self.a),
-            "rho": str(self.rho),
-            "sigma": str(self.sigma),
-            "tau": str(self.tau),
-        }
-
 
 class SymbolCoeffs(_Record):
     """The three dual-variable symbol polynomials attached to one ``m``

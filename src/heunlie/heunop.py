@@ -36,7 +36,7 @@ from .algpoly import (
     monomial_images,
     quadratic_roots,
 )
-from .sl2rep import Spin, UEAExpr, make_generators, uea_expand
+from .sl2rep import UEAExpr, make_generators, spin, uea_expand
 
 __all__ = [
     "UEACoeffs",
@@ -175,28 +175,17 @@ def indicial_exponents(L: DiffOp, point) -> tuple[Surd, Surd]:
 class UEACoeffs(_Record):
     """The seven scalars of the quadratic generator combination."""
 
-    cPlusZero: CRat
-    cPlusMinus: CRat
-    cZeroMinus: CRat
-    cPlus: CRat
-    cZero: CRat
-    cMinus: CRat
-    cConst: CRat
-
-    def as_dict(self) -> dict:
-        return {
-            "c_plus_zero": str(self.cPlusZero),
-            "c_plus_minus": str(self.cPlusMinus),
-            "c_zero_minus": str(self.cZeroMinus),
-            "c_plus": str(self.cPlus),
-            "c_zero": str(self.cZero),
-            "c_minus": str(self.cMinus),
-            "c_const": str(self.cConst),
-        }
+    c_plus_zero: CRat
+    c_plus_minus: CRat
+    c_zero_minus: CRat
+    c_plus: CRat
+    c_zero: CRat
+    c_minus: CRat
+    c_const: CRat
 
 
 def uea_heun_coeffs(j, p: HeunParams) -> UEACoeffs:
-    j = Spin(j).j
+    j = spin(j)
     one = CR_ONE
     two_j_m1 = CRat(2 * j - 1)
     c_plus = p.gamma + p.delta + p.epsilon + CRat(Fraction(3, 2)) * two_j_m1
@@ -207,29 +196,29 @@ def uea_heun_coeffs(j, p: HeunParams) -> UEACoeffs:
         - p.q
     )
     return UEACoeffs(
-        cPlusZero=CRat(Fraction(1, 2)),
-        cPlusMinus=-(one + p.a) / CRat(2),
-        cZeroMinus=p.a / CRat(2),
-        cPlus=c_plus,
-        cZero=c_zero,
-        cMinus=c_minus,
-        cConst=c_const,
+        c_plus_zero=CRat(Fraction(1, 2)),
+        c_plus_minus=-(one + p.a) / CRat(2),
+        c_zero_minus=p.a / CRat(2),
+        c_plus=c_plus,
+        c_zero=c_zero,
+        c_minus=c_minus,
+        c_const=c_const,
     )
 
 
 def _uea_from_coeffs(c: UEACoeffs) -> UEAExpr:
     words = [
-        (c.cPlusZero, "+0"),
-        (c.cPlusZero, "0+"),
-        (c.cPlusMinus, "+-"),
-        (c.cPlusMinus, "-+"),
-        (c.cZeroMinus, "0-"),
-        (c.cZeroMinus, "-0"),
-        (c.cPlus, "+"),
-        (c.cZero, "0"),
-        (c.cMinus, "-"),
+        (c.c_plus_zero, "+0"),
+        (c.c_plus_zero, "0+"),
+        (c.c_plus_minus, "+-"),
+        (c.c_plus_minus, "-+"),
+        (c.c_zero_minus, "0-"),
+        (c.c_zero_minus, "-0"),
+        (c.c_plus, "+"),
+        (c.c_zero, "0"),
+        (c.c_minus, "-"),
     ]
-    return UEAExpr(words, c.cConst)
+    return UEAExpr(words, c.c_const)
 
 
 def uea_heun(j, p: HeunParams) -> UEAExpr:
@@ -299,12 +288,7 @@ class Discrepancy(_Record):
         return self.paper - self.oracle
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paper": str(self.paper),
-            "oracle": str(self.oracle),
-            "residual": str(self.residual),
-        }
+        return {**super().as_dict(), "residual": str(self.residual)}
 
 
 class DiscrepancyReport:
@@ -356,7 +340,7 @@ def _surd_product(e1: Surd, e2: Surd) -> CRat:
 def es_condition(j, p: HeunParams) -> CRat:
     """Residual ``alpha + beta + 3j - 1/2``; zero is the vanishing-raising
     grading (under the parameter constraint)."""
-    j = Spin(j).j
+    j = spin(j)
     return p.alpha + p.beta + CRat(3 * j) - CRat(Fraction(1, 2))
 
 
@@ -472,7 +456,7 @@ class Analysis:
     once against the cleared canonical form), its indicial pairs at 0, 1, a
     and infinity, the generator coefficients, the one expansion of the
     nine-word Heun expression, the raising-free operator derived from it by
-    subtracting the raising word ``cPlus * Jp``, and the raising-free flag
+    subtracting the raising word ``c_plus * Jp``, and the raising-free flag
     matrix at ``N = n`` with its spectrum.  Readers that touch them in the
     order of the ``analyze`` report raise the same first exception as
     building each stage afresh would.  A context lives as long as the report
@@ -482,7 +466,7 @@ class Analysis:
     def __init__(self, n: int, p: HeunParams):
         self.n = exact_int(n, "n")
         self.p = p
-        self.j = Spin.from_n(self.n).j
+        self.j = Fraction(self.n, 2)
 
     @cached_property
     def expanded(self) -> DiffOp:
@@ -516,10 +500,10 @@ class Analysis:
 
     @cached_property
     def es_operator(self) -> DiffOp:
-        """The Heun expansion less its raising word ``cPlus * Jp``: built from
+        """The Heun expansion less its raising word ``c_plus * Jp``: built from
         the generator algebra, never from the published coefficient list."""
         jp = make_generators(self.j)[0]  # the generator uea_expand puts for "+"
-        return self.heun_operator - jp * self.uea_coeffs.cPlus
+        return self.heun_operator - jp * self.uea_coeffs.c_plus
 
     @cached_property
     def es_coeffs(self) -> ExpandedCoeffs:
@@ -527,7 +511,7 @@ class Analysis:
 
     @cached_property
     def flag_matrix(self) -> tuple[tuple[CRat, ...], ...]:
-        return qes_matrix(self.es_operator, self.n)
+        return qes_matrix(self.es_operator, exact_count(self.n, "n"))
 
     @cached_property
     def spectrum(self) -> list:
@@ -580,7 +564,7 @@ class Analysis:
             -(n / CRat(2)) * ((n - p.gamma) * (one + p.a) - p.delta - p.epsilon),
             const_extra,
         )
-        r.add("jplus_coefficient", es_condition(j, p), self.uea_coeffs.cPlus)
+        r.add("jplus_coefficient", es_condition(j, p), self.uea_coeffs.c_plus)
         r.add(
             "qes_membership_condition",
             CRat(8 * j * j) + CRat(2 * j) * (p.alpha + p.beta - one) + p.alpha * p.beta,

@@ -15,16 +15,14 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .algpoly import (
-    CR_ZERO, CRat, DiffOp, Polynomial, Surd, _Immutable, exact_int, format_terms, op_compose,
-)
+from .algpoly import CR_ZERO, CRat, DiffOp, Polynomial, _Immutable, format_terms, op_compose
 
 __all__ = [
-    "Spin",
     "UEAExpr",
     "make_generators",
+    "spin",
     "uea_expand",
     "LETTERS",
 ]
@@ -33,47 +31,22 @@ __all__ = [
 LETTERS = ("+", "0", "-")
 
 
-class Spin(_Immutable):
-    """Spin parameter j with 2j an integer; j = n/2 covers every case used here.
-    ``j`` goes through ``CRat.from_value``, so a float or complex raises ``TypeError``."""
-
-    __slots__ = ("j",)
-
-    def __init__(self, j: Union[int, Fraction, "Spin"]):
-        if isinstance(j, Spin):
-            j = j.j
-        z = CRat.from_value(j)
-        if z.im or (2 * z.re).denominator != 1:
-            raise ValueError(f"2j must be an integer, got j={z}")
-        object.__setattr__(self, "j", z.re)
-
-    @classmethod
-    def from_n(cls, n: int) -> "Spin":
-        return cls(Fraction(exact_int(n, "n"), 2))
-
-    @property
-    def n(self) -> int:
-        """The integer 2j."""
-        return int(2 * self.j)
-
-    def __eq__(self, other):
-        # as j compares, so that equal values hash alike
-        if isinstance(other, Spin):
-            return self.j == other.j
-        if isinstance(other, (int, Fraction, float, complex, CRat, Surd, Polynomial)):
-            return self.j == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.j)
-
-    def __repr__(self):
-        return f"Spin({self.j})"
+def spin(j) -> Fraction:
+    """The spin ``j`` as an exact real with ``2j`` an integer; ``j = n/2``
+    covers every case used here.  ``j`` goes through ``CRat.from_value``, so
+    a float or complex raises ``TypeError``; a non-real ``j`` or a ``2j``
+    off the integers raises ``ValueError``."""
+    z = CRat.from_value(j)
+    if not z.is_rational():
+        raise ValueError(f"spin j must be real, got j={z}")
+    if (2 * z.re).denominator != 1:
+        raise ValueError(f"2j must be an integer, got j={z}")
+    return z.re
 
 
 def make_generators(j) -> tuple[DiffOp, DiffOp, DiffOp]:
     """The spin-j triple (Jp, J0, Jm) = (z^2 D - 2jz, z D - j, D)."""
-    return _generators(Spin(j).j)
+    return _generators(spin(j))
 
 
 @functools.lru_cache(maxsize=1)

@@ -32,7 +32,6 @@ from heunlie.heunop import (
     qes_matrix,
 )
 from heunlie.greenssf import KernelScalars
-from heunlie.sl2rep import Spin
 from util import es_params, raising_free_expr, rand_crat, rand_params, reference_float_eigenvalues
 
 COUNTED = ("uea_expand", "indicial_exponents", "uea_heun_coeffs", "qes_matrix")
@@ -165,7 +164,7 @@ class TestOneAnalysisPerReport:
                 label: [str(e) for e in indicial_exponents(L, point)]
                 for label, point in points.items()
             }
-            assert payload["uea_coeffs"] == heunop.uea_heun_coeffs(Spin.from_n(n).j, p).as_dict()
+            assert payload["uea_coeffs"] == heunop.uea_heun_coeffs(Fraction(n, 2), p).as_dict()
 
     def test_each_stage_is_kept(self):
         ctx = Analysis(3, HeunParams(2, 1, -1, 0, Fraction(1, 3), Fraction(1, 2), 1))
@@ -207,7 +206,7 @@ class TestOneAnalysisPerReport:
     @pytest.mark.parametrize("n", [-3, -1, 0, 5])
     def test_es_coeffs_is_one_raising_free_expansion(self, monkeypatch, n):
         for p in _param_sets():
-            j = Spin.from_n(n).j
+            j = Fraction(n, 2)
             expected = heunop.extract_expanded_coeffs(
                 sl2rep.uea_expand(raising_free_expr(j, p), j), p.a
             )
@@ -232,7 +231,7 @@ class TestOneAnalysisPerReport:
                 assert theorem1[name].oracle == getattr(expanded, field)
             with pytest.raises(ValueError) as info:
                 ctx.flag_matrix
-            assert str(info.value) == f"N must be nonnegative, got {n}"
+            assert str(info.value) == f"n must be nonnegative, got {n}"
 
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -251,7 +250,7 @@ class TestOneExpansion:
         # the raising-free operator derived from the one Heun expansion is
         # the expansion of the eight raising-free words, term for term, and
         # the Heun coefficients are those of the expanded uea_heun
-        j = Spin.from_n(n).j
+        j = Fraction(n, 2)
         ctx = Analysis(n, p)
         expected = sl2rep.uea_expand(raising_free_expr(j, p), j)
         assert ctx.es_operator == expected

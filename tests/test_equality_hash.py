@@ -11,7 +11,7 @@ from heunlie import algpoly, cli, distsol, greenssf, heunop, sl2rep
 from heunlie.algpoly import CRat, DiffOp, HeunParams, Polynomial, Surd, _Immutable
 from heunlie.distsol import CoeffSequence, weight_expansion
 from heunlie.greenssf import Distribution
-from heunlie.sl2rep import Spin, UEAExpr
+from heunlie.sl2rep import UEAExpr
 
 # few values, so that independent draws are often equal; 1/3 has no float
 parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4),
@@ -31,8 +31,6 @@ def representations(z: CRat) -> list:
         out.append(complex(z))
     if z.is_rational():
         out.append(z.re)
-        if (2 * z.re).denominator == 1:
-            out.append(Spin(z.re))
         if is_float_exact(z.re):
             out.append(float(z.re))
         if z.is_integer():
@@ -259,10 +257,9 @@ class TestDistributionCenters:
     (lambda: Surd(1, 2, 3), "rad"),
     (lambda: Polynomial([1, 2]), "_num"),
     (lambda: DiffOp([Polynomial([1])]), "terms"),
-    (lambda: Spin(Fraction(3, 2)), "j"),
     (lambda: UEAExpr([(1, "+0")], 2), "words"),
     (lambda: Distribution([(0, 1, 1)]), "terms"),
-], ids=["CRat", "Surd", "Polynomial", "DiffOp", "Spin", "UEAExpr", "Distribution"])
+], ids=["CRat", "Surd", "Polynomial", "DiffOp", "UEAExpr", "Distribution"])
 def test_slots_refuse_assignment_and_deletion_alike(make, name):
     # a deleted slot would leave a value whose str, == and hash raise
     value = make()
@@ -276,8 +273,7 @@ def test_slots_refuse_assignment_and_deletion_alike(make, name):
 
 def test_one_immutability_rule_and_no_instance_dict():
     values = [CRat(Fraction(1, 2), 3), Surd(1, 2, 3), Polynomial([1, 2]),
-              DiffOp([Polynomial([1])]), Spin(Fraction(3, 2)), UEAExpr([(1, "+0")], 2),
-              Distribution([(0, 1, 1)])]
+              DiffOp([Polynomial([1])]), UEAExpr([(1, "+0")], 2), Distribution([(0, 1, 1)])]
     for value in values:
         assert isinstance(value, _Immutable)
         # a base without empty __slots__ would give every value a __dict__

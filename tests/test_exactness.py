@@ -47,7 +47,7 @@ from heunlie.heunop import (
     qes_matrix,
     uea_heun,
 )
-from heunlie.sl2rep import Spin, UEAExpr, make_generators, uea_expand
+from heunlie.sl2rep import UEAExpr, make_generators, spin, uea_expand
 
 PARAMS = ["--a=3", "--q=1/2", "--alpha=-2/3", "--beta=5/4", "--gamma=1/3",
           "--delta=-1/2", "--epsilon=7/5"]
@@ -143,6 +143,7 @@ ENTRY_POINTS = {
     "paper_ck B": (lambda x: paper_ck(1, x, closed_form_roots_real, SPEC, 4, start=1), CR_ZERO),
     "residual_check entry": (lambda x: residual_check(CoeffSequence((1, 1, x)), SPEC, "real"),
                              CR_ONE),
+    "spin j": (spin, Fraction(1, 2)),
     "make_generators j": (make_generators, Fraction(1, 2)),
     "uea_expand j": (lambda x: uea_expand(UEAExpr.parse("1 * +-"), x), 1),
     "uea_heun j": (lambda x: uea_heun(x, HEUN), 1),
@@ -194,7 +195,6 @@ INTEGER_ARGUMENTS = {
                           matrix_spectrum(qes_matrix(ES_OPERATOR, 2))[2]),
     "qes_matrix N": (lambda x: qes_matrix(D, x), qes_matrix(D, 2)),
     "monomial_images N": (lambda x: list(monomial_images(D, x)), list(monomial_images(D, 2))),
-    "Spin.from_n n": (Spin.from_n, Spin(1)),
     "Polynomial.monomial k": (Polynomial.monomial, Polynomial([0, 0, 1])),
     "Polynomial.derivative order": (CUBIC.derivative, Polynomial([6, 24])),
     "Polynomial ** n": (lambda x: CUBIC ** x, CUBIC * CUBIC),

@@ -18,6 +18,8 @@ from heunlie.algpoly import (
     Surd,
     op_apply,
 )
+from heunlie.distsol import RecurrenceSpec, weight_expansion
+from heunlie.greenssf import KernelScalars
 from heunlie.heunop import (
     INFINITY,
     NotRegularSingular,
@@ -74,8 +76,31 @@ class TestConstraint:
     def test_field_names_are_the_fields_in_order(self):
         assert HeunParams.FIELD_NAMES == tuple(HeunParams.__annotations__)
         p = HeunParams(2, 0, 1, Fraction(1, 2), 1, 1, 1)
-        assert list(p.as_dict()) == list(HeunParams.FIELD_NAMES)
         assert repr(p) == "HeunParams(a=2, q=0, alpha=1, beta=1/2, gamma=1, delta=1, epsilon=1)"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HeunParams(2, 0, 1, Fraction(1, 2), 1, 1, 1),
+    lambda: uea_heun_coeffs(1, HeunParams(2, 0, 1, Fraction(1, 2), 1, 1, 1)),
+    lambda: KernelScalars(1, 2, 1, 3, 2),
+    lambda: RecurrenceSpec(2, 1, 3, 2, 2, 1, 3),
+    lambda: weight_expansion(1, 2, 3, Fraction(1, 2)),
+], ids=["HeunParams", "UEACoeffs", "KernelScalars", "RecurrenceSpec", "WeightExpansion"])
+def test_report_block_is_the_fields_in_order(make):
+    # the one rule of _Record.as_dict: an int stays an int, a tuple becomes
+    # a list and any other value its str
+    record = make()
+    block = record.as_dict()
+    assert list(block) == list(type(record).FIELD_NAMES)
+    for name, got in block.items():
+        value = getattr(record, name)
+        if isinstance(value, int):
+            assert type(got) is int and got == value
+        elif not isinstance(value, tuple):
+            assert got == str(value)
+    if "h" in block:
+        assert block["h"] == [[str(c) for c in row] for row in record.h]
+        assert all(type(row) is list and all(type(c) is str for c in row) for row in block["h"])
 
 
 class TestOperatorForms:
@@ -284,13 +309,13 @@ class TestUEACoefficients:
             for n in (-2, 0, 1, 3):
                 j = Fraction(n, 2)
                 c = uea_heun_coeffs(j, p)
-                assert c.cPlus == p.alpha + p.beta + CRat(3 * j) - CRat(Fraction(1, 2))
+                assert c.c_plus == p.alpha + p.beta + CRat(3 * j) - CRat(Fraction(1, 2))
 
     def test_lowering_coefficient_at_half_spin(self):
         p = HeunParams(a=5, q=1, alpha=1, beta=1, gamma=Fraction(2, 3),
                        delta=1, epsilon=1)
         c = uea_heun_coeffs(Fraction(1, 2), p)
-        assert c.cMinus == p.a * p.gamma
+        assert c.c_minus == p.a * p.gamma
 
     def test_membership_residual_at_zero_spin(self):
         p = HeunParams(a=2, q=1, alpha=3, beta=5, gamma=1, delta=1, epsilon=1)
@@ -403,7 +428,7 @@ class TestESOperator:
             j = Fraction(n, 2)
             assert es_condition(j, p) == CR_ZERO
             coeffs = uea_heun_coeffs(j, p)
-            assert coeffs.cPlus == CR_ZERO
+            assert coeffs.c_plus == CR_ZERO
             full = uea_expand(uea_heun(j, p), j)
             assert full == Analysis(n, p).es_operator
 

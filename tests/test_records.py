@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from heunlie import algpoly, distsol, greenssf, heunop
+from heunlie import algpoly, cli, distsol, greenssf, heunop, sl2rep
 from heunlie.algpoly import CRat, HeunParams, _Record
 from heunlie.distsol import CoeffSequence, RecurrenceSpec, forward_real, weight_expansion
 from heunlie.greenssf import (
@@ -54,6 +54,18 @@ def test_every_record_type_is_covered():
         if isinstance(cls, type) and issubclass(cls, _Record) and cls is not _Record
     }
     assert found == set(RECORDS)
+
+
+def test_one_report_block_rule():
+    # _Record.as_dict writes every report block: Discrepancy only adds its
+    # computed residual, and SSFValue's keys are computed, not its fields
+    own = {
+        cls.__name__
+        for module in (algpoly, sl2rep, heunop, distsol, greenssf, cli)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, _Record) and "as_dict" in vars(cls)
+    }
+    assert own == {"_Record", "Discrepancy", "SSFValue"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

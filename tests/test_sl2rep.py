@@ -6,16 +6,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heunlie.algpoly import CRat, DiffOp, Polynomial, commutator, op_apply
-from heunlie.sl2rep import Spin, UEAExpr, make_generators, uea_expand
+from heunlie.sl2rep import UEAExpr, make_generators, spin, uea_expand
 from util import rand_crat
 
 
 class TestSpin:
-    def test_half_integers_only(self):
-        assert Spin(Fraction(1, 2)).n == 1
-        assert Spin.from_n(-3).j == Fraction(-3, 2)
-        with pytest.raises(ValueError):
-            Spin(Fraction(1, 3))
+    @pytest.mark.parametrize("j, want", [
+        (1, 1), (Fraction(1, 2), Fraction(1, 2)), (CRat(Fraction(-3, 2)), Fraction(-3, 2)),
+        ("-3/2", Fraction(-3, 2)),
+    ])
+    def test_exact_real_half_integers_are_accepted(self, j, want):
+        got = spin(j)
+        assert got == want and type(got) is Fraction
+
+    def test_two_j_off_the_integers_raises_value_error(self):
+        with pytest.raises(ValueError, match="^2j must be an integer, got j=1/3$"):
+            spin(Fraction(1, 3))
+
+    def test_non_real_spin_raises_value_error(self):
+        with pytest.raises(ValueError, match="^spin j must be real, got j=1i$"):
+            spin(CRat(0, 1))
+
+    @pytest.mark.parametrize("j", [0.5, 1j])
+    def test_inexact_spin_raises_type_error(self, j):
+        with pytest.raises(TypeError, match=f"^cannot coerce {type(j).__name__} to CRat exactly$"):
+            spin(j)
 
 
 class TestGenerators:

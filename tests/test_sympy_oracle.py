@@ -18,7 +18,7 @@ from heunlie.heunop import (
     indicial_exponents,
     uea_heun,
 )
-from heunlie.sl2rep import Spin, make_generators, uea_expand
+from heunlie.sl2rep import make_generators, uea_expand
 from util import rand_crat, rand_params  # noqa: E402
 
 z, t, w = sympy.symbols("z t w")
@@ -98,7 +98,7 @@ def test_library_bracket_is_minus_two_j0(n2):
 def test_heun_expansion_is_the_words_applied_letter_by_letter():
     rng = random.Random(409)
     for n in (0, 1, 2, 5, 8):
-        j = Spin.from_n(n).j
+        j = Fraction(n, 2)
         js = sympy.Rational(j.numerator, j.denominator)
         for p in (rand_params(rng, constrained=False), complex_params(rng)):
             expr = uea_heun(j, p)

@@ -96,20 +96,20 @@ def es_params(n, a=Fraction(2), q=Fraction(1), gamma=Fraction(1, 3),
 def raising_free_expr(j, p) -> UEAExpr:
     """The raising-free combination at spin j written out word by word: the
     eight words of the Heun combination other than its raising word
-    ``cPlus * +``, in the Heun combination's order."""
+    ``c_plus * +``, in the Heun combination's order."""
     c = uea_heun_coeffs(j, p)
     return UEAExpr(
         [
-            (c.cPlusZero, "+0"),
-            (c.cPlusZero, "0+"),
-            (c.cPlusMinus, "+-"),
-            (c.cPlusMinus, "-+"),
-            (c.cZeroMinus, "0-"),
-            (c.cZeroMinus, "-0"),
-            (c.cZero, "0"),
-            (c.cMinus, "-"),
+            (c.c_plus_zero, "+0"),
+            (c.c_plus_zero, "0+"),
+            (c.c_plus_minus, "+-"),
+            (c.c_plus_minus, "-+"),
+            (c.c_zero_minus, "0-"),
+            (c.c_zero_minus, "-0"),
+            (c.c_zero, "0"),
+            (c.c_minus, "-"),
         ],
-        c.cConst,
+        c.c_const,
     )
 
 
