@@ -105,8 +105,8 @@ class _Immutable:
 
 class _Record(_Immutable):
     """Base of the records: values whose fields are the names annotated in
-    the class body, in order (``FIELD_NAMES``), kept in the ``__dict__``, so
-    a ``functools.cached_property`` works on a record.
+    the class body, in order (``FIELD_NAMES``), kept in the ``__dict__``,
+    where ``RecurrenceSpec`` also keeps its bracket memo, which is not a field.
 
     Each record class gets an ``__init__`` that takes the fields by position
     or keyword, with their class attributes as defaults, sets them, and
@@ -550,7 +550,7 @@ def weight_args(rho, sigma, tau, a) -> tuple[int, int, int, CRat]:
     tau = _positive_int(tau, "tau")
     a = CRat.from_value(a)
     if a == CR_ZERO or a == CR_ONE:
-        raise ValueError(f"a must avoid 0 and 1, got {a}")
+        raise ValueError(f"a must avoid 0 and 1, got a={a}")
     return rho, sigma, tau, a
 
 

@@ -383,10 +383,10 @@ def payload_distsol(params: HeunParams, n: int, l: int, E: CRat, K: int,
 def payload_green(args, params: HeunParams) -> dict:
     greenssf = _lib.greenssf
     scalars = greenssf.KernelScalars(_check_n(args.n), params.a, args.rho, args.sigma, args.tau)
-    # one kernel per report; its fields are read in the order kernel checks,
-    # omega(0), E = 0, so the first exception is the one each stage gives
+    # one kernel per report: it checks the exponents, a and the bound before
+    # the coincidence kernel checks E, so the first exception is the one
+    # each stage gives
     kernel = greenssf.green_kernel(scalars, args.s_eval, p_override=args.p_override)
-    omega0 = kernel.omega_at_0
     shift = greenssf.ssf(args.lam, kernel.coincidence(args.E))
     return {
         "schema": "green-v1",
@@ -407,9 +407,9 @@ def payload_green(args, params: HeunParams) -> dict:
         "prefactor_coeffs": [str(c) for c in kernel.prefactor.coeffs],
         "kernel_coeff": str(kernel.scalar),
         "kp": str(kernel.kp),
-        "omega_at_0": str(omega0),
+        "omega_at_0": str(kernel.omega_at_0),
         "hs_norm_sq": str(kernel.hs_norm_sq()),
-        "trace": str(greenssf.trace_green(kernel)),
+        "trace": str(kernel.scalar),
         "ssf": shift.as_dict(),
     }
 

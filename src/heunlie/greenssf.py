@@ -1,7 +1,6 @@
 """Delta-distribution algebra, the Green-kernel assembly for the
-raising-free operator family, the spectral shift values, the
-Hilbert-Schmidt norm, and the trace of the Green integral operator, which
-is the kernel's scalar.
+raising-free operator family, the spectral shift values and the
+Hilbert-Schmidt norm.
 
 The kernel formulas are printed as triple sums over an independent
 prefactor index ``m`` in ``1..p`` and the binomial indices ``(k, l)`` of the
@@ -19,7 +18,9 @@ The summation bound is ``p = sigma - rho`` unless :func:`green_kernel`'s
 override sets it: the printed bound formally depends on an inner summation
 index, and this is its largest value.  One :class:`GreenKernel` per report
 carries the kernel, its norm constant ``kp``, the Hilbert-Schmidt norm and
-the coincidence kernel.
+the coincidence kernel.  :func:`green_kernel` checks the weight exponents and
+``a`` first, through ``algpoly.weight_args``, as ``distsol.weight_expansion``
+does.
 
 Every kernel, distribution and norm value is exact: a float or complex input
 raises ``TypeError``.  Floats appear only in :func:`eta_roots` and in the
@@ -29,7 +30,6 @@ level ``lambda`` of :func:`ssf`, whose step reads only its sign.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -40,7 +40,6 @@ from .algpoly import (
     CR_ZERO,
     CRat,
     DegenerateQuadratic,
-    NonIntegerExponents,
     Polynomial,
     _Immutable,
     _Record,
@@ -61,10 +60,8 @@ __all__ = [
     "symbol_coeffs",
     "eta_roots",
     "green_kernel",
-    "weight_value_at_zero",
     "ssf",
     "heaviside",
-    "trace_green",
 ]
 
 
@@ -188,18 +185,6 @@ class KernelScalars(_Record):
         for name in ("a", "rho", "sigma", "tau"):
             object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
 
-    def integer_exponents(self) -> tuple[int, int, int]:
-        """(rho, sigma, tau) as positive integers, or NonIntegerExponents."""
-        out = []
-        for name, v in (("rho", self.rho), ("sigma", self.sigma), ("tau", self.tau)):
-            if not v.is_integer() or v.triple[0] < 1:
-                raise NonIntegerExponents(
-                    f"{name} = {v} is not a positive integer; the weight table "
-                    "and kernel sums are undefined"
-                )
-            out.append(v.triple[0])
-        return tuple(out)
-
 
 class SymbolCoeffs(_Record):
     """The three dual-variable symbol polynomials attached to one ``m``
@@ -263,15 +248,12 @@ def _kernel_sums(exponents: tuple[int, int, int], a: CRat, s_eval: CRat,
     a0, a1, ad = a.triple
     s0, s1, sd = s_eval.triple
     # 2^(sigma-1) ((1+a)/a)^(tau-1) with (1+a)/a = g/h for the Gaussian
-    # integer g = (ad + a0 + a1 i)(a0 - a1 i) and h = |a0 + a1 i|^2: the
-    # denominator ad of a cancels.  h = 0 (a = 0) divides only when tau > 1,
-    # and then raises CRat's own error
+    # integer g = (ad + a0 + a1 i)(a0 - a1 i) and h = |a0 + a1 i|^2 > 0 (a is
+    # nonzero): the denominator ad of a cancels
     g = CRat.from_ints((ad + a0) * a0 + a1 * a1, -a1 * ad, 1) ** (tau - 1)
     b0, b1, _ = g.triple
     b0, b1 = b0 << (sigma - 1), b1 << (sigma - 1)
     den = (a0 * a0 + a1 * a1) ** (tau - 1) * ad * sd
-    if not den:
-        raise ZeroDivisionError("division by zero CRat")
     # eps0(m; s) = (1+a)[(m-1)(m-2) - 2is(m-1)] + rho(m-1) + tau(m+1) + is sigma
     # is linear in (m-1)(m-2), m-1 and 1, so a weighted m-sum needs only the
     # integer moments S0 = sum w, S1 = sum w (m-1), S2 = sum w (m-1)(m-2) of its
@@ -302,7 +284,13 @@ class GreenKernel(_Record):
     The separated kernel is the truncated-exponential prefactor in the
     second variable times ``scalar * delta`` in the first; ``kp`` is the
     norm constant over the same bound, from which the Hilbert-Schmidt norm
-    and the coincidence kernel derive.
+    and the coincidence kernel derive.  ``omega_at_0`` is the constant term
+    of the weight polynomial, which vanishes exactly when ``rho > 1``.
+
+    ``scalar`` is also the trace of the Green integral operator under delta
+    semantics: the kernel on the diagonal paired with the constant
+    polynomial 1.  On the diagonal the prefactor is its constant term, 1 for
+    every ``p >= 1``, so the trace is the kernel's scalar.
     """
 
     scalars: KernelScalars
@@ -310,14 +298,7 @@ class GreenKernel(_Record):
     prefactor: Polynomial
     scalar: CRat
     kp: CRat
-
-    @functools.cached_property
-    def omega_at_0(self) -> CRat:
-        """``omega(0)``, the constant term of the reassembled weight
-        polynomial; it vanishes exactly when ``rho > 1``, and ``a`` in
-        ``{0, 1}`` is refused here."""
-        s = self.scalars
-        return weight_value_at_zero(s.rho, s.sigma, s.tau, s.a)
+    omega_at_0: CRat
 
     def hs_norm_sq(self) -> Fraction:
         """``|K_p|^2 |omega(0)|^2``, exactly: one ``Fraction`` of the two
@@ -359,11 +340,15 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
                  * [sum_{m=1}^{p} sum_k sum_l C C a^(-l) (-1)^(m-1)
                     eps0(m; s_eval) (m-1)!] delta(z)``
 
-    with the two ``m`` sums independent, exactly as printed, and the norm
-    constant ``K_p``, the same sum without the ``(m-1)!`` weight.
+    with the two ``m`` sums independent, exactly as printed, the norm
+    constant ``K_p``, the same sum without the ``(m-1)!`` weight, and
+    ``omega(0) = h[0][0] = (-1)^(sigma+tau) a^(tau-1)`` when ``rho = 1``,
+    else 0, without building the weight table.
+
+    The exponents and ``a`` are checked first, by ``weight_args``, then the
+    bound.
     """
-    exponents = scalars.integer_exponents()
-    rho, sigma, _ = exponents
+    rho, sigma, tau, a = weight_args(scalars.rho, scalars.sigma, scalars.tau, scalars.a)
     bound = sigma - rho if p_override is None else exact_int(p_override, "p_override")
     if bound < 1:
         if p_override is not None:
@@ -372,26 +357,16 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
             f"summation bound p = {bound} is empty; the scalars give sigma - rho = "
             f"{sigma - rho} (override it to proceed)"
         )
-    scalar, kp = _kernel_sums(exponents, scalars.a, CRat.from_value(s_eval), bound)
+    scalar, kp = _kernel_sums((rho, sigma, tau), a, CRat.from_value(s_eval), bound)
+    omega0 = CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1) if rho == 1 else CR_ZERO
     return GreenKernel(
         scalars=scalars,
         p_bound=bound,
         prefactor=_truncated_exponential(bound),
         scalar=scalar,
         kp=kp,
+        omega_at_0=omega0,
     )
-
-
-def weight_value_at_zero(rho, sigma, tau, a) -> CRat:
-    """Constant term ``omega(0)`` of the weight, without building the table:
-    ``h[0][0] = (-1)^(sigma+tau) a^(tau-1)`` when rho = 1, else 0.
-
-    Validates its arguments exactly as ``distsol.weight_expansion`` does.
-    """
-    rho, sigma, tau, a = weight_args(rho, sigma, tau, a)
-    if rho != 1:
-        return CR_ZERO
-    return CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1)
 
 
 def heaviside(lam: float) -> Fraction:
@@ -429,11 +404,3 @@ def ssf(lam: float, G: Distribution) -> SSFValue:
     kernel scaled by the symmetric step; a NaN level raises ``ValueError``."""
     heaviside(lam)  # a NaN level has no sign
     return SSFValue(kernel=G, heaviside_arg=float(lam))
-
-
-def trace_green(G: GreenKernel) -> CRat:
-    """Trace of the Green integral operator under delta semantics: the
-    kernel on the diagonal paired with the constant polynomial 1.  On the
-    diagonal the prefactor is its constant term, 1 for every p >= 1, so the
-    trace is the kernel's scalar."""
-    return G.scalar

@@ -289,7 +289,7 @@ class TestGreenCommand:
     # ZeroDivisionError, so both exit 2 through their base classes
     @pytest.mark.parametrize("command", ["green", "ssf"])
     @pytest.mark.parametrize("flags, message", [
-        (["--rho=1/2", "--sigma=3", "--tau=2"], "rho = 1/2 is not a positive integer"),
+        (["--rho=1/2", "--sigma=3", "--tau=2"], "rho must be a positive integer, got 1/2"),
         ([*SCALARS, "--E=0"], "coincidence kernel scales by 1/E; E = 0 is invalid"),
     ])
     def test_kernel_refusals_exit_2(self, capsys, command, flags, message):

@@ -22,6 +22,7 @@ from heunlie.algpoly import (
     OverflowColumn,
     Polynomial,
     Surd,
+    weight_args,
 )
 from heunlie.distsol import (
     CoeffSequence,
@@ -36,11 +37,7 @@ from heunlie.distsol import (
     residual_check,
     weight_expansion,
 )
-from heunlie.greenssf import (
-    KernelScalars,
-    green_kernel,
-    weight_value_at_zero,
-)
+from heunlie.greenssf import KernelScalars, green_kernel
 from heunlie.heunop import (
     Analysis,
     _surd_product,
@@ -127,7 +124,7 @@ kernel_case_st = st.tuples(
 
 
 def _bound(scalars, p_override):
-    rho, sigma, _ = scalars.integer_exponents()
+    rho, sigma, _, _ = weight_args(scalars.rho, scalars.sigma, scalars.tau, scalars.a)
     return sigma - rho if p_override is None else p_override
 
 
@@ -153,6 +150,10 @@ class TestFactoredKernelSums:
     @settings(max_examples=120, deadline=None)
     def test_exact_equality(self, case, s_eval):
         scalars, p_override = case
+        if scalars.a == CRat(1):  # refused with the exponents, before the sums
+            with pytest.raises(ValueError, match="^a must avoid 0 and 1, got a=1$"):
+                green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override)
+            return
         p = _bound(scalars, p_override)
         gk = green_kernel(scalars=scalars, s_eval=s_eval, p_override=p_override)
         assert gk.scalar == reference_kernel_sum(scalars, s_eval, p, with_factorial=True)
@@ -203,6 +204,15 @@ exponent_st = st.one_of(
 )
 
 
+def _first_error(fn):
+    """The type and text of what ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestWeightValueAtZero:
     @given(
         st.integers(1, 4),
@@ -214,7 +224,8 @@ class TestWeightValueAtZero:
     def test_matches_reassembled_constant_term(self, rho, sigma, tau, a):
         w = weight_expansion(rho, sigma, tau, a)
         expected = reference_reassembled(w).coeff(0)
-        assert weight_value_at_zero(rho, sigma, tau, a) == expected
+        kernel = green_kernel(KernelScalars(0, a, rho, sigma, tau), p_override=1)
+        assert kernel.omega_at_0 == expected
         assert w.value_at_zero() == expected
 
     @given(exponent_st, exponent_st, exponent_st, st.one_of(crat_st, st.integers(-1, 2)))
@@ -224,14 +235,12 @@ class TestWeightValueAtZero:
     @settings(max_examples=150, deadline=None)
     def test_validates_like_the_table(self, rho, sigma, tau, a):
         # same checks in the same order: the first bad argument names the error
-        try:
-            weight_expansion(rho, sigma, tau, a)
-        except Exception as ref:
-            with pytest.raises(type(ref)) as got:
-                weight_value_at_zero(rho, sigma, tau, a)
-            assert type(got.value) is type(ref) and str(got.value) == str(ref)
-        else:
-            weight_value_at_zero(rho, sigma, tau, a)
+        table = _first_error(lambda: weight_expansion(rho, sigma, tau, a))
+        assert _first_error(lambda: weight_args(rho, sigma, tau, a)) == table
+        if not any(isinstance(x, (bool, float)) for x in (rho, sigma, tau)):
+            # the kernel's scalars hold the same exact values
+            scalars = KernelScalars(0, a, rho, sigma, tau)
+            assert _first_error(lambda: green_kernel(scalars, p_override=1)) == table
 
 
 # operands with every mix of zero parts, as CRat, Fraction and int

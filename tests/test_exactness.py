@@ -18,6 +18,7 @@ from heunlie.algpoly import (
     NonIntegerExponents,
     Polynomial,
     monomial_images,
+    weight_args,
 )
 from heunlie.distsol import (
     CoeffSequence,
@@ -38,7 +39,6 @@ from heunlie.greenssf import (
     green_kernel,
     monomial_times_delta,
     symbol_coeffs,
-    weight_value_at_zero,
 )
 from heunlie.heunop import (
     Analysis,
@@ -212,9 +212,9 @@ WEIGHT_EXPONENTS = {
     "weight_expansion rho": (lambda x: weight_expansion(x, 2, 2, 3).rho, 2),
     "weight_expansion sigma": (lambda x: weight_expansion(2, x, 2, 3).sigma, 2),
     "weight_expansion tau": (lambda x: weight_expansion(2, 2, x, 3).tau, 2),
-    "weight_value_at_zero rho": (lambda x: weight_value_at_zero(x, 2, 2, 3), CR_ZERO),
-    "weight_value_at_zero sigma": (lambda x: weight_value_at_zero(1, x, 2, 3), CRat(3)),
-    "weight_value_at_zero tau": (lambda x: weight_value_at_zero(1, 2, x, 3), CRat(3)),
+    "weight_args rho": (lambda x: weight_args(x, 2, 2, 3), (2, 2, 2, CRat(3))),
+    "weight_args sigma": (lambda x: weight_args(1, x, 2, 3), (1, 2, 2, CRat(3))),
+    "weight_args tau": (lambda x: weight_args(1, 2, x, 3), (1, 2, 2, CRat(3))),
 }
 EXACT_INT_RULE = {**INTEGER_ARGUMENTS, **WEIGHT_EXPONENTS}
 INEXACT_REFUSED = {**ENTRY_POINTS,

@@ -175,6 +175,9 @@ REMOVED_CONSTRUCTORS = {
     "greenssf.kp_constant": lambda: greenssf.kp_constant(SCALARS),
     "greenssf.hs_norm_sq": lambda: greenssf.hs_norm_sq(SCALARS),
     "greenssf.green_coincidence": lambda: greenssf.green_coincidence(SCALARS, 1),
+    "KernelScalars.integer_exponents": lambda: SCALARS.integer_exponents(),
+    "greenssf.weight_value_at_zero": lambda: greenssf.weight_value_at_zero(1, 2, 2, 3),
+    "greenssf.trace_green": lambda: greenssf.trace_green(None),
 }
 
 

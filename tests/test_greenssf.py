@@ -29,7 +29,6 @@ from heunlie.greenssf import (
     pair,
     ssf,
     symbol_coeffs,
-    trace_green,
     _kernel_sums,
     _truncated_exponential,
 )
@@ -218,7 +217,8 @@ class TestGreenKernel:
     def test_integer_guard(self):
         # the raising-free expansion's rho = 3(1-n)/2 at n = 0 and n = 1
         for rho in (Fraction(3, 2), 0):
-            with pytest.raises(NonIntegerExponents, match=f"^rho = {rho} is not a positive"):
+            with pytest.raises(NonIntegerExponents,
+                               match=f"^rho must be a positive integer, got {rho}$"):
                 green_kernel(KernelScalars(n=0, a=2, rho=rho, sigma=3, tau=2))
 
     def test_empty_bound_needs_override(self):
@@ -301,12 +301,11 @@ class TestHSNorm:
                 n=rng.randint(-2, 3), a=rand_fraction(rng, nonzero=True) or 3,
                 rho=rho, sigma=sigma, tau=tau,
             )
-            gk = green_kernel(scalars=scal, p_override=3)
-            try:
-                norm = gk.hs_norm_sq()
+            try:  # a = 1 is refused
+                gk = green_kernel(scalars=scal, p_override=3)
             except ValueError:
                 continue
-            kp = gk.kp
+            norm, kp = gk.hs_norm_sq(), gk.kp
             omega0 = weight_expansion(rho, sigma, tau, scal.a).value_at_zero()
             assert norm >= 0
             assert (norm == 0) == (kp == CR_ZERO or omega0 == CR_ZERO)
@@ -359,10 +358,6 @@ class TestTrace:
         assert pair(Distribution.delta(0, 0, CRat(7)), Polynomial.one()) == CRat(7)
         assert pair(Distribution.zero(), Polynomial.one()) == CR_ZERO
 
-    def test_kernel_trace_matches_scalar(self):
-        gk = green_kernel(scalars=SCAL)
-        assert trace_green(gk) == gk.scalar
-
     def test_linearity(self):
         rng, one = random.Random(157), Polynomial.one()
         for _ in range(10):
@@ -377,7 +372,7 @@ class TestTrace:
 
 EMPTY_BOUND = ("summation bound p = 0 is empty; the scalars give sigma - rho = 0 "
                "(override it to proceed)")
-A_REFUSED = "a must avoid 0 and 1, got {}"
+A_REFUSED = "a must avoid 0 and 1, got a={}"
 ZERO_E = "coincidence kernel scales by 1/E; E = 0 is invalid"
 BELOW_ONE = "p_override = 0 must be at least 1"
 # green_kernel alone takes the bound override; its kernel's methods check
@@ -387,40 +382,29 @@ KERNEL_FUNCTIONS = {
     "GreenKernel.hs_norm_sq": lambda scal, E, **kw: green_kernel(scal, **kw).hs_norm_sq(),
     "GreenKernel.coincidence": lambda scal, E, **kw: green_kernel(scal, **kw).coincidence(E),
 }
+# each function with the E it is called at
+CALLS = (("green_kernel", 1), ("GreenKernel.hs_norm_sq", 1), ("GreenKernel.coincidence", 0),
+         ("GreenKernel.coincidence", 1))
 # rho = tau = 2: sigma = 2 leaves the default bound empty, sigma = 4 gives 2
 BOUNDS = {"empty": (2, {}), "default": (4, {}), "overridden": (2, {"p_override": 3}),
           "below one": (4, {"p_override": 0})}
 FIRST_EXCEPTIONS = [
-    # green_kernel over the default bound
-    ("green_kernel", 0, "default", 1, ZeroDivisionError, "division by zero CRat"),
-    *[("green_kernel", a, "empty", 1, ValueError, EMPTY_BOUND) for a in (0, 1)],
-    ("green_kernel", 1, "default", 1, None, None),
-    # green_kernel and its kernel's methods, with the bound overridden
-    ("green_kernel", 0, "overridden", 1, ZeroDivisionError, "division by zero CRat"),
-    ("green_kernel", 1, "overridden", 1, None, None),
-    *[(fn, a, "empty", E, ValueError, EMPTY_BOUND)
-      for a in (0, 1) for fn, E in (("GreenKernel.hs_norm_sq", 1),
-                                    ("GreenKernel.coincidence", 0))],
-    *[(fn, 0, bound, E, ZeroDivisionError, "division by zero CRat")
-      for bound in ("default", "overridden")
-      for fn, E in (("GreenKernel.hs_norm_sq", 1), ("GreenKernel.coincidence", 0))],
-    *[(fn, 1, bound, E, exc, message)
+    # a in {0, 1} is refused with the exponents, before any bound is read
+    *[(fn, a, bound, E, ValueError, A_REFUSED.format(a))
+      for a in (0, 1) for bound in BOUNDS for fn, E in CALLS],
+    # then the bound: an empty one, or an override below 1, which is refused
+    # by name although the scalars' own bound sigma - rho = 2 is valid
+    *[(fn, 2, "empty", E, ValueError, EMPTY_BOUND) for fn, E in CALLS],
+    *[(fn, 2, "below one", E, ValueError, BELOW_ONE) for fn, E in CALLS],
+    # then E = 0, in the coincidence kernel alone
+    *[(fn, 2, bound, E, exc, message)
       for bound in ("default", "overridden")
       for fn, E, exc, message in (
-          ("GreenKernel.hs_norm_sq", 1, ValueError, A_REFUSED.format(1)),
+          ("green_kernel", 1, None, None),
+          ("GreenKernel.hs_norm_sq", 1, None, None),
           ("GreenKernel.coincidence", 0, ZeroEigenvalue, ZERO_E),
           ("GreenKernel.coincidence", 1, None, None),
       )],
-    # the coincidence kernel at a nonzero E meets the kernel's own refusals
-    *[("GreenKernel.coincidence", a, "empty", 1, ValueError, EMPTY_BOUND) for a in (0, 1)],
-    *[("GreenKernel.coincidence", 0, bound, 1, ZeroDivisionError, "division by zero CRat")
-      for bound in ("default", "overridden")],
-    # an override below 1 is refused by name before the kernel is assembled,
-    # although the scalars' own bound sigma - rho = 2 is valid
-    *[(fn, a, "below one", E, ValueError, BELOW_ONE)
-      for a in (0, 1) for fn, E in (("green_kernel", 1), ("GreenKernel.hs_norm_sq", 1),
-                                    ("GreenKernel.coincidence", 0),
-                                    ("GreenKernel.coincidence", 1))],
 ]
 
 
@@ -439,13 +423,12 @@ def test_first_exception(fn, a, bound, E, exc, message):
 
 @pytest.mark.parametrize("fn", list(KERNEL_FUNCTIONS))
 def test_first_exception_non_integer_exponent(fn):
-    # the exponents are checked first, with integer_exponents' own message
+    # the exponents are checked first, before a = 1, with the message a
+    # distsol weight block prints
     scal = KernelScalars(n=1, a=1, rho=Fraction(1, 2), sigma=2, tau=2)
     with pytest.raises(NonIntegerExponents) as info:
         KERNEL_FUNCTIONS[fn](scal, CRat(1))
-    assert str(info.value) == (
-        "rho = 1/2 is not a positive integer; the weight table and kernel sums are undefined"
-    )
+    assert str(info.value) == "rho must be a positive integer, got 1/2"
 
 
 @pytest.mark.parametrize("p_override", [0, -2])
@@ -478,24 +461,11 @@ def test_kernel_data_match_the_crat_reference(a, s_eval, rho, sigma, tau, p):
     assert _truncated_exponential(p) == crat_truncated_exponential(p)
 
 
-@pytest.mark.parametrize("tau", [1, 2, 5])
-@pytest.mark.parametrize("s_eval", [CR_ZERO, CRat(Fraction(1, 3), -2)])
-def test_kernel_sums_at_a_zero(tau, s_eval):
-    # at a = 0 the binomial factor divides by a only when tau > 1
-    args = ((2, 5, tau), CR_ZERO, s_eval, 3)
-    if tau == 1:
-        assert _kernel_sums(*args) == crat_kernel_sums(*args)
-        return
-    for sums in (_kernel_sums, crat_kernel_sums):
-        with pytest.raises(ZeroDivisionError) as info:
-            sums(*args)
-        assert str(info.value) == "division by zero CRat"
-
-
 @given(kp=complex_st, a=a_st, rho=st.integers(1, 2), sigma=st.integers(1, 4),
        tau=st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 def test_hs_norm_is_the_product_of_the_two_moduli(kp, a, rho, sigma, tau):
     scalars = KernelScalars(1, a, rho, sigma, tau)
-    kernel = GreenKernel(scalars, 1, Polynomial.one(), CR_ONE, kp)
-    assert kernel.hs_norm_sq() == kp.abs2() * kernel.omega_at_0.abs2()
+    omega0 = green_kernel(scalars, p_override=1).omega_at_0
+    kernel = GreenKernel(scalars, 1, Polynomial.one(), CR_ONE, kp, omega0)
+    assert kernel.hs_norm_sq() == kp.abs2() * omega0.abs2()

@@ -25,6 +25,7 @@ from heunlie.algpoly import (
     op_apply,
     op_compose,
     quadratic_roots,
+    weight_args,
 )
 from heunlie.distsol import _residual_ready
 from heunlie.greenssf import symbol_coeffs
@@ -215,7 +216,7 @@ def reference_float_eigenvalues(M):
 
 def reference_kernel_sum(scalars, s_eval, p, with_factorial):
     """Kernel sum as printed: the (m, k, l) triple loop in lexicographic order."""
-    rho, sigma, tau = scalars.integer_exponents()
+    rho, sigma, tau, _ = weight_args(scalars.rho, scalars.sigma, scalars.tau, scalars.a)
     total = CR_ZERO
     for m in range(1, p + 1):
         eps0 = symbol_coeffs(m, scalars.n, scalars).eps0.eval(s_eval)
