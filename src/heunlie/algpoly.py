@@ -62,8 +62,8 @@ ExactLike = Union[int, Fraction]
 
 
 def _ratio(x) -> tuple[int, int]:
-    """``(numerator, denominator)`` of an int or a Fraction, in lowest terms."""
-    if isinstance(x, (int, Fraction)):
+    """``(numerator, denominator)`` of an int (not a bool) or a Fraction."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x.numerator, x.denominator
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
@@ -103,15 +103,22 @@ class _Immutable:
     __delattr__ = __setattr__
 
 
+# the value a record's __init__ sets a field to, by the field's annotation (a
+# string: every module postpones annotations); any other annotation keeps it
+_FIELD_RULES = {"CRat": "_from_value({0})", "int": "_exact_int({0}, {0!r})", "tuple": "tuple({0})"}
+
+
 class _Record(_Immutable):
     """Base of the records: values whose fields are the names annotated in
     the class body, in order (``FIELD_NAMES``), kept in the ``__dict__``,
     where ``RecurrenceSpec`` also keeps its bracket memo, which is not a field.
 
     Each record class gets an ``__init__`` that takes the fields by position
-    or keyword, with their class attributes as defaults, sets them, and
-    then calls the class's ``__post_init__``, if any, which may coerce or
-    check them with ``object.__setattr__``.  ``==`` holds only between
+    or keyword, with their class attributes as defaults, and sets each by
+    its annotation: a ``CRat`` field through ``CRat.from_value``, an ``int``
+    field through ``exact_int``, a ``tuple`` field through ``tuple``, and
+    any other as given.  It then calls the class's ``__post_init__``, if
+    any, which checks what the annotation cannot.  ``==`` holds only between
     records of one class whose compared fields are equal (any other operand
     gets ``NotImplemented``), ``hash`` reads the same fields, and ``repr``
     is ``Name(field=value!r, ...)``.  The fields named in the class keyword
@@ -123,12 +130,15 @@ class _Record(_Immutable):
     __slots__ = ()
     FIELD_NAMES = ()
     _COMPARED = ()
+    _ANNOTATIONS = {}
 
     def __init_subclass__(cls, uncompared=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        names = tuple(vars(cls).get("__annotations__", ()))
-        cls.FIELD_NAMES += names
-        cls._COMPARED += tuple(n for n in names if n not in uncompared)
+        own = vars(cls).get("__annotations__", {})
+        # a subclass keeps the fields it inherits and their annotations
+        cls._ANNOTATIONS = {**cls._ANNOTATIONS, **own}
+        cls.FIELD_NAMES = tuple(cls._ANNOTATIONS)
+        cls._COMPARED += tuple(n for n in own if n not in uncompared)
         # the __init__ is compiled once per class, as dataclasses does: a
         # generic one over *args and **kwargs took about 1 us more per record
         defaults = {n: getattr(cls, n) for n in cls.FIELD_NAMES if hasattr(cls, n)}
@@ -136,10 +146,12 @@ class _Record(_Immutable):
                          for n in cls.FIELD_NAMES)
         # object.__setattr__ keeps the fields in the instance's inline values,
         # where attribute reads are fastest; writing vars(self) would not
-        body = [f"_set(self, {n!r}, {n})" for n in cls.FIELD_NAMES]
+        values = [_FIELD_RULES.get(cls._ANNOTATIONS[n], "{0}").format(n) for n in cls.FIELD_NAMES]
+        body = [f"_set(self, {n!r}, {v})" for n, v in zip(cls.FIELD_NAMES, values)]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
-        scope = {"_set": object.__setattr__, "_defaults": defaults}
+        scope = {"_set": object.__setattr__, "_defaults": defaults,
+                 "_from_value": CRat.from_value, "_exact_int": exact_int}
         exec(f"def __init__(self{params}):\n    " + ("\n    ".join(body) or "pass"), scope)
         scope["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = scope["__init__"]
@@ -208,7 +220,7 @@ class CRat(_Immutable):
 
     @classmethod
     def from_value(cls, x) -> "CRat":
-        """Coerce an int, Fraction, string literal or CRat to a CRat."""
+        """Coerce an int (not a bool), Fraction, string literal or CRat to a CRat."""
         if isinstance(x, CRat):
             return x
         if isinstance(x, (int, Fraction)):
@@ -514,8 +526,6 @@ class HeunParams(_Record):
     epsilon: CRat
 
     def __post_init__(self):
-        for name in self.FIELD_NAMES:
-            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
         if self.a == CR_ZERO or self.a == CR_ONE:
             raise ValueError(f"a must avoid 0 and 1, got a={self.a}")
 

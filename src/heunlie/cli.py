@@ -274,11 +274,12 @@ def payload_analyze(params: HeunParams, n: int) -> dict:
     rows += ctx.indicial_rows().as_list()
     rows += ctx.es_rows().as_list()
     spectrum = ctx.spectrum
+    config = _config("analyze", params, n, {})
     return {
         "schema": "heun-analysis-v1",
         "version": _TOOL_VERSION,
-        "config": _config("analyze", params, n, {}),
-        "params": params.as_dict(),
+        "config": config,
+        "params": config["params"],
         "constraint_residual": str(params.constraint_residual),
         "exponents": exponents,
         "uea_coeffs": ctx.uea_coeffs.as_dict(),
@@ -388,6 +389,7 @@ def payload_green(args, params: HeunParams) -> dict:
     # each stage gives
     kernel = greenssf.green_kernel(scalars, args.s_eval, p_override=args.p_override)
     shift = greenssf.ssf(args.lam, kernel.coincidence(args.E))
+    coeff = str(kernel.scalar)  # the kernel coefficient is also the trace
     return {
         "schema": "green-v1",
         "version": _TOOL_VERSION,
@@ -405,11 +407,11 @@ def payload_green(args, params: HeunParams) -> dict:
         "p_bound": kernel.p_bound,
         "s_eval": str(args.s_eval),
         "prefactor_coeffs": [str(c) for c in kernel.prefactor.coeffs],
-        "kernel_coeff": str(kernel.scalar),
+        "kernel_coeff": coeff,
         "kp": str(kernel.kp),
         "omega_at_0": str(kernel.omega_at_0),
         "hs_norm_sq": str(kernel.hs_norm_sq()),
-        "trace": str(kernel.scalar),
+        "trace": coeff,
         "ssf": shift.as_dict(),
     }
 

@@ -144,9 +144,6 @@ class RecurrenceSpec(_Record):
         # filled by _brackets and _scaled, and not a field, so a used spec
         # equals a fresh one
         object.__setattr__(self, "_brackets", {})
-        for name in ("rho", "sigma", "tau", "ab", "E", "a"):
-            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
-        object.__setattr__(self, "l", exact_int(self.l, "l"))
         if self.l < 1:
             raise ValueError(f"exponent offset l must be >= 1, got {self.l}")
 
@@ -386,10 +383,6 @@ class CoeffSequence(_Record, uncompared=("steps",)):
 
     values: tuple
     steps: tuple | None = None
-
-    def __post_init__(self):
-        # tuple() of a tuple is the same object, so a solve pays nothing here
-        object.__setattr__(self, "values", tuple(self.values))
 
     def __len__(self):
         return len(self.values)

@@ -172,18 +172,14 @@ def monomial_times_delta(n: int, m: int) -> Distribution:
 class KernelScalars(_Record):
     """The scalar data the kernel sums consume: spin integer n, singular
     location a, and the first-order coefficients (rho, sigma, tau), which
-    are inputs (``green --rho/--sigma/--tau``), not derived from a spin."""
+    are inputs (``green --rho/--sigma/--tau``), not derived from a spin;
+    ``n`` is set as an exact ``int`` and the rest as ``CRat`` values."""
 
     n: int
     a: CRat
     rho: CRat
     sigma: CRat
     tau: CRat
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", exact_int(self.n, "n"))
-        for name in ("a", "rho", "sigma", "tau"):
-            object.__setattr__(self, name, CRat.from_value(getattr(self, name)))
 
 
 class SymbolCoeffs(_Record):
@@ -293,7 +289,6 @@ class GreenKernel(_Record):
     every ``p >= 1``, so the trace is the kernel's scalar.
     """
 
-    scalars: KernelScalars
     p_bound: int
     prefactor: Polynomial
     scalar: CRat
@@ -360,7 +355,6 @@ def green_kernel(scalars: KernelScalars, s_eval=CR_ZERO, *,
     scalar, kp = _kernel_sums((rho, sigma, tau), a, CRat.from_value(s_eval), bound)
     omega0 = CRat(-1 if (sigma + tau) % 2 else 1) * a ** (tau - 1) if rho == 1 else CR_ZERO
     return GreenKernel(
-        scalars=scalars,
         p_bound=bound,
         prefactor=_truncated_exponential(bound),
         scalar=scalar,

@@ -298,7 +298,7 @@ class DiscrepancyReport:
         self.rows = []
 
     def add(self, name: str, paper, oracle) -> None:
-        self.rows.append(Discrepancy(name, CRat.from_value(paper), CRat.from_value(oracle)))
+        self.rows.append(Discrepancy(name, paper, oracle))
 
     def __iter__(self):
         return iter(self.rows)

@@ -230,6 +230,29 @@ def test_float_or_complex_input_raises_type_error(name, inexact):
         fn(inexact)
 
 
+# a bool is an int to Python, but no exact scalar or record field takes one:
+# (entry point, an exact value it accepts)
+BOOL_REFUSED = {
+    "CRat": (CRat, 1),
+    "CRat.from_value": (CRat.from_value, 1),
+    "HeunParams(q)": (lambda x: HeunParams(3, x, 0, 0, 0, 0, 0), 1),
+    "RecurrenceSpec(E)": (lambda x: _plain_spec(E=x), 1),
+    "KernelScalars(rho)": (lambda x: _plain_scalars(rho=x), 1),
+    "green_kernel rho": (lambda x: green_kernel(KernelScalars(0, 3, x, 2, 2)), 1),
+    "Polynomial": (lambda x: Polynomial([x]), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_REFUSED))
+def test_bool_scalar_raises_type_error(name):
+    fn, exact = BOOL_REFUSED[name]
+    fn(exact)
+    with pytest.raises(TypeError, match="^expected an exact rational, got bool: True$"):
+        fn(True)
+
+
+def test_bool_arithmetic_operand_is_still_an_int():
+    assert CRat(1) + True == CRat(1) * 2 == True + CRat(1)
 
 
 def test_plain_recurrence_spec_coerces_its_fields():

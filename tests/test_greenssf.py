@@ -467,5 +467,5 @@ def test_kernel_data_match_the_crat_reference(a, s_eval, rho, sigma, tau, p):
 def test_hs_norm_is_the_product_of_the_two_moduli(kp, a, rho, sigma, tau):
     scalars = KernelScalars(1, a, rho, sigma, tau)
     omega0 = green_kernel(scalars, p_override=1).omega_at_0
-    kernel = GreenKernel(scalars, 1, Polynomial.one(), CR_ONE, kp, omega0)
+    kernel = GreenKernel(1, Polynomial.one(), CR_ONE, kp, omega0)
     assert kernel.hs_norm_sq() == kp.abs2() * omega0.abs2()

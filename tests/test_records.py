@@ -68,6 +68,19 @@ def test_one_report_block_rule():
     assert own == {"_Record", "Discrepancy", "SSFValue"}
 
 
+def test_one_field_rule():
+    # _Record's __init__ sets every field by its annotation; a __post_init__
+    # only checks what no annotation states (HeunParams' a, RecurrenceSpec's
+    # l >= 1) and sets RecurrenceSpec's bracket memo
+    own = {
+        cls.__name__
+        for module in (algpoly, sl2rep, heunop, distsol, greenssf, cli)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, _Record) and "__post_init__" in vars(cls)
+    }
+    assert own == {"HeunParams", "RecurrenceSpec"}
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_equal_records_hash_equally(name):
     a, b = RECORDS[name](), RECORDS[name]()
@@ -89,6 +102,32 @@ def test_a_record_equals_no_other_class(name):
                   tuple(_fields(record).values())):
         assert record != other and other != record
         assert record.__eq__(other) is NotImplemented
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_fields_are_set_by_their_annotations(name):
+    record = RECORDS[name]()
+    cls = type(record)
+
+    def built(field, value):
+        return getattr(cls(**{**_fields(record), field: value}), field)
+
+    for field, kind in cls.__annotations__.items():
+        if kind == "CRat":
+            for value in (3, Fraction(7, 3), "5/2-1/3i"):
+                got = built(field, value)
+                assert type(got) is CRat and got == CRat.from_value(value)
+        if kind == "int":
+            got = built(field, CRat(2))
+            assert type(got) is int and got == 2
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got 1/2$"):
+                built(field, Fraction(1, 2))
+        if kind in ("CRat", "int"):
+            with pytest.raises(TypeError, match="^cannot coerce float to CRat exactly$"):
+                built(field, 0.5)
+        if kind == "tuple":
+            got = built(field, list(getattr(record, field)))
+            assert type(got) is tuple and got == getattr(record, field)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -134,8 +173,7 @@ def test_init_takes_fields_by_position_keyword_and_default():
     assert RecurrenceSpec(1, 2, tau=3) == RecurrenceSpec(1, 2, 0, 3)
     assert SymbolCoeffs(eps2=1, eps0=2, eps1=3) == SymbolCoeffs(2, 3, 1)
     assert SSFValue.FIELD_NAMES == ("kernel", "heaviside_arg")
-    assert GreenKernel.FIELD_NAMES == ("scalars", "p_bound", "prefactor", "scalar", "kp",
-                                       "omega_at_0")
+    assert GreenKernel.FIELD_NAMES == ("p_bound", "prefactor", "scalar", "kp", "omega_at_0")
     assert CoeffSequence.FIELD_NAMES == ("values", "steps")
     assert CoeffSequence._COMPARED == ("values",)
 
@@ -151,7 +189,7 @@ def test_init_refuses_a_wrong_argument_list(args, kwargs):
         RecurrenceSpec(*args, **kwargs)
 
 
-def test_post_init_coerces_and_checks():
+def test_post_init_checks_what_the_annotation_cannot():
     assert type(RecurrenceSpec(1).a) is CRat
     with pytest.raises(ValueError, match="exponent offset l must be >= 1"):
         RecurrenceSpec(0)
